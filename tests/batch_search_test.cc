@@ -16,7 +16,9 @@
 #include "datasets/synthetic.h"
 #include "faisslike/ivf_flat.h"
 #include "faisslike/ivf_pq.h"
+#include "faisslike/ivf_sq8.h"
 #include "pase/ivf_flat.h"
+#include "pase/ivf_sq8.h"
 #include "pgstub/bufmgr.h"
 #include "pgstub/smgr.h"
 
@@ -239,6 +241,51 @@ TEST(BatchSearchTest, PaseFallbackMatchesPerQuery) {
   // trivially exact — including after deletes.
   CheckBatchMatchesPerQuery(index, ds, params);
   CheckBatchEdges(index, ds, params);
+  for (int64_t id = 0; id < 50; ++id) {
+    ASSERT_TRUE(index.Delete(id).ok());
+  }
+  CheckBatchMatchesPerQuery(index, ds, params);
+}
+
+TEST(BatchSearchTest, FaissIvfSq8MatchesPerQuery) {
+  auto ds = TestData();
+  faisslike::IvfSq8Options opt;
+  opt.num_clusters = 16;
+  opt.sample_ratio = 1.0;
+  faisslike::IvfSq8Index index(ds.dim, opt);
+  ASSERT_TRUE(index.Build(ds.base.data(), ds.num_base).ok());
+  SearchParams params;
+  params.k = 10;
+  params.nprobe = 4;
+  CheckBatchMatchesPerQuery(index, ds, params);
+  CheckBatchEdges(index, ds, params);
+  params.num_threads = 4;
+  CheckBatchMatchesPerQuery(index, ds, params);
+  for (int64_t id = 0; id < 100; ++id) {
+    ASSERT_TRUE(index.Delete(id).ok());
+  }
+  CheckBatchMatchesPerQuery(index, ds, params);
+}
+
+TEST(BatchSearchTest, PaseIvfSq8MatchesPerQuery) {
+  auto ds = TestData();
+  const std::string dir = ::testing::TempDir() + "/batch_pase_sq8";
+  std::filesystem::remove_all(dir);
+  auto smgr = std::make_unique<pgstub::StorageManager>(
+      pgstub::StorageManager::Open(dir, 8192).ValueOrDie());
+  pgstub::BufferManager bufmgr(smgr.get(), 4096);
+  pase::PaseIvfSq8Options opt;
+  opt.num_clusters = 16;
+  opt.sample_ratio = 1.0;
+  pase::PaseIvfSq8Index index({smgr.get(), &bufmgr}, ds.dim, opt);
+  ASSERT_TRUE(index.Build(ds.base.data(), ds.num_base).ok());
+  SearchParams params;
+  params.k = 10;
+  params.nprobe = 4;
+  CheckBatchMatchesPerQuery(index, ds, params);
+  CheckBatchEdges(index, ds, params);
+  params.num_threads = 4;
+  CheckBatchMatchesPerQuery(index, ds, params);
   for (int64_t id = 0; id < 50; ++id) {
     ASSERT_TRUE(index.Delete(id).ok());
   }
