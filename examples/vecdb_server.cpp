@@ -1,5 +1,6 @@
 // Standalone vecdb server: opens (or creates) a database directory and
-// serves it over the wire protocol on loopback TCP. Pair with vecdb_cli.
+// serves it over the wire protocol on loopback TCP. Pair with
+// vecdb_shell --host.
 //
 // Usage: vecdb_server [data_dir [port]]
 //   data_dir  defaults to /tmp/vecdb_server
@@ -40,7 +41,8 @@ int main(int argc, char** argv) {
   std::unique_ptr<net::VecServer> server = std::move(started).ValueOrDie();
   std::printf("vecdb server — data dir %s, listening on 127.0.0.1:%u\n",
               data_dir.c_str(), server->port());
-  std::printf("connect with: vecdb_cli 127.0.0.1 %u\n", server->port());
+  std::printf("connect with: vecdb_shell --host 127.0.0.1 --port %u\n",
+              server->port());
   std::printf("Ctrl-D stops the server.\n");
   std::fflush(stdout);
 

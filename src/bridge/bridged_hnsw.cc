@@ -129,7 +129,7 @@ Result<std::vector<Neighbor>> BridgedHnswIndex::Search(
   }
   VECDB_RETURN_NOT_OK(
       ValidateSearchParams(params, IndexKind::kGraph, "BridgedHnsw::Search"));
-  const QueryContext ctx = params.Context();
+  const QueryContext& ctx = params.ctx;
   obs::MetricsRegistry* metrics = ctx.live_metrics();
   obs::LatencyScope latency(metrics, obs::Hist::kBridgeSearchNanos);
   if (metrics != nullptr) metrics->AddUnchecked(obs::Counter::kBridgeQueries);

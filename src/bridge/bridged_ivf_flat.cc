@@ -177,7 +177,7 @@ Result<std::vector<Neighbor>> BridgedIvfFlatIndex::Search(
   if (num_clusters_ == 0) {
     return Status::InvalidArgument("BridgedIvfFlat: index not built");
   }
-  const QueryContext ctx = params.Context();
+  const QueryContext& ctx = params.ctx;
   obs::MetricsRegistry* metrics = ctx.live_metrics();
   obs::LatencyScope latency(metrics, obs::Hist::kBridgeSearchNanos);
   if (metrics != nullptr) metrics->AddUnchecked(obs::Counter::kBridgeQueries);
@@ -198,6 +198,9 @@ Result<std::vector<Neighbor>> BridgedIvfFlatIndex::Search(
   auto scan_bucket = [&](uint32_t b,
                          const std::function<void(float, int64_t)>& sink,
                          obs::SearchCounters* counters) -> Status {
+    // Cancellation checkpoint per bucket; parallel workers surface the
+    // Cancelled status through worker_status.
+    VECDB_RETURN_NOT_OK(ctx.CheckStop("BridgedIvfFlat::Search"));
     if (options_.memory_table) {
       // Step#1: pointer-direct scan over the mirror.
       const auto& ids = mirror_ids_[b];
@@ -230,6 +233,7 @@ Result<std::vector<Neighbor>> BridgedIvfFlatIndex::Search(
       // Counters here are derived after the scan, so the loop itself stays
       // untouched whether metrics are on or off.
       for (uint32_t b : probes) {
+        VECDB_RETURN_NOT_OK(ctx.CheckStop("BridgedIvfFlat::Search"));
         const auto& ids = mirror_ids_[b];
         const float* vecs = mirror_vecs_[b].data();
         for (size_t i = 0; i < ids.size(); ++i) {

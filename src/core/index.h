@@ -28,10 +28,6 @@ struct SearchParams {
   int num_threads = 1;   ///< intra-query parallelism (RC#3)
   /// Observability handle: profiler + parallel accounting + metrics sink.
   QueryContext ctx;
-
-  /// The effective context. (The pre-QueryContext `profiler`/`accounting`
-  /// alias fields are gone; set the `ctx` fields directly.)
-  QueryContext Context() const { return ctx; }
 };
 
 /// A filtered query's predicate side: the selection bitmap (indexed by
@@ -228,7 +224,7 @@ inline Result<std::vector<Neighbor>> VectorIndex::PostFilterSearch(
   size_t kamp = static_cast<size_t>(
       std::ceil(static_cast<double>(params.k) / sel));
   kamp = std::clamp(kamp, params.k, n);
-  obs::MetricsRegistry* metrics = params.Context().live_metrics();
+  obs::MetricsRegistry* metrics = params.ctx.live_metrics();
   std::vector<Neighbor> kept;
   for (;;) {
     SearchParams amplified = params;
@@ -282,7 +278,7 @@ inline Result<std::vector<Neighbor>> VectorIndex::FilteredSearch(
   if (planned) {
     strategy = filter::ChooseStrategy(est, params.k, n, filter.planner);
   }
-  obs::MetricsRegistry* metrics = params.Context().live_metrics();
+  obs::MetricsRegistry* metrics = params.ctx.live_metrics();
   if (metrics != nullptr) {
     metrics->RecordUnchecked(obs::Hist::kFilterSelectivityBp,
                              static_cast<uint64_t>(est * 10000.0));

@@ -51,12 +51,16 @@ Result<std::vector<Neighbor>> FlatIndex::Search(
   }
   VECDB_RETURN_NOT_OK(
       ValidateSearchParams(params, IndexKind::kFlat, "FlatIndex::Search"));
-  const QueryContext ctx = params.Context();
-  obs::MetricsRegistry* metrics = ctx.live_metrics();
+  obs::MetricsRegistry* metrics = params.ctx.live_metrics();
   obs::LatencyScope latency(metrics, obs::Hist::kFaissSearchNanos);
   KMaxHeap heap(params.k);
   size_t skipped = 0;
   for (size_t i = 0; i < ids_.size(); ++i) {
+    // Cancellation checkpoint every 1024 rows: the exhaustive scan's unit
+    // of uninterruptible work.
+    if (i % 1024 == 0) {
+      VECDB_RETURN_NOT_OK(params.ctx.CheckStop("FlatIndex::Search"));
+    }
     if (tombstones_.Contains(ids_[i])) {
       ++skipped;
       continue;

@@ -53,9 +53,10 @@ uint32_t HnswIndex::GreedyClosest(const float* query, uint32_t entry,
   return cur;
 }
 
+template <class Gate>
 std::vector<Neighbor> HnswIndex::SearchLayer(
     const float* query, uint32_t entry, uint32_t ef, int level,
-    Profiler* profiler, obs::SearchCounters* counters,
+    const Gate& gate, Profiler* profiler, obs::SearchCounters* counters,
     const QueryContext* ctx) const {
   // O(1) visited reset via epoch stamping — the cheap path PASE's HVTGet
   // hash probing is contrasted against (Fig 8).
@@ -69,11 +70,19 @@ std::vector<Neighbor> HnswIndex::SearchLayer(
   std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(greater)>
       candidates(greater);
   KMaxHeap results(ef);
+  uint64_t bitmap_probes = 0;
+  auto admit = [&](uint32_t u) {
+    if constexpr (Gate::kFiltered) {
+      ++bitmap_probes;
+      return gate(u) && !tombstones_.Contains(u);
+    }
+    return true;
+  };
 
   const float d0 = L2Sqr(query, NodeVector(entry), dim_);
   visit_stamp_[entry] = epoch;
   candidates.push({d0, static_cast<int64_t>(entry)});
-  results.Push(d0, entry);
+  if (admit(entry)) results.Push(d0, entry);
 
   std::vector<uint32_t> fresh;
   fresh.reserve(LevelCapacity(level));
@@ -106,15 +115,19 @@ std::vector<Neighbor> HnswIndex::SearchLayer(
         }
       }
     }
-    // Distance batch over the unvisited frontier.
+    // Distance batch over the unvisited frontier. Every improving node
+    // feeds the frontier (dropping rejected ones would disconnect the
+    // traversal at low selectivity); only admitted nodes take result slots.
     ProfScope scope(profiler, "fvec_L2sqr");
     size_t pushes = 0;
     for (uint32_t u : fresh) {
       const float d = L2Sqr(query, NodeVector(u), dim_);
       if (!results.full() || d < results.worst()) {
-        results.Push(d, u);
         candidates.push({d, static_cast<int64_t>(u)});
-        ++pushes;
+        if (admit(u)) {
+          results.Push(d, u);
+          ++pushes;
+        }
       }
     }
     if (counters != nullptr) {
@@ -122,6 +135,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(
       counters->heap_pushes += pushes;
     }
   }
+  if (counters != nullptr) counters->bitmap_probes += bitmap_probes;
   return results.TakeSorted();
 }
 
@@ -215,7 +229,8 @@ Status HnswIndex::Add(const float* vec) {
     std::vector<Neighbor> cands;
     {
       ProfScope scope(profiler, "SearchNbToAdd");
-      cands = SearchLayer(vec, cur, options_.efb, lev, profiler);
+      cands = SearchLayer(vec, cur, options_.efb, lev, filter::AllSelected{},
+                          profiler);
     }
     auto selected = SelectNeighbors(cands, options_.bnn, profiler);
     AddLinks(node, selected, lev, profiler);
@@ -257,72 +272,6 @@ Status HnswIndex::Delete(int64_t id) {
   return tombstones_.Mark(id);
 }
 
-std::vector<Neighbor> HnswIndex::SearchLayerFiltered(
-    const float* query, uint32_t entry, uint32_t ef,
-    const filter::SelectionVector& selection, obs::SearchCounters* counters,
-    uint64_t* bitmap_probes) const {
-  if (++visit_epoch_ == 0) {
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0u);
-    visit_epoch_ = 1;
-  }
-  const uint32_t epoch = visit_epoch_;
-
-  auto greater = [](const Neighbor& a, const Neighbor& b) { return b < a; };
-  std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(greater)>
-      candidates(greater);
-  KMaxHeap results(ef);
-
-  auto allowed = [&](uint32_t u) {
-    ++*bitmap_probes;
-    return selection.Test(u) && !tombstones_.Contains(u);
-  };
-
-  const float d0 = L2Sqr(query, NodeVector(entry), dim_);
-  visit_stamp_[entry] = epoch;
-  candidates.push({d0, static_cast<int64_t>(entry)});
-  if (allowed(entry)) results.Push(d0, entry);
-
-  std::vector<uint32_t> fresh;
-  fresh.reserve(LevelCapacity(0));
-  while (!candidates.empty()) {
-    const Neighbor c = candidates.top();
-    if (results.full() && c.dist > results.worst()) break;
-    candidates.pop();
-
-    const uint32_t node = static_cast<uint32_t>(c.id);
-    const uint16_t count = link_counts_[count_offset_[node] + 0];
-    const uint32_t* nbrs = links_.data() + LinkOffset(node, 0);
-
-    fresh.clear();
-    for (uint16_t i = 0; i < count; ++i) {
-      const uint32_t u = nbrs[i];
-      if (visit_stamp_[u] != epoch) {
-        visit_stamp_[u] = epoch;
-        fresh.push_back(u);
-      }
-    }
-    size_t pushes = 0;
-    for (uint32_t u : fresh) {
-      const float d = L2Sqr(query, NodeVector(u), dim_);
-      // Disallowed nodes keep routing the frontier (dropping them would
-      // disconnect the traversal at low selectivity); only allowed nodes
-      // may occupy result slots.
-      if (!results.full() || d < results.worst()) {
-        candidates.push({d, static_cast<int64_t>(u)});
-        if (allowed(u)) {
-          results.Push(d, u);
-          ++pushes;
-        }
-      }
-    }
-    if (counters != nullptr) {
-      counters->tuples_visited += fresh.size();
-      counters->heap_pushes += pushes;
-    }
-  }
-  return results.TakeSorted();
-}
-
 Result<std::vector<Neighbor>> HnswIndex::PreFilterSearch(
     const float* query, const filter::SelectionVector& selection,
     const SearchParams& params) const {
@@ -331,7 +280,8 @@ Result<std::vector<Neighbor>> HnswIndex::PreFilterSearch(
   if (num_nodes_ == 0) {
     return Status::InvalidArgument("Hnsw::PreFilterSearch: index is empty");
   }
-  obs::MetricsRegistry* metrics = params.Context().live_metrics();
+  VECDB_RETURN_NOT_OK(params.ctx.CheckStop("Hnsw::PreFilterSearch"));
+  obs::MetricsRegistry* metrics = params.ctx.live_metrics();
   obs::LatencyScope latency(metrics, obs::Hist::kFaissSearchNanos);
   if (metrics != nullptr) metrics->AddUnchecked(obs::Counter::kFaissQueries);
   // The graph's vectors are one contiguous block, so pre-filter is a
@@ -376,28 +326,27 @@ Result<std::vector<Neighbor>> HnswIndex::InFilterSearch(
   if (num_nodes_ == 0) {
     return Status::InvalidArgument("Hnsw::InFilterSearch: index is empty");
   }
-  obs::MetricsRegistry* metrics = params.Context().live_metrics();
+  const QueryContext& ctx = params.ctx;
+  obs::MetricsRegistry* metrics = ctx.live_metrics();
   obs::LatencyScope latency(metrics, obs::Hist::kFaissSearchNanos);
   if (metrics != nullptr) metrics->AddUnchecked(obs::Counter::kFaissQueries);
   obs::SearchCounters counters;
-  obs::SearchCounters* sc = metrics != nullptr ? &counters : nullptr;
   uint32_t cur = entry_point_;
   for (int lev = max_level_; lev > 0; --lev) {
-    cur = GreedyClosest(query, cur, lev, nullptr);
+    cur = GreedyClosest(query, cur, lev, ctx.profiler);
   }
   // Tombstones are filtered inside the layer search, so no over-fetch.
   const uint32_t ef = std::max<uint32_t>(params.efs,
                                          static_cast<uint32_t>(params.k));
-  uint64_t bitmap_probes = 0;
-  auto cands =
-      SearchLayerFiltered(query, cur, ef, selection, sc, &bitmap_probes);
+  auto cands = SearchLayer(query, cur, ef, 0, filter::SelectionGate{&selection},
+                           ctx.profiler, &counters, &ctx);
+  VECDB_RETURN_NOT_OK(ctx.CheckStop("Hnsw::InFilterSearch"));
   if (cands.size() > params.k) cands.resize(params.k);
   if (metrics != nullptr) {
     counters.FlushTo(metrics, obs::Counter::kFaissBucketsProbed,
                      obs::Counter::kFaissTuplesVisited,
                      obs::Counter::kFaissHeapPushes,
                      obs::Counter::kFaissTombstonesSkipped);
-    metrics->AddUnchecked(obs::Counter::kFilterBitmapProbes, bitmap_probes);
   }
   return cands;
 }
@@ -412,7 +361,7 @@ Result<std::vector<Neighbor>> HnswIndex::Search(
   if (num_nodes_ == 0) {
     return Status::InvalidArgument("Hnsw::Search: index is empty");
   }
-  const QueryContext ctx = params.Context();
+  const QueryContext& ctx = params.ctx;
   obs::MetricsRegistry* metrics = ctx.live_metrics();
   obs::LatencyScope latency(metrics, obs::Hist::kFaissSearchNanos);
   obs::SearchCounters counters;
@@ -425,7 +374,8 @@ Result<std::vector<Neighbor>> HnswIndex::Search(
   const uint32_t ef = std::max<uint32_t>(
       params.efs,
       static_cast<uint32_t>(params.k + tombstones_.size()));
-  auto cands = SearchLayer(query, cur, ef, 0, ctx.profiler, sc, &ctx);
+  auto cands = SearchLayer(query, cur, ef, 0, filter::AllSelected{},
+                           ctx.profiler, sc, &ctx);
   VECDB_RETURN_NOT_OK(ctx.CheckStop("Hnsw::Search"));
   if (!tombstones_.empty()) {
     std::vector<Neighbor> kept;

@@ -96,15 +96,6 @@ class HnswIndex final : public VectorIndex {
       const SearchParams& params) const override;
 
  private:
-  /// SearchLayer with the candidate/result heaps decoupled by the bitmap:
-  /// every improving node feeds the candidate frontier, only selected
-  /// non-tombstoned nodes enter results. Level 0 only (upper levels route
-  /// unfiltered). `bitmap_probes` counts selection tests.
-  std::vector<Neighbor> SearchLayerFiltered(
-      const float* query, uint32_t entry, uint32_t ef,
-      const filter::SelectionVector& selection,
-      obs::SearchCounters* counters, uint64_t* bitmap_probes) const;
-
   /// Capacity of a node's neighbor list at a level: 2*bnn at level 0
   /// (paper §II-B), bnn above.
   uint32_t LevelCapacity(int level) const {
@@ -122,13 +113,18 @@ class HnswIndex final : public VectorIndex {
                          Profiler* profiler) const;
 
   /// Beam search at one level; returns up to `ef` candidates ascending.
-  /// Instrumented with the Fig 8 sub-phase labels. `counters` (nullable,
-  /// query path only) picks up nodes visited and heap pushes. `ctx`
+  /// Instrumented with the Fig 8 sub-phase labels. `gate` admits nodes to
+  /// the result heap: AllSelected for construction and unfiltered queries
+  /// (which over-fetch by the tombstone count instead), a SelectionGate
+  /// for in-filter queries, which also keeps tombstones out; rejected
+  /// nodes still route the frontier. `counters` (nullable, query path
+  /// only) picks up nodes visited, heap pushes and bitmap probes. `ctx`
   /// (nullable, query path only) makes the beam loop poll for
   /// cancellation every few pops; the loop exits early with a partial
   /// beam and the caller converts that into a Cancelled error.
+  template <class Gate>
   std::vector<Neighbor> SearchLayer(const float* query, uint32_t entry,
-                                    uint32_t ef, int level,
+                                    uint32_t ef, int level, const Gate& gate,
                                     Profiler* profiler,
                                     obs::SearchCounters* counters = nullptr,
                                     const QueryContext* ctx = nullptr) const;

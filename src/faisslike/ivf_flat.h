@@ -9,12 +9,7 @@
 #include <vector>
 
 #include "common/aligned_buffer.h"
-#include "common/thread_pool.h"
-#include "clustering/kmeans.h"
-#include "core/index.h"
-#include "core/tombstones.h"
-#include "obs/metrics.h"
-#include "topk/heaps.h"
+#include "faisslike/ivf_scan.h"
 
 namespace vecdb::faisslike {
 
@@ -30,10 +25,12 @@ struct IvfFlatOptions {
 };
 
 /// In-memory inverted-file index with exact in-bucket distances.
-class IvfFlatIndex final : public VectorIndex {
+class IvfFlatIndex final : public IvfScanIndex<IvfFlatIndex> {
  public:
+  static constexpr const char* kName = "IvfFlat";
+
   IvfFlatIndex(uint32_t dim, IvfFlatOptions options)
-      : dim_(dim), options_(options) {}
+      : IvfScanIndex(dim), options_(options) {}
 
   /// Training phase: learns the codebook from a sample of `data`.
   Status Train(const float* data, size_t n);
@@ -53,27 +50,7 @@ class IvfFlatIndex final : public VectorIndex {
   /// Incremental insert (PASE's aminsert counterpart).
   Status Insert(const float* vec) override { return AddBatch(vec, 1); }
 
-  /// Tombstones a row id (filtered at search, reclaimed on rebuild);
-  /// NotFound if the id was never indexed or is already deleted.
-  Status Delete(int64_t id) override;
-
-  Result<std::vector<Neighbor>> Search(const float* query,
-                                       const SearchParams& params) const override;
-
-  /// Batched multi-query search: bucket selection for all `nq` queries via
-  /// ONE SGEMM-decomposed distance batch against the codebook (RC#1,
-  /// reusing the precomputed centroid norms), then inter-query thread-pool
-  /// parallelism with one reused KMaxHeap per worker (RC#3). Per-query
-  /// results are bit-identical to single-query Search.
-  Result<std::vector<std::vector<Neighbor>>> SearchBatch(
-      const float* queries, size_t nq,
-      const SearchParams& params) const override;
-
   size_t SizeBytes() const override;
-  size_t NumVectors() const override {
-    return num_vectors_ - tombstones_.size();
-  }
-  uint32_t Dim() const override { return dim_; }
   std::string Describe() const override;
 
   /// Persists the built index (codebook + buckets) to a file.
@@ -88,7 +65,6 @@ class IvfFlatIndex final : public VectorIndex {
   void CheckInvariants() const;
 
   uint32_t dim() const { return dim_; }
-  uint32_t num_clusters() const { return num_clusters_; }
   /// Construction options (round-tripped by Save/Load since format v2).
   const IvfFlatOptions& options() const { return options_; }
   /// Row-major codebook (num_clusters * dim), valid after Train.
@@ -98,56 +74,24 @@ class IvfFlatIndex final : public VectorIndex {
     return bucket_ids_[b];
   }
 
- protected:
-  /// Pre-filter: gathers the bitmap's survivors from every bucket into one
-  /// contiguous block and brute-forces them with the batched distance
-  /// kernel (RC#1 idiom applied to the survivor set).
-  Result<std::vector<Neighbor>> PreFilterSearch(
-      const float* query, const filter::SelectionVector& selection,
-      const SearchParams& params) const override;
-
-  /// In-filter: normal nprobe bucket selection, but the bitmap gates each
-  /// tuple before its distance is computed, so non-matching tuples never
-  /// enter the heap.
-  Result<std::vector<Neighbor>> InFilterSearch(
-      const float* query, const filter::SelectionVector& selection,
-      const SearchParams& params) const override;
-
  private:
-  /// Scans one bucket, pushing candidates into `heap`; profiler labels
-  /// match the paper's Table V categories. `counters` (nullable) picks up
-  /// tuples visited / heap pushes / tombstones skipped for the metrics
-  /// registry.
-  void ScanBucket(uint32_t bucket, const float* query, KMaxHeap& heap,
-                  Profiler* profiler, obs::SearchCounters* counters) const;
+  friend class IvfScanIndex<IvfFlatIndex>;
 
-  /// ScanBucket with the in-filter bitmap gate; `bitmap_probes` counts
-  /// selection tests for the filter.bitmap_probes counter.
-  void ScanBucketFiltered(uint32_t bucket, const float* query,
-                          const filter::SelectionVector& selection,
-                          KMaxHeap& heap, obs::SearchCounters* counters,
-                          uint64_t* bitmap_probes) const;
+  /// Exact float L2 against the bucket's contiguous vectors.
+  struct Scorer {
+    static constexpr const char* kLabel = "fvec_L2sqr";
+    const IvfFlatIndex* index;
+    const float* query;
+    void Score(uint32_t bucket, const uint32_t* pos, size_t n, float* out,
+               obs::SearchCounters& sc) const;
+  };
+  Scorer MakeScorer(const float* query, Profiler* /*profiler*/) const {
+    return {this, query};
+  }
 
-  /// Selects the nprobe closest buckets to the query.
-  std::vector<uint32_t> SelectBuckets(const float* query,
-                                      uint32_t nprobe) const;
-
-  /// True if `id` is currently stored in some bucket (live or tombstoned).
-  bool ContainsId(int64_t id) const;
-
-  /// Recomputes the cached squared centroid norms (the "store those items
-  /// in a table" half of the SGEMM decomposition, amortized across batches).
-  void RefreshCentroidNorms();
-
-  uint32_t dim_;
   IvfFlatOptions options_;
-  uint32_t num_clusters_ = 0;
-  AlignedFloats centroids_;
-  AlignedFloats centroid_norms_;  ///< per-centroid squared L2 norms
   std::vector<AlignedFloats> bucket_vecs_;
   std::vector<std::vector<int64_t>> bucket_ids_;
-  size_t num_vectors_ = 0;
-  TombstoneSet tombstones_;
 };
 
 }  // namespace vecdb::faisslike

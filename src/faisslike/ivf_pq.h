@@ -10,11 +10,8 @@
 #include <vector>
 
 #include "common/aligned_buffer.h"
-#include "core/index.h"
-#include "core/tombstones.h"
-#include "obs/metrics.h"
+#include "faisslike/ivf_scan.h"
 #include "quantizer/pq.h"
-#include "topk/heaps.h"
 
 namespace vecdb::faisslike {
 
@@ -37,10 +34,12 @@ struct IvfPqOptions {
 };
 
 /// Inverted file with product-quantized residual-free codes.
-class IvfPqIndex final : public VectorIndex {
+class IvfPqIndex final : public IvfScanIndex<IvfPqIndex> {
  public:
+  static constexpr const char* kName = "IvfPq";
+
   IvfPqIndex(uint32_t dim, IvfPqOptions options)
-      : dim_(dim), options_(options) {}
+      : IvfScanIndex(dim), options_(options) {}
 
   /// Trains the coarse codebook and the product quantizer on a sample.
   Status Train(const float* data, size_t n);
@@ -53,26 +52,7 @@ class IvfPqIndex final : public VectorIndex {
   /// Incremental insert (PASE's aminsert counterpart).
   Status Insert(const float* vec) override { return AddBatch(vec, 1); }
 
-  /// Tombstones a row id (filtered at search, reclaimed on rebuild);
-  /// NotFound if the id was never indexed or is already deleted.
-  Status Delete(int64_t id) override;
-
-  Result<std::vector<Neighbor>> Search(const float* query,
-                                       const SearchParams& params) const override;
-
-  /// Batched multi-query search: one SGEMM-decomposed distance batch against
-  /// the coarse codebook selects buckets for all `nq` queries (RC#1), then
-  /// per-query ADC tables and bucket scans run with inter-query thread-pool
-  /// parallelism over per-worker k-heaps (RC#3).
-  Result<std::vector<std::vector<Neighbor>>> SearchBatch(
-      const float* queries, size_t nq,
-      const SearchParams& params) const override;
-
   size_t SizeBytes() const override;
-  size_t NumVectors() const override {
-    return num_vectors_ - tombstones_.size();
-  }
-  uint32_t Dim() const override { return dim_; }
   std::string Describe() const override;
 
   /// Persists the built index (codebooks + coded buckets) to a file.
@@ -82,62 +62,42 @@ class IvfPqIndex final : public VectorIndex {
   static Result<IvfPqIndex> Load(const std::string& path);
 
   const ProductQuantizer* pq() const { return pq_ ? &*pq_ : nullptr; }
-  uint32_t num_clusters() const { return num_clusters_; }
   /// Construction options (round-tripped by Save/Load since format v2).
   const IvfPqOptions& options() const { return options_; }
 
- protected:
-  /// Pre-filter: ADC-scans only the bitmap's survivors across all buckets
-  /// (one precomputed table), then refines exactly like Search.
-  Result<std::vector<Neighbor>> PreFilterSearch(
-      const float* query, const filter::SelectionVector& selection,
-      const SearchParams& params) const override;
-
-  /// In-filter: nprobe bucket selection with the bitmap gating each code
-  /// before its ADC distance is computed; refinement unchanged.
-  Result<std::vector<Neighbor>> InFilterSearch(
-      const float* query, const filter::SelectionVector& selection,
-      const SearchParams& params) const override;
-
  private:
-  void ScanBucket(uint32_t bucket, const float* table, KMaxHeap& heap,
-                  Profiler* profiler, obs::SearchCounters* counters) const;
+  friend class IvfScanIndex<IvfPqIndex>;
 
-  /// ScanBucket with the in-filter bitmap gate; `bitmap_probes` counts
-  /// selection tests for the filter.bitmap_probes counter.
-  void ScanBucketFiltered(uint32_t bucket, const float* table,
-                          const filter::SelectionVector& selection,
-                          KMaxHeap& heap, obs::SearchCounters* counters,
-                          uint64_t* bitmap_probes) const;
+  /// ADC over the bucket's codes through one per-query distance table
+  /// (RC#7: Faiss's optimized table, or the naive one when toggled off).
+  struct Scorer {
+    static constexpr const char* kLabel = "adc_scan";
+    const IvfPqIndex* index;
+    std::vector<float> table;
+    void Score(uint32_t bucket, const uint32_t* pos, size_t n, float* out,
+               obs::SearchCounters& sc) const;
+  };
+  Scorer MakeScorer(const float* query, Profiler* profiler) const;
+  const std::vector<int64_t>& bucket_ids(uint32_t b) const {
+    return bucket_ids_[b];
+  }
 
-  /// Rescores ADC candidates against stored raw vectors (refine_factor);
-  /// identity when refinement is off.
-  std::vector<Neighbor> RefineExact(const float* query,
-                                    std::vector<Neighbor> adc,
-                                    size_t k) const;
-  std::vector<uint32_t> SelectBuckets(const float* query,
-                                      uint32_t nprobe) const;
+  /// With refinement, the scan over-fetches ADC candidates and Refine
+  /// rescores them exactly against the stored raw vectors (Faiss
+  /// IndexRefineFlat); identity when refine_factor is 0.
+  size_t FetchK(size_t k) const {
+    return options_.refine_factor > 0 ? k * options_.refine_factor : k;
+  }
+  std::vector<Neighbor> Refine(const float* query, std::vector<Neighbor> adc,
+                               size_t k, Profiler* profiler) const;
 
-  /// True if `id` is currently stored in some bucket (live or tombstoned).
-  bool ContainsId(int64_t id) const;
-
-  /// Recomputes the cached squared coarse-centroid norms used by the
-  /// batched SGEMM bucket selection.
-  void RefreshCentroidNorms();
-
-  uint32_t dim_;
   IvfPqOptions options_;
-  uint32_t num_clusters_ = 0;
-  AlignedFloats centroids_;
-  AlignedFloats centroid_norms_;  ///< per-centroid squared L2 norms
   std::optional<ProductQuantizer> pq_;
   std::vector<std::vector<uint8_t>> bucket_codes_;
   std::vector<std::vector<int64_t>> bucket_ids_;
   /// Raw vectors for re-ranking, kept only when refine_factor > 0.
   AlignedFloats refine_vectors_;
   std::unordered_map<int64_t, size_t> refine_pos_;  ///< id -> row
-  size_t num_vectors_ = 0;
-  TombstoneSet tombstones_;
 };
 
 }  // namespace vecdb::faisslike

@@ -9,11 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "common/aligned_buffer.h"
-#include "core/index.h"
-#include "core/tombstones.h"
+#include "faisslike/ivf_scan.h"
 #include "quantizer/sq8.h"
-#include "topk/heaps.h"
 
 namespace vecdb::faisslike {
 
@@ -30,11 +27,13 @@ struct IvfSq8Options {
 /// Inverted file over SQ8-coded vectors. Buckets hold their codes in the
 /// blocked Sq8CodeStore layout, scanned with the integer-SIMD fast-scan
 /// kernels (one prepared query per search, one batched kernel call per
-/// bucket).
-class IvfSq8Index final : public VectorIndex {
+/// bucket; gated scans gather the selected codes by pointer instead).
+class IvfSq8Index final : public IvfScanIndex<IvfSq8Index> {
  public:
+  static constexpr const char* kName = "IvfSq8";
+
   IvfSq8Index(uint32_t dim, IvfSq8Options options)
-      : dim_(dim), options_(options) {}
+      : IvfScanIndex(dim), options_(options) {}
 
   /// Trains the coarse codebook and the per-dimension scalar ranges.
   Status Train(const float* data, size_t n);
@@ -47,50 +46,30 @@ class IvfSq8Index final : public VectorIndex {
   /// Incremental insert (PASE's aminsert counterpart).
   Status Insert(const float* vec) override { return AddBatch(vec, 1); }
 
-  /// Tombstones a row id (filtered at search, reclaimed on rebuild);
-  /// NotFound if the id was never indexed or is already deleted.
-  Status Delete(int64_t id) override;
-
-  Result<std::vector<Neighbor>> Search(const float* query,
-                                       const SearchParams& params) const override;
-
   size_t SizeBytes() const override;
-  size_t NumVectors() const override {
-    return num_vectors_ - tombstones_.size();
-  }
-  uint32_t Dim() const override { return dim_; }
   std::string Describe() const override;
 
-  uint32_t num_clusters() const { return num_clusters_; }
-
- protected:
-  /// Gathers the predicate's survivors across all buckets and fast-scans
-  /// them with the pointer-gather SQ8 kernel.
-  Result<std::vector<Neighbor>> PreFilterSearch(
-      const float* query, const filter::SelectionVector& selection,
-      const SearchParams& params) const override;
-
-  /// Probes nprobe buckets, testing the bitmap per code and fast-scanning
-  /// only the selected codes of each bucket.
-  Result<std::vector<Neighbor>> InFilterSearch(
-      const float* query, const filter::SelectionVector& selection,
-      const SearchParams& params) const override;
-
  private:
-  std::vector<uint32_t> SelectBuckets(const float* query,
-                                      uint32_t nprobe) const;
+  friend class IvfScanIndex<IvfSq8Index>;
 
-  /// True if `id` is currently stored in some bucket (live or tombstoned).
-  bool ContainsId(int64_t id) const;
+  /// SQ8 fast scan against one prepared query.
+  struct Scorer {
+    static constexpr const char* kLabel = "sq8_scan";
+    const IvfSq8Index* index;
+    Sq8Query prep;
+    void Score(uint32_t bucket, const uint32_t* pos, size_t n, float* out,
+               obs::SearchCounters& sc) const;
+  };
+  Scorer MakeScorer(const float* query, Profiler* /*profiler*/) const {
+    return {this, sq_->PrepareQuery(query)};
+  }
+  const std::vector<int64_t>& bucket_ids(uint32_t b) const {
+    return buckets_[b].ids();
+  }
 
-  uint32_t dim_;
   IvfSq8Options options_;
-  uint32_t num_clusters_ = 0;
-  AlignedFloats centroids_;
   std::optional<ScalarQuantizer8> sq_;
   std::vector<Sq8CodeStore> buckets_;
-  size_t num_vectors_ = 0;
-  TombstoneSet tombstones_;
 };
 
 }  // namespace vecdb::faisslike

@@ -1,10 +1,10 @@
 // SelectionVector: a dense bitmap over row positions, the currency of the
 // filtered-search subsystem. The SQL executor evaluates a Predicate over
-// the heap (or an AttributeStore) into one of these, and the three filter
-// strategies consume it: pre-filter iterates its set bits, in-filter tests
-// it inside bucket scans / graph expansion, post-filter tests it against
-// amplified result lists. Word-packed so a test is one shift+mask and a
-// popcount is word-at-a-time.
+// the heap into one of these, and the three filter strategies consume it:
+// pre-filter and in-filter gate the engines' one scan loop with it (the
+// SelectionGate policy below), post-filter tests it against amplified
+// result lists. Word-packed so a test is one shift+mask and a popcount is
+// word-at-a-time.
 #pragma once
 
 #include <cstddef>
@@ -71,6 +71,23 @@ class SelectionVector {
  private:
   size_t size_ = 0;
   std::vector<uint64_t> words_;
+};
+
+/// Selection policies for the engines' scan loops, which are templates
+/// over one of these. AllSelected admits every row and compiles away;
+/// SelectionGate admits the rows whose bit is set. `kFiltered` lets a loop
+/// drop its gate bookkeeping entirely for the unfiltered instantiation.
+struct AllSelected {
+  static constexpr bool kFiltered = false;
+  constexpr bool operator()(int64_t /*row*/) const { return true; }
+};
+
+struct SelectionGate {
+  static constexpr bool kFiltered = true;
+  const SelectionVector* selection;
+  bool operator()(int64_t row) const {
+    return row >= 0 && selection->Test(static_cast<size_t>(row));
+  }
 };
 
 }  // namespace vecdb::filter

@@ -300,22 +300,37 @@ struct SearchCounters {
   uint64_t tuples_visited = 0;
   uint64_t heap_pushes = 0;
   uint64_t tombstones_skipped = 0;
+  uint64_t bitmap_probes = 0;  ///< filter.bitmap_probes (gated scans)
+  uint64_t sq8_blocks = 0;     ///< kernel.sq8_blocks (SQ8 fast scan)
+  uint64_t sq8_codes = 0;      ///< kernel.sq8_codes (SQ8 fast scan)
 
   void MergeFrom(const SearchCounters& other) {
     buckets_probed += other.buckets_probed;
     tuples_visited += other.tuples_visited;
     heap_pushes += other.heap_pushes;
     tombstones_skipped += other.tombstones_skipped;
+    bitmap_probes += other.bitmap_probes;
+    sq8_blocks += other.sq8_blocks;
+    sq8_codes += other.sq8_codes;
   }
 
   /// Flushes into `m` under the caller's engine-specific counter names
-  /// (faiss.*, pase.*, ...). `m` must be a live (enabled) registry.
+  /// (faiss.*, pase.*, ...); the filter and SQ8 kernel counters are
+  /// engine-neutral and only touched when the scan did that work. `m`
+  /// must be a live (enabled) registry.
   void FlushTo(MetricsRegistry* m, Counter buckets, Counter tuples,
                Counter pushes, Counter tombstones) const {
     m->AddUnchecked(buckets, buckets_probed);
     m->AddUnchecked(tuples, tuples_visited);
     m->AddUnchecked(pushes, heap_pushes);
     m->AddUnchecked(tombstones, tombstones_skipped);
+    if (bitmap_probes != 0) {
+      m->AddUnchecked(Counter::kFilterBitmapProbes, bitmap_probes);
+    }
+    if (sq8_codes != 0) {
+      m->AddUnchecked(Counter::kKernelSq8Blocks, sq8_blocks);
+      m->AddUnchecked(Counter::kKernelSq8Codes, sq8_codes);
+    }
   }
 };
 

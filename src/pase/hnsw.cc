@@ -194,12 +194,21 @@ Result<PaseHnswIndex::Scored> PaseHnswIndex::GreedyClosest(
   return cur;
 }
 
+template <class Gate>
 Result<std::vector<PaseHnswIndex::Scored>> PaseHnswIndex::SearchLayer(
     const float* query, const Scored& entry, uint32_t ef, int level,
-    Profiler* profiler, obs::SearchCounters* counters,
+    const Gate& gate, Profiler* profiler, obs::SearchCounters* counters,
     const QueryContext* ctx) const {
   visited_.Reset();
   visited_.GetAndSet(entry.ref.nblk);
+  uint64_t bitmap_probes = 0;
+  auto admit = [&](int64_t row_id) {
+    if constexpr (Gate::kFiltered) {
+      ++bitmap_probes;
+      return gate(row_id) && !tombstones_.Contains(row_id);
+    }
+    return true;
+  };
 
   auto cand_greater = [](const Scored& a, const Scored& b) {
     return a.dist > b.dist;
@@ -227,7 +236,7 @@ Result<std::vector<PaseHnswIndex::Scored>> PaseHnswIndex::SearchLayer(
   };
 
   candidates.push(entry);
-  results_push(entry);
+  if (admit(entry.row_id)) results_push(entry);
 
   std::vector<HnswNeighborTuple> nbrs;
   std::vector<HnswNeighborTuple> fresh;
@@ -268,10 +277,14 @@ Result<std::vector<PaseHnswIndex::Scored>> PaseHnswIndex::SearchLayer(
         d = L2Sqr(query, vec.data(), dim_);
       }
       if (results.size() < ef || d < results_worst()) {
+        // Every improving vertex routes the frontier; only admitted rows
+        // take result slots.
         Scored s{d, ref, row};
         candidates.push(s);
-        results_push(s);
-        ++pushes;
+        if (admit(row)) {
+          results_push(s);
+          ++pushes;
+        }
       }
     }
     if (counters != nullptr) {
@@ -279,6 +292,7 @@ Result<std::vector<PaseHnswIndex::Scored>> PaseHnswIndex::SearchLayer(
       counters->heap_pushes += pushes;
     }
   }
+  if (counters != nullptr) counters->bitmap_probes += bitmap_probes;
   std::sort(results.begin(), results.end(),
             [](const Scored& a, const Scored& b) { return a.dist < b.dist; });
   return results;
@@ -409,7 +423,8 @@ Status PaseHnswIndex::AddOne(const float* vec) {
     {
       ProfScope scope(profiler, "SearchNbToAdd");
       VECDB_ASSIGN_OR_RETURN(
-          cands, SearchLayer(vec, cur, options_.efb, lev, profiler));
+          cands, SearchLayer(vec, cur, options_.efb, lev,
+                             filter::AllSelected{}, profiler));
     }
     VECDB_ASSIGN_OR_RETURN(
         std::vector<Scored> selected,
@@ -460,88 +475,6 @@ Status PaseHnswIndex::Delete(int64_t id) {
   return tombstones_.Mark(id);
 }
 
-Result<std::vector<PaseHnswIndex::Scored>> PaseHnswIndex::SearchLayerFiltered(
-    const float* query, const Scored& entry, uint32_t ef,
-    const filter::SelectionVector& selection, obs::SearchCounters* counters,
-    uint64_t* bitmap_probes) const {
-  visited_.Reset();
-  visited_.GetAndSet(entry.ref.nblk);
-
-  auto allowed = [&](int64_t row_id) {
-    ++*bitmap_probes;
-    return row_id >= 0 && selection.Test(static_cast<size_t>(row_id)) &&
-           !tombstones_.Contains(row_id);
-  };
-
-  auto cand_greater = [](const Scored& a, const Scored& b) {
-    return a.dist > b.dist;
-  };
-  std::priority_queue<Scored, std::vector<Scored>, decltype(cand_greater)>
-      candidates(cand_greater);
-  auto res_less = [](const Scored& a, const Scored& b) {
-    return a.dist < b.dist;
-  };
-  std::vector<Scored> results;
-  results.reserve(ef + 1);
-
-  auto results_push = [&](const Scored& s) {
-    results.push_back(s);
-    std::push_heap(results.begin(), results.end(), res_less);
-    if (results.size() > ef) {
-      std::pop_heap(results.begin(), results.end(), res_less);
-      results.pop_back();
-    }
-  };
-  auto results_worst = [&]() {
-    return results.size() < ef ? std::numeric_limits<float>::infinity()
-                               : results.front().dist;
-  };
-
-  candidates.push(entry);
-  if (allowed(entry.row_id)) results_push(entry);
-
-  std::vector<HnswNeighborTuple> nbrs;
-  std::vector<HnswNeighborTuple> fresh;
-  std::vector<float> vec(dim_);
-  while (!candidates.empty()) {
-    const Scored c = candidates.top();
-    if (results.size() >= ef && c.dist > results_worst()) break;
-    candidates.pop();
-
-    VECDB_RETURN_NOT_OK(FetchNeighbors(c.ref, 0, &nbrs, nullptr));
-    fresh.clear();
-    for (const auto& nb : nbrs) {
-      if (!visited_.GetAndSet(nb.gid.nblkid)) fresh.push_back(nb);
-    }
-
-    size_t pushes = 0;
-    for (const auto& nb : fresh) {
-      VertexRef ref{nb.gid.nblkid, nb.gid.dblkid,
-                    static_cast<pgstub::OffsetNumber>(nb.gid.doffset)};
-      int64_t row = -1;
-      VECDB_RETURN_NOT_OK(ReadVector(ref, vec.data(), &row, nullptr));
-      const float d = L2Sqr(query, vec.data(), dim_);
-      if (results.size() < ef || d < results_worst()) {
-        Scored s{d, ref, row};
-        // Disallowed vertices still route the frontier; only selected
-        // live rows can enter the result heap.
-        candidates.push(s);
-        if (allowed(row)) {
-          results_push(s);
-          ++pushes;
-        }
-      }
-    }
-    if (counters != nullptr) {
-      counters->tuples_visited += fresh.size();
-      counters->heap_pushes += pushes;
-    }
-  }
-  std::sort(results.begin(), results.end(),
-            [](const Scored& a, const Scored& b) { return a.dist < b.dist; });
-  return results;
-}
-
 Result<std::vector<Neighbor>> PaseHnswIndex::PreFilterSearch(
     const float* query, const filter::SelectionVector& selection,
     const SearchParams& params) const {
@@ -550,7 +483,7 @@ Result<std::vector<Neighbor>> PaseHnswIndex::PreFilterSearch(
   if (num_vectors_ == 0) {
     return Status::InvalidArgument("PaseHnsw: index is empty");
   }
-  const QueryContext ctx = params.Context();
+  const QueryContext& ctx = params.ctx;
   obs::MetricsRegistry* metrics = ctx.live_metrics();
   obs::LatencyScope latency(metrics, obs::Hist::kPaseSearchNanos);
   if (metrics != nullptr) metrics->AddUnchecked(obs::Counter::kPaseQueries);
@@ -560,6 +493,7 @@ Result<std::vector<Neighbor>> PaseHnswIndex::PreFilterSearch(
   VECDB_ASSIGN_OR_RETURN(pgstub::BlockId blocks,
                          env_.smgr->NumBlocks(data_rel_));
   for (pgstub::BlockId b = 0; b < blocks; ++b) {
+    VECDB_RETURN_NOT_OK(ctx.CheckStop("PaseHnsw::PreFilterSearch"));
     pgstub::BufferHandle handle;
     {
       ProfScope scope(ctx.profiler, "TupleAccess");
@@ -603,7 +537,7 @@ Result<std::vector<Neighbor>> PaseHnswIndex::InFilterSearch(
   if (num_vectors_ == 0) {
     return Status::InvalidArgument("PaseHnsw: index is empty");
   }
-  const QueryContext ctx = params.Context();
+  const QueryContext& ctx = params.ctx;
   obs::MetricsRegistry* metrics = ctx.live_metrics();
   obs::LatencyScope latency(metrics, obs::Hist::kPaseSearchNanos);
   obs::SearchCounters counters;
@@ -619,10 +553,11 @@ Result<std::vector<Neighbor>> PaseHnswIndex::InFilterSearch(
   // No tombstone over-fetch: tombstones are filtered inside the beam.
   const uint32_t ef =
       std::max<uint32_t>(params.efs, static_cast<uint32_t>(params.k));
-  uint64_t bitmap_probes = 0;
   VECDB_ASSIGN_OR_RETURN(
       std::vector<Scored> found,
-      SearchLayerFiltered(query, cur, ef, selection, sc, &bitmap_probes));
+      SearchLayer(query, cur, ef, 0, filter::SelectionGate{&selection},
+                  ctx.profiler, sc, &ctx));
+  VECDB_RETURN_NOT_OK(ctx.CheckStop("PaseHnsw::InFilterSearch"));
   std::vector<Neighbor> out;
   out.reserve(std::min(found.size(), params.k));
   for (const auto& s : found) {
@@ -635,7 +570,6 @@ Result<std::vector<Neighbor>> PaseHnswIndex::InFilterSearch(
                      obs::Counter::kPaseTuplesVisited,
                      obs::Counter::kPaseHeapPushes,
                      obs::Counter::kPaseTombstonesSkipped);
-    metrics->AddUnchecked(obs::Counter::kFilterBitmapProbes, bitmap_probes);
   }
   return out;
 }
@@ -648,7 +582,7 @@ Result<std::vector<Neighbor>> PaseHnswIndex::Search(
   if (num_vectors_ == 0) {
     return Status::InvalidArgument("PaseHnsw: index is empty");
   }
-  const QueryContext ctx = params.Context();
+  const QueryContext& ctx = params.ctx;
   obs::MetricsRegistry* metrics = ctx.live_metrics();
   obs::LatencyScope latency(metrics, obs::Hist::kPaseSearchNanos);
   obs::SearchCounters counters;
@@ -665,7 +599,8 @@ Result<std::vector<Neighbor>> PaseHnswIndex::Search(
       params.efs, static_cast<uint32_t>(params.k + tombstones_.size()));
   VECDB_ASSIGN_OR_RETURN(
       std::vector<Scored> found,
-      SearchLayer(query, cur, ef, 0, ctx.profiler, sc, &ctx));
+      SearchLayer(query, cur, ef, 0, filter::AllSelected{}, ctx.profiler, sc,
+                  &ctx));
   // Beams shorter than one checkpoint interval still honor a stop
   // request: never return partial results for a cancelled statement.
   VECDB_RETURN_NOT_OK(ctx.CheckStop("PaseHnsw::Search"));

@@ -129,22 +129,20 @@ class PaseHnswIndex final : public VectorIndex {
                                int level, Profiler* profiler) const;
 
   /// Beam search at one level (SearchNbToAdd when called from Add).
-  /// `counters` (nullable, query path only) picks up tuples visited and
-  /// heap pushes. `ctx` (nullable, query path only) makes the beam loop
-  /// poll for cancellation every few pops and fail with Cancelled.
+  /// `gate` admits vertices to the result heap: AllSelected for
+  /// construction and unfiltered queries (which over-fetch by the
+  /// tombstone count instead), a SelectionGate for in-filter queries,
+  /// which also keeps tombstones out; rejected vertices still route the
+  /// frontier. `counters` (nullable, query path only) picks up tuples
+  /// visited, heap pushes and bitmap probes. `ctx` (nullable, query path
+  /// only) makes the beam loop poll for cancellation every few pops and
+  /// fail with Cancelled.
+  template <class Gate>
   Result<std::vector<Scored>> SearchLayer(
       const float* query, const Scored& entry, uint32_t ef, int level,
-      Profiler* profiler, obs::SearchCounters* counters = nullptr,
+      const Gate& gate, Profiler* profiler,
+      obs::SearchCounters* counters = nullptr,
       const QueryContext* ctx = nullptr) const;
-
-  /// SearchLayer with the candidate/result heaps decoupled by the bitmap:
-  /// every improving vertex feeds the frontier, only selected
-  /// non-tombstoned rows enter results. Level 0 only. `bitmap_probes`
-  /// counts selection tests.
-  Result<std::vector<Scored>> SearchLayerFiltered(
-      const float* query, const Scored& entry, uint32_t ef,
-      const filter::SelectionVector& selection,
-      obs::SearchCounters* counters, uint64_t* bitmap_probes) const;
 
   /// Neighbor-selection heuristic over page-resident candidate vectors.
   Result<std::vector<Scored>> SelectNeighbors(

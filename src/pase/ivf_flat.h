@@ -11,12 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "common/aligned_buffer.h"
-#include "core/index.h"
-#include "core/tombstones.h"
-#include "obs/metrics.h"
+#include "pase/ivf_scan.h"
 #include "pase/pase_common.h"
-#include "topk/heaps.h"
 
 namespace vecdb::pase {
 
@@ -35,10 +31,13 @@ struct PaseIvfFlatOptions {
 };
 
 /// Page-resident IVF_FLAT index.
-class PaseIvfFlatIndex final : public VectorIndex {
+class PaseIvfFlatIndex final : public PaseIvfScanIndex<PaseIvfFlatIndex> {
  public:
+  static constexpr const char* kName = "PaseIvfFlat";
+  static constexpr size_t kHeaderBytes = sizeof(PaseVectorTuple);
+
   PaseIvfFlatIndex(PaseEnv env, uint32_t dim, PaseIvfFlatOptions options)
-      : env_(env), dim_(dim), options_(options) {}
+      : PaseIvfScanIndex(env, dim), options_(options) {}
 
   Status Build(const float* data, size_t n) override;
 
@@ -54,16 +53,9 @@ class PaseIvfFlatIndex final : public VectorIndex {
   /// pages and clearing the tombstone set.
   Status Vacuum();
 
-  Result<std::vector<Neighbor>> Search(const float* query,
-                                       const SearchParams& params) const override;
-
   /// Relation-file footprint in bytes (pages * page size), which is how a
   /// PostgreSQL index reports its size.
   size_t SizeBytes() const override;
-  size_t NumVectors() const override {
-    return num_vectors_ - tombstones_.size();
-  }
-  uint32_t Dim() const override { return dim_; }
   std::string Describe() const override;
 
   /// Aborts if index structure is inconsistent: chain count differing from
@@ -72,76 +64,32 @@ class PaseIvfFlatIndex final : public VectorIndex {
   /// matrix. Test/debug hook.
   void CheckInvariants() const;
 
-  /// Trained centroids (row-major, c * dim) for the paper's Fig 15
-  /// centroid-transplant experiment.
-  const float* centroids() const { return centroids_.data(); }
-  uint32_t num_clusters() const { return num_clusters_; }
-
- protected:
-  /// Pre-filter: walks every bucket's page chain with the bitmap gating
-  /// each tuple before its distance — an exhaustive filtered scan through
-  /// the buffer manager (PASE has no batched kernel path, RC#1).
-  Result<std::vector<Neighbor>> PreFilterSearch(
-      const float* query, const filter::SelectionVector& selection,
-      const SearchParams& params) const override;
-
-  /// In-filter: nprobe bucket selection unchanged, the bitmap pushed into
-  /// the page-chain scans so rejected tuples never reach the n-heap.
-  Result<std::vector<Neighbor>> InFilterSearch(
-      const float* query, const filter::SelectionVector& selection,
-      const SearchParams& params) const override;
-
  private:
-  /// ScanBucket with the in-filter bitmap gate: rejected tuples skip the
-  /// distance computation and the heap. `bitmap_probes` counts selection
-  /// tests for the filter.bitmap_probes counter. Single-threaded (the
-  /// filtered path never shares the collector).
-  Status ScanBucketFiltered(uint32_t bucket, const float* query,
-                            const filter::SelectionVector& selection,
-                            NHeap* collector, Profiler* profiler,
-                            obs::SearchCounters* counters,
-                            uint64_t* bitmap_probes) const;
+  friend class PaseIvfScanIndex<PaseIvfFlatIndex>;
 
-  struct BucketChain {
-    pgstub::BlockId head = pgstub::kInvalidBlock;
-    pgstub::BlockId tail = pgstub::kInvalidBlock;
+  /// Exact float L2 against the page-resident vectors; pgvector mode
+  /// dispatches the operator through a function pointer per tuple.
+  struct Scorer {
+    static constexpr const char* kLabel = "fvec_L2sqr";
+    const float* query;
+    uint32_t dim;
+    bool pgvector_mode;
+    void Score(const char* const* tuples, size_t n, float* out,
+               obs::SearchCounters& sc) const;
   };
+  Scorer MakeScorer(const float* query, Profiler* /*profiler*/) const {
+    return {query, dim_, options_.pgvector_mode};
+  }
 
-  /// Appends one vector tuple to a bucket's page chain.
-  Status AppendToBucket(uint32_t bucket, int64_t row_id, const float* vec);
-
-  /// Writes centroid tuples into the centroid relation pages.
-  Status WriteCentroidPages();
-
-  /// Scans the centroid pages to pick the nprobe closest buckets.
-  Result<std::vector<uint32_t>> SelectBuckets(const float* query,
-                                              uint32_t nprobe,
-                                              Profiler* profiler) const;
-
-  /// Walks one bucket's page chain, appending candidates to `collector`.
-  /// Thread-safe when `mu` is non-null (PASE's locked global heap, RC#3);
-  /// lock+push time is then charged to `serial_nanos`.
-  /// `counters` (nullable, owned by the calling worker) picks up tuples
-  /// visited / heap pushes / tombstones skipped.
-  Status ScanBucket(uint32_t bucket, const float* query, NHeap* collector,
-                    Mutex* mu, int64_t* serial_nanos, Profiler* profiler,
-                    obs::SearchCounters* counters) const;
+  /// pgvector sorts the full candidate set (ORDER BY semantics) rather
+  /// than heap-selecting k of n.
+  std::vector<Neighbor> TakeTopK(NHeap& collector, size_t k) const;
 
   /// Walks every page chain looking for a stored tuple with `row_id`
   /// (live or tombstoned). Vacuumed rows are gone from the chains.
   Result<bool> ContainsRow(int64_t row_id) const;
 
-  PaseEnv env_;
-  uint32_t dim_;
   PaseIvfFlatOptions options_;
-
-  uint32_t num_clusters_ = 0;
-  size_t num_vectors_ = 0;
-  pgstub::RelId centroid_rel_ = pgstub::kInvalidRel;
-  pgstub::RelId data_rel_ = pgstub::kInvalidRel;
-  std::vector<BucketChain> chains_;
-  AlignedFloats centroids_;  // in-memory copy for build-time assignment
-  TombstoneSet tombstones_;
   /// Monotone id source for Insert; never reused, even after Vacuum.
   int64_t next_row_id_ = 0;
 };

@@ -9,13 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "common/aligned_buffer.h"
-#include "core/index.h"
-#include "core/tombstones.h"
-#include "obs/metrics.h"
-#include "pase/pase_common.h"
+#include "pase/ivf_scan.h"
 #include "quantizer/pq.h"
-#include "topk/heaps.h"
 
 namespace vecdb::pase {
 
@@ -32,10 +27,13 @@ struct PaseIvfPqOptions {
 };
 
 /// Page-resident IVF_PQ index.
-class PaseIvfPqIndex final : public VectorIndex {
+class PaseIvfPqIndex final : public PaseIvfScanIndex<PaseIvfPqIndex> {
  public:
+  static constexpr const char* kName = "PaseIvfPq";
+  static constexpr size_t kHeaderBytes = sizeof(int64_t);  ///< row id
+
   PaseIvfPqIndex(PaseEnv env, uint32_t dim, PaseIvfPqOptions options)
-      : env_(env), dim_(dim), options_(options) {}
+      : PaseIvfScanIndex(env, dim), options_(options) {}
 
   Status Build(const float* data, size_t n) override;
 
@@ -53,69 +51,26 @@ class PaseIvfPqIndex final : public VectorIndex {
     return tombstones_.Mark(id);
   }
 
-  Result<std::vector<Neighbor>> Search(const float* query,
-                                       const SearchParams& params) const override;
-
   size_t SizeBytes() const override;
-  size_t NumVectors() const override {
-    return num_vectors_ - tombstones_.size();
-  }
-  uint32_t Dim() const override { return dim_; }
   std::string Describe() const override;
 
-  uint32_t num_clusters() const { return num_clusters_; }
-  const float* centroids() const { return centroids_.data(); }
-
- protected:
-  /// Pre-filter: one naive precomputed table (RC#7), then every bucket's
-  /// page chain walked with the bitmap gating each code before its ADC
-  /// distance.
-  Result<std::vector<Neighbor>> PreFilterSearch(
-      const float* query, const filter::SelectionVector& selection,
-      const SearchParams& params) const override;
-
-  /// In-filter: nprobe bucket selection unchanged, the bitmap pushed into
-  /// the page-chain ADC scans.
-  Result<std::vector<Neighbor>> InFilterSearch(
-      const float* query, const filter::SelectionVector& selection,
-      const SearchParams& params) const override;
-
  private:
-  struct BucketChain {
-    pgstub::BlockId head = pgstub::kInvalidBlock;
-    pgstub::BlockId tail = pgstub::kInvalidBlock;
+  friend class PaseIvfScanIndex<PaseIvfPqIndex>;
+
+  /// ADC over page-resident codes through the naive per-query table
+  /// (RC#7: one L2 kernel call per (subspace, codeword) pair, recomputed
+  /// from scratch for every query).
+  struct Scorer {
+    static constexpr const char* kLabel = "adc_scan";
+    const ProductQuantizer* pq;
+    std::vector<float> table;
+    void Score(const char* const* tuples, size_t n, float* out,
+               obs::SearchCounters& sc) const;
   };
+  Scorer MakeScorer(const float* query, Profiler* profiler) const;
 
-  Status AppendToBucket(uint32_t bucket, int64_t row_id, const uint8_t* code);
-  Result<std::vector<uint32_t>> SelectBuckets(const float* query,
-                                              uint32_t nprobe,
-                                              Profiler* profiler) const;
-  /// `counters` (nullable, owned by the calling worker) picks up tuples
-  /// visited / heap pushes / tombstones skipped.
-  Status ScanBucket(uint32_t bucket, const float* table, NHeap* collector,
-                    Mutex* mu, int64_t* serial_nanos, Profiler* profiler,
-                    obs::SearchCounters* counters) const;
-
-  /// ScanBucket with the in-filter bitmap gate: rejected codes skip the
-  /// ADC distance and the heap. `bitmap_probes` counts selection tests.
-  Status ScanBucketFiltered(uint32_t bucket, const float* table,
-                            const filter::SelectionVector& selection,
-                            NHeap* collector, Profiler* profiler,
-                            obs::SearchCounters* counters,
-                            uint64_t* bitmap_probes) const;
-
-  PaseEnv env_;
-  uint32_t dim_;
   PaseIvfPqOptions options_;
-
-  uint32_t num_clusters_ = 0;
-  size_t num_vectors_ = 0;
-  pgstub::RelId centroid_rel_ = pgstub::kInvalidRel;
-  pgstub::RelId data_rel_ = pgstub::kInvalidRel;
-  std::vector<BucketChain> chains_;
-  AlignedFloats centroids_;
   std::optional<ProductQuantizer> pq_;
-  TombstoneSet tombstones_;
 };
 
 }  // namespace vecdb::pase

@@ -1,80 +1,23 @@
 #include "pase/ivf_sq8.h"
 
-#include <cstring>
-
 #include "clustering/kmeans.h"
 #include "common/timer.h"
-#include "distance/kernels.h"
 #include "obs/metrics.h"
 
 namespace vecdb::pase {
 
-namespace {
-struct DataPageSpecial {
-  pgstub::BlockId next;
-};
-
-struct CodeTupleHeader {
-  int64_t row_id;
-};
-
-void FlushSearchCounters(obs::MetricsRegistry* m,
-                         const obs::SearchCounters& sc) {
-  sc.FlushTo(m, obs::Counter::kPaseBucketsProbed,
-             obs::Counter::kPaseTuplesVisited,
-             obs::Counter::kPaseHeapPushes,
-             obs::Counter::kPaseTombstonesSkipped);
-}
-
-void FlushFastScan(obs::MetricsRegistry* m, uint64_t blocks, uint64_t codes) {
-  if (m == nullptr) return;
-  m->AddUnchecked(obs::Counter::kKernelSq8Blocks, blocks);
-  m->AddUnchecked(obs::Counter::kKernelSq8Codes, codes);
-}
-}  // namespace
-
-Status PaseIvfSq8Index::AppendToBucket(uint32_t bucket, int64_t row_id,
-                                       const uint8_t* code) {
-  const uint32_t tuple_bytes = sizeof(CodeTupleHeader) + dim_;
-  std::vector<char> tuple(tuple_bytes);
-  reinterpret_cast<CodeTupleHeader*>(tuple.data())->row_id = row_id;
-  std::memcpy(tuple.data() + sizeof(CodeTupleHeader), code, dim_);
-
-  BucketChain& chain = chains_[bucket];
-  if (chain.tail != pgstub::kInvalidBlock) {
-    VECDB_ASSIGN_OR_RETURN(pgstub::BufferHandle handle,
-                           env_.bufmgr->Pin(data_rel_, chain.tail));
-    pgstub::PageView page(handle.data, env_.bufmgr->page_size());
-    if (page.AddItem(tuple.data(), static_cast<uint16_t>(tuple_bytes)) !=
-        pgstub::kInvalidOffset) {
-      env_.bufmgr->Unpin(handle, true);
-      return Status::OK();
-    }
-    env_.bufmgr->Unpin(handle, false);
+void PaseIvfSq8Index::Scorer::Score(const char* const* tuples, size_t n,
+                                    float* out,
+                                    obs::SearchCounters& sc) const {
+  thread_local std::vector<const uint8_t*> codes;
+  codes.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    codes[i] = reinterpret_cast<const uint8_t*>(tuples[i] + kHeaderBytes);
   }
-  VECDB_ASSIGN_OR_RETURN(auto fresh, env_.bufmgr->NewPage(data_rel_));
-  pgstub::PageView page(fresh.second.data, env_.bufmgr->page_size());
-  page.Init(sizeof(DataPageSpecial));
-  reinterpret_cast<DataPageSpecial*>(page.Special())->next =
-      pgstub::kInvalidBlock;
-  if (page.AddItem(tuple.data(), static_cast<uint16_t>(tuple_bytes)) ==
-      pgstub::kInvalidOffset) {
-    env_.bufmgr->Unpin(fresh.second, true);
-    return Status::Internal("PaseIvfSq8: tuple larger than a page");
-  }
-  env_.bufmgr->Unpin(fresh.second, true);
-  if (chain.tail != pgstub::kInvalidBlock) {
-    VECDB_ASSIGN_OR_RETURN(pgstub::BufferHandle prev,
-                           env_.bufmgr->Pin(data_rel_, chain.tail));
-    pgstub::PageView prev_page(prev.data, env_.bufmgr->page_size());
-    reinterpret_cast<DataPageSpecial*>(prev_page.Special())->next =
-        fresh.first;
-    env_.bufmgr->Unpin(prev, true);
-  } else {
-    chain.head = fresh.first;
-  }
-  chain.tail = fresh.first;
-  return Status::OK();
+  sq->DistanceToCodesGather(prep, codes.data(), n, out);
+  sc.sq8_blocks +=
+      (n + Sq8CodeStore::kBlockCodes - 1) / Sq8CodeStore::kBlockCodes;
+  sc.sq8_codes += n;
 }
 
 Status PaseIvfSq8Index::Build(const float* data, size_t n) {
@@ -97,13 +40,13 @@ Status PaseIvfSq8Index::Build(const float* data, size_t n) {
   km.seed = options_.seed;
   km.profiler = options_.profiler;
   VECDB_ASSIGN_OR_RETURN(KMeansModel model, TrainKMeans(data, n, dim_, km));
+  VECDB_ASSIGN_OR_RETURN(ScalarQuantizer8 sq,
+                         ScalarQuantizer8::Train(data, n, dim_));
+  sq_.emplace(std::move(sq));
   num_clusters_ = model.num_clusters;
   centroids_.Resize(0);
   centroids_.Append(model.centroids.data(),
                     static_cast<size_t>(num_clusters_) * dim_);
-  VECDB_ASSIGN_OR_RETURN(ScalarQuantizer8 sq,
-                         ScalarQuantizer8::Train(data, n, dim_));
-  sq_.emplace(std::move(sq));
   build_stats_.train_seconds = timer.ElapsedSeconds();
   timer.Reset();
 
@@ -117,8 +60,8 @@ Status PaseIvfSq8Index::Build(const float* data, size_t n) {
   std::vector<uint8_t> code(sq_->code_size());
   for (size_t i = 0; i < n; ++i) {
     sq_->Encode(data + i * dim_, code.data());
-    VECDB_RETURN_NOT_OK(
-        AppendToBucket(assign[i], static_cast<int64_t>(i), code.data()));
+    VECDB_RETURN_NOT_OK(AppendToBucket(assign[i], static_cast<int64_t>(i),
+                                       code.data(), code.size()));
   }
   num_vectors_ = n;
   build_stats_.add_seconds = timer.ElapsedSeconds();
@@ -138,192 +81,9 @@ Status PaseIvfSq8Index::Insert(const float* vec) {
   std::vector<uint8_t> code(sq_->code_size());
   sq_->Encode(vec, code.data());
   VECDB_RETURN_NOT_OK(AppendToBucket(
-      bucket, static_cast<int64_t>(num_vectors_), code.data()));
+      bucket, static_cast<int64_t>(num_vectors_), code.data(), code.size()));
   ++num_vectors_;
   return Status::OK();
-}
-
-Status PaseIvfSq8Index::ScanChain(uint32_t bucket, const Sq8Query& prep,
-                                  const filter::SelectionVector* selection,
-                                  NHeap* collector, Profiler* profiler,
-                                  obs::SearchCounters* counters,
-                                  uint64_t* bitmap_probes,
-                                  uint64_t* scan_blocks,
-                                  uint64_t* scan_codes) const {
-  // Per-page scratch: code tuples are interleaved with their headers, so
-  // each page's live codes are gathered by pointer and handed to one
-  // gather-kernel call while the page is pinned.
-  thread_local std::vector<const uint8_t*> codes;
-  thread_local std::vector<int64_t> row_ids;
-  thread_local std::vector<float> dists;
-  pgstub::BlockId block = chains_[bucket].head;
-  while (block != pgstub::kInvalidBlock) {
-    pgstub::BufferHandle handle;
-    {
-      ProfScope scope(profiler, "TupleAccess");
-      VECDB_ASSIGN_OR_RETURN(handle, env_.bufmgr->Pin(data_rel_, block));
-    }
-    pgstub::PageView page(handle.data, env_.bufmgr->page_size());
-    const uint16_t count = page.ItemCount();
-    {
-      ProfScope scope(profiler, "sq8_scan");
-      codes.clear();
-      row_ids.clear();
-      size_t skipped = 0;
-      for (pgstub::OffsetNumber slot = 1; slot <= count; ++slot) {
-        const char* item = page.GetItem(slot);
-        const auto* header = reinterpret_cast<const CodeTupleHeader*>(item);
-        if (selection != nullptr) {
-          ++*bitmap_probes;
-          if (header->row_id < 0 ||
-              !selection->Test(static_cast<size_t>(header->row_id))) {
-            continue;
-          }
-        }
-        if (tombstones_.Contains(header->row_id)) {
-          ++skipped;
-          continue;
-        }
-        codes.push_back(reinterpret_cast<const uint8_t*>(
-            item + sizeof(CodeTupleHeader)));
-        row_ids.push_back(header->row_id);
-      }
-      if (!codes.empty()) {
-        dists.resize(codes.size());
-        sq_->DistanceToCodesGather(prep, codes.data(), codes.size(),
-                                   dists.data());
-        *scan_blocks += (codes.size() + Sq8CodeStore::kBlockCodes - 1) /
-                        Sq8CodeStore::kBlockCodes;
-        *scan_codes += codes.size();
-        for (size_t i = 0; i < row_ids.size(); ++i) {
-          collector->Push(dists[i], row_ids[i]);
-        }
-      }
-      if (counters != nullptr) {
-        counters->tuples_visited +=
-            selection != nullptr ? codes.size() : count;
-        counters->heap_pushes += codes.size();
-        counters->tombstones_skipped += skipped;
-      }
-    }
-    block = reinterpret_cast<const DataPageSpecial*>(page.Special())->next;
-    env_.bufmgr->Unpin(handle, false);
-  }
-  return Status::OK();
-}
-
-Result<std::vector<Neighbor>> PaseIvfSq8Index::Search(
-    const float* query, const SearchParams& params) const {
-  if (query == nullptr) {
-    return Status::InvalidArgument("PaseIvfSq8: null query");
-  }
-  VECDB_RETURN_NOT_OK(
-      ValidateSearchParams(params, IndexKind::kIvf, "PaseIvfSq8::Search"));
-  if (!sq_) return Status::InvalidArgument("PaseIvfSq8: index not built");
-  const QueryContext ctx = params.Context();
-  obs::MetricsRegistry* metrics = ctx.live_metrics();
-  obs::LatencyScope latency(metrics, obs::Hist::kPaseSearchNanos);
-  const uint32_t nprobe = std::min(params.nprobe, num_clusters_);
-
-  KMaxHeap centroid_heap(nprobe);
-  {
-    ProfScope scope(ctx.profiler, "SelectBuckets");
-    for (uint32_t c = 0; c < num_clusters_; ++c) {
-      centroid_heap.Push(
-          L2Sqr(query, centroids_.data() + static_cast<size_t>(c) * dim_,
-                dim_),
-          c);
-    }
-  }
-
-  const Sq8Query prep = sq_->PrepareQuery(query);
-  obs::SearchCounters counters;
-  uint64_t scan_blocks = 0, scan_codes = 0;
-  NHeap collector;  // RC#6 applies to every PASE IVF index
-  for (const auto& probe : centroid_heap.TakeSorted()) {
-    ++counters.buckets_probed;
-    VECDB_RETURN_NOT_OK(ScanChain(static_cast<uint32_t>(probe.id), prep,
-                                  /*selection=*/nullptr, &collector,
-                                  ctx.profiler, &counters,
-                                  /*bitmap_probes=*/nullptr, &scan_blocks,
-                                  &scan_codes));
-  }
-  if (metrics != nullptr) {
-    metrics->AddUnchecked(obs::Counter::kPaseQueries);
-    FlushSearchCounters(metrics, counters);
-    FlushFastScan(metrics, scan_blocks, scan_codes);
-  }
-  ProfScope scope(ctx.profiler, "MinHeap");
-  return collector.PopK(params.k);
-}
-
-Result<std::vector<Neighbor>> PaseIvfSq8Index::PreFilterSearch(
-    const float* query, const filter::SelectionVector& selection,
-    const SearchParams& params) const {
-  VECDB_RETURN_NOT_OK(ValidateSearchParams(params, IndexKind::kFlat,
-                                           "PaseIvfSq8::PreFilterSearch"));
-  if (!sq_) return Status::InvalidArgument("PaseIvfSq8: index not built");
-  const QueryContext ctx = params.Context();
-  obs::MetricsRegistry* metrics = ctx.live_metrics();
-  obs::LatencyScope latency(metrics, obs::Hist::kPaseSearchNanos);
-  if (metrics != nullptr) metrics->AddUnchecked(obs::Counter::kPaseQueries);
-
-  const Sq8Query prep = sq_->PrepareQuery(query);
-  NHeap collector;
-  obs::SearchCounters counters;
-  obs::SearchCounters* sc = metrics != nullptr ? &counters : nullptr;
-  uint64_t bitmap_probes = 0, scan_blocks = 0, scan_codes = 0;
-  for (uint32_t b = 0; b < num_clusters_; ++b) {
-    VECDB_RETURN_NOT_OK(ScanChain(b, prep, &selection, &collector,
-                                  ctx.profiler, sc, &bitmap_probes,
-                                  &scan_blocks, &scan_codes));
-  }
-  if (metrics != nullptr) {
-    // The exhaustive pass touches every chain; that is not "probing", so
-    // the bucket counter stays out of the flush.
-    counters.buckets_probed = 0;
-    FlushSearchCounters(metrics, counters);
-    FlushFastScan(metrics, scan_blocks, scan_codes);
-  }
-  return collector.PopK(params.k);
-}
-
-Result<std::vector<Neighbor>> PaseIvfSq8Index::InFilterSearch(
-    const float* query, const filter::SelectionVector& selection,
-    const SearchParams& params) const {
-  VECDB_RETURN_NOT_OK(ValidateSearchParams(params, IndexKind::kIvf,
-                                           "PaseIvfSq8::InFilterSearch"));
-  if (!sq_) return Status::InvalidArgument("PaseIvfSq8: index not built");
-  const QueryContext ctx = params.Context();
-  obs::MetricsRegistry* metrics = ctx.live_metrics();
-  obs::LatencyScope latency(metrics, obs::Hist::kPaseSearchNanos);
-  if (metrics != nullptr) metrics->AddUnchecked(obs::Counter::kPaseQueries);
-  const uint32_t nprobe = std::min(params.nprobe, num_clusters_);
-
-  KMaxHeap centroid_heap(nprobe);
-  for (uint32_t c = 0; c < num_clusters_; ++c) {
-    centroid_heap.Push(
-        L2Sqr(query, centroids_.data() + static_cast<size_t>(c) * dim_, dim_),
-        c);
-  }
-
-  const Sq8Query prep = sq_->PrepareQuery(query);
-  NHeap collector;
-  obs::SearchCounters counters;
-  obs::SearchCounters* sc = metrics != nullptr ? &counters : nullptr;
-  uint64_t bitmap_probes = 0, scan_blocks = 0, scan_codes = 0;
-  for (const auto& probe : centroid_heap.TakeSorted()) {
-    ++counters.buckets_probed;
-    VECDB_RETURN_NOT_OK(ScanChain(static_cast<uint32_t>(probe.id), prep,
-                                  &selection, &collector, ctx.profiler, sc,
-                                  &bitmap_probes, &scan_blocks, &scan_codes));
-  }
-  if (metrics != nullptr) {
-    FlushSearchCounters(metrics, counters);
-    FlushFastScan(metrics, scan_blocks, scan_codes);
-    metrics->AddUnchecked(obs::Counter::kFilterBitmapProbes, bitmap_probes);
-  }
-  return collector.PopK(params.k);
 }
 
 size_t PaseIvfSq8Index::SizeBytes() const {
