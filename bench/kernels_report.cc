@@ -5,7 +5,10 @@
 // per-code decode-on-the-fly SQ8 distance as the fast-scan baseline, and
 // writes the ns/op numbers and speedup ratios as JSON. This is the artifact
 // backing the acceptance bars: AVX2 >= 2x scalar on L2Sqr/DistanceBatch and
-// blocked fast scan >= 3x per-code at d=128.
+// blocked fast scan >= 3x per-code at d=128. The "pq" block times product
+// quantization at m=16, c_pq=256, d=128 per tier: encode per vector with
+// a per-pair l2sqr search versus the codebook kernel, and the ADC table
+// built the naive (PASE) versus the optimized (Faiss) way (RC#1/RC#7).
 //
 // Usage: kernels_report [output.json]   (default ./BENCH_kernels.json)
 //
@@ -13,6 +16,7 @@
 // dependency — it is meant to run in CI-ish contexts and produce one small
 // file, not interactive tables.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -22,6 +26,7 @@
 #include "common/timer.h"
 #include "distance/dispatch.h"
 #include "distance/kernels.h"
+#include "quantizer/pq.h"
 #include "quantizer/sq8.h"
 
 namespace vecdb {
@@ -34,6 +39,13 @@ namespace {
 constexpr size_t kDim = 128;
 constexpr size_t kNumCodes = 32;
 constexpr int kRepetitions = 5;
+
+// PQ block shape: filtered_rw's quantizer (m = 16, c_pq = 256, sub_dim 8),
+// trained on a small random set, encoding a rotating set of vectors.
+constexpr uint32_t kPqM = 16;
+constexpr uint32_t kPqCodes = 256;
+constexpr size_t kPqTrain = 4096;
+constexpr size_t kPqVectors = 32;
 
 std::vector<float> RandomVectors(size_t n, size_t d, uint64_t seed) {
   Rng rng(seed);
@@ -91,6 +103,103 @@ void AppendTier(std::string* json, const char* name, const TierTimes& t) {
                 t.Speedup(KernelIsa::kAvx2, KernelIsa::kScalar),
                 t.Speedup(KernelIsa::kAvx512, KernelIsa::kScalar));
   *json += buf;
+}
+
+// The encoder the codebook kernel replaced: one l2sqr call per
+// (subspace, codeword) pair, first minimum wins.
+void PerPairEncode(const ProductQuantizer& pq, const KernelDispatch& k,
+                   const float* vec, uint8_t* code) {
+  const uint32_t sub_dim = pq.sub_dim();
+  for (uint32_t sub = 0; sub < pq.num_subvectors(); ++sub) {
+    const float* x = vec + static_cast<size_t>(sub) * sub_dim;
+    uint32_t best = 0;
+    float best_d = INFINITY;
+    for (uint32_t j = 0; j < pq.num_codes(); ++j) {
+      const float d = k.l2sqr(
+          x, pq.codebook(sub) + static_cast<size_t>(j) * sub_dim, sub_dim);
+      if (d < best_d) {
+        best_d = d;
+        best = j;
+      }
+    }
+    code[sub] = static_cast<uint8_t>(best);
+  }
+}
+
+// µs per operation, per tier; negative when the tier is not runnable.
+struct PqTimes {
+  double encode_per_pair_us[3] = {-1.0, -1.0, -1.0};
+  double encode_codebook_us[3] = {-1.0, -1.0, -1.0};
+  double table_naive_us[3] = {-1.0, -1.0, -1.0};
+  double table_optimized_us[3] = {-1.0, -1.0, -1.0};
+};
+
+PqTimes TimePq() {
+  const auto train = RandomVectors(kPqTrain, kDim, 13);
+  const auto vecs = RandomVectors(kPqVectors, kDim, 14);
+  PqOptions opt;
+  opt.num_subvectors = kPqM;
+  opt.num_codes = kPqCodes;
+  opt.max_iterations = 3;
+  auto pq = ProductQuantizer::Train(train.data(), kPqTrain, kDim, opt)
+                .ValueOrDie();
+  std::vector<uint8_t> code(pq.code_size());
+  std::vector<float> table(pq.table_size());
+  PqTimes out;
+  for (int i = 0; i < 3; ++i) {
+    const KernelDispatch* t = KernelTableFor(static_cast<KernelIsa>(i));
+    if (t == nullptr) continue;
+    std::fprintf(stderr, "[kernels_report] timing pq on tier %s...\n",
+                 KernelIsaName(t->isa));
+    auto per_vector_us = [&](auto&& one) {
+      return NanosPerOp(kPqVectors, [&] {
+               for (size_t j = 0; j < kPqVectors; ++j) {
+                 one(vecs.data() + j * kDim);
+               }
+             }) /
+             1e3;
+    };
+    out.encode_per_pair_us[i] = per_vector_us([&](const float* v) {
+      PerPairEncode(pq, *t, v, code.data());
+      g_sink = code[0];
+    });
+    out.encode_codebook_us[i] = per_vector_us([&](const float* v) {
+      pq.Encode(v, code.data(), *t);
+      g_sink = code[0];
+    });
+    // The naive table runs on the scalar reference kernel on every tier;
+    // timing it per tier keeps each row self-contained.
+    out.table_naive_us[i] = per_vector_us([&](const float* v) {
+      pq.ComputeDistanceTableNaive(v, table.data());
+      g_sink = table[0];
+    });
+    out.table_optimized_us[i] = per_vector_us([&](const float* v) {
+      pq.ComputeDistanceTableOptimized(v, table.data(), *t);
+      g_sink = table[0];
+    });
+  }
+  return out;
+}
+
+void AppendPq(std::string* json, const PqTimes& p) {
+  char buf[320];
+  std::snprintf(buf, sizeof(buf),
+                "  \"pq\": {\n    \"config\": {\"m\": %u, \"c_pq\": %u, "
+                "\"d\": %zu},\n",
+                kPqM, kPqCodes, kDim);
+  *json += buf;
+  for (int i = 0; i < 3; ++i) {
+    std::snprintf(
+        buf, sizeof(buf),
+        "    \"%s\": {\"encode_per_pair_us\": %.3f, "
+        "\"encode_codebook_us\": %.3f, \"table_naive_us\": %.3f, "
+        "\"table_optimized_us\": %.3f}%s\n",
+        KernelIsaName(static_cast<KernelIsa>(i)), p.encode_per_pair_us[i],
+        p.encode_codebook_us[i], p.table_naive_us[i],
+        p.table_optimized_us[i], i < 2 ? "," : "");
+    *json += buf;
+  }
+  *json += "  }\n";
 }
 
 int Run(const char* out_path) {
@@ -164,6 +273,8 @@ int Run(const char* out_path) {
     g_sink = acc;
   });
 
+  const PqTimes pq_times = TimePq();
+
   auto fastscan_speedup = [&](KernelIsa isa) {
     const double ns = sq8_scan.by_isa[static_cast<int>(isa)];
     return ns > 0.0 ? sq8_per_code_ns / ns : -1.0;
@@ -198,7 +309,9 @@ int Run(const char* out_path) {
                 fastscan_speedup(KernelIsa::kAvx512),
                 fastscan_speedup(KernelIsa::kScalar));
   json += buf;
-  json += "  }\n}\n";
+  json += "  },\n";
+  AppendPq(&json, pq_times);
+  json += "}\n";
 
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {

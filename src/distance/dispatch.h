@@ -33,12 +33,20 @@ const char* KernelIsaName(KernelIsa isa);
 
 /// One tier's kernel implementations. Float kernels mirror the public
 /// functions in kernels.h; the sq8_* entries are the quantized fast-scan
-/// family consumed through ScalarQuantizer8 (quantizer/sq8.h).
+/// family consumed through ScalarQuantizer8 (quantizer/sq8.h), and
+/// codebook_ip is consumed through ProductQuantizer (quantizer/pq.h).
 ///
 /// Contract shared by every tier: each output element depends only on its
 /// own input pair/code (lane blocking runs along the dimension, never
 /// across codes), so batch results are bit-identical to one-at-a-time
 /// calls within a tier — the property the SQ8 oracle tests pin.
+///
+/// The one exception is codebook_ip: its codebook is stored dim-major, so
+/// lanes run across codewords and each output accumulates its dimensions
+/// in order. An output still depends only on its own codeword, but its
+/// rounding differs from an inner_product call on the same pair; it is
+/// within 1e-5 relative of it, and the PQ encoder re-scores near ties
+/// with l2sqr (see ProductQuantizer::Encode).
 struct KernelDispatch {
   KernelIsa isa;
 
@@ -60,6 +68,14 @@ struct KernelDispatch {
   /// headers. Bit-identical to sq8_l2_batch on the same codes.
   void (*sq8_l2_gather)(const float* qadj, const float* scale, size_t d,
                         const uint8_t* const* codes, size_t n, float* out);
+
+  /// Inner products of one sub-vector `x` (sub_dim floats) with all `n`
+  /// codewords of a dim-major codebook: out[j] = sum_t x[t] * cb[t*n + j].
+  /// The Faiss fvec_inner_products_ny role, with lanes across codewords
+  /// (the contract exception above); PQ encode and the optimized ADC
+  /// table run on it (paper RC#1/RC#7).
+  void (*codebook_ip)(const float* x, const float* cb, size_t sub_dim,
+                      size_t n, float* out);
 };
 
 /// The table serving this process, resolved once at first use:

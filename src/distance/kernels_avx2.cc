@@ -4,7 +4,9 @@
 //
 // Lane blocking runs along the dimension only — each output depends on
 // exactly one input pair/code — which keeps batch results bit-identical
-// to one-at-a-time calls within this tier (the SQ8 oracle contract).
+// to one-at-a-time calls within this tier (the SQ8 oracle contract). The
+// PQ codebook kernel is the one exception: its lanes run across codewords
+// (see the KernelDispatch contract).
 #include "distance/kernels_impl.h"
 
 #ifdef VECDB_KERNELS_X86_DISPATCH
@@ -155,11 +157,49 @@ VECDB_AVX2 void Sq8GatherAvx2(const float* qadj, const float* scale, size_t d,
   }
 }
 
+VECDB_AVX2 void CodebookIpAvx2(const float* x, const float* cb,
+                               size_t sub_dim, size_t n, float* out) {
+  // Lanes across codewords: 32 codewords (four accumulators) per block,
+  // one broadcast of x[t] and four FMAs per dimension.
+  size_t j = 0;
+  for (; j + 32 <= n; j += 32) {
+    __m256 acc0 = _mm256_setzero_ps();
+    __m256 acc1 = _mm256_setzero_ps();
+    __m256 acc2 = _mm256_setzero_ps();
+    __m256 acc3 = _mm256_setzero_ps();
+    for (size_t t = 0; t < sub_dim; ++t) {
+      const __m256 xt = _mm256_set1_ps(x[t]);
+      const float* row = cb + t * n + j;
+      acc0 = _mm256_fmadd_ps(xt, _mm256_loadu_ps(row), acc0);
+      acc1 = _mm256_fmadd_ps(xt, _mm256_loadu_ps(row + 8), acc1);
+      acc2 = _mm256_fmadd_ps(xt, _mm256_loadu_ps(row + 16), acc2);
+      acc3 = _mm256_fmadd_ps(xt, _mm256_loadu_ps(row + 24), acc3);
+    }
+    _mm256_storeu_ps(out + j, acc0);
+    _mm256_storeu_ps(out + j + 8, acc1);
+    _mm256_storeu_ps(out + j + 16, acc2);
+    _mm256_storeu_ps(out + j + 24, acc3);
+  }
+  for (; j + 8 <= n; j += 8) {
+    __m256 acc = _mm256_setzero_ps();
+    for (size_t t = 0; t < sub_dim; ++t) {
+      acc = _mm256_fmadd_ps(_mm256_set1_ps(x[t]),
+                            _mm256_loadu_ps(cb + t * n + j), acc);
+    }
+    _mm256_storeu_ps(out + j, acc);
+  }
+  for (; j < n; ++j) {
+    float s = 0.f;
+    for (size_t t = 0; t < sub_dim; ++t) s += x[t] * cb[t * n + j];
+    out[j] = s;
+  }
+}
+
 #undef VECDB_AVX2
 
 const KernelDispatch kAvx2Table = {
     KernelIsa::kAvx2, L2SqrAvx2,    InnerProductAvx2, L2NormSqrAvx2,
-    CosineAvx2,       Sq8BatchAvx2, Sq8GatherAvx2,
+    CosineAvx2,       Sq8BatchAvx2, Sq8GatherAvx2,    CodebookIpAvx2,
 };
 
 }  // namespace

@@ -160,11 +160,53 @@ VECDB_AVX512 void Sq8GatherAvx512(const float* qadj, const float* scale,
   }
 }
 
+VECDB_AVX512 void CodebookIpAvx512(const float* x, const float* cb,
+                                   size_t sub_dim, size_t n, float* out) {
+  // Lanes across codewords: 64 codewords (four accumulators) per block,
+  // then 16-wide blocks, then one masked block for the codeword tail.
+  size_t j = 0;
+  for (; j + 64 <= n; j += 64) {
+    __m512 acc0 = _mm512_setzero_ps();
+    __m512 acc1 = _mm512_setzero_ps();
+    __m512 acc2 = _mm512_setzero_ps();
+    __m512 acc3 = _mm512_setzero_ps();
+    for (size_t t = 0; t < sub_dim; ++t) {
+      const __m512 xt = _mm512_set1_ps(x[t]);
+      const float* row = cb + t * n + j;
+      acc0 = _mm512_fmadd_ps(xt, _mm512_loadu_ps(row), acc0);
+      acc1 = _mm512_fmadd_ps(xt, _mm512_loadu_ps(row + 16), acc1);
+      acc2 = _mm512_fmadd_ps(xt, _mm512_loadu_ps(row + 32), acc2);
+      acc3 = _mm512_fmadd_ps(xt, _mm512_loadu_ps(row + 48), acc3);
+    }
+    _mm512_storeu_ps(out + j, acc0);
+    _mm512_storeu_ps(out + j + 16, acc1);
+    _mm512_storeu_ps(out + j + 32, acc2);
+    _mm512_storeu_ps(out + j + 48, acc3);
+  }
+  for (; j + 16 <= n; j += 16) {
+    __m512 acc = _mm512_setzero_ps();
+    for (size_t t = 0; t < sub_dim; ++t) {
+      acc = _mm512_fmadd_ps(_mm512_set1_ps(x[t]),
+                            _mm512_loadu_ps(cb + t * n + j), acc);
+    }
+    _mm512_storeu_ps(out + j, acc);
+  }
+  if (j < n) {
+    const __mmask16 m = TailMask(n - j);
+    __m512 acc = _mm512_setzero_ps();
+    for (size_t t = 0; t < sub_dim; ++t) {
+      acc = _mm512_fmadd_ps(_mm512_set1_ps(x[t]),
+                            _mm512_maskz_loadu_ps(m, cb + t * n + j), acc);
+    }
+    _mm512_mask_storeu_ps(out + j, m, acc);
+  }
+}
+
 #undef VECDB_AVX512
 
 const KernelDispatch kAvx512Table = {
     KernelIsa::kAvx512, L2SqrAvx512,    InnerProductAvx512, L2NormSqrAvx512,
-    CosineAvx512,       Sq8BatchAvx512, Sq8GatherAvx512,
+    CosineAvx512,       Sq8BatchAvx512, Sq8GatherAvx512,    CodebookIpAvx512,
 };
 
 }  // namespace

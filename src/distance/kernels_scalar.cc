@@ -109,10 +109,22 @@ void Sq8GatherScalar(const float* qadj, const float* scale, size_t d,
   }
 }
 
+void CodebookIpScalar(const float* x, const float* cb, size_t sub_dim,
+                      size_t n, float* out) {
+  // Dimension-outer, codeword-inner: the inner loop is a contiguous
+  // axpy over one dim-major codebook row, which GCC vectorizes.
+  for (size_t j = 0; j < n; ++j) out[j] = 0.f;
+  for (size_t t = 0; t < sub_dim; ++t) {
+    const float xt = x[t];
+    const float* row = cb + t * n;
+    for (size_t j = 0; j < n; ++j) out[j] += xt * row[j];
+  }
+}
+
 const KernelDispatch kScalarTable = {
     KernelIsa::kScalar,  L2SqrScalar,    InnerProductScalar,
     L2NormSqrScalar,     CosineScalar,   Sq8BatchScalar,
-    Sq8GatherScalar,
+    Sq8GatherScalar,     CodebookIpScalar,
 };
 
 }  // namespace

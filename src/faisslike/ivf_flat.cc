@@ -53,7 +53,10 @@ Status IvfFlatIndex::AddBatch(const float* data, size_t n,
                     /*use_sgemm=*/true, assign.data(), nullptr, nullptr,
                     options_.profiler);
     build_stats_.accounting.serial_nanos += timer.ElapsedNanos();
-  } else if (options_.num_threads > 1) {
+  } else if (options_.num_threads > 1 &&
+             n >= static_cast<size_t>(options_.num_threads)) {
+    // Fan out only with a row per worker: a one-row Insert would pay for
+    // a whole pool to assign one vector.
     ThreadPool pool(options_.num_threads);
     auto& acct = build_stats_.accounting;
     if (acct.worker_busy_nanos.size() !=

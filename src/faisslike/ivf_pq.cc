@@ -82,7 +82,9 @@ Status IvfPqIndex::AddBatch(const float* data, size_t n, const int64_t* ids) {
   }
 
   // Encoding dominates the IVF_PQ adding phase and parallelizes cleanly
-  // (this is why Fig 9c/9d scale even with SGEMM enabled).
+  // (this is why Fig 9c/9d scale even with SGEMM enabled). A batch with
+  // fewer rows than workers (every one-row Insert) stays on this thread
+  // rather than paying for a pool.
   const size_t code_size = pq_->code_size();
   std::vector<uint8_t> codes(n * code_size);
   auto encode_range = [&](size_t begin, size_t end) {
@@ -90,7 +92,8 @@ Status IvfPqIndex::AddBatch(const float* data, size_t n, const int64_t* ids) {
       pq_->Encode(data + i * dim_, codes.data() + i * code_size);
     }
   };
-  if (options_.num_threads > 1) {
+  if (options_.num_threads > 1 &&
+      n >= static_cast<size_t>(options_.num_threads)) {
     ThreadPool pool(options_.num_threads);
     auto& acct = build_stats_.accounting;
     if (acct.worker_busy_nanos.size() !=

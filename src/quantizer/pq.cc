@@ -1,5 +1,6 @@
 #include "quantizer/pq.h"
 
+#include <cfloat>
 #include <cstring>
 #include <limits>
 
@@ -69,21 +70,83 @@ Result<ProductQuantizer> ProductQuantizer::Train(const float* data, size_t n,
     RowNormsSqr(pq.codebook(sub), pq.c_pq_, pq.sub_dim_,
                 pq.codeword_norms_.data() + static_cast<size_t>(sub) * pq.c_pq_);
   }
+  pq.BuildDimMajorCodebooks();
   return pq;
 }
 
-void ProductQuantizer::Encode(const float* vec, uint8_t* code) const {
-  // PASE encodes with its reference scalar kernel; the Faiss path uses the
-  // optimized one (the same contrast as the IVF adding phase, RC#1).
-  auto kernel = use_ref_kernel_ ? &L2SqrRef : &L2Sqr;
+void ProductQuantizer::BuildDimMajorCodebooks() {
+  codebooks_dim_major_.Resize(codebooks_.size());
+  for (uint32_t sub = 0; sub < m_; ++sub) {
+    const float* cb = codebook(sub);
+    float* out = codebooks_dim_major_.data() +
+                 static_cast<size_t>(sub) * c_pq_ * sub_dim_;
+    for (uint32_t j = 0; j < c_pq_; ++j) {
+      for (uint32_t t = 0; t < sub_dim_; ++t) {
+        out[static_cast<size_t>(t) * c_pq_ + j] =
+            cb[static_cast<size_t>(j) * sub_dim_ + t];
+      }
+    }
+  }
+}
+
+void ProductQuantizer::Encode(const float* vec, uint8_t* code,
+                              const KernelDispatch& kernels) const {
+  if (use_ref_kernel_) {
+    // PASE encodes with its reference scalar kernel, one call per
+    // (subspace, codeword) pair (the IVF adding-phase contrast, RC#1).
+    for (uint32_t sub = 0; sub < m_; ++sub) {
+      const float* x = vec + static_cast<size_t>(sub) * sub_dim_;
+      const float* cb = codebook(sub);
+      uint32_t best = 0;
+      float best_d = std::numeric_limits<float>::infinity();
+      for (uint32_t j = 0; j < c_pq_; ++j) {
+        const float dist =
+            L2SqrRef(x, cb + static_cast<size_t>(j) * sub_dim_, sub_dim_);
+        if (dist < best_d) {
+          best_d = dist;
+          best = j;
+        }
+      }
+      code[sub] = static_cast<uint8_t>(best);
+    }
+    return;
+  }
+
+  // Faiss path: ‖x − c‖² = ‖x‖² + ‖c‖² − 2 x·c, and ‖x‖² is shared by
+  // every codeword, so one codebook_ip call and an argmin of ‖c‖² − 2 x·c
+  // find the nearest codeword.
+  //
+  // The expansion and a per-pair l2sqr round differently. Both are within
+  // E_j = (sub_dim + 2)·ε·(‖x‖² + ‖c_j‖²) of exact, so only a codeword
+  // scoring within 2·E_j + 2·E_best of the best can be the per-pair
+  // search's pick. `slack` doubles that margin. Re-scoring the codewords
+  // inside it (almost always just the best) with l2sqr in index order
+  // returns exactly that search's code.
+  const float slack = 4.f * static_cast<float>(sub_dim_ + 2) * FLT_EPSILON;
+  float score[256];  // c_pq ≤ 256 (checked in Train and Deserialize)
   for (uint32_t sub = 0; sub < m_; ++sub) {
     const float* x = vec + static_cast<size_t>(sub) * sub_dim_;
-    const float* cb = codebook(sub);
+    const float* norms =
+        codeword_norms_.data() + static_cast<size_t>(sub) * c_pq_;
+    kernels.codebook_ip(x, dim_major_codebook(sub), sub_dim_, c_pq_, score);
     uint32_t best = 0;
+    float best_s = std::numeric_limits<float>::infinity();
+    for (uint32_t j = 0; j < c_pq_; ++j) {
+      const float sj = norms[j] - 2.f * score[j];
+      score[j] = sj;
+      if (sj < best_s) {
+        best_s = sj;
+        best = j;
+      }
+    }
+    const float base =
+        best_s + slack * (2.f * kernels.l2norm_sqr(x, sub_dim_) + norms[best]);
+    const float* cb = codebook(sub);
     float best_d = std::numeric_limits<float>::infinity();
     for (uint32_t j = 0; j < c_pq_; ++j) {
-      const float dist = kernel(x, cb + static_cast<size_t>(j) * sub_dim_,
-                                sub_dim_);
+      if (score[j] > base + slack * norms[j]) continue;
+      const float dist =
+          kernels.l2sqr(x, cb + static_cast<size_t>(j) * sub_dim_, sub_dim_);
       if (dist < best_d) {
         best_d = dist;
         best = j;
@@ -115,21 +178,19 @@ void ProductQuantizer::ComputeDistanceTableNaive(const float* query,
   }
 }
 
-void ProductQuantizer::ComputeDistanceTableOptimized(const float* query,
-                                                     float* table) const {
+void ProductQuantizer::ComputeDistanceTableOptimized(
+    const float* query, float* table, const KernelDispatch& kernels) const {
   // The Faiss implementation (RC#7): codeword norms were computed once at
-  // training time, so the per-query work reduces to vectorized inner
-  // products combined as ‖q‖² + ‖c‖² − 2 q·c.
+  // training time, so the per-query work is one codebook_ip call per
+  // subspace combined as ‖q‖² + ‖c‖² − 2 q·c.
   for (uint32_t sub = 0; sub < m_; ++sub) {
     const float* q = query + static_cast<size_t>(sub) * sub_dim_;
-    const float* cb = codebook(sub);
     const float* norms = codeword_norms_.data() + static_cast<size_t>(sub) * c_pq_;
     float* row = table + static_cast<size_t>(sub) * c_pq_;
-    const float qn = L2NormSqr(q, sub_dim_);
+    kernels.codebook_ip(q, dim_major_codebook(sub), sub_dim_, c_pq_, row);
+    const float qn = kernels.l2norm_sqr(q, sub_dim_);
     for (uint32_t j = 0; j < c_pq_; ++j) {
-      const float ip = InnerProduct(q, cb + static_cast<size_t>(j) * sub_dim_,
-                                    sub_dim_);
-      const float v = qn + norms[j] - 2.f * ip;
+      const float v = qn + norms[j] - 2.f * row[j];
       row[j] = v < 0.f ? 0.f : v;
     }
   }
@@ -156,11 +217,13 @@ Result<ProductQuantizer> ProductQuantizer::Deserialize(BinaryReader* reader) {
   VECDB_RETURN_NOT_OK(reader->ReadFloats(&pq.codebooks_));
   VECDB_RETURN_NOT_OK(reader->ReadVector(&pq.codeword_norms_));
   if (pq.m_ == 0 || pq.sub_dim_ == 0 || pq.dim_ != pq.m_ * pq.sub_dim_ ||
+      pq.c_pq_ == 0 || pq.c_pq_ > 256 ||
       pq.codebooks_.size() !=
           static_cast<size_t>(pq.m_) * pq.c_pq_ * pq.sub_dim_ ||
       pq.codeword_norms_.size() != static_cast<size_t>(pq.m_) * pq.c_pq_) {
     return Status::Corruption("PQ: inconsistent serialized geometry");
   }
+  pq.BuildDimMajorCodebooks();
   return pq;
 }
 

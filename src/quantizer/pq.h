@@ -1,7 +1,9 @@
 // Product quantization (Jégou et al.), the compression layer of IVF_PQ.
 // Includes both precomputed-distance-table implementations the paper
 // contrasts (RC#7): PASE's naive per-pair table and Faiss's optimized
-// norm/inner-product decomposition with train-time centroid norms.
+// norm/inner-product decomposition with train-time centroid norms. The
+// Faiss side (encode and the optimized table) scores a sub-vector against
+// a whole codebook in one codebook_ip kernel call (distance/dispatch.h).
 #pragma once
 
 #include <cstdint>
@@ -12,6 +14,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "clustering/kmeans.h"
+#include "distance/dispatch.h"
 
 namespace vecdb {
 
@@ -53,8 +56,17 @@ class ProductQuantizer {
   /// Floats per query distance table (= m * c_pq).
   size_t table_size() const { return static_cast<size_t>(m_) * c_pq_; }
 
-  /// Quantizes `vec` (dim floats) into `code` (code_size() bytes).
-  void Encode(const float* vec, uint8_t* code) const;
+  /// Quantizes `vec` (dim floats) into `code` (code_size() bytes): per
+  /// subspace, the nearest codeword. The Faiss path makes one codebook_ip
+  /// call per subspace and takes the argmin of ‖c‖² − 2 x·c over the
+  /// train-time codeword norms; codewords within that expansion's rounding
+  /// bound of the best are re-scored with l2sqr, so the code always equals
+  /// a per-pair l2sqr search's (lowest index on ties). The PASE path
+  /// (use_sgemm = false) is that per-pair search on the reference scalar
+  /// kernel (RC#1). `kernels` picks the ISA tier (tests and the kernel
+  /// report drive every tier).
+  void Encode(const float* vec, uint8_t* code,
+              const KernelDispatch& kernels = ActiveKernels()) const;
 
   /// Reconstructs an approximate vector from a code.
   void Decode(const uint8_t* code, float* vec) const;
@@ -64,9 +76,11 @@ class ProductQuantizer {
   void ComputeDistanceTableNaive(const float* query, float* table) const;
 
   /// Builds the ADC table the Faiss way: centroid norms precomputed at
-  /// train time, query-codeword inner products via one batched product per
-  /// subspace, combined as ‖q‖² + ‖c‖² − 2 q·c (paper RC#7 optimized).
-  void ComputeDistanceTableOptimized(const float* query, float* table) const;
+  /// train time, query-codeword inner products via one codebook_ip call
+  /// per subspace, combined as ‖q‖² + ‖c‖² − 2 q·c (paper RC#7 optimized).
+  void ComputeDistanceTableOptimized(
+      const float* query, float* table,
+      const KernelDispatch& kernels = ActiveKernels()) const;
 
   /// ADC distance: sum over subspaces of table[sub * c_pq + code[sub]].
   float AdcDistance(const float* table, const uint8_t* code) const {
@@ -95,13 +109,23 @@ class ProductQuantizer {
  private:
   ProductQuantizer() = default;
 
+  /// Fills codebooks_dim_major_ from codebooks_ (after Train/Deserialize).
+  void BuildDimMajorCodebooks();
+
+  /// Subspace `sub`'s codebook transposed: sub_dim rows of c_pq floats.
+  const float* dim_major_codebook(uint32_t sub) const {
+    return codebooks_dim_major_.data() +
+           static_cast<size_t>(sub) * c_pq_ * sub_dim_;
+  }
+
   uint32_t dim_ = 0;
   uint32_t m_ = 0;
   uint32_t c_pq_ = 0;
   uint32_t sub_dim_ = 0;
   bool use_ref_kernel_ = false;        // PASE-path scalar kernel
-  AlignedFloats codebooks_;           // m * c_pq * sub_dim
-  std::vector<float> codeword_norms_;  // m * c_pq, ‖c‖² (optimized table)
+  AlignedFloats codebooks_;            // m * c_pq * sub_dim, serialized
+  AlignedFloats codebooks_dim_major_;  // per subspace sub_dim * c_pq, derived
+  std::vector<float> codeword_norms_;  // m * c_pq, ‖c‖² (encode, table)
 };
 
 }  // namespace vecdb

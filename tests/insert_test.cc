@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include <memory>
+#include <vector>
 
 #include "datasets/synthetic.h"
 #include "faisslike/hnsw.h"
@@ -82,6 +83,43 @@ TEST(InsertTest, FaissIvfPqGrows) {
     if (nb.id == static_cast<int64_t>(probe)) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+TEST(InsertTest, FaissIvfPqThreadedInsertMatchesSerial) {
+  // A one-row Insert on a multi-threaded index encodes on the calling
+  // thread; the bulk Build still fans out. Both must store the codes a
+  // single-threaded index stores.
+  auto ds = TestData();
+  faisslike::IvfPqOptions opt;
+  opt.num_clusters = 8;
+  opt.pq_m = 4;
+  opt.pq_codes = 32;
+  opt.sample_ratio = 1.0;
+  faisslike::IvfPqIndex serial(ds.dim, opt);
+  opt.num_threads = 4;
+  faisslike::IvfPqIndex threaded(ds.dim, opt);
+  const size_t half = ds.num_base / 2;
+  ASSERT_TRUE(serial.Build(ds.base.data(), half).ok());
+  ASSERT_TRUE(threaded.Build(ds.base.data(), half).ok());
+  std::vector<uint8_t> a(serial.pq()->code_size());
+  std::vector<uint8_t> b(threaded.pq()->code_size());
+  for (size_t i = half; i < ds.num_base; ++i) {
+    ASSERT_TRUE(serial.Insert(ds.base_vector(i)).ok());
+    ASSERT_TRUE(threaded.Insert(ds.base_vector(i)).ok());
+    serial.pq()->Encode(ds.base_vector(i), a.data());
+    threaded.pq()->Encode(ds.base_vector(i), b.data());
+    EXPECT_EQ(a, b) << i;
+  }
+  // Every bucket and every row: equal ADC distances per id mean equal
+  // stored codes.
+  SearchParams params;
+  params.k = ds.num_base;
+  params.nprobe = opt.num_clusters;
+  for (size_t q = 0; q < ds.num_queries; ++q) {
+    EXPECT_EQ(serial.Search(ds.query_vector(q), params).ValueOrDie(),
+              threaded.Search(ds.query_vector(q), params).ValueOrDie())
+        << "query " << q;
+  }
 }
 
 TEST(InsertTest, FaissIvfSq8Grows) {

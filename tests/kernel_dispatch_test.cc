@@ -1,11 +1,13 @@
 // Dispatch-layer tests: tier resolution (including the VECDB_KERNEL_ISA
 // override rule), cross-ISA numerical parity on randomized dimensions
-// (odd tails, d < one SIMD lane), and the SQ8 fast-scan oracle — batched
+// (odd tails, d < one SIMD lane), the PQ codebook kernel against
+// per-codeword inner products, and the SQ8 fast-scan oracle — batched
 // results bit-identical to one-at-a-time calls within a tier.
 #include "distance/dispatch.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <vector>
@@ -139,6 +141,37 @@ TEST(KernelDispatchTest, FloatKernelParityAcrossTiers) {
       // magnitude, only with d.
       EXPECT_NEAR(t->cosine(a.data(), b.data(), d), ref_cos,
                   1e-6f * static_cast<float>(d) + 1e-6f);
+    }
+  }
+}
+
+TEST(KernelDispatchTest, CodebookIpMatchesPerCodewordInnerProduct) {
+  // Codeword counts cover a single codeword, every lane tail and the
+  // four-accumulator blocks; sub_dims cover 1 through several lanes.
+  uint64_t seed = 300;
+  for (size_t n : {1, 7, 17, 256}) {
+    for (size_t sub_dim : {1, 3, 8, 16, 32}) {
+      const auto x = RandomVec(sub_dim, ++seed);
+      const auto codebook = RandomVec(n * sub_dim, ++seed);  // row-major
+      std::vector<float> dim_major(n * sub_dim);
+      for (size_t j = 0; j < n; ++j) {
+        for (size_t t = 0; t < sub_dim; ++t) {
+          dim_major[t * n + j] = codebook[j * sub_dim + t];
+        }
+      }
+      std::vector<float> out(n);
+      for (const KernelDispatch* t : SupportedTables()) {
+        SCOPED_TRACE(std::string("isa=") + KernelIsaName(t->isa) +
+                     " n=" + std::to_string(n) +
+                     " sub_dim=" + std::to_string(sub_dim));
+        t->codebook_ip(x.data(), dim_major.data(), sub_dim, n, out.data());
+        for (size_t j = 0; j < n; ++j) {
+          const float ref =
+              t->inner_product(x.data(), codebook.data() + j * sub_dim, sub_dim);
+          EXPECT_NEAR(out[j], ref, 1e-5f * std::max(1.f, std::fabs(ref)))
+              << "codeword " << j;
+        }
+      }
     }
   }
 }

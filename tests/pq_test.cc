@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "common/serialize.h"
 #include "datasets/synthetic.h"
+#include "distance/dispatch.h"
 #include "distance/kernels.h"
 
 namespace vecdb {
@@ -25,6 +30,40 @@ PqOptions SmallPq(uint32_t m, uint32_t codes = 16) {
   opt.num_codes = codes;
   opt.max_iterations = 5;
   return opt;
+}
+
+/// Every compiled-in tier the host can run. Always contains scalar.
+std::vector<const KernelDispatch*> SupportedTables() {
+  std::vector<const KernelDispatch*> out;
+  for (KernelIsa isa :
+       {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (const KernelDispatch* t = KernelTableFor(isa)) out.push_back(t);
+  }
+  return out;
+}
+
+/// The per-pair encoder the codebook kernel replaced: one `dist` call per
+/// (subspace, codeword) pair, first minimum wins.
+template <typename DistFn>
+std::vector<uint8_t> PerPairEncode(const ProductQuantizer& pq,
+                                   const float* vec, DistFn dist) {
+  std::vector<uint8_t> code(pq.code_size());
+  const uint32_t sub_dim = pq.sub_dim();
+  for (uint32_t sub = 0; sub < pq.num_subvectors(); ++sub) {
+    const float* x = vec + static_cast<size_t>(sub) * sub_dim;
+    uint32_t best = 0;
+    float best_d = std::numeric_limits<float>::infinity();
+    for (uint32_t j = 0; j < pq.num_codes(); ++j) {
+      const float d =
+          dist(x, pq.codebook(sub) + static_cast<size_t>(j) * sub_dim, sub_dim);
+      if (d < best_d) {
+        best_d = d;
+        best = j;
+      }
+    }
+    code[sub] = static_cast<uint8_t>(best);
+  }
+  return code;
 }
 
 TEST(PqTest, RejectsBadConfigurations) {
@@ -109,6 +148,119 @@ TEST(PqTest, OptimizedTableMatchesNaiveTable) {
     pq.ComputeDistanceTableOptimized(ds.query_vector(q), opt.data());
     for (size_t i = 0; i < naive.size(); ++i) {
       EXPECT_NEAR(opt[i], naive[i], 1e-2f * (naive[i] + 1.f)) << i;
+    }
+  }
+}
+
+TEST(PqTest, EncodeMatchesPerPairOracle) {
+  // The Faiss-path encoder (one codebook kernel call plus an argmin per
+  // subspace) must reproduce the per-pair l2sqr encoder's codes exactly,
+  // on every tier. Shapes: filtered_rw's m = 16, c_pq = 256, sub_dim 8,
+  // and an odd one (sub_dim 3, c_pq 17) that leaves lane tails.
+  struct Shape {
+    uint32_t dim, m, codes;
+  };
+  for (const Shape& shape : {Shape{128, 16, 256}, Shape{30, 10, 17}}) {
+    const size_t n = 2000;
+    auto ds = MakeData(shape.dim, n, 11);
+    auto pq = ProductQuantizer::Train(ds.base.data(), n, shape.dim,
+                                      SmallPq(shape.m, shape.codes))
+                  .ValueOrDie();
+    std::vector<uint8_t> code(pq.code_size());
+    for (const KernelDispatch* t : SupportedTables()) {
+      SCOPED_TRACE(std::string("isa=") + KernelIsaName(t->isa) +
+                   " dim=" + std::to_string(shape.dim));
+      size_t differing = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const float* vec = ds.base.data() + i * shape.dim;
+        pq.Encode(vec, code.data(), *t);
+        differing += code != PerPairEncode(pq, vec, t->l2sqr);
+      }
+      EXPECT_EQ(differing, 0u);
+    }
+  }
+}
+
+TEST(PqTest, EncodeSettlesNearTiesLikePerPairSearch) {
+  // Two codewords 0.5 apart at magnitude 1000: near their midpoint the
+  // ‖c‖² − 2 x·c scores differ by less than their rounding, so only the
+  // near-tie re-scoring keeps the per-pair search's code.
+  const size_t n = 64;
+  std::vector<float> data(n * 2);
+  for (size_t i = 0; i < n; ++i) {
+    data[2 * i] = data[2 * i + 1] = i % 2 == 0 ? 1000.f : 1000.5f;
+  }
+  auto pq = ProductQuantizer::Train(data.data(), n, 2, SmallPq(2, 2))
+                .ValueOrDie();
+  std::vector<uint8_t> code(pq.code_size());
+  for (const KernelDispatch* t : SupportedTables()) {
+    SCOPED_TRACE(KernelIsaName(t->isa));
+    for (int step = 0; step <= 2000; ++step) {
+      const float v = 1000.f + 0.5f * static_cast<float>(step) / 2000.f;
+      const float vec[2] = {v, v};
+      pq.Encode(vec, code.data(), *t);
+      EXPECT_EQ(code, PerPairEncode(pq, vec, t->l2sqr)) << "x=" << v;
+    }
+  }
+}
+
+TEST(PqTest, DeserializedQuantizerEncodesAndTablesIdentically) {
+  // Deserialize rebuilds the dim-major codebook from the serialized
+  // row-major one; codes and optimized tables must not change.
+  auto ds = MakeData(64, 800, 13);
+  auto pq = ProductQuantizer::Train(ds.base.data(), 800, 64, SmallPq(16, 64))
+                .ValueOrDie();
+  const std::string path = ::testing::TempDir() + "/pq_roundtrip.bin";
+  {
+    auto writer = std::move(BinaryWriter::Open(path, 0x5051, 1)).ValueOrDie();
+    ASSERT_TRUE(pq.Serialize(&writer).ok());
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  auto reader = std::move(BinaryReader::Open(path, 0x5051, 1)).ValueOrDie();
+  auto loaded = ProductQuantizer::Deserialize(&reader).ValueOrDie();
+  std::vector<uint8_t> a(pq.code_size()), b(pq.code_size());
+  for (size_t i = 0; i < 200; ++i) {
+    pq.Encode(ds.base.data() + i * 64, a.data());
+    loaded.Encode(ds.base.data() + i * 64, b.data());
+    EXPECT_EQ(a, b) << i;
+  }
+  std::vector<float> ta(pq.table_size()), tb(pq.table_size());
+  for (size_t q = 0; q < ds.num_queries; ++q) {
+    pq.ComputeDistanceTableOptimized(ds.query_vector(q), ta.data());
+    loaded.ComputeDistanceTableOptimized(ds.query_vector(q), tb.data());
+    EXPECT_EQ(ta, tb) << q;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PqTest, PasePathIsBitEqualToReferenceKernelLoop) {
+  // The paper's PASE baseline: use_sgemm = false encodes, and the naive
+  // table is built, with one L2SqrRef call per pair — on every tier.
+  auto ds = MakeData(32, 600, 17);
+  PqOptions opt = SmallPq(8, 32);
+  opt.style = KMeansStyle::kPaseStyle;
+  opt.use_sgemm = false;
+  auto pq = ProductQuantizer::Train(ds.base.data(), 600, 32, opt).ValueOrDie();
+  std::vector<uint8_t> code(pq.code_size());
+  for (const KernelDispatch* t : SupportedTables()) {
+    SCOPED_TRACE(KernelIsaName(t->isa));
+    for (size_t i = 0; i < 200; ++i) {
+      const float* vec = ds.base.data() + i * 32;
+      pq.Encode(vec, code.data(), *t);
+      EXPECT_EQ(code, PerPairEncode(pq, vec, L2SqrRef)) << i;
+    }
+  }
+  std::vector<float> table(pq.table_size());
+  for (size_t q = 0; q < ds.num_queries; ++q) {
+    const float* query = ds.query_vector(q);
+    pq.ComputeDistanceTableNaive(query, table.data());
+    for (uint32_t sub = 0; sub < pq.num_subvectors(); ++sub) {
+      for (uint32_t j = 0; j < pq.num_codes(); ++j) {
+        const float ref =
+            L2SqrRef(query + sub * pq.sub_dim(),
+                     pq.codebook(sub) + j * pq.sub_dim(), pq.sub_dim());
+        EXPECT_EQ(table[sub * pq.num_codes() + j], ref);
+      }
     }
   }
 }
