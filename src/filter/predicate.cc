@@ -1,6 +1,9 @@
 #include "filter/predicate.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "common/check.h"
 
 namespace vecdb::filter {
 
@@ -110,6 +113,102 @@ bool BoundPredicate::EvalNode(int node, const int64_t* row) const {
       return EvalNode(n.lhs, row) || EvalNode(n.rhs, row);
   }
   return false;
+}
+
+namespace {
+
+/// Packs pred(col[pos]) for pos in [0, num_rows) into `words`, 64 rows per
+/// word, without branches. Each group of eight results is gathered as 0/1
+/// bytes; multiplying by kPackBytes moves byte l's bit to bit 56 + l (no
+/// two partial products share a bit, so nothing carries), and the top
+/// byte is the group's eight selection bits. The eight groups are
+/// independent, unlike a 64-step shift-and-OR chain into one word.
+constexpr uint64_t kPackBytes = 0x0102040810204080ull;
+
+template <typename Pred>
+void PackWords(const int64_t* col, size_t num_rows, const Pred& pred,
+               uint64_t* words) {
+  const size_t full = num_rows / 64;
+  for (size_t w = 0; w < full; ++w) {
+    const int64_t* v = col + w * 64;
+    uint64_t bits = 0;
+    for (unsigned g = 0; g < 8; ++g) {
+      uint64_t bytes = 0;
+      for (unsigned l = 0; l < 8; ++l) {
+        bytes |= static_cast<uint64_t>(pred(v[g * 8 + l])) << (8 * l);
+      }
+      bits |= ((bytes * kPackBytes) >> 56) << (8 * g);
+    }
+    words[w] = bits;
+  }
+  const size_t tail = num_rows % 64;
+  if (tail != 0) {
+    const int64_t* v = col + full * 64;
+    uint64_t bits = 0;
+    for (size_t b = 0; b < tail; ++b) {
+      bits |= static_cast<uint64_t>(pred(v[b])) << b;
+    }
+    words[full] = bits;
+  }
+}
+
+}  // namespace
+
+SelectionVector BoundPredicate::EvalColumns(
+    const std::vector<std::vector<int64_t>>& columns, size_t num_rows) const {
+  std::vector<uint64_t> words((num_rows + 63) / 64);
+  EvalNodeWords(root_, columns, num_rows, words.data());
+  return SelectionVector::FromWords(num_rows, std::move(words));
+}
+
+void BoundPredicate::EvalNodeWords(
+    int node, const std::vector<std::vector<int64_t>>& columns,
+    size_t num_rows, uint64_t* words) const {
+  const Node& n = nodes_[static_cast<size_t>(node)];
+  if (n.kind == Predicate::Kind::kAnd || n.kind == Predicate::Kind::kOr) {
+    EvalNodeWords(n.lhs, columns, num_rows, words);
+    std::vector<uint64_t> rhs((num_rows + 63) / 64);
+    EvalNodeWords(n.rhs, columns, num_rows, rhs.data());
+    if (n.kind == Predicate::Kind::kAnd) {
+      for (size_t w = 0; w < rhs.size(); ++w) words[w] &= rhs[w];
+    } else {
+      for (size_t w = 0; w < rhs.size(); ++w) words[w] |= rhs[w];
+    }
+    return;
+  }
+  const std::vector<int64_t>& column = columns[static_cast<size_t>(n.column)];
+  VECDB_DCHECK_GE(column.size(), num_rows);
+  const int64_t* col = column.data();
+  const int64_t x = n.value;
+  if (n.kind == Predicate::Kind::kIn) {
+    const std::vector<int64_t>& list = n.in_values;
+    PackWords(col, num_rows,
+              [&list](int64_t v) {
+                return std::binary_search(list.begin(), list.end(), v);
+              },
+              words);
+    return;
+  }
+  switch (n.op) {
+    case CmpOp::kEq:
+      PackWords(col, num_rows, [x](int64_t v) { return v == x; }, words);
+      break;
+    case CmpOp::kNe:
+      PackWords(col, num_rows, [x](int64_t v) { return v != x; }, words);
+      break;
+    case CmpOp::kLt:
+      PackWords(col, num_rows, [x](int64_t v) { return v < x; }, words);
+      break;
+    case CmpOp::kLe:
+      PackWords(col, num_rows, [x](int64_t v) { return v <= x; }, words);
+      break;
+    case CmpOp::kGt:
+      PackWords(col, num_rows, [x](int64_t v) { return v > x; }, words);
+      break;
+    case CmpOp::kGe:
+      PackWords(col, num_rows, [x](int64_t v) { return v >= x; }, words);
+      break;
+  }
 }
 
 namespace {

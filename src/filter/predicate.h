@@ -1,9 +1,12 @@
 // Typed predicate trees over scalar attribute columns — the WHERE clause of
 // a filtered vector search. A Predicate is a parse-time tree keyed by column
 // name; Bind() resolves the names against a table's column list into a
-// BoundPredicate whose Eval() runs over a flat int64 row image. The split
-// mirrors PostgreSQL's parse-tree / plan-qual distinction: parse once, bind
-// per table, evaluate per tuple.
+// BoundPredicate. Its Eval() runs over one flat int64 row image (per
+// tuple, as the lock-free heap scan reads it); EvalColumns() runs over
+// whole columns a 64-row word at a time, producing the selection bitmap
+// the filter strategies consume. The split mirrors PostgreSQL's parse-tree
+// / plan-qual distinction: parse once, bind per table, evaluate per tuple
+// or per column batch.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "filter/selection.h"
 
 namespace vecdb::filter {
 
@@ -60,6 +64,15 @@ class BoundPredicate {
   /// per bound column.
   bool Eval(const int64_t* row) const { return EvalNode(root_, row); }
 
+  /// Evaluates rows [0, num_rows) stored column-major: `columns[c][pos]`
+  /// is bound column c's value at row position pos (each column holds at
+  /// least num_rows values). Bit pos of the result equals
+  /// Eval(row image of pos). Each leaf compares its contiguous column into
+  /// 64-bit words without branches (IN binary-searches the sorted list),
+  /// and AND/OR combine whole words.
+  SelectionVector EvalColumns(const std::vector<std::vector<int64_t>>& columns,
+                              size_t num_rows) const;
+
   /// One flattened tree node; public so Bind()'s helpers can build the
   /// node array, but only Bind() constructs a usable BoundPredicate.
   struct Node {
@@ -77,6 +90,11 @@ class BoundPredicate {
                                      const std::vector<std::string>& columns);
 
   bool EvalNode(int node, const int64_t* row) const;
+  /// Writes node's result for rows [0, num_rows) into `words`
+  /// ((num_rows + 63) / 64 of them; bits past num_rows stay zero).
+  void EvalNodeWords(int node,
+                     const std::vector<std::vector<int64_t>>& columns,
+                     size_t num_rows, uint64_t* words) const;
 
   std::vector<Node> nodes_;
   int root_ = -1;

@@ -1,14 +1,15 @@
 // SelectionVector: a dense bitmap over row positions, the currency of the
 // filtered-search subsystem. The SQL executor evaluates a Predicate over
-// the heap into one of these, and the three filter strategies consume it:
-// pre-filter and in-filter gate the engines' one scan loop with it (the
-// SelectionGate policy below), post-filter tests it against amplified
-// result lists. Word-packed so a test is one shift+mask and a popcount is
-// word-at-a-time.
+// the table's in-memory attribute columns into one of these, and the three
+// filter strategies consume it: pre-filter and in-filter gate the engines'
+// one scan loop with it (the SelectionGate policy below), post-filter tests
+// it against amplified result lists. Word-packed so a test is one
+// shift+mask and a popcount is word-at-a-time.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace vecdb::filter {
@@ -19,6 +20,18 @@ class SelectionVector {
   SelectionVector() = default;
   explicit SelectionVector(size_t size)
       : size_(size), words_((size + 63) / 64, 0) {}
+
+  /// Adopts packed words over [0, size): word w holds positions
+  /// [64w, 64w + 64), bit b position 64w + b. `words` must hold
+  /// (size + 63) / 64 words; bits at or past `size` are dropped.
+  static SelectionVector FromWords(size_t size, std::vector<uint64_t> words) {
+    SelectionVector out;
+    out.size_ = size;
+    out.words_ = std::move(words);
+    out.words_.resize((size + 63) / 64);
+    if (size % 64 != 0) out.words_.back() &= (uint64_t{1} << (size % 64)) - 1;
+    return out;
+  }
 
   size_t size() const { return size_; }
 
@@ -56,6 +69,7 @@ class SelectionVector {
   }
 
   /// Invokes `fn(pos)` for every selected position in ascending order.
+  /// `fn` may Clear(pos): each word is read before its bits are visited.
   template <typename Fn>
   void ForEachSet(Fn&& fn) const {
     for (size_t wi = 0; wi < words_.size(); ++wi) {

@@ -72,14 +72,24 @@ Status VectorIndexAm::AmInsert(const float* vec, int64_t row_id) {
 }
 
 Status VectorIndexAm::AmDelete(int64_t row_id) {
-  // Translate the user row id to the index's position before tombstoning.
+  // Translate the user row id to index positions before tombstoning. Row
+  // ids need not be unique, so every live position carrying the id is
+  // tombstoned; the index answers NotFound for one already deleted.
+  size_t deleted = 0;
   for (size_t pos = 0; pos < row_ids_.size(); ++pos) {
-    if (row_ids_[pos] == row_id) {
-      return index_->Delete(static_cast<int64_t>(pos));
+    if (row_ids_[pos] != row_id) continue;
+    Status s = index_->Delete(static_cast<int64_t>(pos));
+    if (s.ok()) {
+      ++deleted;
+    } else if (!s.IsNotFound()) {
+      return s;
     }
   }
-  return Status::NotFound("row " + std::to_string(row_id) +
-                          " not present in index");
+  if (deleted == 0) {
+    return Status::NotFound("row " + std::to_string(row_id) +
+                            " not present in index");
+  }
+  return Status::OK();
 }
 
 Result<std::unique_ptr<IndexScanCursor>> VectorIndexAm::AmBeginScan(

@@ -75,6 +75,8 @@ class VectorIndexAm final : public IndexAccessMethod {
   Status AmAttach(const HeapTable& table, size_t num_rows);
 
   Status AmInsert(const float* vec, int64_t row_id) override;
+  /// Tombstones every live index position carrying `row_id` (ids need not
+  /// be unique); NotFound when none is live.
   Status AmDelete(int64_t row_id) override;
   Result<std::unique_ptr<IndexScanCursor>> AmBeginScan(
       const float* query, const AmScanOptions& options) const override;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/check.h"
 #include "common/timer.h"
 #include "core/factory.h"
 #include "distance/dispatch.h"
@@ -36,6 +37,16 @@ std::vector<std::string> PredicateColumns(const CreateTableStmt& schema) {
   cols.push_back(schema.id_column);
   for (const auto& attr : schema.attr_columns) cols.push_back(attr);
   return cols;
+}
+
+/// Appends one heap row to a table's predicate columns: the id, then one
+/// attribute value per remaining column.
+void AppendPredicateRow(int64_t row_id, const int64_t* attrs,
+                        std::vector<std::vector<int64_t>>* columns) {
+  (*columns)[0].push_back(row_id);
+  for (size_t c = 1; c < columns->size(); ++c) {
+    (*columns)[c].push_back(attrs[c - 1]);
+  }
 }
 
 /// Scoped table lock whose mode is chosen at runtime: shared for scans
@@ -247,7 +258,20 @@ Status MiniDatabase::RecoverFrom(
             &bufmgr_, &smgr_, name, cat_table.schema.dim,
             static_cast<uint32_t>(cat_table.schema.attr_columns.size())));
     entry.heap = std::make_unique<pgstub::HeapTable>(std::move(heap));
-    entry.state = std::make_unique<TableState>();
+    entry.state = std::make_unique<TableState>(
+        1 + cat_table.schema.attr_columns.size());
+    {
+      // The predicate columns are derived data: one heap pass rebuilds
+      // them (no reader exists yet; the lock satisfies the annotation).
+      WriterMutexLock lock(entry.state->mu);
+      std::vector<std::vector<int64_t>>& columns = entry.state->columns;
+      VECDB_RETURN_NOT_OK(entry.heap->SeqScanFull(
+          [&columns](pgstub::TupleId, int64_t row_id, const float*,
+                     const int64_t* attrs) {
+            AppendPredicateRow(row_id, attrs, &columns);
+            return true;
+          }));
+    }
     dead[name].insert(cat_table.tombstones.begin(),
                       cat_table.tombstones.end());
     tables_.emplace(name, std::move(entry));
@@ -617,7 +641,7 @@ Result<QueryResult> MiniDatabase::ExecCreateTable(
   TableEntry entry;
   entry.schema = stmt;
   entry.heap = std::make_unique<pgstub::HeapTable>(std::move(heap));
-  entry.state = std::make_unique<TableState>();
+  entry.state = std::make_unique<TableState>(1 + stmt.attr_columns.size());
   entry.state->snapshot.store(new TableSnapshot{0, nullptr},
                               std::memory_order_release);
   tables_.emplace(stmt.table, std::move(entry));
@@ -636,11 +660,12 @@ Result<QueryResult> MiniDatabase::ExecCreateTable(
 Status MiniDatabase::InsertRowsLocked(TableEntry& table,
                                       const InsertStmt& stmt) {
   for (const auto& row : stmt.rows) {
+    const int64_t* attrs = row.attrs.empty() ? nullptr : row.attrs.data();
     VECDB_RETURN_NOT_OK(
-        table.heap
-            ->Insert(row.id, row.vec.data(),
-                     row.attrs.empty() ? nullptr : row.attrs.data())
-            .status());
+        table.heap->Insert(row.id, row.vec.data(), attrs).status());
+    // The row is in the heap: extend the predicate columns before any
+    // other exit, so they stay one-for-one with the heap.
+    AppendPredicateRow(row.id, attrs, &table.state->columns);
     VECDB_RETURN_NOT_OK(bufmgr_.wal_error());
     for (const auto& index_name : table.indexes) {
       auto idx = indexes_.find(index_name);
@@ -807,38 +832,33 @@ Result<QueryResult> MiniDatabase::SeqScanSelect(
   return out;
 }
 
-Result<MiniDatabase::FilterPlan> MiniDatabase::BuildFilterPlan(
+MiniDatabase::FilterPlan MiniDatabase::BuildFilterPlan(
     const TableEntry& table, const filter::BoundPredicate& bound,
-    size_t sample_rows) const {
-  FilterPlan plan;
+    size_t sample_rows) {
+  const std::vector<std::vector<int64_t>>& columns = table.state->columns;
   const size_t n = table.heap->num_rows();
+  VECDB_DCHECK_EQ(columns[0].size(), n);
+  FilterPlan plan;
+  plan.selection = bound.EvalColumns(columns, n);
+  // Dead rows are excluded by id: probe the tombstone set only for the
+  // selected positions, and only when the snapshot has tombstones at all.
   const std::unordered_set<int64_t>& dead_rows = DeletedRows(table);
-  plan.selection = filter::SelectionVector(n);
-  // One pass: the exact bitmap for the strategies, and a strided sample
-  // for the planner's selectivity estimate (what an attribute-store
-  // EstimateSelectivity would see).
-  const size_t stride = n <= sample_rows ? 1 : (n + sample_rows - 1) / sample_rows;
-  size_t pos = 0;
+  if (!dead_rows.empty()) {
+    const std::vector<int64_t>& ids = columns[0];
+    plan.selection.ForEachSet([&](size_t pos) {
+      if (dead_rows.count(ids[pos]) != 0) plan.selection.Clear(pos);
+    });
+  }
+  // The planner's estimate reads the exact bitmap at strided sample
+  // positions (what an attribute-store EstimateSelectivity would see).
+  const size_t stride =
+      n <= sample_rows ? 1 : (n + sample_rows - 1) / sample_rows;
   size_t sampled = 0;
   size_t sampled_matches = 0;
-  std::vector<int64_t> row_image(1 + table.schema.attr_columns.size());
-  VECDB_RETURN_NOT_OK(table.heap->SeqScanFull(
-      [&](pgstub::TupleId, int64_t row_id, const float*,
-          const int64_t* attrs) {
-        row_image[0] = row_id;
-        for (size_t a = 0; a < table.schema.attr_columns.size(); ++a) {
-          row_image[1 + a] = attrs[a];
-        }
-        const bool dead = dead_rows.count(row_id) != 0;
-        const bool match = !dead && bound.Eval(row_image.data());
-        if (match) plan.selection.Set(pos);
-        if (pos % stride == 0) {
-          ++sampled;
-          if (match) ++sampled_matches;
-        }
-        ++pos;
-        return true;
-      }));
+  for (size_t pos = 0; pos < n; pos += stride) {
+    ++sampled;
+    if (plan.selection.Test(pos)) ++sampled_matches;
+  }
   plan.est_selectivity =
       sampled == 0 ? 1.0
                    : static_cast<double>(sampled_matches) /
@@ -941,7 +961,8 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
   // Index scan (or its EXPLAIN): lock the table — shared, so scans run
   // concurrently with each other, or exclusive when this index's Search
   // mutates shared scratch. Either mode excludes writers, which is what
-  // BuildFilterPlan's full heap scan and the index itself require.
+  // BuildFilterPlan's read of the predicate columns and the index itself
+  // require.
   TableScanLock lock(table.state->mu,
                      !chosen->index->SupportsConcurrentSearch());
 
@@ -950,8 +971,7 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
   const filter::PlannerConfig planner;
   FilterPlan plan;
   if (has_predicate) {
-    VECDB_ASSIGN_OR_RETURN(plan,
-                           BuildFilterPlan(table, bound, planner.sample_rows));
+    plan = BuildFilterPlan(table, bound, planner.sample_rows);
   }
 
   if (stmt.explain) {
@@ -1140,17 +1160,10 @@ Result<QueryResult> MiniDatabase::ExecDelete(const DeleteStmt& stmt) {
       return Status::NotFound("row " + std::to_string(id) +
                               " already deleted");
     }
-    // The row must exist in the heap before it can be tombstoned.
-    bool exists = false;
-    VECDB_RETURN_NOT_OK(table.heap->SeqScan(
-        [&](pgstub::TupleId, int64_t row_id, const float*) {
-          if (row_id == id) {
-            exists = true;
-            return false;
-          }
-          return true;
-        }));
-    if (!exists) {
+    // The row must exist in the heap before it can be tombstoned; the id
+    // column holds every heap row's id.
+    const std::vector<int64_t>& ids = table.state->columns[0];
+    if (std::find(ids.begin(), ids.end(), id) == ids.end()) {
       return Status::NotFound("no row with id " + std::to_string(id));
     }
     VECDB_RETURN_NOT_OK(log_tombstone(id));
@@ -1177,25 +1190,18 @@ Result<QueryResult> MiniDatabase::ExecDelete(const DeleteStmt& stmt) {
     return out;
   }
 
-  // General path: bind the predicate, collect every matching live row,
-  // and tombstone them all. Deleting zero rows is not an error (SQL
-  // semantics: "DELETE 0").
+  // General path: bind the predicate, evaluate it over the predicate
+  // columns, and tombstone every matching live row (in heap order). Deleting
+  // zero rows is not an error (SQL semantics: "DELETE 0").
   filter::BoundPredicate bound;
   VECDB_ASSIGN_OR_RETURN(
       bound, filter::Bind(pred, PredicateColumns(table.schema)));
+  const std::vector<int64_t>& ids = table.state->columns[0];
   std::vector<int64_t> matches;
-  std::vector<int64_t> row_image(1 + table.schema.attr_columns.size());
-  VECDB_RETURN_NOT_OK(table.heap->SeqScanFull(
-      [&](pgstub::TupleId, int64_t row_id, const float*,
-          const int64_t* attrs) {
-        if (dead.count(row_id) != 0) return true;
-        row_image[0] = row_id;
-        for (size_t a = 0; a < table.schema.attr_columns.size(); ++a) {
-          row_image[1 + a] = attrs[a];
-        }
-        if (bound.Eval(row_image.data())) matches.push_back(row_id);
-        return true;
-      }));
+  bound.EvalColumns(table.state->columns, table.heap->num_rows())
+      .ForEachSet([&](size_t pos) {
+        if (dead.count(ids[pos]) == 0) matches.push_back(ids[pos]);
+      });
   Status loop_status;
   size_t deleted_count = 0;
   for (int64_t id : matches) {

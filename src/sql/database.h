@@ -16,6 +16,14 @@
 // and retire through the epoch manager — so readers always observe a
 // statement-atomic prefix of the heap.
 //
+// Filtering (docs/FILTERING.md): each table also keeps its predicate
+// columns (id, then the INT attributes) as dense in-memory arrays indexed
+// by heap position, guarded by the table lock. Filtered index scans build
+// their selection bitmap, and predicate DELETEs find their rows, from
+// those arrays — no heap page is read and no buffer pinned. The arrays are
+// derived data: appended with every heap insert, rebuilt from the heap at
+// Open, never written to disk.
+//
 // Durability (docs/DURABILITY.md): Open() recovers a restarted database —
 // the storage manager re-attaches relations from its manifest, ARIES-lite
 // REDO replays WAL full-page images and tombstones, the durable catalog
@@ -176,12 +184,20 @@ class MiniDatabase {
   /// Per-table concurrency state, held by unique_ptr so TableEntry stays
   /// movable while the mutex and atomic stay pinned in memory.
   struct TableState {
+    explicit TableState(size_t num_columns) : columns(num_columns) {}
+    ~TableState() { delete snapshot.load(std::memory_order_acquire); }
+
     /// Serializes table writers; shared by index scans (exclusive for
     /// indexes whose Search is not concurrency-safe). Seq scans do not
     /// take it at all.
     SharedMutex mu;
     std::atomic<const TableSnapshot*> snapshot{nullptr};
-    ~TableState() { delete snapshot.load(std::memory_order_acquire); }
+    /// The predicate columns in PredicateColumns() order (id, then the
+    /// attributes in declaration order): columns[c][pos] is column c of
+    /// heap row pos. InsertRowsLocked appends right after each successful
+    /// heap insert, so every column's length equals heap->num_rows()
+    /// whenever `mu` is free; RecoverFrom rebuilds them at Open.
+    std::vector<std::vector<int64_t>> columns VECDB_GUARDED_BY(mu);
   };
   struct TableEntry {
     CreateTableStmt schema;
@@ -247,11 +263,12 @@ class MiniDatabase {
       TableEntry& table, uint64_t visible_rows,
       std::shared_ptr<const std::unordered_set<int64_t>> deleted);
 
-  /// Inserts the statement's rows into the heap and every index; split
-  /// out of ExecInsert so the snapshot publish runs exactly once on every
-  /// exit path (rows inserted before a failure are still published).
+  /// Inserts the statement's rows into the heap, the predicate columns
+  /// and every index; split out of ExecInsert so the snapshot publish
+  /// runs exactly once on every exit path (rows inserted before a failure
+  /// are still published).
   Status InsertRowsLocked(TableEntry& table, const InsertStmt& stmt)
-      VECDB_REQUIRES_SHARED(catalog_mu_);
+      VECDB_REQUIRES_SHARED(catalog_mu_) VECDB_REQUIRES(table.state->mu);
 
   /// Rebuilds the in-memory state (tables_, indexes_) from the durable
   /// catalog after REDO; `wal_tombstones` are deletes newer than the
@@ -290,16 +307,18 @@ class MiniDatabase {
                                     const filter::BoundPredicate* bound,
                                     const QueryContext& ctx);
 
-  /// One heap pass producing the exact position-indexed selection bitmap
-  /// (deleted rows excluded) plus a strided sampled selectivity estimate.
-  /// Caller must hold the table lock (any mode): uses the full heap scan.
+  /// The exact position-indexed selection bitmap (deleted rows excluded)
+  /// plus a strided sampled selectivity estimate, evaluated over the
+  /// table's predicate columns: no heap page is read. Caller must hold the
+  /// table lock (any mode), which keeps the columns and the heap in step.
   struct FilterPlan {
     filter::SelectionVector selection;
     double est_selectivity = 1.0;
   };
-  Result<FilterPlan> BuildFilterPlan(const TableEntry& table,
-                                     const filter::BoundPredicate& bound,
-                                     size_t sample_rows) const;
+  static FilterPlan BuildFilterPlan(const TableEntry& table,
+                                    const filter::BoundPredicate& bound,
+                                    size_t sample_rows)
+      VECDB_REQUIRES_SHARED(table.state->mu);
 
   DatabaseOptions options_;
   pgstub::Vfs* vfs_;

@@ -12,7 +12,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,6 +153,116 @@ TEST(PredicateTest, CloneIsDeep) {
   auto copy = pred->Clone();
   pred.reset();
   EXPECT_EQ(filter::ToString(*copy), "(a >= 2 OR b < 9)");
+}
+
+// ---------------------------------------------------------------------------
+// Columnar evaluator: EvalColumns must equal per-row Eval bit for bit.
+
+constexpr int64_t kMinI64 = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMaxI64 = std::numeric_limits<int64_t>::max();
+
+/// Column values and thresholds share one pool, so equality hits and every
+/// comparison runs on the int64 boundaries and their neighbours.
+int64_t PoolValue(std::mt19937_64& rng) {
+  static const int64_t kPool[] = {kMinI64, kMinI64 + 1, -7, -1, 0,
+                                  1,       7,           42, kMaxI64 - 1,
+                                  kMaxI64};
+  std::uniform_int_distribution<size_t> pick(0, std::size(kPool) - 1);
+  return kPool[pick(rng)];
+}
+
+/// Random tree over columns c0..c{num_cols-1}: leaves draw one of the six
+/// CmpOps or an IN list, interior nodes AND/OR, down to `depth` levels.
+std::unique_ptr<Predicate> RandomPredicate(std::mt19937_64& rng, int depth,
+                                           size_t num_cols) {
+  std::uniform_int_distribution<int> shape(0, 9);
+  const int roll = shape(rng);
+  if (depth > 0 && roll < 4) {
+    auto lhs = RandomPredicate(rng, depth - 1, num_cols);
+    auto rhs = RandomPredicate(rng, depth - 1, num_cols);
+    return roll < 2 ? Predicate::And(std::move(lhs), std::move(rhs))
+                    : Predicate::Or(std::move(lhs), std::move(rhs));
+  }
+  const std::string column =
+      "c" + std::to_string(std::uniform_int_distribution<size_t>(
+                               0, num_cols - 1)(rng));
+  if (roll == 9) {
+    std::vector<int64_t> values(1 + rng() % 4);
+    for (auto& v : values) v = PoolValue(rng);
+    return Predicate::In(column, std::move(values));
+  }
+  const auto op = static_cast<CmpOp>(rng() % 6);
+  return Predicate::Compare(column, op, PoolValue(rng));
+}
+
+TEST(ColumnarEvalTest, MatchesRowEvalOnRandomTrees) {
+  constexpr size_t kCols = 3;
+  const std::vector<std::string> names = {"c0", "c1", "c2"};
+  std::mt19937_64 rng(20241017);
+  for (size_t num_rows : std::vector<size_t>{0, 1, 63, 64, 65, 1000}) {
+    std::vector<std::vector<int64_t>> columns(kCols,
+                                              std::vector<int64_t>(num_rows));
+    for (auto& column : columns) {
+      for (auto& v : column) v = PoolValue(rng);
+    }
+    for (int trial = 0; trial < 200; ++trial) {
+      auto pred = RandomPredicate(rng, 3, kCols);
+      auto bound = filter::Bind(*pred, names).ValueOrDie();
+      const SelectionVector sel = bound.EvalColumns(columns, num_rows);
+      ASSERT_EQ(sel.size(), num_rows);
+      size_t want_count = 0;
+      for (size_t pos = 0; pos < num_rows; ++pos) {
+        const int64_t row[kCols] = {columns[0][pos], columns[1][pos],
+                                    columns[2][pos]};
+        const bool want = bound.Eval(row);
+        want_count += want ? 1 : 0;
+        ASSERT_EQ(sel.Test(pos), want)
+            << filter::ToString(*pred) << " rows=" << num_rows
+            << " pos=" << pos;
+      }
+      // No stray bits past the last row: the popcount sees only rows.
+      ASSERT_EQ(sel.CountSet(), want_count) << filter::ToString(*pred);
+    }
+  }
+}
+
+TEST(ColumnarEvalTest, BoundaryThresholdsOnEveryOp) {
+  const std::vector<std::string> names = {"c0"};
+  const std::vector<std::vector<int64_t>> columns = {
+      {kMinI64, kMinI64 + 1, -1, 0, 1, kMaxI64 - 1, kMaxI64}};
+  const size_t n = columns[0].size();
+  for (int64_t threshold : {kMinI64, kMinI64 + 1, int64_t{0}, kMaxI64 - 1,
+                            kMaxI64}) {
+    for (int op = 0; op < 6; ++op) {
+      auto pred =
+          Predicate::Compare("c0", static_cast<CmpOp>(op), threshold);
+      auto bound = filter::Bind(*pred, names).ValueOrDie();
+      const SelectionVector sel = bound.EvalColumns(columns, n);
+      for (size_t pos = 0; pos < n; ++pos) {
+        EXPECT_EQ(sel.Test(pos), bound.Eval(&columns[0][pos]))
+            << filter::ToString(*pred) << " at " << columns[0][pos];
+      }
+    }
+  }
+  auto in = Predicate::In("c0", {kMaxI64, kMinI64});
+  auto bound = filter::Bind(*in, names).ValueOrDie();
+  const SelectionVector sel = bound.EvalColumns(columns, n);
+  EXPECT_EQ(sel.CountSet(), 2u);
+  EXPECT_TRUE(sel.Test(0));
+  EXPECT_TRUE(sel.Test(n - 1));
+}
+
+TEST(ColumnarEvalTest, EvaluatesOnlyTheRequestedPrefix) {
+  // Columns may run longer than num_rows; rows past it never appear.
+  const std::vector<std::vector<int64_t>> columns = {
+      std::vector<int64_t>(130, 5)};
+  auto bound =
+      filter::Bind(*Predicate::Compare("c0", CmpOp::kEq, 5), {"c0"})
+          .ValueOrDie();
+  const SelectionVector sel = bound.EvalColumns(columns, 65);
+  EXPECT_EQ(sel.size(), 65u);
+  EXPECT_EQ(sel.CountSet(), 65u);
+  EXPECT_FALSE(sel.Test(65));
 }
 
 // ---------------------------------------------------------------------------
@@ -506,11 +619,20 @@ TEST(FilteredSearchTest, ConcurrentInFilterSharedBitmap) {
 class SqlFilterTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const std::string dir =
-        ::testing::TempDir() + "/sqlfilter_" +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    std::filesystem::remove_all(dir);
-    db_ = sql::MiniDatabase::Open(dir).ValueOrDie();
+    dir_ = ::testing::TempDir() + "/sqlfilter_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(dir_);
+    db_ = sql::MiniDatabase::Open(dir_).ValueOrDie();
+    session_ = db_->CreateSession();
+  }
+
+  /// Closes the database without a checkpoint and opens it again: Open
+  /// recovers the heap, replays WAL tombstones and rebuilds the indexes
+  /// and the predicate columns.
+  void Reopen() {
+    session_.reset();
+    db_.reset();
+    db_ = sql::MiniDatabase::Open(dir_).ValueOrDie();
     session_ = db_->CreateSession();
   }
 
@@ -556,6 +678,7 @@ class SqlFilterTest : public ::testing::Test {
   static constexpr const char* kQuery =
       "'0.37,0.38,0.39,0.4,0.41,0.42,0.43,0.44'";
 
+  std::string dir_;
   std::unique_ptr<sql::MiniDatabase> db_;
   std::shared_ptr<sql::Session> session_;
 };
@@ -694,6 +817,159 @@ TEST_F(SqlFilterTest, FilteredSelectSkipsDeletedRows) {
   for (int64_t id : Ids(result)) {
     EXPECT_NE((id - 1000) % 5, 0) << id;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Plan equivalence: the filter plan read off the predicate columns must be
+// the plan a per-row pass over the heap would build, after a predicate
+// DELETE, across a close/reopen (columns rebuilt at Open), and when a
+// tombstone survives only in the WAL.
+
+class SqlPlanOracleTest : public SqlFilterTest {
+ protected:
+  static constexpr int kRows = 1000;  // > PlannerConfig::sample_rows
+  static constexpr size_t kLimit = 10;
+  static constexpr const char* kLineQuery = "'-1,0,0,0,0,0,0,0'";
+
+  /// id = 1000+i, price = i, tag = i % 5; vector i = (i/100, 0, ..., 0),
+  /// so distance to kLineQuery grows strictly with i and the exact top-k
+  /// of any predicate is its k smallest live matching positions.
+  void LoadLine() {
+    Must("CREATE TABLE items (id int, vec float[8], price int, tag int)");
+    for (int first = 0; first < kRows; first += 250) {
+      std::string insert = "INSERT INTO items VALUES ";
+      for (int i = first; i < first + 250; ++i) {
+        if (i > first) insert += ", ";
+        insert += "(" + std::to_string(1000 + i) + ", '" +
+                  std::to_string(i / 100.0) + ",0,0,0,0,0,0,0', " +
+                  std::to_string(i) + ", " + std::to_string(i % 5) + ")";
+      }
+      Must(insert);
+    }
+    Must("CREATE INDEX items_idx ON items USING ivfflat (vec) WITH "
+         "(clusters=8, sample_ratio=1)");
+  }
+
+  /// Predicates spanning the planner's three regimes.
+  static std::vector<std::unique_ptr<Predicate>> Predicates() {
+    std::vector<std::unique_ptr<Predicate>> out;
+    out.push_back(Predicate::Compare("price", CmpOp::kLt, 20));
+    out.push_back(Predicate::And(Predicate::Compare("price", CmpOp::kLt, 400),
+                                 Predicate::Compare("tag", CmpOp::kNe, 2)));
+    out.push_back(Predicate::Compare("price", CmpOp::kGe, 100));
+    out.push_back(Predicate::Or(Predicate::In("tag", {0, 3}),
+                                Predicate::Compare("id", CmpOp::kEq, 1501)));
+    return out;
+  }
+
+  /// Live model rows satisfying `pred`, in heap order.
+  std::vector<bool> ModelMatches(const Predicate& pred) const {
+    auto bound =
+        filter::Bind(pred, {"id", "price", "tag"}).ValueOrDie();
+    std::vector<bool> match(kRows);
+    for (int i = 0; i < kRows; ++i) {
+      const int64_t row[3] = {1000 + i, i, i % 5};
+      match[static_cast<size_t>(i)] =
+          dead_.count(1000 + i) == 0 && bound.Eval(row);
+    }
+    return match;
+  }
+
+  /// Runs EXPLAIN and the SELECT under auto and every forced strategy,
+  /// checks each against the model, and returns the EXPLAIN texts and
+  /// result ids so callers can also compare runs with each other.
+  std::vector<std::string> CheckPlans() {
+    std::vector<std::string> observed;
+    const filter::PlannerConfig planner;
+    for (const auto& pred : Predicates()) {
+      const std::vector<bool> match = ModelMatches(*pred);
+      // The per-row heap pass's estimate: the live matches among the
+      // positions pos % stride == 0.
+      const size_t stride =
+          (kRows + planner.sample_rows - 1) / planner.sample_rows;
+      size_t sampled = 0;
+      size_t hits = 0;
+      for (size_t pos = 0; pos < kRows; pos += stride) {
+        ++sampled;
+        hits += match[pos] ? 1 : 0;
+      }
+      const double est =
+          static_cast<double>(hits) / static_cast<double>(sampled);
+      std::vector<int64_t> want;
+      for (int i = 0; i < kRows && want.size() < kLimit; ++i) {
+        if (match[static_cast<size_t>(i)]) want.push_back(1000 + i);
+      }
+      const size_t live_rows = kRows - dead_.size();
+      const std::string where = " FROM items WHERE " +
+                                filter::ToString(*pred) +
+                                " ORDER BY vec <-> " + kLineQuery;
+      for (const char* strategy :
+           {"auto", "prefilter", "infilter", "postfilter"}) {
+        const std::string options = std::string(" OPTIONS (nprobe=8, "
+                                                "filter_strategy=") +
+                                    strategy + ") LIMIT " +
+                                    std::to_string(kLimit);
+        const FilterStrategy effective =
+            std::string(strategy) == "auto"
+                ? filter::ChooseStrategy(est, kLimit, live_rows, planner)
+                : filter::ParseStrategy(strategy).ValueOrDie();
+        auto plan = Must("EXPLAIN SELECT id" + where + options);
+        EXPECT_NE(plan.message.find(
+                      std::string(" strategy=") +
+                      filter::StrategyName(effective) +
+                      " est_selectivity=" + std::to_string(est)),
+                  std::string::npos)
+            << plan.message;
+        auto rows = Must("SELECT id" + where + options);
+        EXPECT_EQ(Ids(rows), want) << filter::ToString(*pred) << " "
+                                   << strategy;
+        observed.push_back(plan.message);
+        std::string ids;
+        for (int64_t id : Ids(rows)) ids += std::to_string(id) + " ";
+        observed.push_back(ids);
+      }
+    }
+    return observed;
+  }
+
+  /// Ids the test has deleted (the model's tombstone set).
+  std::set<int64_t> dead_;
+};
+
+TEST_F(SqlPlanOracleTest, PlansMatchHeapPassAfterPredicateDelete) {
+  LoadLine();
+  CheckPlans();
+  // tag = 1 leaves a hole at every fifth position, including sampled ones.
+  auto del = Must("DELETE FROM items WHERE tag = 1 OR price >= 900");
+  for (int i = 0; i < kRows; ++i) {
+    if (i % 5 == 1 || i >= 900) dead_.insert(1000 + i);
+  }
+  EXPECT_EQ(del.message, "DELETE " + std::to_string(dead_.size()));
+  CheckPlans();
+}
+
+TEST_F(SqlPlanOracleTest, PlansSurviveCloseAndReopen) {
+  LoadLine();
+  Must("DELETE FROM items WHERE price < 30 AND tag = 0");
+  for (int i = 0; i < 30; i += 5) dead_.insert(1000 + i);
+  Must("CHECKPOINT");
+  const std::vector<std::string> before = CheckPlans();
+  Reopen();
+  EXPECT_EQ(CheckPlans(), before);
+}
+
+TEST_F(SqlPlanOracleTest, PlansHonorTombstonesLivingOnlyInTheWal) {
+  LoadLine();
+  Must("CHECKPOINT");
+  // After the checkpoint: the catalog's tombstone set is empty, and these
+  // deletes exist only as WAL records until recovery replays them.
+  Must("DELETE FROM items WHERE id = 1000");
+  Must("DELETE FROM items WHERE tag = 3 AND price < 500");
+  dead_.insert(1000);
+  for (int i = 3; i < 500; i += 5) dead_.insert(1000 + i);
+  const std::vector<std::string> before = CheckPlans();
+  Reopen();
+  EXPECT_EQ(CheckPlans(), before);
 }
 
 }  // namespace

@@ -516,5 +516,104 @@ TEST(SessionStressTest, MixedWorkloadEightSessionsStaysConsistent) {
   EXPECT_GE(metrics.Value(obs::Counter::kSessionAdmitted), 40u);
 }
 
+TEST(SessionStressTest, FilteredIndexScanBesideWriters) {
+  // Filtered index scans (one session per forced strategy) read the
+  // predicate columns under the table lock while one session appends to
+  // them (INSERT) and another tombstones rows by predicate (DELETE).
+  // Every row carries a = id % 100 and the readers ask for a < 50, so
+  // each result can be checked on its ids alone.
+  constexpr int kSeed = 200;    // ids 0..199, deleted in chunks below
+  constexpr int kChunk = 10;    // seed ids per predicate DELETE
+  constexpr int kBatches = 30;  // writer batches of 10, ids from 1000
+  auto db = MiniDatabase::Open(TestDir("data"), SmallPool()).ValueOrDie();
+  auto setup = db->CreateSession();
+  ASSERT_TRUE(
+      setup->Execute("CREATE TABLE t (id int, vec float[4], a int)").ok());
+  auto insert_rows = [](int64_t first, int count) {
+    std::string sql = "INSERT INTO t VALUES ";
+    for (int i = 0; i < count; ++i) {
+      const int64_t id = first + i;
+      if (i > 0) sql += ", ";
+      sql += "(" + std::to_string(id) + ", '" +
+             Vec4(static_cast<int>(id)) + "', " + std::to_string(id % 100) +
+             ")";
+    }
+    return sql;
+  };
+  for (int b = 0; b < kSeed / 10; ++b) {
+    ASSERT_TRUE(setup->Execute(insert_rows(b * 10, 10)).ok());
+  }
+  ASSERT_TRUE(setup->Execute("CREATE INDEX t_idx ON t USING ivfflat (vec) "
+                             "WITH (clusters=4, sample_ratio=1, "
+                             "engine='faiss')")
+                  .ok());
+
+  // Seed ids below this were deleted by a statement that already returned.
+  std::atomic<int64_t> deleted_below{0};
+  std::atomic<int> writers_left{2};
+  std::thread inserter([&db, &writers_left, &insert_rows] {
+    auto session = db->CreateSession();
+    for (int b = 0; b < kBatches; ++b) {
+      ASSERT_TRUE(session->Execute(insert_rows(1000 + b * 10, 10)).ok());
+    }
+    writers_left.fetch_sub(1, std::memory_order_acq_rel);
+  });
+  std::thread deleter([&db, &writers_left, &deleted_below] {
+    auto session = db->CreateSession();
+    for (int64_t lo = 0; lo < kSeed; lo += kChunk) {
+      auto result = session->Execute(
+          "DELETE FROM t WHERE id >= " + std::to_string(lo) + " AND id < " +
+          std::to_string(lo + kChunk));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->message, "DELETE " + std::to_string(kChunk));
+      deleted_below.store(lo + kChunk, std::memory_order_release);
+    }
+    writers_left.fetch_sub(1, std::memory_order_acq_rel);
+  });
+  std::vector<std::thread> readers;
+  readers.reserve(3);
+  for (const char* strategy : {"prefilter", "infilter", "postfilter"}) {
+    readers.emplace_back([&db, &writers_left, &deleted_below, strategy] {
+      auto session = db->CreateSession();
+      const std::string query =
+          std::string("SELECT id FROM t WHERE a < 50 ORDER BY vec <-> "
+                      "'1,1,1,1' OPTIONS (nprobe=4, filter_strategy=") +
+          strategy + ") LIMIT 10";
+      for (int iter = 0;
+           iter < 20 || writers_left.load(std::memory_order_acquire) > 0;
+           ++iter) {
+        const int64_t floor = deleted_below.load(std::memory_order_acquire);
+        auto result = session->Execute(query);
+        ASSERT_TRUE(result.ok()) << strategy << ": "
+                                 << result.status().ToString();
+        EXPECT_LE(result->rows.size(), 10u) << strategy;
+        std::set<int64_t> ids;
+        for (const auto& row : result->rows) {
+          EXPECT_TRUE(ids.insert(row.id).second)
+              << strategy << ": duplicate id " << row.id;
+          EXPECT_LT(row.id % 100, 50) << strategy << ": id " << row.id;
+          EXPECT_GE(row.id, floor) << strategy << ": deleted id " << row.id;
+          const bool seed = row.id < kSeed;
+          const bool written =
+              row.id >= 1000 && row.id < 1000 + kBatches * 10;
+          EXPECT_TRUE(seed || written)
+              << strategy << ": unknown id " << row.id;
+        }
+      }
+    });
+  }
+  inserter.join();
+  deleter.join();
+  for (auto& t : readers) t.join();
+
+  // Oracle: the seed is gone, every written row that matches is visible.
+  auto rows = setup->Execute(
+      "SELECT id FROM t WHERE a < 50 ORDER BY vec <-> '1,1,1,1' "
+      "OPTIONS (nprobe=4, filter_strategy=prefilter) LIMIT 100000");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->rows.size(), static_cast<size_t>(kBatches * 10 / 2));
+  for (const auto& row : rows->rows) EXPECT_GE(row.id, 1000);
+}
+
 }  // namespace
 }  // namespace vecdb::sql

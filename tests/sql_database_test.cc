@@ -191,6 +191,39 @@ TEST_F(DatabaseTest, DeleteRemovesRowFromBothScanPaths) {
   EXPECT_FALSE(session_->Execute("DELETE FROM items WHERE id = 777").ok());
 }
 
+TEST_F(DatabaseTest, DeleteTombstonesEveryIndexCopyOfADuplicateId) {
+  // Row ids need not be unique: ids 0..63 on a line, then a second row
+  // carrying id 5 right beside the query. DELETE must tombstone both index
+  // positions, or an unfiltered index scan resurfaces the deleted id.
+  for (const char* engine : {"faiss", "pase"}) {
+    SCOPED_TRACE(engine);
+    Must("CREATE TABLE t (id int, vec float[4])");
+    std::string insert = "INSERT INTO t VALUES ";
+    for (int i = 0; i < 64; ++i) {
+      insert += "(" + std::to_string(i) + ", '" + std::to_string(i) +
+                ",0,0,0'), ";
+    }
+    Must(insert + "(5, '5.1,0,0,0')");
+    Must(std::string("CREATE INDEX t_idx ON t USING ivfflat (vec) WITH "
+                     "(clusters=2, sample_ratio=1, engine='") +
+         engine + "')");
+    EXPECT_EQ(Must("DELETE FROM t WHERE id = 5").message, "DELETE 1");
+    for (const std::string where : {"", "WHERE id < 1000 "}) {
+      auto result = Must("SELECT id FROM t " + where +
+                         "ORDER BY vec <-> '5,0,0,0' OPTIONS (nprobe=2" +
+                         (where.empty() ? "" : ", filter_strategy=prefilter") +
+                         ") LIMIT 3");
+      ASSERT_EQ(result.rows.size(), 3u) << where;
+      for (const auto& row : result.rows) EXPECT_NE(row.id, 5) << where;
+    }
+    EXPECT_TRUE(session_->Execute("DELETE FROM t WHERE id = 5")
+                    .status()
+                    .IsNotFound());
+    Must("DROP INDEX t_idx");
+    Must("DROP TABLE t");
+  }
+}
+
 TEST_F(DatabaseTest, DeleteValidatesColumnAndTable) {
   LoadSmallTable();
   EXPECT_FALSE(session_->Execute("DELETE FROM items WHERE vec = 1").ok());
