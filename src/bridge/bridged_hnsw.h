@@ -43,10 +43,6 @@ class BridgedHnswIndex final : public VectorIndex {
   Result<std::vector<Neighbor>> Search(const float* query,
                                        const SearchParams& params) const override;
 
-  /// The underlying graph search uses shared visited scratch, so
-  /// concurrent scans on one instance race.
-  bool SupportsConcurrentSearch() const override { return false; }
-
   /// Size of the persisted relational image (pages * page size) — the
   /// apples-to-apples comparison against PASE's Fig 13 numbers.
   size_t SizeBytes() const override;

@@ -113,16 +113,11 @@ class VectorIndex {
     return Status::NotSupported(Describe() + ": delete not supported");
   }
 
-  /// Top-k search; results ascending by distance.
+  /// Top-k search; results ascending by distance. Reentrant: any number
+  /// of threads may search one index at once, because no implementation
+  /// keeps search scratch in the index (per-query or per-thread only).
   virtual Result<std::vector<Neighbor>> Search(
       const float* query, const SearchParams& params) const = 0;
-
-  /// Whether concurrent Search() calls on one instance are safe with no
-  /// external serialization. The HNSW implementations keep per-instance
-  /// mutable scratch (visited tables / visit stamps) and must answer
-  /// false; callers (the SQL session layer) then serialize scans on the
-  /// table lock instead of sharing it.
-  virtual bool SupportsConcurrentSearch() const { return true; }
 
   /// Batched top-k search over `nq` queries stored row-major (nq x Dim()),
   /// returning one ascending result list per query, in query order.

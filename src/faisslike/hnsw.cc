@@ -3,12 +3,34 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <utility>
 
 #include "common/check.h"
 #include "common/timer.h"
 #include "distance/kernels.h"
 
 namespace vecdb::faisslike {
+
+namespace {
+
+/// Epoch-stamped visited table (Faiss's VisitedTable), one per thread and
+/// shared by every graph the thread searches. Each call takes a fresh
+/// epoch, so stamps left by earlier calls, on this graph or another, never
+/// match: O(1) reset. The array grows to `num_nodes` on demand, and an
+/// epoch wrap to 0 refills it. A plain function on purpose: a thread_local
+/// inside SearchLayer<Gate> would be one table per instantiation.
+std::pair<uint32_t*, uint32_t> NextVisitEpoch(size_t num_nodes) {
+  thread_local std::vector<uint32_t> stamps;
+  thread_local uint32_t epoch = 0;
+  if (stamps.size() < num_nodes) stamps.resize(num_nodes, 0u);
+  if (++epoch == 0) {
+    std::fill(stamps.begin(), stamps.end(), 0u);
+    epoch = 1;
+  }
+  return {stamps.data(), epoch};
+}
+
+}  // namespace
 
 int HnswIndex::RandomLevel() {
   const double u = rng_.UniformDouble();
@@ -60,11 +82,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(
     const QueryContext* ctx) const {
   // O(1) visited reset via epoch stamping — the cheap path PASE's HVTGet
   // hash probing is contrasted against (Fig 8).
-  if (++visit_epoch_ == 0) {
-    std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0u);
-    visit_epoch_ = 1;
-  }
-  const uint32_t epoch = visit_epoch_;
+  const auto [visit_stamp, epoch] = NextVisitEpoch(num_nodes_);
 
   auto greater = [](const Neighbor& a, const Neighbor& b) { return b < a; };
   std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(greater)>
@@ -80,7 +98,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(
   };
 
   const float d0 = L2Sqr(query, NodeVector(entry), dim_);
-  visit_stamp_[entry] = epoch;
+  visit_stamp[entry] = epoch;
   candidates.push({d0, static_cast<int64_t>(entry)});
   if (admit(entry)) results.Push(d0, entry);
 
@@ -109,8 +127,8 @@ std::vector<Neighbor> HnswIndex::SearchLayer(
       ProfScope scope(profiler, "HVTGet");
       for (uint16_t i = 0; i < count; ++i) {
         const uint32_t u = nbrs[i];
-        if (visit_stamp_[u] != epoch) {
-          visit_stamp_[u] = epoch;
+        if (visit_stamp[u] != epoch) {
+          visit_stamp[u] = epoch;
           fresh.push_back(u);
         }
       }
@@ -210,7 +228,6 @@ Status HnswIndex::Add(const float* vec) {
                 static_cast<size_t>(level) * options_.bnn);
   count_offset_.push_back(link_counts_.size());
   link_counts_.resize(link_counts_.size() + level + 1, 0);
-  visit_stamp_.push_back(0);
 
   if (node == 0) {
     entry_point_ = 0;
@@ -318,66 +335,38 @@ Result<std::vector<Neighbor>> HnswIndex::PreFilterSearch(
   return heap.TakeSorted();
 }
 
-Result<std::vector<Neighbor>> HnswIndex::InFilterSearch(
-    const float* query, const filter::SelectionVector& selection,
-    const SearchParams& params) const {
-  VECDB_RETURN_NOT_OK(ValidateSearchParams(params, IndexKind::kGraph,
-                                           "Hnsw::InFilterSearch"));
-  if (num_nodes_ == 0) {
-    return Status::InvalidArgument("Hnsw::InFilterSearch: index is empty");
-  }
-  const QueryContext& ctx = params.ctx;
-  obs::MetricsRegistry* metrics = ctx.live_metrics();
-  obs::LatencyScope latency(metrics, obs::Hist::kFaissSearchNanos);
-  if (metrics != nullptr) metrics->AddUnchecked(obs::Counter::kFaissQueries);
-  obs::SearchCounters counters;
-  uint32_t cur = entry_point_;
-  for (int lev = max_level_; lev > 0; --lev) {
-    cur = GreedyClosest(query, cur, lev, ctx.profiler);
-  }
-  // Tombstones are filtered inside the layer search, so no over-fetch.
-  const uint32_t ef = std::max<uint32_t>(params.efs,
-                                         static_cast<uint32_t>(params.k));
-  auto cands = SearchLayer(query, cur, ef, 0, filter::SelectionGate{&selection},
-                           ctx.profiler, &counters, &ctx);
-  VECDB_RETURN_NOT_OK(ctx.CheckStop("Hnsw::InFilterSearch"));
-  if (cands.size() > params.k) cands.resize(params.k);
-  if (metrics != nullptr) {
-    counters.FlushTo(metrics, obs::Counter::kFaissBucketsProbed,
-                     obs::Counter::kFaissTuplesVisited,
-                     obs::Counter::kFaissHeapPushes,
-                     obs::Counter::kFaissTombstonesSkipped);
-  }
-  return cands;
-}
-
-Result<std::vector<Neighbor>> HnswIndex::Search(
-    const float* query, const SearchParams& params) const {
+template <class Gate>
+Result<std::vector<Neighbor>> HnswIndex::SearchGraph(
+    const float* query, const Gate& gate, const SearchParams& params,
+    const char* who) const {
   if (query == nullptr) {
-    return Status::InvalidArgument("Hnsw::Search: null query");
+    return Status::InvalidArgument(std::string(who) + ": null query");
   }
-  VECDB_RETURN_NOT_OK(
-      ValidateSearchParams(params, IndexKind::kGraph, "Hnsw::Search"));
+  VECDB_RETURN_NOT_OK(ValidateSearchParams(params, IndexKind::kGraph, who));
   if (num_nodes_ == 0) {
-    return Status::InvalidArgument("Hnsw::Search: index is empty");
+    return Status::InvalidArgument(std::string(who) + ": index is empty");
   }
   const QueryContext& ctx = params.ctx;
   obs::MetricsRegistry* metrics = ctx.live_metrics();
   obs::LatencyScope latency(metrics, obs::Hist::kFaissSearchNanos);
+  if constexpr (Gate::kFiltered) {
+    if (metrics != nullptr) metrics->AddUnchecked(obs::Counter::kFaissQueries);
+  }
   obs::SearchCounters counters;
   obs::SearchCounters* sc = metrics != nullptr ? &counters : nullptr;
   uint32_t cur = entry_point_;
   for (int lev = max_level_; lev > 0; --lev) {
     cur = GreedyClosest(query, cur, lev, ctx.profiler);
   }
-  // Over-fetch by the tombstone count so deletions do not starve top-k.
-  const uint32_t ef = std::max<uint32_t>(
-      params.efs,
-      static_cast<uint32_t>(params.k + tombstones_.size()));
-  auto cands = SearchLayer(query, cur, ef, 0, filter::AllSelected{},
-                           ctx.profiler, sc, &ctx);
-  VECDB_RETURN_NOT_OK(ctx.CheckStop("Hnsw::Search"));
-  if (!tombstones_.empty()) {
+  // A filtered beam keeps tombstones out of its results; an unfiltered one
+  // over-fetches by the tombstone count so deletions do not starve top-k.
+  const size_t want =
+      Gate::kFiltered ? params.k : params.k + tombstones_.size();
+  const uint32_t ef =
+      std::max<uint32_t>(params.efs, static_cast<uint32_t>(want));
+  auto cands = SearchLayer(query, cur, ef, 0, gate, ctx.profiler, sc, &ctx);
+  VECDB_RETURN_NOT_OK(ctx.CheckStop(who));
+  if (!Gate::kFiltered && !tombstones_.empty()) {
     std::vector<Neighbor> kept;
     kept.reserve(cands.size());
     for (const auto& nb : cands) {
@@ -391,7 +380,9 @@ Result<std::vector<Neighbor>> HnswIndex::Search(
   }
   if (cands.size() > params.k) cands.resize(params.k);
   if (metrics != nullptr) {
-    metrics->AddUnchecked(obs::Counter::kFaissQueries);
+    if constexpr (!Gate::kFiltered) {
+      metrics->AddUnchecked(obs::Counter::kFaissQueries);
+    }
     counters.FlushTo(metrics, obs::Counter::kFaissBucketsProbed,
                      obs::Counter::kFaissTuplesVisited,
                      obs::Counter::kFaissHeapPushes,
@@ -400,13 +391,24 @@ Result<std::vector<Neighbor>> HnswIndex::Search(
   return cands;
 }
 
+Result<std::vector<Neighbor>> HnswIndex::InFilterSearch(
+    const float* query, const filter::SelectionVector& selection,
+    const SearchParams& params) const {
+  return SearchGraph(query, filter::SelectionGate{&selection}, params,
+                     "Hnsw::InFilterSearch");
+}
+
+Result<std::vector<Neighbor>> HnswIndex::Search(
+    const float* query, const SearchParams& params) const {
+  return SearchGraph(query, filter::AllSelected{}, params, "Hnsw::Search");
+}
+
 void HnswIndex::CheckInvariants() const {
   const size_t n = num_nodes_;
   VECDB_CHECK_EQ(vectors_.size(), n * dim_) << "vector storage vs node count";
   VECDB_CHECK_EQ(node_level_.size(), n);
   VECDB_CHECK_EQ(link_offset_.size(), n);
   VECDB_CHECK_EQ(count_offset_.size(), n);
-  VECDB_CHECK_EQ(visit_stamp_.size(), n);
   if (n == 0) {
     VECDB_CHECK_EQ(max_level_, -1) << "empty graph has a level";
     return;

@@ -1,6 +1,7 @@
 // Specialized-engine HNSW (Faiss analog): hierarchical proximity graph with
 // contiguous 4-byte neighbor arrays, direct pointer access to vectors, and
-// an epoch-stamped visited table. Construction is instrumented with the
+// an epoch-stamped visited table held per thread, so concurrent searches on
+// one index share no scratch. Construction is instrumented with the
 // paper's Table III phases (SearchNbToAdd / AddLink / GreedyUpdate /
 // ShrinkNbList) and Fig 8 sub-phases.
 #pragma once
@@ -46,10 +47,6 @@ class HnswIndex final : public VectorIndex {
 
   Result<std::vector<Neighbor>> Search(const float* query,
                                        const SearchParams& params) const override;
-
-  /// Search mutates the shared visit-stamp scratch (visit_stamp_ /
-  /// visit_epoch_), so concurrent scans on one instance race.
-  bool SupportsConcurrentSearch() const override { return false; }
 
   size_t SizeBytes() const override;
   size_t NumVectors() const override {
@@ -112,16 +109,29 @@ class HnswIndex final : public VectorIndex {
   uint32_t GreedyClosest(const float* query, uint32_t entry, int level,
                          Profiler* profiler) const;
 
+  /// The graph walk behind Search (AllSelected) and InFilterSearch
+  /// (SelectionGate): greedy upper-level descent, then a level-0 beam.
+  /// Unfiltered queries over-fetch by the tombstone count and drop
+  /// tombstones after the beam; filtered ones keep tombstones out of the
+  /// beam's results instead. `who` prefixes error messages.
+  template <class Gate>
+  Result<std::vector<Neighbor>> SearchGraph(const float* query,
+                                            const Gate& gate,
+                                            const SearchParams& params,
+                                            const char* who) const;
+
   /// Beam search at one level; returns up to `ef` candidates ascending.
-  /// Instrumented with the Fig 8 sub-phase labels. `gate` admits nodes to
-  /// the result heap: AllSelected for construction and unfiltered queries
-  /// (which over-fetch by the tombstone count instead), a SelectionGate
-  /// for in-filter queries, which also keeps tombstones out; rejected
-  /// nodes still route the frontier. `counters` (nullable, query path
-  /// only) picks up nodes visited, heap pushes and bitmap probes. `ctx`
-  /// (nullable, query path only) makes the beam loop poll for
-  /// cancellation every few pops; the loop exits early with a partial
-  /// beam and the caller converts that into a Cancelled error.
+  /// Visited nodes are tracked in this thread's stamp table, so the walk
+  /// touches no index state. Instrumented with the Fig 8 sub-phase
+  /// labels. `gate` admits nodes to the result heap: AllSelected for
+  /// construction and unfiltered queries (which over-fetch by the
+  /// tombstone count instead), a SelectionGate for in-filter queries,
+  /// which also keeps tombstones out; rejected nodes still route the
+  /// frontier. `counters` (nullable, query path only) picks up nodes
+  /// visited, heap pushes and bitmap probes. `ctx` (nullable, query path
+  /// only) makes the beam loop poll for cancellation every few pops; the
+  /// loop exits early with a partial beam and the caller converts that
+  /// into a Cancelled error.
   template <class Gate>
   std::vector<Neighbor> SearchLayer(const float* query, uint32_t entry,
                                     uint32_t ef, int level, const Gate& gate,
@@ -160,10 +170,6 @@ class HnswIndex final : public VectorIndex {
   TombstoneSet tombstones_;
   uint32_t entry_point_ = 0;
   int max_level_ = -1;
-
-  // Epoch-stamped visited table (Faiss's VisitedTable): O(1) reset.
-  mutable std::vector<uint32_t> visit_stamp_;
-  mutable uint32_t visit_epoch_ = 0;
 };
 
 }  // namespace vecdb::faisslike

@@ -295,8 +295,6 @@ Result<HnswIndex> HnswIndex::Load(const std::string& path) {
       return Status::Corruption("Hnsw::Load: neighbor id out of range");
     }
   }
-  index.visit_stamp_.assign(n, 0);
-  index.visit_epoch_ = 0;
   return index;
 }
 

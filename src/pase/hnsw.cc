@@ -20,6 +20,16 @@ struct NeighborListHeader {
   uint16_t count;
   uint32_t capacity;
 };
+
+/// This thread's visited table, reset for a new layer search. One per
+/// thread, so concurrent scans on one index share no scratch; a plain
+/// function, so every SearchLayer<Gate> instantiation shares it. Reset
+/// keeps the buckets, so a warm table does not reallocate per call.
+HashVisitedTable& FreshVisitedTable() {
+  thread_local HashVisitedTable table;
+  table.Reset();
+  return table;
+}
 }  // namespace
 
 int PaseHnswIndex::RandomLevel() {
@@ -199,8 +209,8 @@ Result<std::vector<PaseHnswIndex::Scored>> PaseHnswIndex::SearchLayer(
     const float* query, const Scored& entry, uint32_t ef, int level,
     const Gate& gate, Profiler* profiler, obs::SearchCounters* counters,
     const QueryContext* ctx) const {
-  visited_.Reset();
-  visited_.GetAndSet(entry.ref.nblk);
+  HashVisitedTable& visited = FreshVisitedTable();
+  visited.GetAndSet(entry.ref.nblk);
   uint64_t bitmap_probes = 0;
   auto admit = [&](int64_t row_id) {
     if constexpr (Gate::kFiltered) {
@@ -260,7 +270,7 @@ Result<std::vector<PaseHnswIndex::Scored>> PaseHnswIndex::SearchLayer(
     {
       ProfScope scope(profiler, "HVTGet");
       for (const auto& nb : nbrs) {
-        if (!visited_.GetAndSet(nb.gid.nblkid)) fresh.push_back(nb);
+        if (!visited.GetAndSet(nb.gid.nblkid)) fresh.push_back(nb);
       }
     }
 
@@ -529,56 +539,12 @@ Result<std::vector<Neighbor>> PaseHnswIndex::PreFilterSearch(
   return collector.PopK(params.k);
 }
 
-Result<std::vector<Neighbor>> PaseHnswIndex::InFilterSearch(
-    const float* query, const filter::SelectionVector& selection,
-    const SearchParams& params) const {
-  VECDB_RETURN_NOT_OK(ValidateSearchParams(params, IndexKind::kGraph,
-                                           "PaseHnsw::InFilterSearch"));
-  if (num_vectors_ == 0) {
-    return Status::InvalidArgument("PaseHnsw: index is empty");
-  }
-  const QueryContext& ctx = params.ctx;
-  obs::MetricsRegistry* metrics = ctx.live_metrics();
-  obs::LatencyScope latency(metrics, obs::Hist::kPaseSearchNanos);
-  obs::SearchCounters counters;
-  obs::SearchCounters* sc = metrics != nullptr ? &counters : nullptr;
-
-  std::vector<float> entry_vec(dim_);
-  VECDB_RETURN_NOT_OK(
-      ReadVector(entry_point_, entry_vec.data(), nullptr, ctx.profiler));
-  Scored cur{L2Sqr(query, entry_vec.data(), dim_), entry_point_, entry_row_};
-  for (int lev = max_level_; lev > 0; --lev) {
-    VECDB_ASSIGN_OR_RETURN(cur, GreedyClosest(query, cur, lev, ctx.profiler));
-  }
-  // No tombstone over-fetch: tombstones are filtered inside the beam.
-  const uint32_t ef =
-      std::max<uint32_t>(params.efs, static_cast<uint32_t>(params.k));
-  VECDB_ASSIGN_OR_RETURN(
-      std::vector<Scored> found,
-      SearchLayer(query, cur, ef, 0, filter::SelectionGate{&selection},
-                  ctx.profiler, sc, &ctx));
-  VECDB_RETURN_NOT_OK(ctx.CheckStop("PaseHnsw::InFilterSearch"));
-  std::vector<Neighbor> out;
-  out.reserve(std::min(found.size(), params.k));
-  for (const auto& s : found) {
-    if (out.size() >= params.k) break;
-    out.push_back({s.dist, s.row_id});
-  }
-  if (metrics != nullptr) {
-    metrics->AddUnchecked(obs::Counter::kPaseQueries);
-    counters.FlushTo(metrics, obs::Counter::kPaseBucketsProbed,
-                     obs::Counter::kPaseTuplesVisited,
-                     obs::Counter::kPaseHeapPushes,
-                     obs::Counter::kPaseTombstonesSkipped);
-  }
-  return out;
-}
-
-Result<std::vector<Neighbor>> PaseHnswIndex::Search(
-    const float* query, const SearchParams& params) const {
+template <class Gate>
+Result<std::vector<Neighbor>> PaseHnswIndex::SearchGraph(
+    const float* query, const Gate& gate, const SearchParams& params,
+    const char* who) const {
   if (query == nullptr) return Status::InvalidArgument("PaseHnsw: null query");
-  VECDB_RETURN_NOT_OK(
-      ValidateSearchParams(params, IndexKind::kGraph, "PaseHnsw::Search"));
+  VECDB_RETURN_NOT_OK(ValidateSearchParams(params, IndexKind::kGraph, who));
   if (num_vectors_ == 0) {
     return Status::InvalidArgument("PaseHnsw: index is empty");
   }
@@ -595,20 +561,23 @@ Result<std::vector<Neighbor>> PaseHnswIndex::Search(
   for (int lev = max_level_; lev > 0; --lev) {
     VECDB_ASSIGN_OR_RETURN(cur, GreedyClosest(query, cur, lev, ctx.profiler));
   }
-  const uint32_t ef = std::max<uint32_t>(
-      params.efs, static_cast<uint32_t>(params.k + tombstones_.size()));
+  // A filtered beam keeps tombstones out of its results; an unfiltered one
+  // over-fetches by the tombstone count and drops them below.
+  const size_t want =
+      Gate::kFiltered ? params.k : params.k + tombstones_.size();
+  const uint32_t ef =
+      std::max<uint32_t>(params.efs, static_cast<uint32_t>(want));
   VECDB_ASSIGN_OR_RETURN(
       std::vector<Scored> found,
-      SearchLayer(query, cur, ef, 0, filter::AllSelected{}, ctx.profiler, sc,
-                  &ctx));
+      SearchLayer(query, cur, ef, 0, gate, ctx.profiler, sc, &ctx));
   // Beams shorter than one checkpoint interval still honor a stop
   // request: never return partial results for a cancelled statement.
-  VECDB_RETURN_NOT_OK(ctx.CheckStop("PaseHnsw::Search"));
+  VECDB_RETURN_NOT_OK(ctx.CheckStop(who));
   std::vector<Neighbor> out;
   out.reserve(std::min(found.size(), params.k));
   for (const auto& s : found) {
     if (out.size() >= params.k) break;
-    if (tombstones_.Contains(s.row_id)) {
+    if (!Gate::kFiltered && tombstones_.Contains(s.row_id)) {
       ++counters.tombstones_skipped;
       continue;
     }
@@ -622,6 +591,18 @@ Result<std::vector<Neighbor>> PaseHnswIndex::Search(
                      obs::Counter::kPaseTombstonesSkipped);
   }
   return out;
+}
+
+Result<std::vector<Neighbor>> PaseHnswIndex::InFilterSearch(
+    const float* query, const filter::SelectionVector& selection,
+    const SearchParams& params) const {
+  return SearchGraph(query, filter::SelectionGate{&selection}, params,
+                     "PaseHnsw::InFilterSearch");
+}
+
+Result<std::vector<Neighbor>> PaseHnswIndex::Search(
+    const float* query, const SearchParams& params) const {
+  return SearchGraph(query, filter::AllSelected{}, params, "PaseHnsw::Search");
 }
 
 size_t PaseHnswIndex::SizeBytes() const {

@@ -46,10 +46,6 @@ class PaseHnswIndex final : public VectorIndex {
   Result<std::vector<Neighbor>> Search(const float* query,
                                        const SearchParams& params) const override;
 
-  /// Search mutates the shared visited hash table scratch, so concurrent
-  /// scans on one instance race.
-  bool SupportsConcurrentSearch() const override { return false; }
-
   /// Relation-file footprint (pages * page size) across the data and
   /// neighbor relations — the Fig 13 / Table IV metric.
   size_t SizeBytes() const override;
@@ -128,15 +124,27 @@ class PaseHnswIndex final : public VectorIndex {
   Result<Scored> GreedyClosest(const float* query, const Scored& entry,
                                int level, Profiler* profiler) const;
 
+  /// The graph walk behind Search (AllSelected) and InFilterSearch
+  /// (SelectionGate): greedy upper-level descent, then a level-0 beam.
+  /// Unfiltered queries over-fetch by the tombstone count and drop
+  /// tombstones after the beam; filtered ones keep tombstones out of the
+  /// beam's results instead. `who` names the caller in errors.
+  template <class Gate>
+  Result<std::vector<Neighbor>> SearchGraph(const float* query,
+                                            const Gate& gate,
+                                            const SearchParams& params,
+                                            const char* who) const;
+
   /// Beam search at one level (SearchNbToAdd when called from Add).
-  /// `gate` admits vertices to the result heap: AllSelected for
-  /// construction and unfiltered queries (which over-fetch by the
-  /// tombstone count instead), a SelectionGate for in-filter queries,
-  /// which also keeps tombstones out; rejected vertices still route the
-  /// frontier. `counters` (nullable, query path only) picks up tuples
-  /// visited, heap pushes and bitmap probes. `ctx` (nullable, query path
-  /// only) makes the beam loop poll for cancellation every few pops and
-  /// fail with Cancelled.
+  /// Visited vertices go through this thread's HashVisitedTable (HVTGet),
+  /// reset per call, so the walk touches no index state. `gate` admits
+  /// vertices to the result heap: AllSelected for construction and
+  /// unfiltered queries (which over-fetch by the tombstone count instead),
+  /// a SelectionGate for in-filter queries, which also keeps tombstones
+  /// out; rejected vertices still route the frontier. `counters`
+  /// (nullable, query path only) picks up tuples visited, heap pushes and
+  /// bitmap probes. `ctx` (nullable, query path only) makes the beam loop
+  /// poll for cancellation every few pops and fail with Cancelled.
   template <class Gate>
   Result<std::vector<Scored>> SearchLayer(
       const float* query, const Scored& entry, uint32_t ef, int level,
@@ -170,7 +178,6 @@ class PaseHnswIndex final : public VectorIndex {
   VertexRef entry_point_;
   int64_t entry_row_ = -1;
   int max_level_ = -1;
-  mutable HashVisitedTable visited_;
 };
 
 }  // namespace vecdb::pase

@@ -49,39 +49,6 @@ void AppendPredicateRow(int64_t row_id, const int64_t* attrs,
   }
 }
 
-/// Scoped table lock whose mode is chosen at runtime: shared for scans
-/// that may run concurrently, exclusive when the chosen index's Search is
-/// not concurrency-safe (HNSW scratch state). Declared to the analysis as
-/// a shared acquisition — an exclusive hold satisfies every shared read
-/// the scan performs, so the claim is sound; the ctor/dtor bodies are
-/// VECDB_NO_TSA because the mode is a runtime value.
-class VECDB_SCOPED_CAPABILITY TableScanLock {
- public:
-  TableScanLock(SharedMutex& mu, bool exclusive)
-      VECDB_ACQUIRE_SHARED(mu) VECDB_NO_TSA
-      : mu_(mu), exclusive_(exclusive) {
-    if (exclusive_) {
-      mu_.Lock();
-    } else {
-      mu_.ReaderLock();
-    }
-  }
-  ~TableScanLock() VECDB_RELEASE() VECDB_NO_TSA {
-    if (exclusive_) {
-      mu_.Unlock();
-    } else {
-      mu_.ReaderUnlock();
-    }
-  }
-
-  TableScanLock(const TableScanLock&) = delete;
-  TableScanLock& operator=(const TableScanLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-  const bool exclusive_;
-};
-
 const char* kWalFileName = "/wal.log";
 
 /// Upper bound for every statement_timeout_ms source (DatabaseOptions,
@@ -958,13 +925,11 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
     return SeqScanSelect(stmt, table, has_predicate ? &bound : nullptr, ctx);
   }
 
-  // Index scan (or its EXPLAIN): lock the table — shared, so scans run
-  // concurrently with each other, or exclusive when this index's Search
-  // mutates shared scratch. Either mode excludes writers, which is what
-  // BuildFilterPlan's read of the predicate columns and the index itself
-  // require.
-  TableScanLock lock(table.state->mu,
-                     !chosen->index->SupportsConcurrentSearch());
+  // Index scan (or its EXPLAIN): lock the table shared. Every index's
+  // Search is reentrant, so scans run concurrently with each other; the
+  // lock excludes writers, which is what BuildFilterPlan's read of the
+  // predicate columns and the index itself require.
+  ReaderMutexLock lock(table.state->mu);
 
   // The exact bitmap + sampled selectivity for the filtered index scan
   // (EXPLAIN reports the same numbers the executor would use).
@@ -1149,9 +1114,14 @@ Result<QueryResult> MiniDatabase::ExecDelete(const DeleteStmt& stmt) {
                         std::move(dead)));
   };
 
-  // Fast path for the classic `WHERE id = n`: no predicate binding, and
-  // the historical NotFound errors for missing / already-deleted rows.
+  // The classic `WHERE id = n` skips predicate binding and keeps the
+  // historical NotFound errors for a missing or already-deleted row. Any
+  // other predicate is bound and evaluated over the predicate columns;
+  // deleting zero rows is not an error (SQL semantics: "DELETE 0"). Both
+  // then tombstone their matches (in heap order) through one loop.
   const filter::Predicate& pred = *stmt.predicate;
+  const std::vector<int64_t>& ids = table.state->columns[0];
+  std::vector<int64_t> matches;
   if (pred.kind == filter::Predicate::Kind::kCompare &&
       pred.op == filter::CmpOp::kEq &&
       pred.column == table.schema.id_column) {
@@ -1160,48 +1130,20 @@ Result<QueryResult> MiniDatabase::ExecDelete(const DeleteStmt& stmt) {
       return Status::NotFound("row " + std::to_string(id) +
                               " already deleted");
     }
-    // The row must exist in the heap before it can be tombstoned; the id
-    // column holds every heap row's id.
-    const std::vector<int64_t>& ids = table.state->columns[0];
+    // The id column holds every heap row's id.
     if (std::find(ids.begin(), ids.end(), id) == ids.end()) {
       return Status::NotFound("no row with id " + std::to_string(id));
     }
-    VECDB_RETURN_NOT_OK(log_tombstone(id));
-    dead.insert(id);
-    // Tombstone the row in every index on the table; ids unknown to an
-    // index (never inserted) surface as NotFound from the check above.
-    Status index_status;
-    for (const auto& index_name : table.indexes) {
-      auto idx = indexes_.find(index_name);
-      if (idx != indexes_.end()) {
-        Status s = idx->second.am->AmDelete(id);
-        if (!s.ok() && !s.IsNotSupported()) {
-          index_status = s;
-          break;
-        }
-      }
-    }
-    // The tombstone is WAL-logged: publish it even when an index delete
-    // failed, exactly what recovery would reconstruct.
-    publish();
-    VECDB_RETURN_NOT_OK(index_status);
-    QueryResult out;
-    out.message = "DELETE 1";
-    return out;
+    matches.push_back(id);
+  } else {
+    filter::BoundPredicate bound;
+    VECDB_ASSIGN_OR_RETURN(
+        bound, filter::Bind(pred, PredicateColumns(table.schema)));
+    bound.EvalColumns(table.state->columns, table.heap->num_rows())
+        .ForEachSet([&](size_t pos) {
+          if (dead.count(ids[pos]) == 0) matches.push_back(ids[pos]);
+        });
   }
-
-  // General path: bind the predicate, evaluate it over the predicate
-  // columns, and tombstone every matching live row (in heap order). Deleting
-  // zero rows is not an error (SQL semantics: "DELETE 0").
-  filter::BoundPredicate bound;
-  VECDB_ASSIGN_OR_RETURN(
-      bound, filter::Bind(pred, PredicateColumns(table.schema)));
-  const std::vector<int64_t>& ids = table.state->columns[0];
-  std::vector<int64_t> matches;
-  bound.EvalColumns(table.state->columns, table.heap->num_rows())
-      .ForEachSet([&](size_t pos) {
-        if (dead.count(ids[pos]) == 0) matches.push_back(ids[pos]);
-      });
   Status loop_status;
   size_t deleted_count = 0;
   for (int64_t id : matches) {

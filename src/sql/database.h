@@ -9,8 +9,8 @@
 // CHECKPOINT) and shared by DML/queries, so the table and index maps are
 // stable while statements run. Each table adds a SharedMutex serializing
 // its writers (INSERT/DELETE take it exclusively; index scans take it
-// shared, or exclusively for indexes whose Search is not concurrency-
-// safe). Sequential-scan SELECTs take NO table lock at all: they pin an
+// shared, for every index type, since each index's Search is reentrant).
+// Sequential-scan SELECTs take NO table lock at all: they pin an
 // epoch (pgstub/epoch.h) and read the table's published TableSnapshot —
 // a bounded row count plus tombstone set that writers replace atomically
 // and retire through the epoch manager — so readers always observe a
@@ -187,8 +187,7 @@ class MiniDatabase {
     explicit TableState(size_t num_columns) : columns(num_columns) {}
     ~TableState() { delete snapshot.load(std::memory_order_acquire); }
 
-    /// Serializes table writers; shared by index scans (exclusive for
-    /// indexes whose Search is not concurrency-safe). Seq scans do not
+    /// Serializes table writers; shared by index scans. Seq scans do not
     /// take it at all.
     SharedMutex mu;
     std::atomic<const TableSnapshot*> snapshot{nullptr};

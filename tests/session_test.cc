@@ -615,5 +615,124 @@ TEST(SessionStressTest, FilteredIndexScanBesideWriters) {
   for (const auto& row : rows->rows) EXPECT_GE(row.id, 1000);
 }
 
+TEST(SessionStressTest, HnswScansBesideWriter) {
+  // HNSW index scans take the table lock shared, like every index scan:
+  // reader sessions search a faiss and a PASE graph at once while one
+  // session appends to both tables. Mid-write, every result must be well
+  // formed; once the writer stops, concurrent answers must equal serial
+  // ones exactly.
+  constexpr int kSeed = 200;     // ids 0..199 in each table
+  constexpr int kBatches = 15;   // writer batches of 10, ids from 1000
+  constexpr int kQueries = 6;
+  constexpr int kReadersPerTable = 2;
+  auto db = MiniDatabase::Open(TestDir("data"), SmallPool()).ValueOrDie();
+  auto setup = db->CreateSession();
+  auto insert_rows = [](const std::string& table, int64_t first, int count) {
+    std::string sql = "INSERT INTO " + table + " VALUES ";
+    for (int i = 0; i < count; ++i) {
+      if (i > 0) sql += ", ";
+      sql += "(" + std::to_string(first + i) + ", '" +
+             Vec4(static_cast<int>(first + i) * 11) + "')";
+    }
+    return sql;
+  };
+  const std::vector<std::string> tables = {"tf", "tp"};
+  for (const std::string& table : tables) {
+    ASSERT_TRUE(
+        setup->Execute("CREATE TABLE " + table + " (id int, vec float[4])")
+            .ok());
+    for (int b = 0; b < kSeed / 10; ++b) {
+      ASSERT_TRUE(setup->Execute(insert_rows(table, b * 10, 10)).ok());
+    }
+    ASSERT_TRUE(setup->Execute("CREATE INDEX " + table + "_idx ON " + table +
+                               " USING hnsw (vec) WITH (engine='" +
+                               (table == "tf" ? "faiss" : "pase") + "')")
+                    .ok());
+  }
+  auto query = [](const std::string& table, int q) {
+    return "SELECT * FROM " + table + " ORDER BY vec <-> '" +
+           Vec4(q * 37 + 3) + "' OPTIONS (efs=64) LIMIT 10";
+  };
+  // At most k distinct loaded ids, ascending by distance.
+  auto check_well_formed = [](const QueryResult& result) {
+    EXPECT_LE(result.rows.size(), 10u);
+    std::set<int64_t> ids;
+    for (size_t i = 0; i < result.rows.size(); ++i) {
+      const int64_t id = result.rows[i].id;
+      EXPECT_TRUE(ids.insert(id).second) << "duplicate id " << id;
+      EXPECT_TRUE(id < kSeed || (id >= 1000 && id < 1000 + kBatches * 10))
+          << "unknown id " << id;
+      if (i > 0) {
+        EXPECT_LE(result.rows[i - 1].distance, result.rows[i].distance);
+      }
+    }
+  };
+
+  std::atomic<bool> writing{true};
+  std::thread writer([&db, &writing, &tables, &insert_rows] {
+    auto session = db->CreateSession();
+    for (int b = 0; b < kBatches; ++b) {
+      for (const std::string& table : tables) {
+        ASSERT_TRUE(
+            session->Execute(insert_rows(table, 1000 + b * 10, 10)).ok());
+      }
+    }
+    writing.store(false, std::memory_order_release);
+  });
+  std::vector<std::thread> readers;
+  for (const std::string& table : tables) {
+    for (int r = 0; r < kReadersPerTable; ++r) {
+      readers.emplace_back([&, table] {
+        auto session = db->CreateSession();
+        for (int iter = 0;
+             iter < 5 || writing.load(std::memory_order_acquire); ++iter) {
+          auto result = session->Execute(query(table, iter % kQueries));
+          ASSERT_TRUE(result.ok()) << table << ": "
+                                   << result.status().ToString();
+          check_well_formed(*result);
+        }
+      });
+    }
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+
+  // Quiescent: serial answers first, then every reader replays them at
+  // once.
+  std::vector<QueryResult> serial;
+  for (const std::string& table : tables) {
+    for (int q = 0; q < kQueries; ++q) {
+      auto result = setup->Execute(query(table, q));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_EQ(result->rows.size(), 10u) << table;
+      check_well_formed(*result);
+      serial.push_back(std::move(*result));
+    }
+  }
+  std::atomic<int> mismatches{0};
+  readers.clear();
+  for (size_t t = 0; t < tables.size(); ++t) {
+    for (int r = 0; r < kReadersPerTable; ++r) {
+      readers.emplace_back([&, t, r] {
+        auto session = db->CreateSession();
+        for (int iter = 0; iter < 4 * kQueries; ++iter) {
+          const int q = (iter + r) % kQueries;
+          auto result = session->Execute(query(tables[t], q));
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          const QueryResult& want = serial[t * kQueries + q];
+          bool same = result->rows.size() == want.rows.size();
+          for (size_t i = 0; same && i < want.rows.size(); ++i) {
+            same = result->rows[i].id == want.rows[i].id &&
+                   result->rows[i].distance == want.rows[i].distance;
+          }
+          if (!same) mismatches.fetch_add(1);
+        }
+      });
+    }
+  }
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 }  // namespace
 }  // namespace vecdb::sql

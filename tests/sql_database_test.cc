@@ -224,6 +224,40 @@ TEST_F(DatabaseTest, DeleteTombstonesEveryIndexCopyOfADuplicateId) {
   }
 }
 
+TEST_F(DatabaseTest, DeleteByIdOfRowMissingFromRebuildOnlyIndex) {
+  // Bridge indexes are rebuild-only: a row inserted after CREATE INDEX is
+  // in the heap but not in the index. `WHERE id = n` must delete it as the
+  // predicate path does, instead of failing after the tombstone landed.
+  for (const char* method : {"ivfflat", "hnsw"}) {
+    SCOPED_TRACE(method);
+    Must("CREATE TABLE t (id int, vec float[4])");
+    std::string insert = "INSERT INTO t VALUES ";
+    for (int i = 0; i < 40; ++i) {
+      if (i > 0) insert += ", ";
+      insert += "(" + std::to_string(i) + ", '" + std::to_string(i) +
+                ",0,0,0')";
+    }
+    Must(insert);
+    Must(std::string("CREATE INDEX t_idx ON t USING ") + method +
+         " (vec) WITH (clusters=2, sample_ratio=1, engine='bridge')");
+    Must("INSERT INTO t VALUES (100, '100,0,0,0'), (101, '101,0,0,0')");
+    EXPECT_EQ(Must("DELETE FROM t WHERE id = 100").message, "DELETE 1");
+    EXPECT_EQ(Must("DELETE FROM t WHERE id >= 101 AND id <= 101").message,
+              "DELETE 1");
+    auto again = session_->Execute("DELETE FROM t WHERE id = 100");
+    EXPECT_TRUE(again.status().IsNotFound());
+    EXPECT_NE(again.status().ToString().find("already deleted"),
+              std::string::npos)
+        << again.status().ToString();
+    auto seq = Must("SELECT id FROM t ORDER BY vec <=> '100,0,0,0' "
+                    "LIMIT 100");
+    EXPECT_EQ(seq.rows.size(), 40u);
+    for (const auto& row : seq.rows) EXPECT_LT(row.id, 100);
+    Must("DROP INDEX t_idx");
+    Must("DROP TABLE t");
+  }
+}
+
 TEST_F(DatabaseTest, DeleteValidatesColumnAndTable) {
   LoadSmallTable();
   EXPECT_FALSE(session_->Execute("DELETE FROM items WHERE vec = 1").ok());

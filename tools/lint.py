@@ -49,6 +49,11 @@ Rules (suppress one occurrence with a trailing `// lint-allow:<rule>`):
                     Socket/WakePipe/Poll wrappers (net/socket.h) so fd
                     lifetimes, EINTR retries, and non-blocking semantics
                     are handled once, in one audited place.
+  mutable-member    a `mutable` data member in src/ whose type is not
+                    Mutex, SharedMutex or std::atomic -- any number of
+                    threads may search one const index at once, so scratch
+                    kept in a mutable member (a visited table, a stamp
+                    array) races; keep it per query or per thread.
 
 Additionally, every `// lint-allow:<rule>` suppression is itself audited:
 naming a rule that does not exist, or sitting on a line where its rule no
@@ -83,7 +88,7 @@ SOCKET_ALLOWED_PREFIX = os.path.join("src", "net") + os.sep
 KNOWN_RULES = {
     "new-array", "raw-pthread", "discarded-status", "pragma-once",
     "std-endl", "removed-field", "raw-mutex", "database-execute",
-    "raw-intrinsics", "raw-socket",
+    "raw-intrinsics", "raw-socket", "mutable-member",
 }
 
 NEW_ARRAY_RE = re.compile(r"\bnew\s+[\w:<>]+\s*\[|\bdelete\s*\[\]")
@@ -122,6 +127,14 @@ RAW_SOCKET_RE = re.compile(
     r"getsockopt|getsockname|getpeername|recv|recvfrom|recvmsg|send|"
     r"sendto|sendmsg|shutdown|poll|ppoll|epoll_create1?|epoll_ctl|"
     r"epoll_wait|select|pselect|inet_pton|inet_ntop)\s*\("
+)
+# A `mutable` data member declaration (`mutable T name;` / `= ...;` /
+# `{...};`), and the types such a member may have: locks and atomics, which
+# are safe to touch from a const method on many threads. A lambda's
+# `mutable` specifier has no type and name after it, so it never matches.
+MUTABLE_MEMBER_RE = re.compile(r"^\s*mutable\s+(.+?)\s*\b\w+\s*(?:=|;|\{|\[)")
+MUTABLE_ALLOWED_TYPE_RE = re.compile(
+    r"^(?:vecdb::)?(?:Mutex|SharedMutex)$|^std::atomic\b"
 )
 
 # `Status Foo(`, `Result<T> Foo(`, with optional static/virtual/[[nodiscard]]
@@ -272,6 +285,13 @@ def lint_file(root, path, status_stmt_re, errors):
             report(i, "raw-socket",
                    "raw socket(2)-family call outside src/net/; use the "
                    "Socket/WakePipe/Poll wrappers (net/socket.h)")
+        m = MUTABLE_MEMBER_RE.match(line) if in_src else None
+        if m and not MUTABLE_ALLOWED_TYPE_RE.search(m.group(1).strip()):
+            report(i, "mutable-member",
+                   "mutable data member of type '%s'; a const search may "
+                   "run on many threads at once, so keep scratch per query "
+                   "or per thread (only Mutex, SharedMutex and std::atomic "
+                   "may be mutable)" % m.group(1).strip())
         if in_src and ENDL_RE.search(line):
             report(i, "std-endl", "std::endl flushes; use '\\n'")
         if database_execute_re and database_execute_re.search(line):
