@@ -3,11 +3,13 @@
 // paper's Table II parameters, and a fresh pgstub environment per bench.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/vecdb.h"
 #include "core/experiment.h"
 
@@ -19,6 +21,25 @@ struct BenchDataset {
   Dataset data;
   uint32_t clusters;  ///< c scaled as sqrt(scale)
 };
+
+/// A `rows`-row INSERT of Gaussian `dim`-d vectors written in shortest
+/// round-trip form, the shape of a bulk SQL load:
+/// INSERT INTO items VALUES (0, 'x0,x1,...'), (1, '...'), ...
+inline std::string InsertStatement(size_t rows, size_t dim, uint64_t seed) {
+  Rng rng(seed);
+  std::string sql = "INSERT INTO items VALUES ";
+  char buf[32];
+  for (size_t i = 0; i < rows; ++i) {
+    sql += (i == 0 ? "(" : ", (") + std::to_string(i) + ", '";
+    for (size_t t = 0; t < dim; ++t) {
+      if (t != 0) sql += ',';
+      sql.append(buf,
+                 std::to_chars(buf, buf + sizeof(buf), rng.Gaussian()).ptr);
+    }
+    sql += "')";
+  }
+  return sql;
+}
 
 /// Materializes the requested paper datasets (all six by default).
 /// `args.max_base` (if nonzero) caps the scaled base count per dataset.

@@ -9,6 +9,11 @@
 // quantization at m=16, c_pq=256, d=128 per tier: encode per vector with
 // a per-pair l2sqr search versus the codebook kernel, and the ADC table
 // built the naive (PASE) versus the optimized (Faiss) way (RC#1/RC#7).
+// The "ingest" block times what one SQL INSERT costs before it reaches
+// the heap: lexing and parsing a 500-row INSERT of 128-d shortest-repr
+// floats (beside the strtof reading the parser replaced), and one row's
+// SGEMM-path bucket assignment at c=173 against a packed codebook (beside
+// the per-call path that packs the centroids every time).
 //
 // Usage: kernels_report [output.json]   (default ./BENCH_kernels.json)
 //
@@ -22,12 +27,17 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
+#include "clustering/kmeans.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "distance/dispatch.h"
 #include "distance/kernels.h"
+#include "distance/sgemm.h"
 #include "quantizer/pq.h"
 #include "quantizer/sq8.h"
+#include "sql/lexer.h"
+#include "sql/parser.h"
 
 namespace vecdb {
 namespace {
@@ -199,7 +209,101 @@ void AppendPq(std::string* json, const PqTimes& p) {
         p.table_optimized_us[i], i < 2 ? "," : "");
     *json += buf;
   }
-  *json += "  }\n";
+  *json += "  },\n";  // the ingest block follows
+}
+
+// Ingest shape: one perfbench set-up INSERT, and filtered_rw's codebook.
+constexpr size_t kIngestRows = 500;
+constexpr uint32_t kIngestClusters = 173;
+
+// The vector-literal reading the from_chars parser replaced: strtof per
+// element over a NUL-terminated copy. Returns the element count (0: bad).
+size_t StrtofParse(const std::string& text, std::vector<float>* out) {
+  out->clear();
+  const char* p = text.c_str();
+  for (;;) {
+    char* end = nullptr;
+    const float v = std::strtof(p, &end);
+    if (end == p) return 0;
+    out->push_back(v);
+    if (*end != ',') return out->size();
+    p = end + 1;
+  }
+}
+
+struct IngestTimes {
+  double parse_floats_per_s = 0;
+  double parse_strtof_floats_per_s = 0;
+  double tokenize_mb_per_s = 0;
+  double parse_insert_ms = 0;
+  double assign_one_row_us = 0;
+  double assign_one_row_per_call_us = 0;
+};
+
+IngestTimes TimeIngest() {
+  std::fprintf(stderr, "[kernels_report] timing ingest...\n");
+  const std::string sql = bench::InsertStatement(kIngestRows, kDim, 15);
+  std::vector<std::string> literals;
+  for (const auto& t : sql::Tokenize(sql).ValueOrDie()) {
+    if (t.type == sql::TokenType::kString) literals.push_back(t.text);
+  }
+  IngestTimes out;
+  out.parse_floats_per_s = 1e9 / NanosPerOp(kIngestRows * kDim, [&] {
+    for (const auto& lit : literals) {
+      g_sink = sql::ParseVectorLiteral(lit).ValueOrDie()[0];
+    }
+  });
+  std::vector<float> row;
+  out.parse_strtof_floats_per_s = 1e9 / NanosPerOp(kIngestRows * kDim, [&] {
+    for (const auto& lit : literals) {
+      g_sink = static_cast<float>(StrtofParse(lit, &row));
+    }
+  });
+  out.tokenize_mb_per_s =
+      1e3 / NanosPerOp(sql.size(), [&] {
+        g_sink = static_cast<float>(sql::Tokenize(sql).ValueOrDie().size());
+      });
+  out.parse_insert_ms = NanosPerOp(1, [&] {
+    g_sink = static_cast<float>(sql::Parse(sql).ok());
+  }) / 1e6;
+
+  const auto centroids = RandomVectors(kIngestClusters, kDim, 16);
+  const auto rows = RandomVectors(kNumCodes, kDim, 17);
+  const PackedCodebook codebook(centroids.data(), kIngestClusters, kDim);
+  uint32_t bucket = 0;
+  out.assign_one_row_us = NanosPerOp(kNumCodes, [&] {
+    for (size_t j = 0; j < kNumCodes; ++j) {
+      AssignToNearest(rows.data() + j * kDim, 1, codebook, &bucket, nullptr);
+    }
+    g_sink = static_cast<float>(bucket);
+  }) / 1e3;
+  out.assign_one_row_per_call_us = NanosPerOp(kNumCodes, [&] {
+    for (size_t j = 0; j < kNumCodes; ++j) {
+      AssignToNearest(rows.data() + j * kDim, 1, kDim, centroids.data(),
+                      kIngestClusters, /*use_sgemm=*/true, &bucket, nullptr);
+    }
+    g_sink = static_cast<float>(bucket);
+  }) / 1e3;
+  return out;
+}
+
+void AppendIngest(std::string* json, const IngestTimes& t) {
+  char buf[640];
+  std::snprintf(
+      buf, sizeof(buf),
+      "  \"ingest\": {\n"
+      "    \"config\": {\"rows\": %zu, \"d\": %zu, \"clusters\": %u},\n"
+      "    \"parse_floats_per_s\": %.4g,\n"
+      "    \"parse_strtof_floats_per_s\": %.4g,\n"
+      "    \"tokenize_mb_per_s\": %.1f,\n"
+      "    \"parse_insert_ms\": %.3f,\n"
+      "    \"assign_one_row_us\": %.3f,\n"
+      "    \"assign_one_row_per_call_us\": %.3f\n"
+      "  }\n",
+      kIngestRows, kDim, kIngestClusters, t.parse_floats_per_s,
+      t.parse_strtof_floats_per_s, t.tokenize_mb_per_s, t.parse_insert_ms,
+      t.assign_one_row_us, t.assign_one_row_per_call_us);
+  *json += buf;
 }
 
 int Run(const char* out_path) {
@@ -274,6 +378,7 @@ int Run(const char* out_path) {
   });
 
   const PqTimes pq_times = TimePq();
+  const IngestTimes ingest_times = TimeIngest();
 
   auto fastscan_speedup = [&](KernelIsa isa) {
     const double ns = sq8_scan.by_isa[static_cast<int>(isa)];
@@ -311,6 +416,7 @@ int Run(const char* out_path) {
   json += buf;
   json += "  },\n";
   AppendPq(&json, pq_times);
+  AppendIngest(&json, ingest_times);
   json += "}\n";
 
   std::FILE* f = std::fopen(out_path, "w");

@@ -1,12 +1,15 @@
 // google-benchmark micro benches over the kernels the root causes hinge on:
 // per-pair vs SGEMM-decomposed distance batches (RC#1), k-heap vs n-heap
 // (RC#6), naive vs optimized PQ tables (RC#7), and direct vs page-mediated
-// tuple access (RC#2).
+// tuple access (RC#2); plus the SQL ingest path (one-row IVF assignment,
+// INSERT parsing).
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
+#include "bench/bench_common.h"
+#include "clustering/kmeans.h"
 #include "common/random.h"
 #include "distance/dispatch.h"
 #include "distance/kernels.h"
@@ -19,6 +22,7 @@
 #include "pgstub/wal.h"
 #include "quantizer/pq.h"
 #include "quantizer/sq8.h"
+#include "sql/parser.h"
 #include "topk/heaps.h"
 
 namespace vecdb {
@@ -221,6 +225,37 @@ void BM_AssignSgemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * c);
 }
 BENCHMARK(BM_AssignSgemm);
+
+void BM_AssignOneRow(benchmark::State& state) {
+  // A one-row faisslike IVF insert's bucket choice at filtered_rw's shape:
+  // one 1×c product against the codebook packed when it was set.
+  const size_t d = 128;
+  const uint32_t c = 173;
+  auto row = RandomVectors(1, d, 2);
+  auto centroids = RandomVectors(c, d, 3);
+  const PackedCodebook codebook(centroids.data(), c, d);
+  uint32_t bucket = 0;
+  for (auto _ : state) {
+    AssignToNearest(row.data(), 1, codebook, &bucket, nullptr);
+    benchmark::DoNotOptimize(bucket);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AssignOneRow);
+
+void BM_ParseInsert500(benchmark::State& state) {
+  // One set-up INSERT: 500 rows of 128 shortest-repr floats, lexed and
+  // parsed into rows.
+  const std::string sql = bench::InsertStatement(500, 128, 4);
+  for (auto _ : state) {
+    auto stmt = sql::Parse(sql);
+    benchmark::DoNotOptimize(stmt);
+  }
+  state.SetItemsProcessed(state.iterations() * 500 * 128);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(sql.size()));
+}
+BENCHMARK(BM_ParseInsert500);
 
 void BM_SearchPerQuery(benchmark::State& state) {
   // Multi-query baseline: one Search call per query, so bucket selection

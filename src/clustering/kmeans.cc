@@ -12,21 +12,23 @@ namespace vecdb {
 
 namespace {
 
-// Batched SGEMM assignment processes vectors in tiles so the distance
-// matrix stays cache-resident.
+// Batched SGEMM assignment processes vectors in tiles of at most this many
+// rows so the distance matrix stays cache-resident.
 constexpr size_t kAssignTile = 1024;
 
-void AssignRangeSgemm(const float* data, size_t begin, size_t end, size_t d,
-                      const float* centroids, uint32_t c,
-                      const float* centroid_norms, uint32_t* out_assign,
+void AssignRangeSgemm(const float* data, size_t begin, size_t end,
+                      const PackedCodebook& codebook, uint32_t* out_assign,
                       float* out_dist) {
-  std::vector<float> dists(kAssignTile * c);
-  std::vector<float> x_norms(kAssignTile);
-  for (size_t t0 = begin; t0 < end; t0 += kAssignTile) {
-    const size_t nb = std::min(kAssignTile, end - t0);
+  if (begin >= end) return;
+  const size_t d = codebook.dim();
+  const size_t c = codebook.rows();
+  const size_t tile = std::min(kAssignTile, end - begin);
+  std::vector<float> dists(tile * c);
+  std::vector<float> x_norms(tile);
+  for (size_t t0 = begin; t0 < end; t0 += tile) {
+    const size_t nb = std::min(tile, end - t0);
     RowNormsSqr(data + t0 * d, nb, d, x_norms.data());
-    AllPairsL2Sqr(data + t0 * d, nb, centroids, c, d, x_norms.data(),
-                  centroid_norms, dists.data());
+    AllPairsL2Sqr(data + t0 * d, nb, codebook, x_norms.data(), dists.data());
     for (size_t i = 0; i < nb; ++i) {
       const float* row = dists.data() + i * c;
       uint32_t best = 0;
@@ -64,32 +66,42 @@ void AssignRangeNaive(const float* data, size_t begin, size_t end, size_t d,
   }
 }
 
+// Runs fn(begin, end) over [0, n): one chunk per worker when `pool` has
+// more than one, else inline.
+template <class Fn>
+void ForRanges(size_t n, ThreadPool* pool, Fn&& fn) {
+  if (pool != nullptr && pool->num_threads() > 1) {
+    pool->ParallelFor(n, [&](int, size_t b, size_t e) { fn(b, e); });
+  } else {
+    fn(0, n);
+  }
+}
+
 }  // namespace
 
 void AssignToNearest(const float* data, size_t n, size_t d,
                      const float* centroids, uint32_t num_clusters,
                      bool use_sgemm, uint32_t* out_assign, float* out_dist,
                      ThreadPool* pool, Profiler* profiler) {
-  ProfScope scope(profiler, use_sgemm ? "assign_sgemm" : "assign_naive");
-  std::vector<float> centroid_norms;
   if (use_sgemm) {
-    centroid_norms.resize(num_clusters);
-    RowNormsSqr(centroids, num_clusters, d, centroid_norms.data());
+    AssignToNearest(data, n, PackedCodebook(centroids, num_clusters, d),
+                    out_assign, out_dist, pool, profiler);
+    return;
   }
-  auto run = [&](size_t begin, size_t end) {
-    if (use_sgemm) {
-      AssignRangeSgemm(data, begin, end, d, centroids, num_clusters,
-                       centroid_norms.data(), out_assign, out_dist);
-    } else {
-      AssignRangeNaive(data, begin, end, d, centroids, num_clusters,
-                       out_assign, out_dist);
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->ParallelFor(n, [&](int, size_t b, size_t e) { run(b, e); });
-  } else {
-    run(0, n);
-  }
+  ProfScope scope(profiler, "assign_naive");
+  ForRanges(n, pool, [&](size_t begin, size_t end) {
+    AssignRangeNaive(data, begin, end, d, centroids, num_clusters, out_assign,
+                     out_dist);
+  });
+}
+
+void AssignToNearest(const float* data, size_t n,
+                     const PackedCodebook& codebook, uint32_t* out_assign,
+                     float* out_dist, ThreadPool* pool, Profiler* profiler) {
+  ProfScope scope(profiler, "assign_sgemm");
+  ForRanges(n, pool, [&](size_t begin, size_t end) {
+    AssignRangeSgemm(data, begin, end, codebook, out_assign, out_dist);
+  });
 }
 
 Result<KMeansModel> TrainKMeans(const float* data, size_t n, size_t d,

@@ -12,6 +12,7 @@
 #include "common/profiler.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "distance/sgemm.h"
 
 namespace vecdb {
 
@@ -61,11 +62,22 @@ Result<KMeansModel> TrainKMeans(const float* data, size_t n, size_t d,
 /// `use_sgemm` selects the batched decomposition (Faiss add phase, RC#1)
 /// versus the per-pair loop (PASE add phase). `out_assign` receives `n`
 /// cluster ids; `out_dist` (optional) the squared distances. `pool`
-/// (optional) parallelizes over vectors.
+/// (optional) parallelizes over vectors. The SGEMM path packs the
+/// centroids once per call and then runs the overload below.
 void AssignToNearest(const float* data, size_t n, size_t d,
                      const float* centroids, uint32_t num_clusters,
                      bool use_sgemm, uint32_t* out_assign, float* out_dist,
                      ThreadPool* pool = nullptr,
+                     Profiler* profiler = nullptr);
+
+/// The SGEMM path against a codebook packed where it was set (the
+/// faisslike IVF indexes): no per-call repack or centroid-norm pass, and
+/// distance tiles sized to the batch (at most 1,024 rows), so a one-row
+/// insert costs its 1×c product. Assignments and distances are
+/// bit-identical to the per-call SGEMM path.
+void AssignToNearest(const float* data, size_t n,
+                     const PackedCodebook& codebook, uint32_t* out_assign,
+                     float* out_dist, ThreadPool* pool = nullptr,
                      Profiler* profiler = nullptr);
 
 }  // namespace vecdb

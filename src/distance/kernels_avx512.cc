@@ -22,6 +22,22 @@ VECDB_AVX512 inline __mmask16 TailMask(size_t remaining) {
   return static_cast<__mmask16>((1u << remaining) - 1u);
 }
 
+// _mm512_reduce_add_ps spelled out step for step as gcc's header does it
+// (256-bit halves, then 128-bit halves, then lanes {0,1} + {2,3}, then lane
+// 0 + lane 1), so sums are bit-identical to it, but with maskz extracts:
+// gcc 12 expands the intrinsic's unmasked extracts with an
+// _mm256_undefined_pd() passthrough that -Wuninitialized flags under
+// -Werror.
+VECDB_AVX512 inline float HorizontalSum(__m512 v) {
+  const __m512d vd = _mm512_castps_pd(v);
+  const __m256 t3 =
+      _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xff, vd, 1)) +
+      _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xff, vd, 0));
+  const __m128 t6 = _mm256_extractf128_ps(t3, 1) + _mm256_extractf128_ps(t3, 0);
+  const __m128 t8 = t6 + _mm_shuffle_ps(t6, t6, _MM_SHUFFLE(1, 0, 3, 2));
+  return t8[0] + t8[1];
+}
+
 VECDB_AVX512 float L2SqrAvx512(const float* a, const float* b, size_t d) {
   // Four independent accumulators to cover the FMA latency chain (same
   // rationale as the AVX2 tier).
@@ -55,8 +71,8 @@ VECDB_AVX512 float L2SqrAvx512(const float* a, const float* b, size_t d) {
                                     _mm512_maskz_loadu_ps(m, b + i));
     acc0 = _mm512_fmadd_ps(d0, d0, acc0);
   }
-  return _mm512_reduce_add_ps(_mm512_add_ps(_mm512_add_ps(acc0, acc1),
-                                            _mm512_add_ps(acc2, acc3)));
+  return HorizontalSum(_mm512_add_ps(_mm512_add_ps(acc0, acc1),
+                                     _mm512_add_ps(acc2, acc3)));
 }
 
 VECDB_AVX512 float InnerProductAvx512(const float* a, const float* b,
@@ -85,8 +101,8 @@ VECDB_AVX512 float InnerProductAvx512(const float* a, const float* b,
     acc0 = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(m, a + i),
                            _mm512_maskz_loadu_ps(m, b + i), acc0);
   }
-  return _mm512_reduce_add_ps(_mm512_add_ps(_mm512_add_ps(acc0, acc1),
-                                            _mm512_add_ps(acc2, acc3)));
+  return HorizontalSum(_mm512_add_ps(_mm512_add_ps(acc0, acc1),
+                                     _mm512_add_ps(acc2, acc3)));
 }
 
 VECDB_AVX512 float L2NormSqrAvx512(const float* a, size_t d) {
@@ -113,9 +129,9 @@ VECDB_AVX512 float CosineAvx512(const float* a, const float* b, size_t d) {
     na = _mm512_fmadd_ps(va, va, na);
     nb = _mm512_fmadd_ps(vb, vb, nb);
   }
-  const float sdot = _mm512_reduce_add_ps(dot);
-  const float sna = _mm512_reduce_add_ps(na);
-  const float snb = _mm512_reduce_add_ps(nb);
+  const float sdot = HorizontalSum(dot);
+  const float sna = HorizontalSum(na);
+  const float snb = HorizontalSum(nb);
   if (sna == 0.f || snb == 0.f) return 1.f;
   return 1.f - sdot / std::sqrt(sna * snb);
 }
@@ -126,15 +142,18 @@ VECDB_AVX512 inline float Sq8OneAvx512(const float* qadj, const float* scale,
   size_t t = 0;
   for (; t + 16 <= d; t += 16) {
     // 16 code bytes widen u8 -> i32 (VPMOVZXBD) -> f32, then the diff and
-    // square-accumulate are one fnmadd + one fmadd.
+    // square-accumulate are one fnmadd + one fmadd. The all-ones maskz
+    // converts are the unmasked ones without an undefined passthrough
+    // (see HorizontalSum).
     const __m128i bytes =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(code + t));
-    const __m512 vcode = _mm512_cvtepi32_ps(_mm512_cvtepu8_epi32(bytes));
+    const __m512 vcode = _mm512_maskz_cvtepi32_ps(
+        0xffff, _mm512_maskz_cvtepu8_epi32(0xffff, bytes));
     const __m512 diff = _mm512_fnmadd_ps(vcode, _mm512_loadu_ps(scale + t),
                                          _mm512_loadu_ps(qadj + t));
     acc = _mm512_fmadd_ps(diff, diff, acc);
   }
-  float s = _mm512_reduce_add_ps(acc);
+  float s = HorizontalSum(acc);
   // Byte tails stay scalar: a masked byte load would need AVX-512BW, and
   // this tier deliberately requires only F (see file comment).
   for (; t < d; ++t) {

@@ -39,30 +39,67 @@ inline void RankUpdateRow(size_t kc, size_t nc, const float* a_row,
     for (size_t j = 0; j < nc; ++j) crow[j] += ap * bp[j];
   }
 }
-}  // namespace
 
-void SgemmTransB(size_t m, size_t n, size_t k, const float* a, const float* b,
-                 float* c) {
+// Packs Bᵀ one kBlockN-column panel at a time: columns [j0, j0+nc) land at
+// out + j0*k as a k×nc block, contiguous in j. Its kBlockK-deep slice at k0
+// is then the kc×nc panel RankUpdateRow reads, at out + j0*k + k0*nc.
+void PackTransB(const float* b, size_t n, size_t k, float* out) {
+  for (size_t j0 = 0; j0 < n; j0 += kBlockN) {
+    const size_t nc = std::min(kBlockN, n - j0);
+    float* panel = out + j0 * k;
+    for (size_t p = 0; p < k; ++p) {
+      for (size_t j = 0; j < nc; ++j) panel[p * nc + j] = b[(j0 + j) * k + p];
+    }
+  }
+}
+
+void MultiplyPacked(size_t m, size_t n, size_t k, const float* a,
+                    const float* panels, float* c) {
   obs::MetricsRegistry::Global().Add(obs::Counter::kSgemmCalls);
   std::memset(c, 0, m * n * sizeof(float));
-  std::vector<float> bpack(kBlockK * kBlockN);
   for (size_t j0 = 0; j0 < n; j0 += kBlockN) {
     const size_t nc = std::min(kBlockN, n - j0);
     for (size_t k0 = 0; k0 < k; k0 += kBlockK) {
       const size_t kc = std::min(kBlockK, k - k0);
-      // Pack Bᵀ panel: bpack[p][j] = b[(j0+j)*k + k0 + p], contiguous in j.
-      for (size_t p = 0; p < kc; ++p) {
-        float* dst = bpack.data() + p * nc;
-        for (size_t j = 0; j < nc; ++j) {
-          dst[j] = b[(j0 + j) * k + k0 + p];
-        }
-      }
+      const float* bpack = panels + j0 * k + k0 * nc;
       for (size_t i = 0; i < m; ++i) {
-        RankUpdateRow(kc, nc, a + i * k + k0, bpack.data(),
-                      c + i * n + j0);
+        RankUpdateRow(kc, nc, a + i * k + k0, bpack, c + i * n + j0);
       }
     }
   }
+}
+
+// out[i*ny + j] = ‖x_i‖² + ‖y_j‖² − 2·out[i*ny + j], over the dot products
+// already in `out`.
+void DotsToL2Sqr(size_t nx, size_t ny, const float* x_norms,
+                 const float* y_norms, float* out) {
+  for (size_t i = 0; i < nx; ++i) {
+    float* row = out + i * ny;
+    const float xn = x_norms[i];
+    for (size_t j = 0; j < ny; ++j) {
+      // Clamp: the decomposition can go slightly negative in float.
+      const float v = xn + y_norms[j] - 2.f * row[j];
+      row[j] = v < 0.f ? 0.f : v;
+    }
+  }
+}
+}  // namespace
+
+void SgemmTransB(size_t m, size_t n, size_t k, const float* a, const float* b,
+                 float* c) {
+  AlignedFloats panels(n * k);
+  PackTransB(b, n, k, panels.data());
+  MultiplyPacked(m, n, k, a, panels.data(), c);
+}
+
+PackedCodebook::PackedCodebook(const float* b, size_t n, size_t k)
+    : n_(n), k_(k), panels_(n * k), norms_(n) {
+  PackTransB(b, n, k, panels_.data());
+  RowNormsSqr(b, n, k, norms_.data());
+}
+
+void SgemmTransB(size_t m, const float* a, const PackedCodebook& b, float* c) {
+  MultiplyPacked(m, b.rows(), b.dim(), a, b.panels(), c);
 }
 
 void RowNormsSqr(const float* x, size_t n, size_t k, float* out) {
@@ -84,15 +121,19 @@ void AllPairsL2Sqr(const float* x, size_t nx, const float* y, size_t ny,
     y_norms = yn_local.data();
   }
   SgemmTransB(nx, ny, d, x, y, out);
-  for (size_t i = 0; i < nx; ++i) {
-    float* row = out + i * ny;
-    const float xn = x_norms[i];
-    for (size_t j = 0; j < ny; ++j) {
-      // Clamp: the decomposition can go slightly negative in float.
-      const float v = xn + y_norms[j] - 2.f * row[j];
-      row[j] = v < 0.f ? 0.f : v;
-    }
+  DotsToL2Sqr(nx, ny, x_norms, y_norms, out);
+}
+
+void AllPairsL2Sqr(const float* x, size_t nx, const PackedCodebook& y,
+                   const float* x_norms, float* out) {
+  std::vector<float> xn_local;
+  if (x_norms == nullptr) {
+    xn_local.resize(nx);
+    RowNormsSqr(x, nx, y.dim(), xn_local.data());
+    x_norms = xn_local.data();
   }
+  SgemmTransB(nx, x, y, out);
+  DotsToL2Sqr(nx, y.rows(), x_norms, y.norms(), out);
 }
 
 void AllPairsL2SqrNaive(const float* x, size_t nx, const float* y, size_t ny,

@@ -7,15 +7,43 @@
 
 #include <cstddef>
 
+#include "common/aligned_buffer.h"
+
 namespace vecdb {
 
 /// C (m×n, row-major) = A (m×k, row-major) · Bᵀ where B is (n×k, row-major).
 ///
 /// The B-transposed convention matches vector-search use: A holds queries or
 /// base vectors, B holds centroids, both stored row-major with dimension k.
-/// Register-tiled 4x4 micro-kernel with L2-sized panel blocking.
+/// Packs Bᵀ into column panels, then runs packed rank-4 updates over
+/// L2-sized panel blocks.
 void SgemmTransB(size_t m, size_t n, size_t k, const float* a, const float* b,
                  float* c);
+
+/// A row-major B (n×k) prepared once for repeated products against it: the
+/// Bᵀ panels SgemmTransB packs on every call, plus B's squared row norms.
+/// An IVF codebook is packed where it is set, so a one-row insert pays for
+/// neither the repack nor the norm pass. In-memory only, never serialized.
+class PackedCodebook {
+ public:
+  PackedCodebook() = default;
+  PackedCodebook(const float* b, size_t n, size_t k);
+
+  size_t rows() const { return n_; }
+  size_t dim() const { return k_; }
+  const float* panels() const { return panels_.data(); }
+  const float* norms() const { return norms_.data(); }
+
+ private:
+  size_t n_ = 0;
+  size_t k_ = 0;
+  AlignedFloats panels_;  ///< n*k floats: Bᵀ, one column panel after another
+  AlignedFloats norms_;   ///< n squared L2 row norms
+};
+
+/// SgemmTransB(m, b.rows(), b.dim(), a, B, c) against the prepacked B,
+/// bit-identical to it: the same panels feed the same rank updates.
+void SgemmTransB(size_t m, const float* a, const PackedCodebook& b, float* c);
 
 /// Computes squared L2 norms of `n` row-major k-dim vectors into `out[n]`.
 void RowNormsSqr(const float* x, size_t n, size_t k, float* out);
@@ -29,6 +57,11 @@ void RowNormsSqr(const float* x, size_t n, size_t k, float* out);
 void AllPairsL2Sqr(const float* x, size_t nx, const float* y, size_t ny,
                    size_t d, const float* x_norms, const float* y_norms,
                    float* out);
+
+/// AllPairsL2Sqr(x, nx, B, b.rows(), b.dim(), x_norms, b.norms(), out)
+/// against a prepacked B, bit-identical to it.
+void AllPairsL2Sqr(const float* x, size_t nx, const PackedCodebook& y,
+                   const float* x_norms, float* out);
 
 /// Reference all-pairs distances via the per-pair kernel (the PASE way).
 /// Used by tests and the SGEMM-disabled benchmark configurations.

@@ -49,8 +49,7 @@ Status IvfFlatIndex::AddBatch(const float* data, size_t n,
     // Faiss delegates assignment to one big SGEMM-decomposed batch; model
     // it as a serial (BLAS-internal) section for the scaling accounting.
     CpuTimer timer;
-    AssignToNearest(data, n, dim_, centroids_.data(), num_clusters_,
-                    /*use_sgemm=*/true, assign.data(), nullptr, nullptr,
+    AssignToNearest(data, n, codebook_, assign.data(), nullptr, nullptr,
                     options_.profiler);
     build_stats_.accounting.serial_nanos += timer.ElapsedNanos();
   } else if (options_.num_threads > 1 &&

@@ -67,8 +67,7 @@ Status IvfPqIndex::AddBatch(const float* data, size_t n, const int64_t* ids) {
   std::vector<uint32_t> assign(n);
   if (options_.use_sgemm) {
     CpuTimer timer;
-    AssignToNearest(data, n, dim_, centroids_.data(), num_clusters_,
-                    /*use_sgemm=*/true, assign.data(), nullptr, nullptr,
+    AssignToNearest(data, n, codebook_, assign.data(), nullptr, nullptr,
                     options_.profiler);
     build_stats_.accounting.serial_nanos += timer.ElapsedNanos();
   } else {

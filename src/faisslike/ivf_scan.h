@@ -44,10 +44,10 @@ class IvfScanIndex : public VectorIndex {
       const float* query, const SearchParams& params) const override;
 
   /// Batched multi-query search: bucket selection for all `nq` queries via
-  /// ONE SGEMM-decomposed distance batch against the codebook (RC#1,
-  /// reusing the cached centroid norms), then inter-query parallelism with
-  /// one reused KMaxHeap per worker (RC#3). Per-query results are
-  /// bit-identical to single-query Search.
+  /// ONE SGEMM-decomposed distance batch against the packed codebook
+  /// (RC#1), then inter-query parallelism with one reused KMaxHeap per
+  /// worker (RC#3). Per-query results are bit-identical to single-query
+  /// Search.
   Result<std::vector<std::vector<Neighbor>>> SearchBatch(
       const float* queries, size_t nq,
       const SearchParams& params) const override;
@@ -94,16 +94,14 @@ class IvfScanIndex : public VectorIndex {
     num_clusters_ = num_clusters;
     centroids_.Resize(0);
     centroids_.Append(centroids, static_cast<size_t>(num_clusters) * dim_);
-    RefreshCentroidNorms();
+    PackCodebook();
   }
 
-  /// Recomputes the cached squared centroid norms (the "store those items
-  /// in a table" half of the SGEMM decomposition, amortized across
-  /// batches).
-  void RefreshCentroidNorms() {
-    centroid_norms_.Resize(num_clusters_);
-    RowNormsSqr(centroids_.data(), num_clusters_, dim_,
-                centroid_norms_.data());
+  /// Rebuilds the packed codebook from centroids_: its squared norms (the
+  /// "store those items in a table" half of the SGEMM decomposition) and
+  /// its Bᵀ panels, amortized across every insert and SearchBatch.
+  void PackCodebook() {
+    codebook_ = PackedCodebook(centroids_.data(), num_clusters_, dim_);
   }
 
   /// True if `id` is currently stored in some bucket (live or tombstoned).
@@ -126,7 +124,7 @@ class IvfScanIndex : public VectorIndex {
   uint32_t dim_;
   uint32_t num_clusters_ = 0;
   AlignedFloats centroids_;
-  AlignedFloats centroid_norms_;  ///< per-centroid squared L2 norms
+  PackedCodebook codebook_;  ///< centroids_ packed for SGEMM; not saved
   size_t num_vectors_ = 0;
   TombstoneSet tombstones_;
 
@@ -298,14 +296,13 @@ Result<std::vector<std::vector<Neighbor>>> IvfScanIndex<Derived>::SearchBatch(
   const uint32_t nprobe = std::min(params.nprobe, num_clusters_);
 
   // RC#1: one SGEMM-decomposed distance batch covers bucket selection for
-  // the whole query block, reusing the cached centroid norms. BLAS-internal
+  // the whole query block against the packed codebook. BLAS-internal
   // work, so it is accounted as a serial section like the adding phase.
   std::vector<float> centroid_dists(nq * static_cast<size_t>(num_clusters_));
   CpuTimer sgemm_timer;
   {
     ProfScope scope(ctx.profiler, "SelectBucketsSgemm");
-    AllPairsL2Sqr(queries, nq, centroids_.data(), num_clusters_, dim_,
-                  /*x_norms=*/nullptr, centroid_norms_.data(),
+    AllPairsL2Sqr(queries, nq, codebook_, /*x_norms=*/nullptr,
                   centroid_dists.data());
   }
   const int64_t sgemm_nanos = sgemm_timer.ElapsedNanos();

@@ -34,9 +34,14 @@ Status IvfSq8Index::AddBatch(const float* data, size_t n,
     return Status::InvalidArgument("IvfSq8::AddBatch: null data");
   }
   std::vector<uint32_t> assign(n);
-  AssignToNearest(data, n, dim_, centroids_.data(), num_clusters_,
-                  options_.use_sgemm, assign.data(), nullptr, nullptr,
-                  options_.profiler);
+  if (options_.use_sgemm) {
+    AssignToNearest(data, n, codebook_, assign.data(), nullptr, nullptr,
+                    options_.profiler);
+  } else {
+    AssignToNearest(data, n, dim_, centroids_.data(), num_clusters_,
+                    /*use_sgemm=*/false, assign.data(), nullptr, nullptr,
+                    options_.profiler);
+  }
   std::vector<uint8_t> code(sq_->code_size());
   for (size_t i = 0; i < n; ++i) {
     sq_->Encode(data + i * dim_, code.data());

@@ -101,7 +101,7 @@ Result<IvfFlatIndex> IvfFlatIndex::Load(const std::string& path) {
   if (total != num_vectors) {
     return Status::Corruption("IvfFlat::Load: vector count mismatch");
   }
-  index.RefreshCentroidNorms();
+  index.PackCodebook();
   return index;
 }
 
@@ -223,7 +223,7 @@ Result<IvfPqIndex> IvfPqIndex::Load(const std::string& path) {
       index.refine_pos_[row_ids[row]] = row;
     }
   }
-  index.RefreshCentroidNorms();
+  index.PackCodebook();
   return index;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <unordered_set>
 
@@ -76,33 +77,35 @@ Result<std::vector<Token>> Tokenize(const std::string& input) {
       Token t;
       t.type = TokenType::kNumber;
       t.text = input.substr(i, j - i);
-      t.number = std::strtod(t.text.c_str(), nullptr);
+      // from_chars is correctly rounded like strtod; only a range error
+      // (strtod's ±HUGE_VAL or denormal/0) goes back to strtod for its value.
+      if (std::from_chars(input.data() + i, input.data() + j, t.number).ec !=
+          std::errc()) {
+        t.number = std::strtod(t.text.c_str(), nullptr);
+      }
       t.pos = start;
       out.push_back(std::move(t));
       i = j;
       continue;
     }
     if (c == '\'') {
-      size_t j = i + 1;
+      // Copy the literal a quote-free segment at a time; '' is one quote.
       std::string text;
-      bool closed = false;
-      while (j < n) {
-        if (input[j] == '\'') {
-          if (j + 1 < n && input[j + 1] == '\'') {  // escaped quote
-            text.push_back('\'');
-            j += 2;
-            continue;
-          }
-          closed = true;
-          ++j;
-          break;
+      size_t j = i + 1;
+      for (;;) {
+        const size_t quote = input.find('\'', j);
+        if (quote == std::string::npos) {
+          return Status::InvalidArgument(
+              "unterminated string literal at byte " + std::to_string(start));
         }
-        text.push_back(input[j]);
-        ++j;
-      }
-      if (!closed) {
-        return Status::InvalidArgument("unterminated string literal at byte " +
-                                       std::to_string(start));
+        text.append(input, j, quote - j);
+        if (quote + 1 < n && input[quote + 1] == '\'') {
+          text.push_back('\'');
+          j = quote + 2;
+          continue;
+        }
+        j = quote + 1;
+        break;
       }
       make(TokenType::kString, std::move(text), start);
       i = j;

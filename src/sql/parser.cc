@@ -1,7 +1,9 @@
 #include "sql/parser.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 
 #include "sql/lexer.h"
 
@@ -67,6 +69,28 @@ class Cursor {
     return Advance().number;
   }
 
+  /// An integer literal read exactly as int64: a fraction, an exponent or
+  /// a value outside int64 is InvalidArgument, never rounded or truncated.
+  Result<int64_t> ExpectInt(const char* what) {
+    if (Peek().type != TokenType::kNumber) {
+      return Status::InvalidArgument(std::string("expected ") + what +
+                                     " near '" + Peek().text + "'");
+    }
+    const std::string& text = Advance().text;
+    int64_t value = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec == std::errc::result_out_of_range) {
+      return Status::InvalidArgument(std::string(what) + " out of range: " +
+                                     text);
+    }
+    if (ec != std::errc() || end != text.data() + text.size()) {
+      return Status::InvalidArgument(std::string(what) +
+                                     " must be an integer, got " + text);
+    }
+    return value;
+  }
+
  private:
   std::vector<Token> tokens_;
   size_t pos_ = 0;
@@ -107,11 +131,6 @@ Status ParseOptionList(Cursor& cur, std::map<std::string, double>* numeric,
 ///            | column IN '(' integer (',' integer)* ')'
 Result<std::unique_ptr<filter::Predicate>> ParsePredicate(Cursor& cur);
 
-Result<int64_t> ExpectIntValue(Cursor& cur) {
-  VECDB_ASSIGN_OR_RETURN(double value, cur.ExpectNumber("integer value"));
-  return static_cast<int64_t>(value);
-}
-
 Result<std::unique_ptr<filter::Predicate>> ParsePredicateAtom(Cursor& cur) {
   if (cur.Match(TokenType::kLParen)) {
     VECDB_ASSIGN_OR_RETURN(std::unique_ptr<filter::Predicate> inner,
@@ -125,7 +144,7 @@ Result<std::unique_ptr<filter::Predicate>> ParsePredicateAtom(Cursor& cur) {
     VECDB_RETURN_NOT_OK(cur.Expect(TokenType::kLParen, "'('"));
     std::vector<int64_t> values;
     for (;;) {
-      VECDB_ASSIGN_OR_RETURN(int64_t v, ExpectIntValue(cur));
+      VECDB_ASSIGN_OR_RETURN(int64_t v, cur.ExpectInt("filter value"));
       values.push_back(v);
       if (cur.Match(TokenType::kComma)) continue;
       break;
@@ -159,7 +178,7 @@ Result<std::unique_ptr<filter::Predicate>> ParsePredicateAtom(Cursor& cur) {
           "' near '" + cur.Peek().text + "'");
   }
   cur.Advance();
-  VECDB_ASSIGN_OR_RETURN(int64_t value, ExpectIntValue(cur));
+  VECDB_ASSIGN_OR_RETURN(int64_t value, cur.ExpectInt("filter value"));
   return filter::Predicate::Compare(std::move(column), op, value);
 }
 
@@ -201,7 +220,12 @@ Result<Statement> ParseCreate(Cursor& cur) {
     VECDB_RETURN_NOT_OK(cur.ExpectKeyword("FLOAT"));
     VECDB_RETURN_NOT_OK(cur.Expect(TokenType::kLBracket, "'['"));
     if (cur.Peek().type == TokenType::kNumber) {
-      stmt->dim = static_cast<uint32_t>(cur.Advance().number);
+      VECDB_ASSIGN_OR_RETURN(int64_t dim, cur.ExpectInt("dimension"));
+      if (dim < 0 || dim > std::numeric_limits<uint32_t>::max()) {
+        return Status::InvalidArgument("dimension out of range: " +
+                                       std::to_string(dim));
+      }
+      stmt->dim = static_cast<uint32_t>(dim);
     }
     VECDB_RETURN_NOT_OK(cur.Expect(TokenType::kRBracket, "']'"));
     // Optional scalar attribute columns: `, name INT|BIGINT` ...
@@ -266,8 +290,7 @@ Result<Statement> ParseInsert(Cursor& cur) {
   for (;;) {
     VECDB_RETURN_NOT_OK(cur.Expect(TokenType::kLParen, "'('"));
     InsertStmt::Row row;
-    VECDB_ASSIGN_OR_RETURN(double id, cur.ExpectNumber("row id"));
-    row.id = static_cast<int64_t>(id);
+    VECDB_ASSIGN_OR_RETURN(row.id, cur.ExpectInt("row id"));
     VECDB_RETURN_NOT_OK(cur.Expect(TokenType::kComma, "','"));
     if (cur.Peek().type != TokenType::kString) {
       return Status::InvalidArgument("expected vector literal string");
@@ -275,9 +298,8 @@ Result<Statement> ParseInsert(Cursor& cur) {
     VECDB_ASSIGN_OR_RETURN(row.vec, ParseVectorLiteral(cur.Advance().text));
     // Optional attribute values after the vector literal.
     while (cur.Match(TokenType::kComma)) {
-      VECDB_ASSIGN_OR_RETURN(double attr,
-                             cur.ExpectNumber("attribute value"));
-      row.attrs.push_back(static_cast<int64_t>(attr));
+      VECDB_ASSIGN_OR_RETURN(int64_t attr, cur.ExpectInt("attribute value"));
+      row.attrs.push_back(attr);
     }
     VECDB_RETURN_NOT_OK(cur.Expect(TokenType::kRParen, "')'"));
     stmt->rows.push_back(std::move(row));
@@ -333,7 +355,7 @@ Result<Statement> ParseSelect(Cursor& cur, bool explain) {
     }
   }
   VECDB_RETURN_NOT_OK(cur.ExpectKeyword("LIMIT"));
-  VECDB_ASSIGN_OR_RETURN(double limit, cur.ExpectNumber("limit"));
+  VECDB_ASSIGN_OR_RETURN(int64_t limit, cur.ExpectInt("limit"));
   if (limit < 1) return Status::InvalidArgument("LIMIT must be >= 1");
   stmt->limit = static_cast<size_t>(limit);
   Statement out;
@@ -383,8 +405,8 @@ Result<Statement> ParseSet(Cursor& cur) {
 
 Result<Statement> ParseCancel(Cursor& cur) {
   auto stmt = std::make_unique<CancelStmt>();
-  VECDB_ASSIGN_OR_RETURN(double id, cur.ExpectNumber("session id"));
-  if (id < 1 || id != static_cast<double>(static_cast<uint64_t>(id))) {
+  VECDB_ASSIGN_OR_RETURN(int64_t id, cur.ExpectInt("session id"));
+  if (id < 1) {
     return Status::InvalidArgument("CANCEL needs a positive session id");
   }
   stmt->session_id = static_cast<uint64_t>(id);
@@ -415,10 +437,35 @@ Result<Statement> ParseDrop(Cursor& cur) {
   return out;
 }
 
+/// True if from_chars reads the element at text[i] exactly as strtof
+/// does: an optional '-' then a digit or '.', and not a hex "0x" prefix.
+/// Everything else (leading '+', whitespace other than space/tab that
+/// strtof skips, hex, inf/nan, garbage) is left to strtof.
+bool FromCharsReadsLikeStrtof(std::string_view text, size_t i) {
+  const size_t j = i + (text[i] == '-' ? 1 : 0);
+  if (j >= text.size()) return false;
+  if (text[j] == '.') return true;
+  if (text[j] < '0' || text[j] > '9') return false;
+  return !(text[j] == '0' && j + 1 < text.size() &&
+           (text[j + 1] == 'x' || text[j + 1] == 'X'));
+}
+
+/// strtof over the element at text[i]; returns the bytes it consumed (0:
+/// no conversion). No float syntax contains ',' or ']', so strtof never
+/// reads past them and the copy stops there.
+size_t StrtofElement(std::string_view text, size_t i, float* value) {
+  const std::string element(text.substr(i, text.find_first_of(",]", i) - i));
+  char* end = nullptr;
+  *value = std::strtof(element.c_str(), &end);
+  return static_cast<size_t>(end - element.c_str());
+}
+
 }  // namespace
 
-Result<std::vector<float>> ParseVectorLiteral(const std::string& text) {
+Result<std::vector<float>> ParseVectorLiteral(std::string_view text) {
   std::vector<float> out;
+  out.reserve(static_cast<size_t>(std::count(text.begin(), text.end(), ',')) +
+              1);
   size_t i = 0;
   const size_t n = text.size();
   auto skip_ws = [&] {
@@ -437,14 +484,23 @@ Result<std::vector<float>> ParseVectorLiteral(const std::string& text) {
       ++i;
       break;
     }
-    char* end = nullptr;
-    const float v = std::strtof(text.c_str() + i, &end);
-    if (end == text.c_str() + i) {
+    // from_chars is correctly rounded, like strtof, so the two agree on
+    // every value it accepts; a range error (strtof's ±inf, denormal or 0)
+    // goes to strtof for its value.
+    float v = 0.f;
+    size_t consumed = 0;
+    if (FromCharsReadsLikeStrtof(text, i)) {
+      const char* first = text.data() + i;
+      const auto [end, ec] = std::from_chars(first, text.data() + n, v);
+      if (ec == std::errc()) consumed = static_cast<size_t>(end - first);
+    }
+    if (consumed == 0) consumed = StrtofElement(text, i, &v);
+    if (consumed == 0) {
       return Status::InvalidArgument("bad vector literal near '" +
-                                     text.substr(i, 8) + "'");
+                                     std::string(text.substr(i, 8)) + "'");
     }
     out.push_back(v);
-    i = static_cast<size_t>(end - text.c_str());
+    i += consumed;
     skip_ws();
     if (i < n && text[i] == ',') {
       ++i;

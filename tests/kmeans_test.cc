@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "common/random.h"
 #include "datasets/synthetic.h"
 #include "distance/kernels.h"
+#include "distance/sgemm.h"
 
 namespace vecdb {
 namespace {
@@ -176,6 +179,86 @@ TEST(AssignTest, ParallelAssignmentMatchesSerial) {
                   model.centroids.data(), 10, false, parallel.data(), nullptr,
                   &pool);
   EXPECT_EQ(serial, parallel);
+}
+
+// The SGEMM assignment spelled out with one per-call SgemmTransB: norms,
+// dot products, ‖x‖² + ‖c‖² − 2x·c clamped at 0, first minimum wins.
+void ReferenceSgemmAssign(const float* x, size_t n, size_t d,
+                          const float* centroids, uint32_t c,
+                          std::vector<uint32_t>* assign,
+                          std::vector<float>* dist) {
+  std::vector<float> xn(n), cn(c), dots(n * c);
+  RowNormsSqr(x, n, d, xn.data());
+  RowNormsSqr(centroids, c, d, cn.data());
+  SgemmTransB(n, c, d, x, centroids, dots.data());
+  assign->assign(n, 0);
+  dist->assign(n, 0.f);
+  for (size_t i = 0; i < n; ++i) {
+    for (uint32_t j = 0; j < c; ++j) {
+      float v = xn[i] + cn[j] - 2.f * dots[i * c + j];
+      v = v < 0.f ? 0.f : v;
+      if (j == 0 || v < (*dist)[i]) {
+        (*dist)[i] = v;
+        (*assign)[i] = j;
+      }
+    }
+  }
+}
+
+TEST(AssignTest, PackedCodebookMatchesPerCallSgemmBitForBit) {
+  constexpr size_t kDim = 128;
+  constexpr uint32_t kClusters = 173;
+  Rng rng(173);
+  std::vector<float> centroids(kClusters * kDim);
+  for (auto& v : centroids) v = rng.Gaussian();
+  // Near-ties: centroid 100 duplicates centroid 5 (the lower id must win),
+  // and centroid 172 is centroid 7 nudged by one ulp in one coordinate.
+  std::memcpy(&centroids[100 * kDim], &centroids[5 * kDim],
+              kDim * sizeof(float));
+  std::memcpy(&centroids[172 * kDim], &centroids[7 * kDim],
+              kDim * sizeof(float));
+  centroids[172 * kDim + 3] = std::nextafter(
+      centroids[172 * kDim + 3], std::numeric_limits<float>::infinity());
+  const PackedCodebook codebook(centroids.data(), kClusters, kDim);
+  ThreadPool pool(3);
+
+  for (size_t n : {1, 2, 7, 19, 20, 1023, 1024, 1500}) {
+    std::vector<float> x(n * kDim);
+    for (auto& v : x) v = rng.Gaussian();
+    // Plant exact and midpoint ties among the rows.
+    for (size_t i = 0; i < n; i += 3) {
+      const float* c0 = &centroids[(i % 2 == 0 ? 5 : 7) * kDim];
+      const float* c1 = &centroids[(i % 2 == 0 ? 100 : 172) * kDim];
+      for (size_t t = 0; t < kDim; ++t) {
+        x[i * kDim + t] = i % 6 == 0 ? c0[t] : 0.5f * (c0[t] + c1[t]);
+      }
+    }
+    std::vector<uint32_t> want_assign;
+    std::vector<float> want_dist;
+    ReferenceSgemmAssign(x.data(), n, kDim, centroids.data(), kClusters,
+                         &want_assign, &want_dist);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      std::vector<uint32_t> packed_assign(n), per_call_assign(n);
+      std::vector<float> packed_dist(n), per_call_dist(n);
+      AssignToNearest(x.data(), n, codebook, packed_assign.data(),
+                      packed_dist.data(), p);
+      AssignToNearest(x.data(), n, kDim, centroids.data(), kClusters,
+                      /*use_sgemm=*/true, per_call_assign.data(),
+                      per_call_dist.data(), p);
+      EXPECT_EQ(packed_assign, want_assign) << "n=" << n;
+      EXPECT_EQ(per_call_assign, want_assign) << "n=" << n;
+      EXPECT_EQ(std::memcmp(packed_dist.data(), want_dist.data(),
+                            n * sizeof(float)),
+                0)
+          << "n=" << n;
+      EXPECT_EQ(std::memcmp(per_call_dist.data(), want_dist.data(),
+                            n * sizeof(float)),
+                0)
+          << "n=" << n;
+    }
+    // The duplicated centroid never wins over its lower-id twin.
+    EXPECT_EQ(want_assign[0], 5u);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "common/serialize.h"
@@ -147,6 +149,44 @@ TEST(PersistenceTest, IvfPqRoundTrip) {
   params.nprobe = 8;
   ExpectSameResults(index, loaded, ds, params);
   std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, IvfPqLoadedIndexAssignsInsertsLikeTheBuiltOne) {
+  // The packed codebook one-row inserts assign against is rebuilt on Load,
+  // never saved: a loaded index must route every insert to the same bucket.
+  auto ds = TestData();
+  IvfPqOptions opt;
+  opt.num_clusters = 16;
+  opt.pq_m = 8;
+  opt.pq_codes = 32;
+  opt.sample_ratio = 0.5;
+  ASSERT_TRUE(opt.use_sgemm);
+  IvfPqIndex index(ds.dim, opt);
+  ASSERT_TRUE(index.Build(ds.base.data(), 1000).ok());
+  const std::string path = TempPath("ivfpq_insert.idx");
+  ASSERT_TRUE(index.Save(path).ok());
+  auto loaded = std::move(IvfPqIndex::Load(path)).ValueOrDie();
+  for (size_t i = 1000; i < ds.num_base; ++i) {
+    const int64_t id = static_cast<int64_t>(i);
+    ASSERT_TRUE(index.AddBatch(ds.base_vector(i), 1, &id).ok());
+    ASSERT_TRUE(loaded.AddBatch(ds.base_vector(i), 1, &id).ok());
+  }
+  // Saved files hold every bucket's ids and codes in order, so equal bytes
+  // mean every insert landed in the same bucket.
+  const std::string built_path = TempPath("ivfpq_insert_built.idx");
+  const std::string loaded_path = TempPath("ivfpq_insert_loaded.idx");
+  ASSERT_TRUE(index.Save(built_path).ok());
+  ASSERT_TRUE(loaded.Save(loaded_path).ok());
+  auto slurp = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string built_bytes = slurp(built_path);
+  EXPECT_FALSE(built_bytes.empty());
+  EXPECT_TRUE(built_bytes == slurp(loaded_path));
+  for (const std::string& p : {path, built_path, loaded_path}) {
+    std::remove(p.c_str());
+  }
 }
 
 TEST(PersistenceTest, IvfFlatOptionsSurviveReload) {

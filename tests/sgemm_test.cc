@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "common/random.h"
@@ -17,6 +19,52 @@ void NaiveGemmTransB(size_t m, size_t n, size_t k, const float* a,
       double s = 0;
       for (size_t p = 0; p < k; ++p) s += a[i * k + p] * b[j * k + p];
       c[i * n + j] = static_cast<float>(s);
+    }
+  }
+}
+
+// SgemmTransB as it was before Bᵀ panels could be packed ahead of time:
+// each 256×128 panel packed just before its rank updates. Kept verbatim as
+// the bit-identity oracle for the prepacked path.
+void PerPanelSgemmTransB(size_t m, size_t n, size_t k, const float* a,
+                         const float* b, float* c) {
+  constexpr size_t kBlockN = 128;
+  constexpr size_t kBlockK = 256;
+  std::memset(c, 0, m * n * sizeof(float));
+  std::vector<float> bpack(kBlockK * kBlockN);
+  for (size_t j0 = 0; j0 < n; j0 += kBlockN) {
+    const size_t nc = std::min(kBlockN, n - j0);
+    for (size_t k0 = 0; k0 < k; k0 += kBlockK) {
+      const size_t kc = std::min(kBlockK, k - k0);
+      for (size_t p = 0; p < kc; ++p) {
+        float* dst = bpack.data() + p * nc;
+        for (size_t j = 0; j < nc; ++j) {
+          dst[j] = b[(j0 + j) * k + k0 + p];
+        }
+      }
+      for (size_t i = 0; i < m; ++i) {
+        const float* a_row = a + i * k + k0;
+        float* crow = c + i * n + j0;
+        size_t p = 0;
+        for (; p + 4 <= kc; p += 4) {
+          const float a0 = a_row[p];
+          const float a1 = a_row[p + 1];
+          const float a2 = a_row[p + 2];
+          const float a3 = a_row[p + 3];
+          const float* b0 = bpack.data() + p * nc;
+          const float* b1 = b0 + nc;
+          const float* b2 = b1 + nc;
+          const float* b3 = b2 + nc;
+          for (size_t j = 0; j < nc; ++j) {
+            crow[j] += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
+          }
+        }
+        for (; p < kc; ++p) {
+          const float ap = a_row[p];
+          const float* bp = bpack.data() + p * nc;
+          for (size_t j = 0; j < nc; ++j) crow[j] += ap * bp[j];
+        }
+      }
     }
   }
 }
@@ -48,6 +96,46 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(70, 130, 300),
                       std::make_tuple(1, 256, 128),
                       std::make_tuple(128, 1, 96)));
+
+TEST(PackedCodebookTest, MatchesPerPanelPackingBitForBit) {
+  // n straddles the 128-column panel edge, k the 256-deep one.
+  for (size_t n : {1, 45, 128, 129, 173, 300}) {
+    for (size_t k : {1, 3, 128, 255, 256, 257, 600}) {
+      for (size_t m : {1, 2, 19}) {
+        Rng rng(m * 100000 + n * 1000 + k);
+        std::vector<float> a(m * k), b(n * k);
+        for (auto& v : a) v = rng.Gaussian();
+        for (auto& v : b) v = rng.Gaussian();
+        std::vector<float> legacy(m * n), per_call(m * n), packed(m * n);
+        PerPanelSgemmTransB(m, n, k, a.data(), b.data(), legacy.data());
+        SgemmTransB(m, n, k, a.data(), b.data(), per_call.data());
+        const PackedCodebook codebook(b.data(), n, k);
+        SgemmTransB(m, a.data(), codebook, packed.data());
+        ASSERT_EQ(std::memcmp(legacy.data(), per_call.data(),
+                              legacy.size() * sizeof(float)),
+                  0)
+            << "m=" << m << " n=" << n << " k=" << k;
+        ASSERT_EQ(std::memcmp(legacy.data(), packed.data(),
+                              legacy.size() * sizeof(float)),
+                  0)
+            << "m=" << m << " n=" << n << " k=" << k;
+
+        std::vector<float> norms(n), want(m * n), got(m * n);
+        RowNormsSqr(b.data(), n, k, norms.data());
+        ASSERT_EQ(std::memcmp(norms.data(), codebook.norms(),
+                              n * sizeof(float)),
+                  0);
+        AllPairsL2Sqr(a.data(), m, b.data(), n, k, nullptr, nullptr,
+                      want.data());
+        AllPairsL2Sqr(a.data(), m, codebook, nullptr, got.data());
+        ASSERT_EQ(
+            std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
+            0)
+            << "m=" << m << " n=" << n << " k=" << k;
+      }
+    }
+  }
+}
 
 TEST(RowNormsTest, MatchesKernel) {
   Rng rng(5);

@@ -346,5 +346,51 @@ TEST_F(DatabaseTest, LargeLimitGetsWorkingEfsDefault) {
   EXPECT_GT(result.rows.size(), 200u);
 }
 
+TEST_F(DatabaseTest, IntegerPositionsAreExactOrRejected) {
+  Must("CREATE TABLE t (id bigint, vec float[2], a int)");
+  Must("INSERT INTO t VALUES (1, '0,0', 1), (2, '1,0', 2), (3, '2,0', 3), "
+       "(9007199254740993, '3,0', 4)");
+
+  // 2^53 + 1 has no double: it must round-trip exactly, not as ...992.
+  auto big = Must("SELECT id FROM t WHERE id = 9007199254740993 "
+                  "ORDER BY vec <-> '3,0' LIMIT 1");
+  ASSERT_EQ(big.rows.size(), 1u);
+  EXPECT_EQ(big.rows[0].id, 9007199254740993);
+  EXPECT_TRUE(Must("SELECT id FROM t WHERE id = 9007199254740992 "
+                   "ORDER BY vec <-> '3,0' LIMIT 1")
+                  .rows.empty());
+
+  // A fractional comparison constant used to truncate (a < 2.5 became
+  // a < 2 and dropped a = 2); it is an error, not a wrong answer.
+  auto frac = session_->Execute(
+      "SELECT id FROM t WHERE a < 2.5 ORDER BY vec <-> '0,0' LIMIT 5");
+  ASSERT_FALSE(frac.ok());
+  EXPECT_TRUE(frac.status().IsInvalidArgument());
+  EXPECT_FALSE(session_->Execute("SELECT id FROM t WHERE a IN (1, 2.5) "
+                                 "ORDER BY vec <-> '0,0' LIMIT 5")
+                   .ok());
+  EXPECT_EQ(Must("SELECT id FROM t WHERE a < 3 ORDER BY vec <-> '0,0' "
+                 "LIMIT 5")
+                .rows.size(),
+            2u);
+
+  // Non-integral and out-of-range row ids and attributes insert nothing.
+  for (const char* bad : {"INSERT INTO t VALUES (5.9, '5,0', 5)",
+                          "INSERT INTO t VALUES (1e30, '5,0', 5)",
+                          "INSERT INTO t VALUES (6, '5,0', 1e30)",
+                          "INSERT INTO t VALUES (9223372036854775808, "
+                          "'5,0', 5)"}) {
+    auto result = session_->Execute(bad);
+    ASSERT_FALSE(result.ok()) << bad;
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << bad;
+  }
+  EXPECT_EQ(Must("SELECT id FROM t ORDER BY vec <-> '5,0' LIMIT 10")
+                .rows.size(),
+            4u);
+  EXPECT_FALSE(
+      session_->Execute("SELECT id FROM t ORDER BY vec <-> '5,0' LIMIT 2.5")
+          .ok());
+}
+
 }  // namespace
 }  // namespace vecdb::sql

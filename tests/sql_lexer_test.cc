@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 namespace vecdb::sql {
 namespace {
 
@@ -39,6 +42,66 @@ TEST(LexerTest, StringLiteralsWithEscapedQuote) {
 
 TEST(LexerTest, UnterminatedStringFails) {
   EXPECT_FALSE(Tokenize("'oops").ok());
+}
+
+TEST(LexerTest, EscapedQuotesInsideAndAtTheEdges) {
+  auto tokens = Tokenize("'''' '' 'a''b''''c' '''x''' 'tail'").ValueOrDie();
+  ASSERT_EQ(tokens.size(), 6u);  // + EOF
+  EXPECT_EQ(tokens[0].text, "'");
+  EXPECT_EQ(tokens[1].text, "");
+  EXPECT_EQ(tokens[2].text, "a'b''c");
+  EXPECT_EQ(tokens[3].text, "'x'");
+  EXPECT_EQ(tokens[4].text, "tail");
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(tokens[i].type, TokenType::kString);
+  }
+  EXPECT_EQ(tokens[2].pos, 8u);
+}
+
+TEST(LexerTest, LiteralUnterminatedAtEndOfInputFails) {
+  // An escaped quote right before the end leaves the literal open.
+  for (const char* input :
+       {"'", "'abc''", "SELECT 'a''", "x 'a'' ''", "'0.1,0.2"}) {
+    auto result = Tokenize(input);
+    ASSERT_FALSE(result.ok()) << input;
+    EXPECT_NE(result.status().message().find("unterminated"),
+              std::string::npos)
+        << input;
+  }
+}
+
+TEST(LexerTest, LiteralScanMatchesCharByCharUnescape) {
+  // Reference: the literal rules applied one character at a time; returns
+  // one past the closing quote, or npos if the literal never closes.
+  auto unescape = [](const std::string& input, std::string* text) {
+    for (size_t j = 1; j < input.size(); ++j) {
+      if (input[j] != '\'') {
+        text->push_back(input[j]);
+      } else if (j + 1 < input.size() && input[j + 1] == '\'') {
+        text->push_back('\'');
+        ++j;
+      } else {
+        return j + 1;
+      }
+    }
+    return std::string::npos;
+  };
+  std::mt19937 rng(7);
+  for (int trial = 0; trial < 5000; ++trial) {
+    std::string input = "'";
+    const int len = static_cast<int>(rng() % 12);
+    for (int i = 0; i < len; ++i) input.push_back("a',1 "[rng() % 5]);
+    std::string expected;
+    const size_t end = unescape(input, &expected);
+    // Lex only the literal, followed by one known token.
+    auto tokens = Tokenize(
+        end == std::string::npos ? input : input.substr(0, end) + " x");
+    ASSERT_EQ(tokens.ok(), end != std::string::npos) << input;
+    if (!tokens.ok()) continue;
+    ASSERT_EQ((*tokens)[0].type, TokenType::kString) << input;
+    EXPECT_EQ((*tokens)[0].text, expected) << input;
+    EXPECT_EQ((*tokens)[1].text, "x") << input;
+  }
 }
 
 TEST(LexerTest, DistanceOperators) {

@@ -2,8 +2,64 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 namespace vecdb::sql {
 namespace {
+
+/// The vector-literal parser as it was before it read elements in place
+/// with from_chars, kept verbatim as the oracle for the differential test.
+Result<std::vector<float>> StrtofParseVectorLiteral(const std::string& text) {
+  std::vector<float> out;
+  size_t i = 0;
+  const size_t n = text.size();
+  auto skip_ws = [&] {
+    while (i < n && (text[i] == ' ' || text[i] == '\t')) ++i;
+  };
+  skip_ws();
+  bool bracketed = false;
+  if (i < n && text[i] == '[') {
+    bracketed = true;
+    ++i;
+  }
+  for (;;) {
+    skip_ws();
+    if (i >= n) break;
+    if (bracketed && text[i] == ']') {
+      ++i;
+      break;
+    }
+    char* end = nullptr;
+    const float v = std::strtof(text.c_str() + i, &end);
+    if (end == text.c_str() + i) {
+      return Status::InvalidArgument("bad vector literal near '" +
+                                     text.substr(i, 8) + "'");
+    }
+    out.push_back(v);
+    i = static_cast<size_t>(end - text.c_str());
+    skip_ws();
+    if (i < n && text[i] == ',') {
+      ++i;
+      continue;
+    }
+  }
+  skip_ws();
+  if (i != n) {
+    return Status::InvalidArgument("trailing garbage in vector literal");
+  }
+  if (out.empty()) {
+    return Status::InvalidArgument("empty vector literal");
+  }
+  return out;
+}
 
 TEST(ParserTest, CreateTable) {
   auto stmt = Parse("CREATE TABLE items (id int, vec float[128]);")
@@ -205,6 +261,153 @@ TEST(VectorLiteralTest, Malformed) {
   EXPECT_FALSE(ParseVectorLiteral("").ok());
   EXPECT_FALSE(ParseVectorLiteral("a,b").ok());
   EXPECT_FALSE(ParseVectorLiteral("1,2]").ok());
+}
+
+TEST(VectorLiteralTest, MatchesStrtofParserBitForBit) {
+  std::mt19937_64 rng(20240611);
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  auto random_float = [&] {
+    uint32_t bits = static_cast<uint32_t>(rng());
+    switch (pick(4)) {
+      case 0:  // denormal, sign random
+        bits &= 0x807fffffu;
+        break;
+      case 1:  // ordinary magnitudes, like embeddings
+        bits = (bits & 0x807fffffu) | ((110u + pick(30)) << 23);
+        break;
+      default:  // any finite bit pattern
+        if ((bits & 0x7f800000u) == 0x7f800000u) bits &= 0xbfffffffu;
+    }
+    float f;
+    std::memcpy(&f, &bits, sizeof(f));
+    return f;
+  };
+  auto element = [&]() -> std::string {
+    char buf[64];
+    switch (pick(10)) {
+      case 0: case 1: case 2: case 3: {  // shortest round-trip form
+        auto res = std::to_chars(buf, buf + sizeof(buf), random_float());
+        return std::string(buf, res.ptr);
+      }
+      case 4:
+        std::snprintf(buf, sizeof(buf), "%.9g",
+                      static_cast<double>(random_float()));
+        return buf;
+      case 5:
+        std::snprintf(buf, sizeof(buf), "%.*e", static_cast<int>(pick(12)),
+                      static_cast<double>(random_float()));
+        return buf;
+      case 6:
+        std::snprintf(buf, sizeof(buf), "%a",
+                      static_cast<double>(random_float()));
+        return buf;
+      case 7: {
+        static const char* const kPrefixes[] = {"+", "\n", "\r", "\f", "\v",
+                                                "-", "+-", " \n"};
+        auto res = std::to_chars(buf, buf + sizeof(buf), random_float());
+        return kPrefixes[pick(8)] + std::string(buf, res.ptr);
+      }
+      case 8: {
+        static const char* const kSpecial[] = {
+            "inf",    "-inf",    "+inf",     "INF",     "infinity",
+            "-Infinity", "nan",  "-nan",     "NaN",     "nan(123)",
+            "nan()",  "1e39",    "-1e39",    "1e-50",   "-1e-50",
+            "1e-45",  "1e-46",   "7e-46",    "1e400",   "3.4028235e38",
+            "3.4028236e38", "0",  "-0",      "+0",      "0.0",
+            "-0.0",   "0e999",   "1e",       "1e+",     "1.",
+            ".5",     "-.5",     "0x",       "0x1p",    "0X1.8P1",
+            "00012",  "1.2.3",   "1e5e3",    "1234567890123456789012345",
+            "0.000000000000000000000000000000000000000000001401298464324817"};
+        return kSpecial[pick(sizeof(kSpecial) / sizeof(kSpecial[0]))];
+      }
+      default: {
+        static const char* const kGarbage[] = {"a", "--1", ".", "-.", "]",
+                                               "[", "", "x1", "1x", "e5"};
+        return kGarbage[pick(sizeof(kGarbage) / sizeof(kGarbage[0]))];
+      }
+    }
+  };
+  static const char* const kSeparators[] = {",", ", ", " ,", " ", "\t",
+                                            ",\t", ",,", " , "};
+  size_t accepted = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const bool bracketed = pick(2) == 0;
+    std::string text = pick(4) == 0 ? " " : "";
+    if (bracketed) text += "[";
+    const size_t count = 1 + pick(6);
+    for (size_t e = 0; e < count; ++e) {
+      if (e > 0) text += kSeparators[pick(8)];
+      text += element();
+    }
+    if (pick(5) == 0) text += ",";
+    if (bracketed && pick(8) != 0) text += pick(3) == 0 ? " ]" : "]";
+    if (pick(20) == 0) text += " x";
+
+    auto expected = StrtofParseVectorLiteral(text);
+    // A view into a longer buffer: the parser must not read past its end.
+    const std::string padded = text + "7e5";
+    auto actual =
+        ParseVectorLiteral(std::string_view(padded).substr(0, text.size()));
+    ASSERT_EQ(expected.ok(), actual.ok()) << '"' << text << '"';
+    if (!expected.ok()) continue;
+    ++accepted;
+    ASSERT_EQ(expected->size(), actual->size()) << '"' << text << '"';
+    ASSERT_EQ(std::memcmp(expected->data(), actual->data(),
+                          expected->size() * sizeof(float)),
+              0)
+        << '"' << text << '"';
+  }
+  // The corpus exercises both sides of the accept/reject line.
+  EXPECT_GT(accepted, 2000u);
+  EXPECT_LT(accepted, 18000u);
+}
+
+TEST(ParserTest, IntegerPositionsAreExact) {
+  auto insert = Parse("INSERT INTO t VALUES (9007199254740993, '1', "
+                      "-9223372036854775808)")
+                    .ValueOrDie();
+  EXPECT_EQ(insert.insert->rows[0].id, 9007199254740993);
+  EXPECT_EQ(insert.insert->rows[0].attrs[0],
+            std::numeric_limits<int64_t>::min());
+
+  auto in = Parse("SELECT id FROM t WHERE a IN (9007199254740993, -4) "
+                  "ORDER BY v <-> '1' LIMIT 3")
+                .ValueOrDie();
+  EXPECT_EQ(in.select->limit, 3u);
+  EXPECT_EQ(Parse("CREATE TABLE t (id int, v float[4294967295])")
+                .ValueOrDie()
+                .create_table->dim,
+            4294967295u);
+}
+
+TEST(ParserTest, NonIntegralOrOutOfRangeIntegersRejected) {
+  for (const char* sql : {
+           "INSERT INTO t VALUES (5.9, '1')",
+           "INSERT INTO t VALUES (1e30, '1')",
+           "INSERT INTO t VALUES (5.0, '1')",
+           "INSERT INTO t VALUES (9223372036854775808, '1')",
+           "INSERT INTO t VALUES (1, '1', 2.5)",
+           "INSERT INTO t VALUES (1, '1', -9223372036854775809)",
+           "SELECT id FROM t WHERE a < 2.5 ORDER BY v <-> '1' LIMIT 1",
+           "SELECT id FROM t WHERE a IN (1, 2e0) ORDER BY v <-> '1' LIMIT 1",
+           "DELETE FROM t WHERE id = 1e30",
+           "SELECT id FROM t ORDER BY v <-> '1' LIMIT 2.5",
+           "SELECT id FROM t ORDER BY v <-> '1' LIMIT 1e30",
+           "CREATE TABLE t (id int, v float[2.5])",
+           "CREATE TABLE t (id int, v float[1e3])",
+           "CREATE TABLE t (id int, v float[4294967296])",
+           "CREATE TABLE t (id int, v float[-1])",
+       }) {
+    auto result = Parse(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_TRUE(result.status().IsInvalidArgument()) << sql;
+  }
+  // Numeric WITH/OPTIONS/SET values stay doubles.
+  EXPECT_DOUBLE_EQ(Parse("SELECT id FROM t ORDER BY v <-> '1' "
+                         "OPTIONS (nprobe=2.5) LIMIT 1")
+                       .ValueOrDie()
+                       .select->options.at("nprobe"),
+                   2.5);
 }
 
 }  // namespace
