@@ -32,23 +32,10 @@ class IvfFlatIndex final : public IvfScanIndex<IvfFlatIndex> {
   IvfFlatIndex(uint32_t dim, IvfFlatOptions options)
       : IvfScanIndex(dim), options_(options) {}
 
-  /// Training phase: learns the codebook from a sample of `data`.
-  Status Train(const float* data, size_t n);
-
   /// Replaces the codebook with externally supplied centroids (used by the
   /// paper's Fig 15 "Faiss*" experiment, which transplants PASE centroids).
   /// Must be called before adding; clears any existing buckets.
   Status SetCentroids(const float* centroids, uint32_t num_clusters);
-
-  /// Adding phase: assigns vectors to buckets. Ids are `ids[i]`, or the
-  /// running count when `ids` is null.
-  Status AddBatch(const float* data, size_t n, const int64_t* ids = nullptr);
-
-  /// Train + AddBatch with phase timing recorded in build_stats().
-  Status Build(const float* data, size_t n) override;
-
-  /// Incremental insert (PASE's aminsert counterpart).
-  Status Insert(const float* vec) override { return AddBatch(vec, 1); }
 
   size_t SizeBytes() const override;
   std::string Describe() const override;
@@ -76,6 +63,23 @@ class IvfFlatIndex final : public IvfScanIndex<IvfFlatIndex> {
 
  private:
   friend class IvfScanIndex<IvfFlatIndex>;
+
+  /// A bucket stores the float row itself: nothing to train or encode.
+  static constexpr const char* kEncodeLabel = "";
+  Status TrainPayload(const float* /*data*/, size_t /*n*/) {
+    return Status::OK();
+  }
+  size_t code_size() const { return 0; }
+  void Encode(const float* /*vec*/, uint8_t* /*code*/) const {}
+  void ResetBuckets(uint32_t num_clusters) {
+    bucket_vecs_ = std::vector<AlignedFloats>(num_clusters);
+    bucket_ids_.assign(num_clusters, {});
+  }
+  void Append(uint32_t b, int64_t id, const float* vec,
+              const uint8_t* /*code*/) {
+    bucket_vecs_[b].Append(vec, dim_);
+    bucket_ids_[b].push_back(id);
+  }
 
   /// Exact float L2 against the bucket's contiguous vectors.
   struct Scorer {

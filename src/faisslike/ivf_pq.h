@@ -41,17 +41,6 @@ class IvfPqIndex final : public IvfScanIndex<IvfPqIndex> {
   IvfPqIndex(uint32_t dim, IvfPqOptions options)
       : IvfScanIndex(dim), options_(options) {}
 
-  /// Trains the coarse codebook and the product quantizer on a sample.
-  Status Train(const float* data, size_t n);
-
-  /// Encodes and buckets vectors; ids default to the running count.
-  Status AddBatch(const float* data, size_t n, const int64_t* ids = nullptr);
-
-  Status Build(const float* data, size_t n) override;
-
-  /// Incremental insert (PASE's aminsert counterpart).
-  Status Insert(const float* vec) override { return AddBatch(vec, 1); }
-
   size_t SizeBytes() const override;
   std::string Describe() const override;
 
@@ -64,9 +53,23 @@ class IvfPqIndex final : public IvfScanIndex<IvfPqIndex> {
   const ProductQuantizer* pq() const { return pq_ ? &*pq_ : nullptr; }
   /// Construction options (round-tripped by Save/Load since format v2).
   const IvfPqOptions& options() const { return options_; }
+  /// Ids in one bucket (testing/diagnostics).
+  const std::vector<int64_t>& bucket_ids(uint32_t b) const {
+    return bucket_ids_[b];
+  }
 
  private:
   friend class IvfScanIndex<IvfPqIndex>;
+
+  /// The PQ trains on its own sample (same sr) of the base data.
+  Status TrainPayload(const float* data, size_t n);
+  static constexpr const char* kEncodeLabel = "pq_encode";
+  size_t code_size() const { return pq_->code_size(); }
+  void Encode(const float* vec, uint8_t* code) const {
+    pq_->Encode(vec, code);
+  }
+  void ResetBuckets(uint32_t num_clusters);
+  void Append(uint32_t b, int64_t id, const float* vec, const uint8_t* code);
 
   /// ADC over the bucket's codes through one per-query distance table
   /// (RC#7: Faiss's optimized table, or the naive one when toggled off).
@@ -78,9 +81,6 @@ class IvfPqIndex final : public IvfScanIndex<IvfPqIndex> {
                obs::SearchCounters& sc) const;
   };
   Scorer MakeScorer(const float* query, Profiler* profiler) const;
-  const std::vector<int64_t>& bucket_ids(uint32_t b) const {
-    return bucket_ids_[b];
-  }
 
   /// With refinement, the scan over-fetches ADC candidates and Refine
   /// rescores them exactly against the stored raw vectors (Faiss

@@ -1,6 +1,13 @@
-// The specialized engine's one IVF search skeleton. IVF_FLAT, IVF_PQ and
-// IVF_SQ8 differ only in what a bucket stores and how a stored entry is
-// scored against the query; everything else lives here once:
+// The specialized engine's one IVF skeleton. IVF_FLAT, IVF_PQ and IVF_SQ8
+// differ only in their payload: how it is trained (nothing, PQ or SQ8), how
+// a row is encoded, what a bucket stores and how a stored entry is scored
+// against the query. Everything else lives here once:
+//   - Build's input checks, phase timers (train_seconds / add_seconds),
+//     worker accounting and faiss.builds;
+//   - coarse Faiss-style K-means, and the adding phase: one SGEMM
+//     assignment pass against the packed codebook (RC#1) or per-row
+//     assignment over the build workers, encoding over the same workers,
+//     then a serial bucket append;
 //   - coarse bucket selection over the in-memory codebook, and one
 //     SGEMM-decomposed selection per SearchBatch (RC#1);
 //   - the per-bucket scan over contiguous bucket arrays: every distance
@@ -12,6 +19,15 @@
 //
 // A derived index `D final : public IvfScanIndex<D>` provides
 //   static constexpr const char* kName;           // "IvfFlat", ...
+//   Options options_;  // num_clusters, sample_ratio, train_iterations,
+//                      // use_sgemm, seed, profiler[, num_threads]
+//   Status TrainPayload(const float* data, size_t n);
+//   void ResetBuckets(uint32_t num_clusters);     // empty buckets
+//   size_t code_size() const;                     // 0: stores the row
+//   static constexpr const char* kEncodeLabel;    // "" when unprofiled
+//   void Encode(const float* vec, uint8_t* code) const;
+//   void Append(uint32_t b, int64_t id, const float* vec,
+//               const uint8_t* code);
 //   const std::vector<int64_t>& bucket_ids(uint32_t b) const;
 //   Scorer MakeScorer(const float* query, Profiler* profiler) const;
 // where a Scorer carries a `kLabel` profiler label and
@@ -27,8 +43,11 @@
 #include <string>
 #include <vector>
 
+#include "clustering/kmeans.h"
 #include "common/aligned_buffer.h"
+#include "common/timer.h"
 #include "core/index.h"
+#include "core/parallel.h"
 #include "core/tombstones.h"
 #include "distance/kernels.h"
 #include "distance/sgemm.h"
@@ -40,6 +59,21 @@ namespace vecdb::faisslike {
 template <class Derived>
 class IvfScanIndex : public VectorIndex {
  public:
+  /// Training phase: the coarse codebook by Faiss-style K-means on a
+  /// sample of `data`, then the payload's own training. Empties every
+  /// bucket.
+  Status Train(const float* data, size_t n);
+
+  /// Adding phase: assigns, encodes and buckets `n` rows. Ids are
+  /// `ids[i]`, or the running count when `ids` is null.
+  Status AddBatch(const float* data, size_t n, const int64_t* ids = nullptr);
+
+  /// Train + AddBatch with phase timing recorded in build_stats().
+  Status Build(const float* data, size_t n) override;
+
+  /// Incremental insert (PASE's aminsert counterpart).
+  Status Insert(const float* vec) override { return AddBatch(vec, 1); }
+
   Result<std::vector<Neighbor>> Search(
       const float* query, const SearchParams& params) const override;
 
@@ -88,9 +122,13 @@ class IvfScanIndex : public VectorIndex {
     return FilteredScan(query, selection, params, /*exhaustive=*/false);
   }
 
-  /// Installs a trained codebook; a nonzero num_clusters_ is what marks
-  /// the index searchable, so derived Train() calls this last.
+  /// Installs a trained codebook and empties every bucket; a nonzero
+  /// num_clusters_ is what marks the index searchable, so Train calls this
+  /// last.
   void SetCodebook(const float* centroids, uint32_t num_clusters) {
+    derived().ResetBuckets(num_clusters);
+    num_vectors_ = 0;
+    tombstones_.Clear();
     num_clusters_ = num_clusters;
     centroids_.Resize(0);
     centroids_.Append(centroids, static_cast<size_t>(num_clusters) * dim_);
@@ -130,6 +168,16 @@ class IvfScanIndex : public VectorIndex {
 
  private:
   const Derived& derived() const { return static_cast<const Derived&>(*this); }
+  Derived& derived() { return static_cast<Derived&>(*this); }
+
+  /// Build workers; IVF_SQ8's options have no num_threads, so it builds
+  /// on one.
+  int BuildThreads() const {
+    if constexpr (requires { derived().options_.num_threads; }) {
+      return std::max(derived().options_.num_threads, 1);
+    }
+    return 1;
+  }
 
   Status CheckSearchable(const SearchParams& params, IndexKind kind) const {
     VECDB_RETURN_NOT_OK(ValidateSearchParams(params, kind, Derived::kName));
@@ -218,6 +266,118 @@ class IvfScanIndex : public VectorIndex {
       const float* query, const filter::SelectionVector& selection,
       const SearchParams& params, bool exhaustive) const;
 };
+
+template <class Derived>
+Status IvfScanIndex<Derived>::Train(const float* data, size_t n) {
+  const auto& options = derived().options_;
+  KMeansOptions km;
+  km.num_clusters = options.num_clusters;
+  km.max_iterations = options.train_iterations;
+  km.sample_ratio = options.sample_ratio;
+  km.style = KMeansStyle::kFaissStyle;
+  km.use_sgemm = options.use_sgemm;
+  km.seed = options.seed;
+  km.profiler = options.profiler;
+  VECDB_ASSIGN_OR_RETURN(KMeansModel model, TrainKMeans(data, n, dim_, km));
+  VECDB_RETURN_NOT_OK(derived().TrainPayload(data, n));
+  SetCodebook(model.centroids.data(), model.num_clusters);
+  return Status::OK();
+}
+
+template <class Derived>
+Status IvfScanIndex<Derived>::AddBatch(const float* data, size_t n,
+                                       const int64_t* ids) {
+  if (num_clusters_ == 0) {
+    return Status::InvalidArgument(std::string(Derived::kName) +
+                                   "::AddBatch: index not trained");
+  }
+  if (data == nullptr && n > 0) {
+    return Status::InvalidArgument(std::string(Derived::kName) +
+                                   "::AddBatch: null data");
+  }
+  const auto& options = derived().options_;
+  // Fan out only with a row per worker: a one-row Insert would pay for a
+  // whole pool. Worker time is charged only to the slots Build sized.
+  const int threads = BuildThreads();
+  const int workers = n >= static_cast<size_t>(threads) ? threads : 1;
+  ParallelAccounting& acct = build_stats_.accounting;
+  ParallelAccounting* worker_acct =
+      acct.worker_busy_nanos.size() == static_cast<size_t>(workers) ? &acct
+                                                                    : nullptr;
+  Profiler* profiler = workers == 1 ? options.profiler : nullptr;
+
+  std::vector<uint32_t> assign(n);
+  if (options.use_sgemm) {
+    // Faiss delegates assignment to one big SGEMM-decomposed batch; model
+    // it as a serial (BLAS-internal) section for the scaling accounting.
+    CpuTimer timer;
+    AssignToNearest(data, n, codebook_, assign.data(), nullptr, nullptr,
+                    options.profiler);
+    acct.serial_nanos += timer.ElapsedNanos();
+  } else {
+    RunWorkers(workers, n, worker_acct, [&](int, size_t begin, size_t end) {
+      AssignToNearest(data + begin * dim_, end - begin, dim_,
+                      centroids_.data(), num_clusters_, /*use_sgemm=*/false,
+                      assign.data() + begin, nullptr, nullptr, profiler);
+    });
+  }
+
+  // Encoding dominates the quantized adding phases and parallelizes
+  // cleanly (this is why Fig 9c/9d scale even with SGEMM enabled).
+  const size_t code_size = derived().code_size();
+  std::vector<uint8_t> codes(n * code_size);
+  if (code_size > 0) {
+    RunWorkers(workers, n, worker_acct, [&](int, size_t begin, size_t end) {
+      ProfScope scope(*Derived::kEncodeLabel != '\0' ? profiler : nullptr,
+                      Derived::kEncodeLabel);
+      for (size_t i = begin; i < end; ++i) {
+        derived().Encode(data + i * dim_, codes.data() + i * code_size);
+      }
+    });
+  }
+
+  // Bucket append is a cheap serial pass.
+  CpuTimer append_timer;
+  for (size_t i = 0; i < n; ++i) {
+    derived().Append(assign[i],
+                     ids != nullptr ? ids[i]
+                                    : static_cast<int64_t>(num_vectors_ + i),
+                     data + i * dim_, codes.data() + i * code_size);
+  }
+  acct.serial_nanos += append_timer.ElapsedNanos();
+  num_vectors_ += n;
+  return Status::OK();
+}
+
+template <class Derived>
+Status IvfScanIndex<Derived>::Build(const float* data, size_t n) {
+  if (data == nullptr || n == 0) {
+    return Status::InvalidArgument(std::string(Derived::kName) +
+                                   "::Build: empty input");
+  }
+  if (derived().options_.num_clusters > n) {
+    return Status::InvalidArgument(std::string(Derived::kName) +
+                                   "::Build: c > n");
+  }
+  build_stats_ = {};
+  build_stats_.accounting.Reset(BuildThreads());
+  Timer timer;
+  VECDB_RETURN_NOT_OK(Train(data, n));
+  build_stats_.train_seconds = timer.ElapsedSeconds();
+  timer.Reset();
+  VECDB_RETURN_NOT_OK(AddBatch(data, n));
+  build_stats_.add_seconds = timer.ElapsedSeconds();
+#ifndef NDEBUG
+  if constexpr (requires { derived().CheckInvariants(); }) {
+    derived().CheckInvariants();
+  }
+#endif
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.Add(obs::Counter::kFaissBuilds);
+  registry.Record(obs::Hist::kFaissBuildNanos,
+                  static_cast<uint64_t>(build_stats_.total_seconds() * 1e9));
+  return Status::OK();
+}
 
 template <class Derived>
 Result<std::vector<Neighbor>> IvfScanIndex<Derived>::Search(

@@ -35,22 +35,32 @@ class IvfSq8Index final : public IvfScanIndex<IvfSq8Index> {
   IvfSq8Index(uint32_t dim, IvfSq8Options options)
       : IvfScanIndex(dim), options_(options) {}
 
-  /// Trains the coarse codebook and the per-dimension scalar ranges.
-  Status Train(const float* data, size_t n);
-
-  /// Encodes and buckets vectors; ids default to the running count.
-  Status AddBatch(const float* data, size_t n, const int64_t* ids = nullptr);
-
-  Status Build(const float* data, size_t n) override;
-
-  /// Incremental insert (PASE's aminsert counterpart).
-  Status Insert(const float* vec) override { return AddBatch(vec, 1); }
-
   size_t SizeBytes() const override;
   std::string Describe() const override;
 
+  /// Ids in one bucket (testing/diagnostics).
+  const std::vector<int64_t>& bucket_ids(uint32_t b) const {
+    return buckets_[b].ids();
+  }
+
  private:
   friend class IvfScanIndex<IvfSq8Index>;
+
+  /// The per-dimension scalar ranges, trained on every row.
+  Status TrainPayload(const float* data, size_t n);
+  static constexpr const char* kEncodeLabel = "";
+  size_t code_size() const { return sq_->code_size(); }
+  void Encode(const float* vec, uint8_t* code) const {
+    sq_->Encode(vec, code);
+  }
+  void ResetBuckets(uint32_t num_clusters) {
+    buckets_ = std::vector<Sq8CodeStore>(num_clusters);
+    for (auto& bucket : buckets_) bucket.Reset(sq_->code_size());
+  }
+  void Append(uint32_t b, int64_t id, const float* /*vec*/,
+              const uint8_t* code) {
+    buckets_[b].Append(code, id);
+  }
 
   /// SQ8 fast scan against one prepared query.
   struct Scorer {
@@ -62,9 +72,6 @@ class IvfSq8Index final : public IvfScanIndex<IvfSq8Index> {
   };
   Scorer MakeScorer(const float* query, Profiler* /*profiler*/) const {
     return {this, sq_->PrepareQuery(query)};
-  }
-  const std::vector<int64_t>& bucket_ids(uint32_t b) const {
-    return buckets_[b].ids();
   }
 
   IvfSq8Options options_;

@@ -1,10 +1,6 @@
 #include "pase/ivf_flat.h"
 
-#include "clustering/kmeans.h"
-#include "common/check.h"
-#include "common/timer.h"
 #include "distance/kernels.h"
-#include "obs/metrics.h"
 
 namespace vecdb::pase {
 
@@ -47,64 +43,6 @@ std::vector<Neighbor> PaseIvfFlatIndex::TakeTopK(NHeap& collector,
   auto all = collector.PopK(collector.size());
   if (all.size() > k) all.resize(k);
   return all;
-}
-
-Status PaseIvfFlatIndex::Build(const float* data, size_t n) {
-  if (!env_.valid()) return Status::InvalidArgument("PaseIvfFlat: bad env");
-  if (data == nullptr || n == 0) {
-    return Status::InvalidArgument("PaseIvfFlat: empty input");
-  }
-  if (options_.num_clusters > n) {
-    return Status::InvalidArgument("PaseIvfFlat: c > n");
-  }
-  build_stats_ = {};
-  Timer timer;
-
-  // --- Training phase: PASE-style K-means (RC#5), per-pair distances.
-  KMeansOptions km;
-  km.num_clusters = options_.num_clusters;
-  km.max_iterations = options_.train_iterations;
-  km.sample_ratio = options_.sample_ratio;
-  km.style = KMeansStyle::kPaseStyle;
-  km.use_sgemm = false;  // RC#1: PASE has no SGEMM path
-  km.seed = options_.seed;
-  km.profiler = options_.profiler;
-  VECDB_ASSIGN_OR_RETURN(KMeansModel model, TrainKMeans(data, n, dim_, km));
-  num_clusters_ = model.num_clusters;
-  centroids_.Resize(0);
-  centroids_.Append(model.centroids.data(),
-                    static_cast<size_t>(num_clusters_) * dim_);
-  build_stats_.train_seconds = timer.ElapsedSeconds();
-  timer.Reset();
-
-  // --- Adding phase: naive per-pair assignment (the fvec_L2sqr_ref
-  // bottleneck of Fig 3) and page-chain appends through the buffer manager.
-  VECDB_ASSIGN_OR_RETURN(centroid_rel_, env_.smgr->CreateRelation(
-                                            options_.rel_prefix + "_centroid"));
-  VECDB_ASSIGN_OR_RETURN(
-      data_rel_, env_.smgr->CreateRelation(options_.rel_prefix + "_data"));
-  chains_.assign(num_clusters_, {});
-
-  std::vector<uint32_t> assign(n);
-  AssignToNearest(data, n, dim_, centroids_.data(), num_clusters_,
-                  /*use_sgemm=*/false, assign.data(), nullptr, nullptr,
-                  options_.profiler);
-  for (size_t i = 0; i < n; ++i) {
-    VECDB_RETURN_NOT_OK(AppendToBucket(assign[i], static_cast<int64_t>(i),
-                                       data + i * dim_, dim_ * sizeof(float)));
-  }
-  VECDB_RETURN_NOT_OK(WriteCentroidPages());
-  num_vectors_ = n;
-  next_row_id_ = static_cast<int64_t>(n);
-  build_stats_.add_seconds = timer.ElapsedSeconds();
-#ifndef NDEBUG
-  CheckInvariants();
-#endif
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.Add(obs::Counter::kPaseBuilds);
-  registry.Record(obs::Hist::kPaseBuildNanos,
-                  static_cast<uint64_t>(build_stats_.total_seconds() * 1e9));
-  return Status::OK();
 }
 
 Status PaseIvfFlatIndex::Vacuum() {
@@ -180,63 +118,6 @@ Status PaseIvfFlatIndex::Delete(int64_t id) {
                             " not indexed");
   }
   return tombstones_.Mark(id);
-}
-
-Status PaseIvfFlatIndex::Insert(const float* vec) {
-  if (num_clusters_ == 0) {
-    return Status::InvalidArgument("PaseIvfFlat: index not built");
-  }
-  if (vec == nullptr) return Status::InvalidArgument("PaseIvfFlat: null vec");
-  uint32_t bucket = 0;
-  AssignToNearest(vec, 1, dim_, centroids_.data(), num_clusters_,
-                  /*use_sgemm=*/false, &bucket, nullptr);
-  VECDB_RETURN_NOT_OK(
-      AppendToBucket(bucket, next_row_id_, vec, dim_ * sizeof(float)));
-  ++next_row_id_;
-  ++num_vectors_;
-  return Status::OK();
-}
-
-void PaseIvfFlatIndex::CheckInvariants() const {
-  if (num_clusters_ == 0) return;  // not built yet; nothing to audit
-  VECDB_CHECK_EQ(chains_.size(), num_clusters_) << "chain count vs clusters";
-  VECDB_CHECK_EQ(centroids_.size(),
-                 static_cast<size_t>(num_clusters_) * dim_)
-      << "centroid matrix truncated";
-  VECDB_CHECK_LE(tombstones_.size(), num_vectors_)
-      << "more tombstones than stored rows";
-  // Walk every bucket's page chain; stored tuples (live + tombstoned, which
-  // stay in place until Vacuum) must sum to num_vectors_, and a tail block
-  // must terminate its chain.
-  size_t stored = 0;
-  for (uint32_t b = 0; b < num_clusters_; ++b) {
-    const BucketChain& chain = chains_[b];
-    VECDB_CHECK_EQ(chain.head == pgstub::kInvalidBlock,
-                   chain.tail == pgstub::kInvalidBlock)
-        << "bucket " << b << " has a head xor a tail";
-    pgstub::BlockId last = pgstub::kInvalidBlock;
-    const Status walked = WalkChain(
-        b, nullptr,
-        [&](pgstub::BlockId block, const std::vector<const char*>& tuples) {
-          stored += tuples.size();
-          last = block;
-          return true;
-        });
-    VECDB_CHECK(walked.ok())
-        << "bucket " << b << " chain walk failed: " << walked.ToString();
-    if (chain.head != pgstub::kInvalidBlock) {
-      VECDB_CHECK_EQ(last, chain.tail)
-          << "bucket " << b << " chain does not end at its tail";
-    }
-  }
-  VECDB_CHECK_EQ(stored, num_vectors_) << "chain population vs num_vectors";
-}
-
-size_t PaseIvfFlatIndex::SizeBytes() const {
-  size_t blocks = 0;
-  if (auto r = env_.smgr->NumBlocks(centroid_rel_); r.ok()) blocks += *r;
-  if (auto r = env_.smgr->NumBlocks(data_rel_); r.ok()) blocks += *r;
-  return blocks * static_cast<size_t>(env_.bufmgr->page_size());
 }
 
 std::string PaseIvfFlatIndex::Describe() const {

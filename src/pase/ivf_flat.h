@@ -39,11 +39,6 @@ class PaseIvfFlatIndex final : public PaseIvfScanIndex<PaseIvfFlatIndex> {
   PaseIvfFlatIndex(PaseEnv env, uint32_t dim, PaseIvfFlatOptions options)
       : PaseIvfScanIndex(env, dim), options_(options) {}
 
-  Status Build(const float* data, size_t n) override;
-
-  /// aminsert: assigns the new row to its bucket chain.
-  Status Insert(const float* vec) override;
-
   /// amdelete: tombstones a row (PASE marks dead tuples; VACUUM reclaims).
   /// NotFound if the row id is not stored in any page chain — which
   /// includes ids reclaimed by a previous Vacuum.
@@ -53,19 +48,20 @@ class PaseIvfFlatIndex final : public PaseIvfScanIndex<PaseIvfFlatIndex> {
   /// pages and clearing the tombstone set.
   Status Vacuum();
 
-  /// Relation-file footprint in bytes (pages * page size), which is how a
-  /// PostgreSQL index reports its size.
-  size_t SizeBytes() const override;
   std::string Describe() const override;
-
-  /// Aborts if index structure is inconsistent: chain count differing from
-  /// the cluster count, page-chain tuple population not summing to the
-  /// vector count, more tombstones than rows, or a truncated centroid
-  /// matrix. Test/debug hook.
-  void CheckInvariants() const;
 
  private:
   friend class PaseIvfScanIndex<PaseIvfFlatIndex>;
+
+  /// A tuple stores the float row itself: nothing to train or encode.
+  static constexpr const char* kEncodeLabel = "";
+  Status TrainPayload(const float* /*data*/, size_t /*n*/) {
+    return Status::OK();
+  }
+  size_t payload_bytes() const { return dim_ * sizeof(float); }
+  const void* Payload(const float* vec, uint8_t* /*scratch*/) const {
+    return vec;
+  }
 
   /// Exact float L2 against the page-resident vectors; pgvector mode
   /// dispatches the operator through a function pointer per tuple.
@@ -90,8 +86,6 @@ class PaseIvfFlatIndex final : public PaseIvfScanIndex<PaseIvfFlatIndex> {
   Result<bool> ContainsRow(int64_t row_id) const;
 
   PaseIvfFlatOptions options_;
-  /// Monotone id source for Insert; never reused, even after Vacuum.
-  int64_t next_row_id_ = 0;
 };
 
 }  // namespace vecdb::pase

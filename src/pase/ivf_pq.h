@@ -35,27 +35,21 @@ class PaseIvfPqIndex final : public PaseIvfScanIndex<PaseIvfPqIndex> {
   PaseIvfPqIndex(PaseEnv env, uint32_t dim, PaseIvfPqOptions options)
       : PaseIvfScanIndex(env, dim), options_(options) {}
 
-  Status Build(const float* data, size_t n) override;
-
-  /// aminsert: encodes and appends the new row to its bucket chain.
-  Status Insert(const float* vec) override;
-
-  /// amdelete: tombstones a row (PASE marks dead tuples; VACUUM reclaims).
-  /// Row ids are assigned contiguously from 0, so anything outside
-  /// [0, num_vectors_) was never indexed and reports NotFound.
-  Status Delete(int64_t id) override {
-    if (id < 0 || id >= static_cast<int64_t>(num_vectors_)) {
-      return Status::NotFound("PaseIvfPq::Delete: row " + std::to_string(id) +
-                              " not indexed");
-    }
-    return tombstones_.Mark(id);
-  }
-
+  /// The relation files plus the PQ codebook.
   size_t SizeBytes() const override;
   std::string Describe() const override;
 
  private:
   friend class PaseIvfScanIndex<PaseIvfPqIndex>;
+
+  /// The PQ trains on its own sample (same sr) of the base data.
+  Status TrainPayload(const float* data, size_t n);
+  static constexpr const char* kEncodeLabel = "pq_encode";
+  size_t payload_bytes() const { return pq_->code_size(); }
+  const void* Payload(const float* vec, uint8_t* scratch) const {
+    pq_->Encode(vec, scratch);
+    return scratch;
+  }
 
   /// ADC over page-resident codes through the naive per-query table
   /// (RC#7: one L2 kernel call per (subspace, codeword) pair, recomputed

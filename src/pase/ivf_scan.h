@@ -1,6 +1,12 @@
-// The generalized engine's one IVF search skeleton. PASE's IVF_FLAT,
-// IVF_PQ and IVF_SQ8 differ only in the payload of a bucket tuple and how
-// it is scored against the query; everything else lives here once:
+// The generalized engine's one IVF skeleton. PASE's IVF_FLAT, IVF_PQ and
+// IVF_SQ8 differ only in their payload: how it is trained (nothing, PQ or
+// SQ8), what a bucket tuple stores after its row id and how that is scored
+// against the query. Everything else lives here once:
+//   - Build: PASE-style K-means (RC#5) with no SGEMM anywhere (RC#1),
+//     naive per-pair assignment, the encode-and-append loop, the centroid
+//     pages, the phase timers and pase.builds;
+//   - Insert (row ids continue from the last one issued), the range-checked
+//     Delete, and CheckInvariants' audit of the page chains;
 //   - page storage: per-bucket chains of data pages, and centroid pages
 //     scanned through the buffer manager for bucket selection;
 //   - the page-chain walk with one pin per page and line-pointer tuple
@@ -12,13 +18,22 @@
 //
 // Every bucket tuple starts with its int64 row id; a derived index
 // `D final : public PaseIvfScanIndex<D>` provides
-//   static constexpr const char* kName;     // "PaseIvfFlat", ...
-//   static constexpr size_t kHeaderBytes;   // tuple bytes before payload
+//   static constexpr const char* kName;         // "PaseIvfFlat", ...
+//   static constexpr size_t kHeaderBytes;       // tuple bytes before payload
+//   static constexpr const char* kEncodeLabel;  // "" when unprofiled
+//   Options options_;  // num_clusters, sample_ratio, train_iterations,
+//                      // seed, rel_prefix, profiler
+//   Status TrainPayload(const float* data, size_t n);
+//   size_t payload_bytes() const;
+//   const void* Payload(const float* vec, uint8_t* scratch) const;
 //   Scorer MakeScorer(const float* query, Profiler* profiler) const;
-// where a Scorer carries a `kLabel` profiler label and
+// where Payload returns the row itself or its code written to `scratch`
+// (payload_bytes() long), and a Scorer carries a `kLabel` profiler label
+// and
 //   void Score(const char* const* tuples, size_t n, float* out,
 //              obs::SearchCounters& sc) const;
-// scores n pinned tuples. IVF_FLAT also shadows TakeTopK (pgvector mode).
+// scores n pinned tuples. IVF_FLAT also shadows Delete (a chain walk, as
+// its Vacuum reclaims ids) and TakeTopK (pgvector mode).
 #pragma once
 
 #include <algorithm>
@@ -28,8 +43,11 @@
 #include <string>
 #include <vector>
 
+#include "clustering/kmeans.h"
 #include "common/aligned_buffer.h"
+#include "common/check.h"
 #include "common/thread_annotations.h"
+#include "common/timer.h"
 #include "core/index.h"
 #include "core/tombstones.h"
 #include "distance/kernels.h"
@@ -43,6 +61,41 @@ namespace vecdb::pase {
 template <class Derived>
 class PaseIvfScanIndex : public VectorIndex {
  public:
+  /// ambuild. Training: PASE-style K-means and the payload's own training.
+  /// Adding: naive per-pair assignment (the fvec_L2sqr_ref bottleneck of
+  /// Fig 3), then encoding and page-chain appends through the buffer
+  /// manager, then the centroid pages.
+  Status Build(const float* data, size_t n) override;
+
+  /// aminsert: assigns the new row to its bucket chain.
+  Status Insert(const float* vec) override;
+
+  /// amdelete: tombstones a row (PASE marks dead tuples; VACUUM reclaims).
+  /// Row ids are issued contiguously from 0, so anything outside
+  /// [0, next_row_id_) was never indexed and reports NotFound.
+  Status Delete(int64_t id) override {
+    if (id < 0 || id >= next_row_id_) {
+      return Status::NotFound(std::string(Derived::kName) + "::Delete: row " +
+                              std::to_string(id) + " not indexed");
+    }
+    return tombstones_.Mark(id);
+  }
+
+  /// Relation-file footprint in bytes (pages * page size), which is how a
+  /// PostgreSQL index reports its size.
+  size_t SizeBytes() const override {
+    size_t blocks = 0;
+    if (auto r = env_.smgr->NumBlocks(centroid_rel_); r.ok()) blocks += *r;
+    if (auto r = env_.smgr->NumBlocks(data_rel_); r.ok()) blocks += *r;
+    return blocks * static_cast<size_t>(env_.bufmgr->page_size());
+  }
+
+  /// Aborts if index structure is inconsistent: chain count differing from
+  /// the cluster count, page-chain tuple population not summing to the
+  /// vector count, more tombstones than rows, or a truncated centroid
+  /// matrix. Test/debug hook.
+  void CheckInvariants() const;
+
   Result<std::vector<Neighbor>> Search(
       const float* query, const SearchParams& params) const override;
 
@@ -106,8 +159,7 @@ class PaseIvfScanIndex : public VectorIndex {
   /// Writes centroid tuples into the centroid relation pages.
   Status WriteCentroidPages();
 
-  /// Picks the nprobe closest buckets: a scan of the centroid pages, or of
-  /// the in-memory codebook for an index without a centroid relation.
+  /// Picks the nprobe closest buckets by a scan of the centroid pages.
   Result<std::vector<uint32_t>> SelectBuckets(const float* query,
                                               uint32_t nprobe,
                                               Profiler* profiler) const;
@@ -154,11 +206,27 @@ class PaseIvfScanIndex : public VectorIndex {
   pgstub::RelId centroid_rel_ = pgstub::kInvalidRel;
   pgstub::RelId data_rel_ = pgstub::kInvalidRel;
   std::vector<BucketChain> chains_;
-  AlignedFloats centroids_;  ///< in-memory copy for build-time assignment
+  AlignedFloats centroids_;  ///< in-memory copy for row assignment
   TombstoneSet tombstones_;
+  /// Monotone id source for Insert; never reused, even after Vacuum.
+  int64_t next_row_id_ = 0;
 
  private:
   const Derived& derived() const { return static_cast<const Derived&>(*this); }
+  Derived& derived() { return static_cast<Derived&>(*this); }
+
+  /// Appends one row's tuple to a bucket chain: the row itself, or its
+  /// code encoded into `scratch` under the payload's profiler label.
+  Status AppendRow(uint32_t bucket, int64_t row_id, const float* vec,
+                   uint8_t* scratch, Profiler* profiler) {
+    const void* payload;
+    {
+      ProfScope scope(*Derived::kEncodeLabel != '\0' ? profiler : nullptr,
+                      Derived::kEncodeLabel);
+      payload = derived().Payload(vec, scratch);
+    }
+    return AppendToBucket(bucket, row_id, payload, derived().payload_bytes());
+  }
 
   Status CheckSearchable(const SearchParams& params, IndexKind kind) const {
     VECDB_RETURN_NOT_OK(ValidateSearchParams(params, kind, Derived::kName));
@@ -243,6 +311,125 @@ class PaseIvfScanIndex : public VectorIndex {
       const float* query, const filter::SelectionVector& selection,
       const SearchParams& params, bool exhaustive) const;
 };
+
+template <class Derived>
+Status PaseIvfScanIndex<Derived>::Build(const float* data, size_t n) {
+  const auto& options = derived().options_;
+  const std::string name = Derived::kName;
+  if (!env_.valid()) return Status::InvalidArgument(name + ": bad env");
+  if (data == nullptr || n == 0) {
+    return Status::InvalidArgument(name + ": empty input");
+  }
+  if (options.num_clusters > n) {
+    return Status::InvalidArgument(name + ": c > n");
+  }
+  build_stats_ = {};
+  Timer timer;
+
+  // --- Training phase: PASE-style K-means (RC#5), per-pair distances.
+  KMeansOptions km;
+  km.num_clusters = options.num_clusters;
+  km.max_iterations = options.train_iterations;
+  km.sample_ratio = options.sample_ratio;
+  km.style = KMeansStyle::kPaseStyle;
+  km.use_sgemm = false;  // RC#1: PASE has no SGEMM path
+  km.seed = options.seed;
+  km.profiler = options.profiler;
+  VECDB_ASSIGN_OR_RETURN(KMeansModel model, TrainKMeans(data, n, dim_, km));
+  VECDB_RETURN_NOT_OK(derived().TrainPayload(data, n));
+  num_clusters_ = model.num_clusters;
+  centroids_.Resize(0);
+  centroids_.Append(model.centroids.data(),
+                    static_cast<size_t>(num_clusters_) * dim_);
+  build_stats_.train_seconds = timer.ElapsedSeconds();
+  timer.Reset();
+
+  // --- Adding phase.
+  VECDB_ASSIGN_OR_RETURN(centroid_rel_, env_.smgr->CreateRelation(
+                                            options.rel_prefix + "_centroid"));
+  VECDB_ASSIGN_OR_RETURN(
+      data_rel_, env_.smgr->CreateRelation(options.rel_prefix + "_data"));
+  chains_.assign(num_clusters_, {});
+  std::vector<uint32_t> assign(n);
+  AssignToNearest(data, n, dim_, centroids_.data(), num_clusters_,
+                  /*use_sgemm=*/false, assign.data(), nullptr, nullptr,
+                  options.profiler);
+  std::vector<uint8_t> scratch(derived().payload_bytes());
+  for (size_t i = 0; i < n; ++i) {
+    VECDB_RETURN_NOT_OK(AppendRow(assign[i], static_cast<int64_t>(i),
+                                  data + i * dim_, scratch.data(),
+                                  options.profiler));
+  }
+  VECDB_RETURN_NOT_OK(WriteCentroidPages());
+  num_vectors_ = n;
+  next_row_id_ = static_cast<int64_t>(n);
+  build_stats_.add_seconds = timer.ElapsedSeconds();
+#ifndef NDEBUG
+  CheckInvariants();
+#endif
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.Add(obs::Counter::kPaseBuilds);
+  registry.Record(obs::Hist::kPaseBuildNanos,
+                  static_cast<uint64_t>(build_stats_.total_seconds() * 1e9));
+  return Status::OK();
+}
+
+template <class Derived>
+Status PaseIvfScanIndex<Derived>::Insert(const float* vec) {
+  if (num_clusters_ == 0) {
+    return Status::InvalidArgument(std::string(Derived::kName) +
+                                   ": index not built");
+  }
+  if (vec == nullptr) {
+    return Status::InvalidArgument(std::string(Derived::kName) +
+                                   ": null vec");
+  }
+  uint32_t bucket = 0;
+  AssignToNearest(vec, 1, dim_, centroids_.data(), num_clusters_,
+                  /*use_sgemm=*/false, &bucket, nullptr);
+  std::vector<uint8_t> scratch(derived().payload_bytes());
+  VECDB_RETURN_NOT_OK(
+      AppendRow(bucket, next_row_id_, vec, scratch.data(), nullptr));
+  ++next_row_id_;
+  ++num_vectors_;
+  return Status::OK();
+}
+
+template <class Derived>
+void PaseIvfScanIndex<Derived>::CheckInvariants() const {
+  if (num_clusters_ == 0) return;  // not built yet; nothing to audit
+  VECDB_CHECK_EQ(chains_.size(), num_clusters_) << "chain count vs clusters";
+  VECDB_CHECK_EQ(centroids_.size(),
+                 static_cast<size_t>(num_clusters_) * dim_)
+      << "centroid matrix truncated";
+  VECDB_CHECK_LE(tombstones_.size(), num_vectors_)
+      << "more tombstones than stored rows";
+  // Walk every bucket's page chain; stored tuples (live + tombstoned, which
+  // stay in place until Vacuum) must sum to num_vectors_, and a tail block
+  // must terminate its chain.
+  size_t stored = 0;
+  for (uint32_t b = 0; b < num_clusters_; ++b) {
+    const BucketChain& chain = chains_[b];
+    VECDB_CHECK_EQ(chain.head == pgstub::kInvalidBlock,
+                   chain.tail == pgstub::kInvalidBlock)
+        << "bucket " << b << " has a head xor a tail";
+    pgstub::BlockId last = pgstub::kInvalidBlock;
+    const Status walked = WalkChain(
+        b, nullptr,
+        [&](pgstub::BlockId block, const std::vector<const char*>& tuples) {
+          stored += tuples.size();
+          last = block;
+          return true;
+        });
+    VECDB_CHECK(walked.ok())
+        << "bucket " << b << " chain walk failed: " << walked.ToString();
+    if (chain.head != pgstub::kInvalidBlock) {
+      VECDB_CHECK_EQ(last, chain.tail)
+          << "bucket " << b << " chain does not end at its tail";
+    }
+  }
+  VECDB_CHECK_EQ(stored, num_vectors_) << "chain population vs num_vectors";
+}
 
 template <class Derived>
 Status PaseIvfScanIndex<Derived>::AppendToBucket(uint32_t bucket,
@@ -339,31 +526,21 @@ Result<std::vector<uint32_t>> PaseIvfScanIndex<Derived>::SelectBuckets(
     const float* query, uint32_t nprobe, Profiler* profiler) const {
   ProfScope scope(profiler, "SelectBuckets");
   KMaxHeap heap(nprobe);
-  if (centroid_rel_ == pgstub::kInvalidRel) {
-    for (uint32_t c = 0; c < num_clusters_; ++c) {
-      heap.Push(
-          L2Sqr(query, centroids_.data() + static_cast<size_t>(c) * dim_,
-                dim_),
-          c);
+  VECDB_ASSIGN_OR_RETURN(pgstub::BlockId blocks,
+                         env_.smgr->NumBlocks(centroid_rel_));
+  for (pgstub::BlockId b = 0; b < blocks; ++b) {
+    VECDB_ASSIGN_OR_RETURN(pgstub::BufferHandle handle,
+                           env_.bufmgr->Pin(centroid_rel_, b));
+    pgstub::PageView page(handle.data, env_.bufmgr->page_size());
+    const uint16_t count = page.ItemCount();
+    for (pgstub::OffsetNumber slot = 1; slot <= count; ++slot) {
+      const char* item = page.GetItem(slot);
+      const auto* header = reinterpret_cast<const CentroidTupleHeader*>(item);
+      const float* vec =
+          reinterpret_cast<const float*>(item + sizeof(CentroidTupleHeader));
+      heap.Push(L2Sqr(query, vec, dim_), header->cid);
     }
-  } else {
-    VECDB_ASSIGN_OR_RETURN(pgstub::BlockId blocks,
-                           env_.smgr->NumBlocks(centroid_rel_));
-    for (pgstub::BlockId b = 0; b < blocks; ++b) {
-      VECDB_ASSIGN_OR_RETURN(pgstub::BufferHandle handle,
-                             env_.bufmgr->Pin(centroid_rel_, b));
-      pgstub::PageView page(handle.data, env_.bufmgr->page_size());
-      const uint16_t count = page.ItemCount();
-      for (pgstub::OffsetNumber slot = 1; slot <= count; ++slot) {
-        const char* item = page.GetItem(slot);
-        const auto* header =
-            reinterpret_cast<const CentroidTupleHeader*>(item);
-        const float* vec = reinterpret_cast<const float*>(
-            item + sizeof(CentroidTupleHeader));
-        heap.Push(L2Sqr(query, vec, dim_), header->cid);
-      }
-      env_.bufmgr->Unpin(handle, false);
-    }
+    env_.bufmgr->Unpin(handle, false);
   }
   std::vector<uint32_t> out;
   for (const auto& nb : heap.TakeSorted()) {

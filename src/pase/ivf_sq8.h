@@ -1,6 +1,6 @@
 // PASE IVF_SQ8: the page-resident counterpart of faisslike::IvfSq8Index —
-// per-bucket chains of SQ8 code tuples (the codebook stays in memory),
-// scanned through the buffer manager with PASE's n-sized heap.
+// centroid pages plus per-bucket chains of SQ8 code tuples, scanned through
+// the buffer manager with PASE's n-sized heap.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +23,8 @@ struct PaseIvfSq8Options {
   Profiler* profiler = nullptr;
 };
 
-/// Page-resident IVF_SQ8 index. Bucket selection runs over the in-memory
-/// codebook: this index keeps no centroid relation.
+/// Page-resident IVF_SQ8 index. Like its siblings it selects buckets by a
+/// scan of its centroid pages.
 class PaseIvfSq8Index final : public PaseIvfScanIndex<PaseIvfSq8Index> {
  public:
   static constexpr const char* kName = "PaseIvfSq8";
@@ -33,27 +33,19 @@ class PaseIvfSq8Index final : public PaseIvfScanIndex<PaseIvfSq8Index> {
   PaseIvfSq8Index(PaseEnv env, uint32_t dim, PaseIvfSq8Options options)
       : PaseIvfScanIndex(env, dim), options_(options) {}
 
-  Status Build(const float* data, size_t n) override;
-
-  /// aminsert: encodes and appends the new row to its bucket chain.
-  Status Insert(const float* vec) override;
-
-  /// amdelete: tombstones a row (PASE marks dead tuples; VACUUM reclaims).
-  /// Row ids are assigned contiguously from 0, so anything outside
-  /// [0, num_vectors_) was never indexed and reports NotFound.
-  Status Delete(int64_t id) override {
-    if (id < 0 || id >= static_cast<int64_t>(num_vectors_)) {
-      return Status::NotFound("PaseIvfSq8::Delete: row " + std::to_string(id) +
-                              " not indexed");
-    }
-    return tombstones_.Mark(id);
-  }
-
-  size_t SizeBytes() const override;
   std::string Describe() const override;
 
  private:
   friend class PaseIvfScanIndex<PaseIvfSq8Index>;
+
+  /// The per-dimension scalar ranges, trained on every row.
+  Status TrainPayload(const float* data, size_t n);
+  static constexpr const char* kEncodeLabel = "";
+  size_t payload_bytes() const { return sq_->code_size(); }
+  const void* Payload(const float* vec, uint8_t* scratch) const {
+    sq_->Encode(vec, scratch);
+    return scratch;
+  }
 
   /// SQ8 fast scan of one page's codes: the codes stay interleaved with
   /// their tuple headers, so they are gathered by pointer and handed to

@@ -1,9 +1,11 @@
 #include "quantizer/pq.h"
 
+#include <algorithm>
 #include <cfloat>
 #include <cstring>
 #include <limits>
 
+#include "common/random.h"
 #include "common/serialize.h"
 #include "distance/kernels.h"
 #include "distance/sgemm.h"
@@ -72,6 +74,24 @@ Result<ProductQuantizer> ProductQuantizer::Train(const float* data, size_t n,
   }
   pq.BuildDimMajorCodebooks();
   return pq;
+}
+
+Result<ProductQuantizer> ProductQuantizer::TrainOnSample(
+    const float* data, size_t n, size_t d, double sample_ratio,
+    PqOptions options) {
+  const size_t sample_n = std::min(
+      n, std::max<size_t>(options.num_codes,
+                          static_cast<size_t>(sample_ratio * n)));
+  Rng rng(options.seed + 1);
+  const auto picks = rng.SampleWithoutReplacement(
+      static_cast<uint32_t>(n), static_cast<uint32_t>(sample_n));
+  AlignedFloats sample(sample_n * d);
+  for (size_t i = 0; i < sample_n; ++i) {
+    std::memcpy(sample.data() + i * d,
+                data + static_cast<size_t>(picks[i]) * d, d * sizeof(float));
+  }
+  options.seed += 2;
+  return Train(sample.data(), sample_n, d, options);
 }
 
 void ProductQuantizer::BuildDimMajorCodebooks() {

@@ -45,6 +45,13 @@ class ProductQuantizer {
   static Result<ProductQuantizer> Train(const float* data, size_t n, size_t d,
                                         const PqOptions& options);
 
+  /// How both IVF_PQ engines train their quantizer: on its own sample of
+  /// max(c_pq, sample_ratio * n) base rows drawn with `options.seed + 1`,
+  /// then Train with `options.seed + 2`.
+  static Result<ProductQuantizer> TrainOnSample(const float* data, size_t n,
+                                                size_t d, double sample_ratio,
+                                                PqOptions options);
+
   uint32_t dim() const { return dim_; }
   uint32_t num_subvectors() const { return m_; }
   uint32_t num_codes() const { return c_pq_; }

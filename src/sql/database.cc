@@ -278,7 +278,7 @@ Status MiniDatabase::RecoverFrom(
     entry.def = cat_index.def;
     if (options_.index_recovery != IndexRecovery::kReload ||
         !TryReloadIndex(cat_index, tbl->second, &entry)) {
-      VECDB_RETURN_NOT_OK(RebuildIndex(tbl->second, &entry));
+      VECDB_RETURN_NOT_OK(BuildIndex(tbl->second, &entry));
     }
     tbl->second.indexes.push_back(name);
     indexes_.emplace(name, std::move(entry));
@@ -286,19 +286,24 @@ Status MiniDatabase::RecoverFrom(
   return Status::OK();
 }
 
-Status MiniDatabase::RebuildIndex(const TableEntry& table, IndexEntry* entry) {
+Status MiniDatabase::BuildIndex(const TableEntry& table, IndexEntry* entry) {
   VECDB_ASSIGN_OR_RETURN(entry->index,
                          MakeIndex(entry->def, table.schema.dim));
   entry->am = std::make_unique<pgstub::VectorIndexAm>(entry->index.get());
   entry->has_snapshot = false;
   entry->rows_at_snapshot = 0;
-  // An index can be cataloged only after a successful build over >= 1 row,
-  // but guard anyway: an empty heap leaves the index untrained, exactly as
-  // a freshly created one would be.
+  // CREATE INDEX refuses an empty table, so a cataloged index was built
+  // over >= 1 row; recovery guards anyway: an empty heap leaves the index
+  // untrained, exactly as a freshly created one would be.
   if (table.heap->num_rows() == 0) return Status::OK();
   VECDB_RETURN_NOT_OK(entry->am->AmBuild(*table.heap));
+  return ApplyTombstones(table, entry->am.get());
+}
+
+Status MiniDatabase::ApplyTombstones(const TableEntry& table,
+                                     pgstub::VectorIndexAm* am) {
   for (int64_t id : DeletedRows(table)) {
-    Status s = entry->am->AmDelete(id);
+    Status s = am->AmDelete(id);
     if (!s.ok() && !s.IsNotFound() && !s.IsNotSupported()) return s;
   }
   return Status::OK();
@@ -353,10 +358,7 @@ bool MiniDatabase::TryReloadIndex(const CatalogIndex& cat,
   if (!scan.ok() || !insert_status.ok()) return false;
   // Snapshots are taken only when the table has no tombstones, so every
   // recovered delete must be re-applied here.
-  for (int64_t id : DeletedRows(table)) {
-    Status s = am->AmDelete(id);
-    if (!s.ok() && !s.IsNotFound() && !s.IsNotSupported()) return false;
-  }
+  if (!ApplyTombstones(table, am.get()).ok()) return false;
   entry->index = std::move(loaded);
   entry->am = std::move(am);
   entry->has_snapshot = true;
@@ -713,11 +715,12 @@ Result<QueryResult> MiniDatabase::ExecCreateIndex(
                                    " is not the vector column of " +
                                    stmt.table);
   }
+  if (table.heap->num_rows() == 0) {
+    return Status::InvalidArgument("cannot index empty table " + stmt.table);
+  }
   IndexEntry entry;
   entry.def = stmt;
-  VECDB_ASSIGN_OR_RETURN(entry.index, MakeIndex(stmt, table.schema.dim));
-  entry.am = std::make_unique<pgstub::VectorIndexAm>(entry.index.get());
-  VECDB_RETURN_NOT_OK(entry.am->AmBuild(*table.heap));
+  VECDB_RETURN_NOT_OK(BuildIndex(table, &entry));
   table.indexes.push_back(stmt.index);
   indexes_.emplace(stmt.index, std::move(entry));
   Status saved = SaveCatalogNow();
@@ -745,7 +748,9 @@ Result<QueryResult> MiniDatabase::SeqScanSelect(
   const std::unordered_set<int64_t>* deleted =
       snap != nullptr && snap->deleted != nullptr ? snap->deleted.get()
                                                   : nullptr;
-  KMaxHeap heap(stmt.limit);
+  // No scan returns more rows than are visible, so a larger LIMIT never
+  // sizes the heap.
+  KMaxHeap heap(std::min<uint64_t>(stmt.limit, visible));
   uint64_t scanned = 0;
   // Cancellation checkpoint cadence: the flag/deadline loads are cheap
   // relaxed atomics plus a clock read, but per-row they would still tax
@@ -931,6 +936,12 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
   // predicate columns and the index itself require.
   ReaderMutexLock lock(table.state->mu);
 
+  // No scan returns more rows than the table holds, so a larger LIMIT is
+  // clamped before it sizes a heap or the HNSW queue; EXPLAIN still
+  // prints the LIMIT as written.
+  const size_t k = std::min<size_t>(
+      stmt.limit, std::max<size_t>(table.heap->num_rows(), 1));
+
   // The exact bitmap + sampled selectivity for the filtered index scan
   // (EXPLAIN reports the same numbers the executor would use).
   const filter::PlannerConfig planner;
@@ -947,7 +958,7 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
     if (has_predicate) {
       const filter::FilterStrategy effective =
           strategy == filter::FilterStrategy::kAuto
-              ? filter::ChooseStrategy(plan.est_selectivity, stmt.limit,
+              ? filter::ChooseStrategy(plan.est_selectivity, k,
                                        chosen->index->NumVectors(), planner)
               : strategy;
       out.message += " filter=" + filter::ToString(*stmt.predicate) +
@@ -960,12 +971,12 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
   }
 
   pgstub::AmScanOptions scan;
-  scan.k = stmt.limit;
+  scan.k = k;
   scan.nprobe = static_cast<uint32_t>(option_or("nprobe", 20));
   // Engines reject efs < k at the API boundary, so the default must track
   // the requested LIMIT.
-  scan.efs = static_cast<uint32_t>(option_or(
-      "efs", std::max<double>(200, static_cast<double>(stmt.limit))));
+  scan.efs = static_cast<uint32_t>(
+      option_or("efs", std::max<double>(200, static_cast<double>(k))));
   // The context routes the engine's scan metrics into the session's sink
   // (process-wide registry when unset) and carries the cancel flag and
   // deadline into the engine scan loops.

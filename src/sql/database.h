@@ -281,8 +281,14 @@ class MiniDatabase {
   bool TryReloadIndex(const CatalogIndex& cat, const TableEntry& table,
                       IndexEntry* entry);
 
-  /// Rebuild path: fresh index, AmBuild over the heap, re-applied deletes.
-  Status RebuildIndex(const TableEntry& table, IndexEntry* entry);
+  /// CREATE INDEX and recovery's rebuild path: a fresh index, AmBuild
+  /// over every heap row, then the table's deletes re-applied.
+  Status BuildIndex(const TableEntry& table, IndexEntry* entry);
+
+  /// Tombstones the table's deleted rows in `am`'s index; an index that
+  /// cannot delete (the bridge) keeps them.
+  static Status ApplyTombstones(const TableEntry& table,
+                                pgstub::VectorIndexAm* am);
 
   /// Serializes tables_/indexes_ into the durable catalog (temp + rename).
   Status SaveCatalogNow() const VECDB_REQUIRES_SHARED(catalog_mu_);

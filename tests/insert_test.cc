@@ -1,10 +1,13 @@
 // Incremental insert (aminsert) tests: every IVF/HNSW index can grow after
-// Build, new rows are findable, and the SQL layer keeps indexes in sync.
+// Build, new rows are findable, every IVF build path stores the same
+// entries, and the SQL layer keeps indexes in sync.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
-
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "datasets/synthetic.h"
@@ -14,6 +17,8 @@
 #include "faisslike/ivf_sq8.h"
 #include "pase/hnsw.h"
 #include "pase/ivf_flat.h"
+#include "pase/ivf_pq.h"
+#include "pase/ivf_sq8.h"
 #include "sql/database.h"
 #include "sql/session.h"
 
@@ -85,42 +90,90 @@ TEST(InsertTest, FaissIvfPqGrows) {
   EXPECT_TRUE(found);
 }
 
-TEST(InsertTest, FaissIvfPqThreadedInsertMatchesSerial) {
-  // A one-row Insert on a multi-threaded index encodes on the calling
-  // thread; the bulk Build still fans out. Both must store the codes a
-  // single-threaded index stores.
-  auto ds = TestData();
-  faisslike::IvfPqOptions opt;
-  opt.num_clusters = 8;
-  opt.pq_m = 4;
-  opt.pq_codes = 32;
-  opt.sample_ratio = 1.0;
-  faisslike::IvfPqIndex serial(ds.dim, opt);
-  opt.num_threads = 4;
-  faisslike::IvfPqIndex threaded(ds.dim, opt);
-  const size_t half = ds.num_base / 2;
-  ASSERT_TRUE(serial.Build(ds.base.data(), half).ok());
-  ASSERT_TRUE(threaded.Build(ds.base.data(), half).ok());
-  std::vector<uint8_t> a(serial.pq()->code_size());
-  std::vector<uint8_t> b(threaded.pq()->code_size());
-  for (size_t i = half; i < ds.num_base; ++i) {
-    ASSERT_TRUE(serial.Insert(ds.base_vector(i)).ok());
-    ASSERT_TRUE(threaded.Insert(ds.base_vector(i)).ok());
-    serial.pq()->Encode(ds.base_vector(i), a.data());
-    threaded.pq()->Encode(ds.base_vector(i), b.data());
-    EXPECT_EQ(a, b) << i;
+/// Every stored entry of a faisslike IVF index: each bucket's ids, and the
+/// distance of every stored entry to a few queries (an exhaustive search,
+/// so equal distances per id mean equal stored codes).
+template <typename IndexT>
+void ExpectSameEntries(const IndexT& a, const IndexT& b, const Dataset& ds) {
+  ASSERT_EQ(a.num_clusters(), b.num_clusters());
+  for (uint32_t c = 0; c < a.num_clusters(); ++c) {
+    EXPECT_EQ(a.bucket_ids(c), b.bucket_ids(c)) << "bucket " << c;
   }
-  // Every bucket and every row: equal ADC distances per id mean equal
-  // stored codes.
   SearchParams params;
-  params.k = ds.num_base;
-  params.nprobe = opt.num_clusters;
+  params.k = a.NumVectors();
+  params.nprobe = a.num_clusters();
   for (size_t q = 0; q < ds.num_queries; ++q) {
-    EXPECT_EQ(serial.Search(ds.query_vector(q), params).ValueOrDie(),
-              threaded.Search(ds.query_vector(q), params).ValueOrDie())
+    EXPECT_EQ(a.Search(ds.query_vector(q), params).ValueOrDie(),
+              b.Search(ds.query_vector(q), params).ValueOrDie())
         << "query " << q;
   }
 }
+
+/// The one faisslike IVF build path, for one index class: a 4-thread
+/// Build + AddBatch stores what a 1-thread one stores, and one-row Inserts
+/// store what one AddBatch of the same rows stores.
+template <typename IndexT, typename Options>
+void CheckFaissIvfBuildPath(Options opt, const Dataset& ds) {
+  const size_t half = ds.num_base / 2;
+  const size_t rest = ds.num_base - half;
+  IndexT batched(ds.dim, opt);
+  ASSERT_TRUE(batched.Build(ds.base.data(), half).ok());
+  ASSERT_TRUE(batched.AddBatch(ds.base_vector(half), rest).ok());
+
+  IndexT one_row(ds.dim, opt);
+  ASSERT_TRUE(one_row.Build(ds.base.data(), half).ok());
+  for (size_t i = half; i < ds.num_base; ++i) {
+    ASSERT_TRUE(one_row.Insert(ds.base_vector(i)).ok()) << i;
+  }
+  ExpectSameEntries(batched, one_row, ds);
+
+  // IVF_SQ8's options have no num_threads: it always builds on one.
+  if constexpr (requires { opt.num_threads; }) {
+    opt.num_threads = 4;
+    IndexT threaded(ds.dim, opt);
+    ASSERT_TRUE(threaded.Build(ds.base.data(), half).ok());
+    ASSERT_TRUE(threaded.AddBatch(ds.base_vector(half), rest).ok());
+    ExpectSameEntries(batched, threaded, ds);
+  }
+}
+
+class FaissIvfBuildPathTest
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {};
+
+TEST_P(FaissIvfBuildPathTest, ThreadedAndOneRowPathsStoreTheSameEntries) {
+  const auto& [method, use_sgemm] = GetParam();
+  const auto ds = TestData();
+  if (method == "ivfflat") {
+    faisslike::IvfFlatOptions opt;
+    opt.num_clusters = 8;
+    opt.sample_ratio = 1.0;
+    opt.use_sgemm = use_sgemm;
+    CheckFaissIvfBuildPath<faisslike::IvfFlatIndex>(opt, ds);
+  } else if (method == "ivfpq") {
+    faisslike::IvfPqOptions opt;
+    opt.num_clusters = 8;
+    opt.pq_m = 4;
+    opt.pq_codes = 32;
+    opt.sample_ratio = 1.0;
+    opt.use_sgemm = use_sgemm;
+    CheckFaissIvfBuildPath<faisslike::IvfPqIndex>(opt, ds);
+  } else {
+    faisslike::IvfSq8Options opt;
+    opt.num_clusters = 8;
+    opt.sample_ratio = 1.0;
+    opt.use_sgemm = use_sgemm;
+    CheckFaissIvfBuildPath<faisslike::IvfSq8Index>(opt, ds);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFaissIvf, FaissIvfBuildPathTest,
+    ::testing::Combine(::testing::Values("ivfflat", "ivfpq", "ivfsq8"),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) ? "_sgemm" : "_nosgemm");
+    });
 
 TEST(InsertTest, FaissIvfSq8Grows) {
   auto ds = TestData();
@@ -192,6 +245,72 @@ TEST_F(PaseInsertTest, PaseHnswGrows) {
   params.k = 5;
   params.efs = 50;
   CheckIncrementalGrowth(index, ds, params);
+}
+
+/// The PASE IVF maintenance path, for one index class: the page chains
+/// audit clean after Build, Insert and Delete; inserted rows continue the
+/// id sequence; and a never-issued id cannot be deleted.
+template <typename IndexT>
+void CheckPaseIvfMaintenance(IndexT& index, const Dataset& ds) {
+  const size_t half = ds.num_base / 2;
+  const auto n = static_cast<int64_t>(ds.num_base);
+  ASSERT_TRUE(index.Build(ds.base.data(), half).ok());
+  index.CheckInvariants();
+  for (size_t i = half; i < ds.num_base; ++i) {
+    ASSERT_TRUE(index.Insert(ds.base_vector(i)).ok()) << i;
+  }
+  index.CheckInvariants();
+  ASSERT_TRUE(index.Delete(3).ok());
+  ASSERT_TRUE(index.Delete(n - 1).ok());
+  index.CheckInvariants();
+  EXPECT_TRUE(index.Delete(3).IsNotFound());
+  EXPECT_TRUE(index.Delete(n).IsNotFound());
+  EXPECT_TRUE(index.Delete(-1).IsNotFound());
+  EXPECT_EQ(index.NumVectors(), ds.num_base - 2);
+
+  // An exhaustive search returns exactly the ids 0..n-1 less the deleted.
+  SearchParams params;
+  params.k = ds.num_base;
+  params.nprobe = index.num_clusters();
+  auto all = index.Search(ds.query_vector(0), params).ValueOrDie();
+  std::vector<int64_t> ids;
+  for (const auto& nb : all) ids.push_back(nb.id);
+  std::sort(ids.begin(), ids.end());
+  std::vector<int64_t> expected;
+  for (int64_t id = 0; id < n - 1; ++id) {
+    if (id != 3) expected.push_back(id);
+  }
+  EXPECT_EQ(ids, expected);
+}
+
+TEST_F(PaseInsertTest, PaseIvfMaintenanceKeepsChainsAndIds) {
+  const auto ds = TestData();
+  {
+    SCOPED_TRACE("ivfflat");
+    pase::PaseIvfFlatOptions opt;
+    opt.num_clusters = 8;
+    opt.sample_ratio = 1.0;
+    pase::PaseIvfFlatIndex index(Env(), ds.dim, opt);
+    CheckPaseIvfMaintenance(index, ds);
+  }
+  {
+    SCOPED_TRACE("ivfpq");
+    pase::PaseIvfPqOptions opt;
+    opt.num_clusters = 8;
+    opt.pq_m = 4;
+    opt.pq_codes = 32;
+    opt.sample_ratio = 1.0;
+    pase::PaseIvfPqIndex index(Env(), ds.dim, opt);
+    CheckPaseIvfMaintenance(index, ds);
+  }
+  {
+    SCOPED_TRACE("ivfsq8");
+    pase::PaseIvfSq8Options opt;
+    opt.num_clusters = 8;
+    opt.sample_ratio = 1.0;
+    pase::PaseIvfSq8Index index(Env(), ds.dim, opt);
+    CheckPaseIvfMaintenance(index, ds);
+  }
 }
 
 TEST_F(PaseInsertTest, InsertBeforeBuildFails) {
