@@ -103,7 +103,9 @@ echo "=== build-asan: server loopback e2e (net_server_test) ==="
 # L2 and SQ8 kernels), and the PQ and persistence suites that drive the
 # codebook kernel through encode, the ADC table and a reload, and the
 # insert and delete suites, whose IVF_PQ and IVF_SQ8 inserts encode
-# through the codebook and SQ8 kernels. The
+# through the codebook and SQ8 kernels, and the visibility suite, which
+# runs every engine/method pair's filtered and unfiltered scans against a
+# brute-force model. The
 # kernel_dispatch_test
 # ActiveTableMatchesResolutionRule case asserts the override actually
 # resolved to scalar, so this stage fails loudly if the
@@ -111,7 +113,7 @@ echo "=== build-asan: server loopback e2e (net_server_test) ==="
 echo "=== build-release: kernel suites under VECDB_KERNEL_ISA=scalar ==="
 VECDB_KERNEL_ISA=scalar ctest --test-dir build-release \
   --output-on-failure \
-  -R '^(kernel_dispatch_test|sq8_test|ivf_sq8_test|filter_test|batch_search_test|cancel_test|query_context_test|pq_test|persistence_test|insert_test|delete_test)$'
+  -R '^(kernel_dispatch_test|sq8_test|ivf_sq8_test|filter_test|batch_search_test|cancel_test|query_context_test|pq_test|persistence_test|insert_test|delete_test|visibility_test)$'
 
 # Kernel-dispatch stage, part 2: the same suites under ASan/UBSan once per
 # ISA tier the host can run. The masked tails and 64-bit partial loads in
@@ -129,7 +131,7 @@ for tier in "${KERNEL_TIERS[@]}"; do
   echo "=== build-asan: kernel suites under VECDB_KERNEL_ISA=${tier} ==="
   VECDB_KERNEL_ISA="${tier}" ctest --test-dir build-asan \
     --output-on-failure \
-    -R '^(kernel_dispatch_test|sq8_test|ivf_sq8_test|filter_test|batch_search_test|cancel_test|query_context_test|pq_test|persistence_test|insert_test|delete_test)$'
+    -R '^(kernel_dispatch_test|sq8_test|ivf_sq8_test|filter_test|batch_search_test|cancel_test|query_context_test|pq_test|persistence_test|insert_test|delete_test|visibility_test)$'
 done
 
 run_config build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -157,6 +159,14 @@ echo "=== build-tsan: concurrent in-filter bitmap smoke (filter_test) ==="
 echo "=== build-tsan: concurrent logging+checkpoint smoke (recovery_test) ==="
 ./build-tsan/tests/recovery_test \
   --gtest_filter='FaultInjectionTest.ConcurrentLoggingAndCheckpoint'
+
+# Visibility under the race detector: seq scans (lock-free, on the
+# published snapshot) and index scans (under the table lock) beside a
+# writer that deletes and re-inserts ids; the dead-position bitmap each
+# DELETE publishes is the shared state.
+echo "=== build-tsan: scans beside delete/re-insert smoke (visibility_test) ==="
+./build-tsan/tests/visibility_test \
+  --gtest_filter='VisibilityStressTest.ScansBesideDeleteAndReinsert'
 
 # Session stress under the race detector: lock-free snapshot readers
 # overlap RCU-style snapshot publication and epoch reclamation, plus the

@@ -35,7 +35,8 @@ struct SearchParams {
 /// optional sampled selectivity estimate, and the planner's thresholds.
 struct FilterRequest {
   /// Required. Position `i` selected means vector `i` may appear in
-  /// results. Built by the SQL layer from the WHERE predicate.
+  /// results. Built by the SQL layer from the WHERE predicate and the
+  /// table's dead rows.
   const filter::SelectionVector* selection = nullptr;
 
   filter::FilterStrategy strategy = filter::FilterStrategy::kAuto;

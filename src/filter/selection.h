@@ -7,6 +7,7 @@
 // shift+mask and a popcount is word-at-a-time.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -33,7 +34,16 @@ class SelectionVector {
     return out;
   }
 
+  /// Every position in [0, size) selected.
+  static SelectionVector All(size_t size) {
+    return FromWords(size,
+                     std::vector<uint64_t>((size + 63) / 64, ~uint64_t{0}));
+  }
+
   size_t size() const { return size_; }
+
+  /// The packed words (layout as in FromWords).
+  const std::vector<uint64_t>& words() const { return words_; }
 
   /// Marks position `pos` as selected. Out-of-range positions are ignored
   /// (the bitmap's universe is fixed at construction).
@@ -52,6 +62,13 @@ class SelectionVector {
   bool Test(size_t pos) const {
     if (pos >= size_) return false;
     return (words_[pos >> 6] >> (pos & 63)) & 1u;
+  }
+
+  /// Clears every position selected in `other`, one word at a time.
+  /// Positions at or past other.size() keep their bit.
+  void AndNot(const SelectionVector& other) {
+    const size_t n = std::min(words_.size(), other.words_.size());
+    for (size_t w = 0; w < n; ++w) words_[w] &= ~other.words_[w];
   }
 
   /// Number of selected positions.

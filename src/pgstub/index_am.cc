@@ -71,27 +71,6 @@ Status VectorIndexAm::AmInsert(const float* vec, int64_t row_id) {
   return Status::OK();
 }
 
-Status VectorIndexAm::AmDelete(int64_t row_id) {
-  // Translate the user row id to index positions before tombstoning. Row
-  // ids need not be unique, so every live position carrying the id is
-  // tombstoned; the index answers NotFound for one already deleted.
-  size_t deleted = 0;
-  for (size_t pos = 0; pos < row_ids_.size(); ++pos) {
-    if (row_ids_[pos] != row_id) continue;
-    Status s = index_->Delete(static_cast<int64_t>(pos));
-    if (s.ok()) {
-      ++deleted;
-    } else if (!s.IsNotFound()) {
-      return s;
-    }
-  }
-  if (deleted == 0) {
-    return Status::NotFound("row " + std::to_string(row_id) +
-                            " not present in index");
-  }
-  return Status::OK();
-}
-
 Result<std::unique_ptr<IndexScanCursor>> VectorIndexAm::AmBeginScan(
     const float* query, const AmScanOptions& options) const {
   SearchParams params;

@@ -48,9 +48,6 @@ class IndexAccessMethod {
   /// aminsert: adds one new row to the index.
   virtual Status AmInsert(const float* vec, int64_t row_id) = 0;
 
-  /// amdelete: removes (tombstones) a row from the index.
-  virtual Status AmDelete(int64_t row_id) = 0;
-
   /// ambeginscan: opens an ordered scan for `query`.
   virtual Result<std::unique_ptr<IndexScanCursor>> AmBeginScan(
       const float* query, const AmScanOptions& options) const = 0;
@@ -60,6 +57,9 @@ class IndexAccessMethod {
 /// materializes the top-k result at beginscan and dribbles tuples out,
 /// which is how PASE services ORDER BY ... LIMIT k plans. Rows may carry
 /// arbitrary user ids; the adapter maintains the position -> row-id map.
+/// Index positions are heap positions, so, as in PostgreSQL, deletes never
+/// reach the index: the caller passes the live rows as the scan's
+/// selection.
 class VectorIndexAm final : public IndexAccessMethod {
  public:
   /// Wraps `index` (not owned; must outlive the adapter).
@@ -75,9 +75,6 @@ class VectorIndexAm final : public IndexAccessMethod {
   Status AmAttach(const HeapTable& table, size_t num_rows);
 
   Status AmInsert(const float* vec, int64_t row_id) override;
-  /// Tombstones every live index position carrying `row_id` (ids need not
-  /// be unique); NotFound when none is live.
-  Status AmDelete(int64_t row_id) override;
   Result<std::unique_ptr<IndexScanCursor>> AmBeginScan(
       const float* query, const AmScanOptions& options) const override;
 

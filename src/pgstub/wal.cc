@@ -193,13 +193,14 @@ Result<Lsn> WalManager::LogFullPage(RelId rel, BlockId block,
   return lsn;
 }
 
-Result<Lsn> WalManager::LogTombstone(RelId rel, int64_t row_id) {
+Result<Lsn> WalManager::LogDelete(WalRecordType type, RelId rel,
+                                  uint64_t value) {
   MutexLock lock(mu_);
   const Lsn lsn = next_lsn_;
-  char payload[sizeof(int64_t)];
-  std::memcpy(payload, &row_id, sizeof(row_id));
-  VECDB_RETURN_NOT_OK(AppendRecord(WalRecordType::kTombstone, rel,
-                                   kInvalidBlock, payload, sizeof(payload)));
+  char payload[sizeof(value)];
+  std::memcpy(payload, &value, sizeof(value));
+  VECDB_RETURN_NOT_OK(
+      AppendRecord(type, rel, kInvalidBlock, payload, sizeof(payload)));
   return lsn;
 }
 
@@ -284,16 +285,18 @@ Status WalManager::Recover(Vfs* vfs, const std::string& path,
         metrics.Add(obs::Counter::kWalRecoveredPages);
         return Status::OK();
       }
-      case WalRecordType::kTombstone: {
-        if (record.payload.size() != sizeof(int64_t)) {
-          return Status::Corruption("WAL tombstone payload size mismatch");
+      case WalRecordType::kTombstone:
+      case WalRecordType::kDeadRow: {
+        if (record.payload.size() != sizeof(uint64_t)) {
+          return Status::Corruption("WAL delete payload size mismatch");
         }
         if (tombstones != nullptr &&
             smgr->NumBlocks(record.rel).ok()) {  // skip dropped relations
-          WalTombstone t;
-          t.rel = record.rel;
-          std::memcpy(&t.row_id, record.payload.data(), sizeof(t.row_id));
-          tombstones->push_back(t);
+          uint64_t value = 0;
+          std::memcpy(&value, record.payload.data(), sizeof(value));
+          tombstones->push_back({record.rel,
+                                 record.type == WalRecordType::kDeadRow,
+                                 value, static_cast<int64_t>(value)});
         }
         return Status::OK();
       }

@@ -1,5 +1,5 @@
 // Write-ahead log for the pgstub substrate: full-page-image records with
-// CRC-checked framing, logical tombstones, checkpoints, rotation, and
+// CRC-checked framing, logical deletes, checkpoints, rotation, and
 // replay-based recovery. PostgreSQL durability in miniature — and one more
 // cost a generalized vector database pays on writes that a specialized
 // in-memory system does not.
@@ -31,12 +31,16 @@ using Lsn = uint64_t;
 
 /// Record kinds. Full-page images make replay idempotent and simple
 /// (PostgreSQL's full_page_writes, without the page-delta optimization);
-/// tombstones are the one logical record type, because deletes mutate no
-/// heap page in this engine.
+/// deletes are the one logical record kind, because they mutate no heap
+/// page in this engine.
 enum class WalRecordType : uint8_t {
   kFullPage = 1,   ///< payload: page image for (rel, block)
   kCheckpoint = 2, ///< everything before this LSN is on disk
-  kTombstone = 3,  ///< payload: int64 row id deleted from heap relation rel
+  /// payload: int64 row id deleted from heap relation rel. Logs from
+  /// before kDeadRow; replay still reads them (every heap position
+  /// carrying the id is dead).
+  kTombstone = 3,
+  kDeadRow = 4,    ///< payload: uint64 heap position deleted from rel
 };
 
 /// One decoded WAL record.
@@ -48,9 +52,14 @@ struct WalRecord {
   std::vector<char> payload;
 };
 
-/// A deleted row id recovered from the log, keyed by heap relation.
+/// A delete recovered from the log, keyed by heap relation: a dead heap
+/// position (kDeadRow, `by_position`) or a deleted row id (kTombstone).
+/// Both fields hold the record's payload; `by_position` says which is
+/// meant.
 struct WalTombstone {
   RelId rel = kInvalidRel;
+  bool by_position = false;
+  uint64_t position = 0;
   int64_t row_id = 0;
 };
 
@@ -83,8 +92,17 @@ class WalManager {
   Result<Lsn> LogFullPage(RelId rel, BlockId block, const char* page,
                           uint32_t page_size) VECDB_EXCLUDES(mu_);
 
-  /// Appends a logical delete of `row_id` from heap relation `rel`.
-  Result<Lsn> LogTombstone(RelId rel, int64_t row_id) VECDB_EXCLUDES(mu_);
+  /// Appends a logical delete of heap position `position` of `rel`.
+  Result<Lsn> LogDeadRow(RelId rel, uint64_t position) VECDB_EXCLUDES(mu_) {
+    return LogDelete(WalRecordType::kDeadRow, rel, position);
+  }
+
+  /// Appends a kTombstone record: a delete of every row carrying `row_id`,
+  /// the record older logs hold (tests write it to exercise replay).
+  Result<Lsn> LogTombstone(RelId rel, int64_t row_id) VECDB_EXCLUDES(mu_) {
+    return LogDelete(WalRecordType::kTombstone, rel,
+                     static_cast<uint64_t>(row_id));
+  }
 
   /// Appends a checkpoint record and flushes the log. The CALLER must have
   /// already forced all dirty pages to storage (BufferManager::FlushAll +
@@ -129,8 +147,8 @@ class WalManager {
   /// ARIES-lite REDO: replays the log into a storage manager. Full-page
   /// images are written back, extending relations as needed; records for
   /// relations the smgr no longer knows (dropped after logging) are
-  /// skipped. Tombstone records are collected into `tombstones` (may be
-  /// null) for the SQL layer to re-apply to its delete sets.
+  /// skipped. Delete records are collected into `tombstones` (may be
+  /// null) for the SQL layer to re-apply to its dead-position bitmaps.
   static Status Recover(Vfs* vfs, const std::string& path,
                         StorageManager* smgr,
                         std::vector<WalTombstone>* tombstones = nullptr);
@@ -151,6 +169,9 @@ class WalManager {
                       const char* payload, uint32_t payload_len)
       VECDB_REQUIRES(mu_);
   Status FlushLocked() VECDB_REQUIRES(mu_);
+  /// Appends a delete record of `type` with an 8-byte payload.
+  Result<Lsn> LogDelete(WalRecordType type, RelId rel, uint64_t value)
+      VECDB_EXCLUDES(mu_);
 
   Vfs* vfs_;
   /// Fresh per instance: a moved-from WalManager keeps its own (idle)

@@ -9,7 +9,9 @@ namespace vecdb::sql {
 namespace {
 constexpr char kCatalogName[] = "/CATALOG";
 constexpr char kMagic[] = "vecdb-catalog";
-constexpr int kVersion = 1;
+/// Version 2 stores dead heap positions ("dead" lines); version 1 stored
+/// deleted row ids ("tombstones" lines) and is still read.
+constexpr int kVersion = 2;
 
 /// Doubles round-trip through %.17g exactly (index options like
 /// sample_ratio=0.01 must survive a reopen bit-identically, or the rebuilt
@@ -32,8 +34,8 @@ Status SaveCatalog(pgstub::Vfs* vfs, const std::string& dir,
     for (const auto& attr : s.attr_columns) out << ' ' << attr;
     out << '\n';
     out << "rows " << name << ' ' << table.rows_at_checkpoint << '\n';
-    out << "tombstones " << name << ' ' << table.tombstones.size();
-    for (int64_t id : table.tombstones) out << ' ' << id;
+    out << "dead " << name << ' ' << table.dead_positions.size();
+    for (uint64_t pos : table.dead_positions) out << ' ' << pos;
     out << '\n';
   }
   for (const auto& [name, index] : catalog.indexes) {
@@ -73,7 +75,8 @@ Result<Catalog> LoadCatalog(pgstub::Vfs* vfs, const std::string& dir) {
   std::istringstream in(text);
   std::string magic;
   int version = 0;
-  if (!(in >> magic >> version) || magic != kMagic || version != kVersion) {
+  if (!(in >> magic >> version) || magic != kMagic || version < 1 ||
+      version > kVersion) {
     return Status::Corruption("catalog: bad header in " + path);
   }
   Catalog catalog;
@@ -98,16 +101,22 @@ Result<Catalog> LoadCatalog(pgstub::Vfs* vfs, const std::string& dir) {
         return Status::Corruption("catalog: bad rows entry");
       }
       catalog.tables[name].rows_at_checkpoint = rows;
-    } else if (key == "tombstones") {
+    } else if (key == (version == 1 ? "tombstones" : "dead")) {
+      // Version 1 listed deleted row ids, version 2 dead heap positions.
       std::string name;
       size_t count = 0;
       if (!(in >> name >> count) || catalog.tables.count(name) == 0) {
-        return Status::Corruption("catalog: bad tombstones entry");
+        return Status::Corruption("catalog: bad " + key + " entry");
       }
-      auto& ids = catalog.tables[name].tombstones;
-      ids.resize(count);
-      for (auto& id : ids) {
-        if (!(in >> id)) return Status::Corruption("catalog: bad tombstone");
+      CatalogTable& table = catalog.tables[name];
+      for (size_t i = 0; i < count; ++i) {
+        int64_t value = 0;
+        if (!(in >> value)) return Status::Corruption("catalog: bad " + key);
+        if (version == 1) {
+          table.dead_ids.push_back(value);
+        } else {
+          table.dead_positions.push_back(static_cast<uint64_t>(value));
+        }
       }
     } else if (key == "index") {
       CatalogIndex index;

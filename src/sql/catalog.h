@@ -1,6 +1,7 @@
 // Durable SQL catalog: the schema-level state MiniDatabase cannot
 // reconstruct from pages alone — table schemas, index definitions, the
-// tombstone sets as of the last checkpoint, and index snapshot metadata.
+// dead heap positions as of the last checkpoint, and index snapshot
+// metadata.
 // Serialized as a small text file (`CATALOG`) rewritten atomically
 // (temp + rename) on every DDL statement and at each checkpoint;
 // PostgreSQL keeps the same information in its system catalogs, which are
@@ -21,9 +22,12 @@ namespace vecdb::sql {
 /// Catalog state for one table.
 struct CatalogTable {
   CreateTableStmt schema;
-  /// Row ids deleted as of the last catalog write. Deletes after that are
-  /// recovered from WAL tombstone records.
-  std::vector<int64_t> tombstones;
+  /// Heap positions deleted as of the last catalog write, ascending.
+  /// Deletes after that are recovered from WAL records.
+  std::vector<uint64_t> dead_positions;
+  /// Deleted row ids read from a version-1 catalog, which stored ids: each
+  /// marks every heap position carrying it. Never written.
+  std::vector<int64_t> dead_ids;
   /// Heap row count at the last checkpoint (diagnostics only; the heap
   /// itself is recovered from pages + WAL).
   uint64_t rows_at_checkpoint = 0;

@@ -187,21 +187,17 @@ std::shared_ptr<Session> MiniDatabase::CreateSession() {
   return sessions_->Create();
 }
 
-const std::unordered_set<int64_t>& MiniDatabase::DeletedRows(
+const filter::SelectionVector* MiniDatabase::DeadPositions(
     const TableEntry& table) {
-  static const std::unordered_set<int64_t> kEmpty;
-  const TableSnapshot* snap =
-      table.state->snapshot.load(std::memory_order_acquire);
-  return snap != nullptr && snap->deleted != nullptr ? *snap->deleted
-                                                     : kEmpty;
+  return table.state->snapshot.load(std::memory_order_acquire)->dead.get();
 }
 
 void MiniDatabase::PublishSnapshot(
     TableEntry& table, uint64_t visible_rows,
-    std::shared_ptr<const std::unordered_set<int64_t>> deleted) {
-  auto* next = new TableSnapshot{visible_rows, std::move(deleted)};
+    std::shared_ptr<const filter::SelectionVector> dead) {
+  auto* next = new TableSnapshot{visible_rows, std::move(dead)};
   // Release: a reader that acquire-loads `next` must observe every heap
-  // and tombstone write the statement performed before publishing.
+  // write the statement performed before publishing.
   const TableSnapshot* old =
       table.state->snapshot.exchange(next, std::memory_order_acq_rel);
   if (old != nullptr) {
@@ -215,7 +211,6 @@ void MiniDatabase::PublishSnapshot(
 Status MiniDatabase::RecoverFrom(
     const Catalog& catalog,
     const std::vector<pgstub::WalTombstone>& wal_tombstones) {
-  std::map<std::string, std::unordered_set<int64_t>> dead;
   for (const auto& [name, cat_table] : catalog.tables) {
     TableEntry entry;
     entry.schema = cat_table.schema;
@@ -239,29 +234,55 @@ Status MiniDatabase::RecoverFrom(
             return true;
           }));
     }
-    dead[name].insert(cat_table.tombstones.begin(),
-                      cat_table.tombstones.end());
     tables_.emplace(name, std::move(entry));
   }
-  // Deletes issued after the last catalog write survive only as WAL
-  // tombstone records; fold them into the per-table sets (idempotent).
+  // Dead positions: the catalog's as of the last checkpoint, then the WAL
+  // records logged since (idempotent).
+  std::map<std::string, filter::SelectionVector> dead;
+  auto mark = [&](const std::string& name, uint64_t pos) -> Status {
+    filter::SelectionVector& bits =
+        dead.try_emplace(name, tables_.at(name).heap->num_rows()).first->second;
+    if (pos >= bits.size()) {
+      return Status::Corruption("dead position " + std::to_string(pos) +
+                                " past the end of table " + name);
+    }
+    bits.Set(pos);
+    return Status::OK();
+  };
+  // Older formats logged row ids: each marks every position carrying it,
+  // its meaning when it was written.
+  auto mark_id = [&](const std::string& name, int64_t id) -> Status {
+    const std::vector<int64_t>& ids = tables_.at(name).state->columns[0];
+    for (size_t pos = 0; pos < ids.size(); ++pos) {
+      if (ids[pos] == id) VECDB_RETURN_NOT_OK(mark(name, pos));
+    }
+    return Status::OK();
+  };
+  for (const auto& [name, cat_table] : catalog.tables) {
+    for (uint64_t pos : cat_table.dead_positions) {
+      VECDB_RETURN_NOT_OK(mark(name, pos));
+    }
+    for (int64_t id : cat_table.dead_ids) {
+      VECDB_RETURN_NOT_OK(mark_id(name, id));
+    }
+  }
   for (const auto& tomb : wal_tombstones) {
     for (auto& [name, table] : tables_) {
-      if (table.heap->rel() == tomb.rel) {
-        dead[name].insert(tomb.row_id);
-        break;
-      }
+      if (table.heap->rel() != tomb.rel) continue;
+      VECDB_RETURN_NOT_OK(tomb.by_position ? mark(name, tomb.position)
+                                           : mark_id(name, tomb.row_id));
+      break;
     }
   }
   // Publish each table's initial snapshot: every recovered row visible,
-  // tombstones as recovered. No readers exist yet (recovery runs under
+  // dead positions as recovered. No readers exist yet (recovery runs under
   // the exclusive catalog lock before any session is created).
   for (auto& [name, table] : tables_) {
-    std::unordered_set<int64_t>& set = dead[name];
-    std::shared_ptr<const std::unordered_set<int64_t>> ptr;
-    if (!set.empty()) {
-      ptr = std::make_shared<const std::unordered_set<int64_t>>(
-          std::move(set));
+    auto bits = dead.find(name);
+    std::shared_ptr<const filter::SelectionVector> ptr;
+    if (bits != dead.end()) {
+      ptr = std::make_shared<const filter::SelectionVector>(
+          std::move(bits->second));
     }
     table.state->snapshot.store(
         new TableSnapshot{table.heap->num_rows(), std::move(ptr)},
@@ -296,17 +317,7 @@ Status MiniDatabase::BuildIndex(const TableEntry& table, IndexEntry* entry) {
   // over >= 1 row; recovery guards anyway: an empty heap leaves the index
   // untrained, exactly as a freshly created one would be.
   if (table.heap->num_rows() == 0) return Status::OK();
-  VECDB_RETURN_NOT_OK(entry->am->AmBuild(*table.heap));
-  return ApplyTombstones(table, entry->am.get());
-}
-
-Status MiniDatabase::ApplyTombstones(const TableEntry& table,
-                                     pgstub::VectorIndexAm* am) {
-  for (int64_t id : DeletedRows(table)) {
-    Status s = am->AmDelete(id);
-    if (!s.ok() && !s.IsNotFound() && !s.IsNotSupported()) return s;
-  }
-  return Status::OK();
+  return entry->am->AmBuild(*table.heap);
 }
 
 std::string MiniDatabase::SnapshotPath(const std::string& name,
@@ -356,9 +367,6 @@ bool MiniDatabase::TryReloadIndex(const CatalogIndex& cat,
         return insert_status.ok();
       });
   if (!scan.ok() || !insert_status.ok()) return false;
-  // Snapshots are taken only when the table has no tombstones, so every
-  // recovered delete must be re-applied here.
-  if (!ApplyTombstones(table, am.get()).ok()) return false;
   entry->index = std::move(loaded);
   entry->am = std::move(am);
   entry->has_snapshot = true;
@@ -371,9 +379,10 @@ Status MiniDatabase::SaveCatalogNow() const {
   for (const auto& [name, table] : tables_) {
     CatalogTable cat;
     cat.schema = table.schema;
-    const std::unordered_set<int64_t>& dead = DeletedRows(table);
-    cat.tombstones.assign(dead.begin(), dead.end());
-    std::sort(cat.tombstones.begin(), cat.tombstones.end());
+    if (const filter::SelectionVector* dead = DeadPositions(table)) {
+      dead->ForEachSet(
+          [&cat](size_t pos) { cat.dead_positions.push_back(pos); });
+    }
     cat.rows_at_checkpoint = table.heap->num_rows();
     catalog.tables.emplace(name, std::move(cat));
   }
@@ -395,15 +404,15 @@ Status MiniDatabase::Checkpoint() {
 Status MiniDatabase::CheckpointLocked() {
   // The exclusive catalog lock quiesces every statement: no buffer pins
   // are held (FlushAll requires that) and no writer is mid-publish.
-  // 1. Index snapshots (reload policy only). Best-effort: a table with
-  //    tombstones cannot be snapshot (persistence refuses deleted-from
-  //    indexes), and a failed save just leaves the rebuild path.
+  // 1. Index snapshots (reload policy only). Best-effort: a failed save
+  //    just leaves the rebuild path. Deletes never reach an index, so a
+  //    table with dead rows snapshots like any other.
   std::vector<std::string> stale_snapshots;
   if (options_.index_recovery == IndexRecovery::kReload) {
     for (auto& [name, entry] : indexes_) {
       if (entry.def.engine != "faiss") continue;
       auto tbl = tables_.find(entry.def.table);
-      if (tbl == tables_.end() || !DeletedRows(tbl->second).empty()) continue;
+      if (tbl == tables_.end()) continue;
       const uint64_t rows = tbl->second.heap->num_rows();
       if (rows == 0 || (entry.has_snapshot && entry.rows_at_snapshot == rows))
         continue;
@@ -436,7 +445,7 @@ Status MiniDatabase::CheckpointLocked() {
   //    relation files themselves to storage.
   VECDB_RETURN_NOT_OK(bufmgr_.FlushAll());
   VECDB_RETURN_NOT_OK(smgr_.SyncAll());
-  // 3. Persist the catalog: schemas, index defs, and the tombstone sets as
+  // 3. Persist the catalog: schemas, index defs, and the dead positions as
   //    of this instant (deletes after this point live in the new WAL).
   VECDB_RETURN_NOT_OK(SaveCatalogNow());
   // 4. Only NOW is the checkpoint record's claim true. Rotate afterwards:
@@ -673,13 +682,12 @@ Result<QueryResult> MiniDatabase::ExecInsert(const InsertStmt& stmt) {
     WriterMutexLock lock(table.state->mu);
     const TableSnapshot* snap =
         table.state->snapshot.load(std::memory_order_acquire);
-    std::shared_ptr<const std::unordered_set<int64_t>> deleted =
-        snap != nullptr ? snap->deleted : nullptr;
+    std::shared_ptr<const filter::SelectionVector> dead = snap->dead;
     inserted = InsertRowsLocked(table, stmt);
     // Publish exactly once per statement (statement-atomic visibility for
     // lock-free readers); on a mid-statement failure the rows already in
     // the heap become visible — they were durably inserted.
-    PublishSnapshot(table, table.heap->num_rows(), std::move(deleted));
+    PublishSnapshot(table, table.heap->num_rows(), std::move(dead));
   }
   VECDB_RETURN_NOT_OK(inserted);
   QueryResult out;
@@ -744,10 +752,8 @@ Result<QueryResult> MiniDatabase::SeqScanSelect(
   pgstub::EpochGuard guard(epochs());
   const TableSnapshot* snap =
       table.state->snapshot.load(std::memory_order_acquire);
-  const uint64_t visible = snap != nullptr ? snap->visible_rows : 0;
-  const std::unordered_set<int64_t>* deleted =
-      snap != nullptr && snap->deleted != nullptr ? snap->deleted.get()
-                                                  : nullptr;
+  const uint64_t visible = snap->visible_rows;
+  const filter::SelectionVector* dead = snap->dead.get();
   // No scan returns more rows than are visible, so a larger LIMIT never
   // sizes the heap.
   KMaxHeap heap(std::min<uint64_t>(stmt.limit, visible));
@@ -764,7 +770,7 @@ Result<QueryResult> MiniDatabase::SeqScanSelect(
       visible,
       [&](pgstub::TupleId, int64_t row_id, const float* vec,
           const int64_t* attrs) {
-        ++scanned;
+        const uint64_t pos = scanned++;
         if ((scanned & 255u) == 0u) {
           stop = ctx.CheckStop("seqscan");
           if (!stop.ok()) return false;
@@ -777,9 +783,7 @@ Result<QueryResult> MiniDatabase::SeqScanSelect(
           while (NowNanos() < until) {
           }
         }
-        if (deleted != nullptr && deleted->count(row_id) != 0) {
-          return true;  // dead tuple
-        }
+        if (dead != nullptr && dead->Test(pos)) return true;  // dead tuple
         if (bound != nullptr) {
           row_image[0] = row_id;
           for (size_t a = 0; a < table.schema.attr_columns.size(); ++a) {
@@ -805,22 +809,15 @@ Result<QueryResult> MiniDatabase::SeqScanSelect(
 }
 
 MiniDatabase::FilterPlan MiniDatabase::BuildFilterPlan(
-    const TableEntry& table, const filter::BoundPredicate& bound,
-    size_t sample_rows) {
+    const TableEntry& table, const filter::BoundPredicate* bound,
+    const filter::SelectionVector* dead, size_t sample_rows) {
   const std::vector<std::vector<int64_t>>& columns = table.state->columns;
   const size_t n = table.heap->num_rows();
   VECDB_DCHECK_EQ(columns[0].size(), n);
   FilterPlan plan;
-  plan.selection = bound.EvalColumns(columns, n);
-  // Dead rows are excluded by id: probe the tombstone set only for the
-  // selected positions, and only when the snapshot has tombstones at all.
-  const std::unordered_set<int64_t>& dead_rows = DeletedRows(table);
-  if (!dead_rows.empty()) {
-    const std::vector<int64_t>& ids = columns[0];
-    plan.selection.ForEachSet([&](size_t pos) {
-      if (dead_rows.count(ids[pos]) != 0) plan.selection.Clear(pos);
-    });
-  }
+  plan.selection = bound != nullptr ? bound->EvalColumns(columns, n)
+                                    : filter::SelectionVector::All(n);
+  if (dead != nullptr) plan.selection.AndNot(*dead);
   // The planner's estimate reads the exact bitmap at strided sample
   // positions (what an attribute-store EstimateSelectivity would see).
   const size_t stride =
@@ -942,12 +939,17 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
   const size_t k = std::min<size_t>(
       stmt.limit, std::max<size_t>(table.heap->num_rows(), 1));
 
-  // The exact bitmap + sampled selectivity for the filtered index scan
-  // (EXPLAIN reports the same numbers the executor would use).
+  // A WHERE, or any dead row, makes the scan filtered: the selection is
+  // the matching live positions. With neither, the snapshot has a null
+  // bitmap and the scan takes the engine's unfiltered Search. EXPLAIN
+  // reports the same plan numbers the executor would use.
+  const filter::SelectionVector* dead = DeadPositions(table);
+  const bool filtered = has_predicate || dead != nullptr;
   const filter::PlannerConfig planner;
   FilterPlan plan;
-  if (has_predicate) {
-    plan = BuildFilterPlan(table, bound, planner.sample_rows);
+  if (filtered) {
+    plan = BuildFilterPlan(table, has_predicate ? &bound : nullptr, dead,
+                           planner.sample_rows);
   }
 
   if (stmt.explain) {
@@ -956,13 +958,15 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
                   chosen->index->Describe() + ") k=" +
                   std::to_string(stmt.limit);
     if (has_predicate) {
+      out.message += " filter=" + filter::ToString(*stmt.predicate);
+    }
+    if (filtered) {
       const filter::FilterStrategy effective =
           strategy == filter::FilterStrategy::kAuto
               ? filter::ChooseStrategy(plan.est_selectivity, k,
                                        chosen->index->NumVectors(), planner)
               : strategy;
-      out.message += " filter=" + filter::ToString(*stmt.predicate) +
-                     " strategy=" +
+      out.message += " strategy=" +
                      std::string(filter::StrategyName(effective)) +
                      " est_selectivity=" +
                      std::to_string(plan.est_selectivity);
@@ -981,7 +985,7 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
   // (process-wide registry when unset) and carries the cancel flag and
   // deadline into the engine scan loops.
   scan.ctx = ctx;
-  if (has_predicate) {
+  if (filtered) {
     scan.filter.selection = &plan.selection;
     scan.filter.strategy = strategy;
     scan.filter.est_selectivity = plan.est_selectivity;
@@ -1103,83 +1107,59 @@ Result<QueryResult> MiniDatabase::ExecDelete(const DeleteStmt& stmt) {
     return Status::InvalidArgument("DELETE requires a WHERE clause");
   }
 
-  // A delete mutates no heap page, so durability rides on a logical WAL
-  // record per tombstone (replayed into the deleted sets at recovery).
-  auto log_tombstone = [&](int64_t id) -> Status {
-    if (wal_ == nullptr) return Status::OK();
-    return wal_->LogTombstone(table.heap->rel(), id).status();
-  };
-
   // Writers serialize on the table lock; lock-free readers keep seeing
   // the pre-statement snapshot until the single publish below.
   WriterMutexLock lock(table.state->mu);
   const TableSnapshot* snap =
       table.state->snapshot.load(std::memory_order_acquire);
-  const uint64_t visible = snap != nullptr ? snap->visible_rows : 0;
-  // Copy-on-write: mutate a private copy of the tombstone set, publish it
-  // once the statement's deletes (and WAL records) are in.
-  std::unordered_set<int64_t> dead = DeletedRows(table);
-  auto publish = [&]() {
-    PublishSnapshot(table, visible,
-                    std::make_shared<const std::unordered_set<int64_t>>(
-                        std::move(dead)));
-  };
+  const filter::SelectionVector* dead = snap->dead.get();
+  const size_t n = table.heap->num_rows();
 
-  // The classic `WHERE id = n` skips predicate binding and keeps the
-  // historical NotFound errors for a missing or already-deleted row. Any
-  // other predicate is bound and evaluated over the predicate columns;
-  // deleting zero rows is not an error (SQL semantics: "DELETE 0"). Both
-  // then tombstone their matches (in heap order) through one loop.
+  // The matching live positions, evaluated over the predicate columns;
+  // deleting zero rows is not an error ("DELETE 0"), except that
+  // `WHERE id = n` answers NotFound when no row carries the id, or every
+  // row that does is already dead.
   const filter::Predicate& pred = *stmt.predicate;
-  const std::vector<int64_t>& ids = table.state->columns[0];
-  std::vector<int64_t> matches;
-  if (pred.kind == filter::Predicate::Kind::kCompare &&
-      pred.op == filter::CmpOp::kEq &&
-      pred.column == table.schema.id_column) {
-    const int64_t id = pred.value;
-    if (dead.count(id) != 0) {
-      return Status::NotFound("row " + std::to_string(id) +
-                              " already deleted");
-    }
-    // The id column holds every heap row's id.
-    if (std::find(ids.begin(), ids.end(), id) == ids.end()) {
-      return Status::NotFound("no row with id " + std::to_string(id));
-    }
-    matches.push_back(id);
-  } else {
-    filter::BoundPredicate bound;
-    VECDB_ASSIGN_OR_RETURN(
-        bound, filter::Bind(pred, PredicateColumns(table.schema)));
-    bound.EvalColumns(table.state->columns, table.heap->num_rows())
-        .ForEachSet([&](size_t pos) {
-          if (dead.count(ids[pos]) == 0) matches.push_back(ids[pos]);
-        });
+  filter::BoundPredicate bound;
+  VECDB_ASSIGN_OR_RETURN(bound,
+                         filter::Bind(pred, PredicateColumns(table.schema)));
+  filter::SelectionVector matches = bound.EvalColumns(table.state->columns, n);
+  const bool by_id = pred.kind == filter::Predicate::Kind::kCompare &&
+                     pred.op == filter::CmpOp::kEq &&
+                     pred.column == table.schema.id_column;
+  if (by_id && matches.CountSet() == 0) {
+    return Status::NotFound("no row with id " + std::to_string(pred.value));
   }
-  Status loop_status;
+  if (dead != nullptr) matches.AndNot(*dead);
+  if (by_id && matches.CountSet() == 0) {
+    return Status::NotFound("row " + std::to_string(pred.value) +
+                            " already deleted");
+  }
+
+  // A delete mutates no heap page, so durability rides on one logical WAL
+  // record per dead position (replayed into the bitmap at recovery).
+  // Copy-on-write: mark a private copy, publish it once.
+  filter::SelectionVector next =
+      dead != nullptr ? filter::SelectionVector::FromWords(n, dead->words())
+                      : filter::SelectionVector(n);
+  Status logged;
   size_t deleted_count = 0;
-  for (int64_t id : matches) {
-    loop_status = log_tombstone(id);
-    if (!loop_status.ok()) break;
-    dead.insert(id);
-    ++deleted_count;
-    for (const auto& index_name : table.indexes) {
-      auto idx = indexes_.find(index_name);
-      if (idx != indexes_.end()) {
-        // NotSupported: rebuild-only index; NotFound: the row was never
-        // propagated into this index (inserted after a bulk build).
-        Status s = idx->second.am->AmDelete(id);
-        if (!s.ok() && !s.IsNotSupported() && !s.IsNotFound()) {
-          loop_status = s;
-          break;
-        }
-      }
+  matches.ForEachSet([&](size_t pos) {
+    if (logged.ok() && wal_ != nullptr) {
+      logged = wal_->LogDeadRow(table.heap->rel(), pos).status();
     }
-    if (!loop_status.ok()) break;
+    if (!logged.ok()) return;
+    next.Set(pos);
+    ++deleted_count;
+  });
+  // Positions logged before a failure stay dead: publish what was
+  // applied, then surface the error.
+  if (deleted_count > 0) {
+    PublishSnapshot(table, snap->visible_rows,
+                    std::make_shared<const filter::SelectionVector>(
+                        std::move(next)));
   }
-  // Tombstones inserted before a mid-loop failure are WAL-logged and
-  // stay: publish what was applied, then surface the error.
-  publish();
-  VECDB_RETURN_NOT_OK(loop_status);
+  VECDB_RETURN_NOT_OK(logged);
   QueryResult out;
   out.message = "DELETE " + std::to_string(deleted_count);
   return out;

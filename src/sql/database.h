@@ -12,23 +12,30 @@
 // shared, for every index type, since each index's Search is reentrant).
 // Sequential-scan SELECTs take NO table lock at all: they pin an
 // epoch (pgstub/epoch.h) and read the table's published TableSnapshot —
-// a bounded row count plus tombstone set that writers replace atomically
-// and retire through the epoch manager — so readers always observe a
-// statement-atomic prefix of the heap.
+// a bounded row count plus dead-position bitmap that writers replace
+// atomically and retire through the epoch manager — so readers always
+// observe a statement-atomic prefix of the heap.
+//
+// Deletes (docs/SQL_REFERENCE.md): as in PostgreSQL, a DELETE never
+// touches an index. It marks heap positions in the snapshot's bitmap, and
+// that bitmap alone decides visibility: the seq scan tests it by scan
+// position, and an index scan on a table with any dead position runs
+// filtered, with the dead positions cleared from its selection. Index
+// positions are heap positions (VectorIndexAm maps them to row ids).
 //
 // Filtering (docs/FILTERING.md): each table also keeps its predicate
 // columns (id, then the INT attributes) as dense in-memory arrays indexed
 // by heap position, guarded by the table lock. Filtered index scans build
-// their selection bitmap, and predicate DELETEs find their rows, from
-// those arrays — no heap page is read and no buffer pinned. The arrays are
+// their selection bitmap, and DELETEs find their rows, from those arrays
+// — no heap page is read and no buffer pinned. The arrays are
 // derived data: appended with every heap insert, rebuilt from the heap at
 // Open, never written to disk.
 //
 // Durability (docs/DURABILITY.md): Open() recovers a restarted database —
 // the storage manager re-attaches relations from its manifest, ARIES-lite
-// REDO replays WAL full-page images and tombstones, the durable catalog
-// restores schemas, and indexes are rebuilt from the recovered heap (or
-// reloaded from checkpoint snapshots under IndexRecovery::kReload).
+// REDO replays WAL full-page images and dead positions, the durable
+// catalog restores schemas, and indexes are rebuilt from the recovered
+// heap (or reloaded from checkpoint snapshots under IndexRecovery::kReload).
 // Checkpoint() enforces the WAL protocol ordering: dirty pages and the
 // catalog reach storage BEFORE the checkpoint record claims they did, and
 // the log is rotated so its size stays bounded.
@@ -39,7 +46,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_set>
 #include <string>
 #include <vector>
 
@@ -91,8 +97,9 @@ enum class IndexRecovery {
   /// cost proportional to data size — PostgreSQL REINDEX).
   kRebuild,
   /// Reload "faiss"-engine indexes from the snapshot taken at the last
-  /// checkpoint, then top up with post-snapshot rows and deletes from the
-  /// WAL; falls back to kRebuild per index when no usable snapshot exists.
+  /// checkpoint, then top up with post-snapshot rows from the heap; falls
+  /// back to kRebuild per index when no usable snapshot exists. Deletes
+  /// need no top-up: they live in the table's dead-position bitmap.
   kReload,
 };
 
@@ -169,17 +176,18 @@ class MiniDatabase {
   const DatabaseOptions& options() const { return options_; }
 
  private:
-  /// What a lock-free reader sees of a table: the number of heap rows
-  /// published (a statement-atomic prefix — INSERT publishes once per
-  /// statement) and the tombstone set as of publication. Writers replace
-  /// the whole object under the table writer lock and Retire() the old
-  /// one; readers pin an epoch, acquire-load the pointer, and may then
-  /// dereference it for the duration of the pin.
+  /// What a reader sees of a table: the number of heap rows published (a
+  /// statement-atomic prefix — INSERT publishes once per statement) and
+  /// the dead heap positions as of publication. Writers replace the whole
+  /// object under the table writer lock and Retire() the old one; readers
+  /// pin an epoch (or hold the table lock), acquire-load the pointer, and
+  /// may then dereference it for the duration of the pin.
   struct TableSnapshot {
     uint64_t visible_rows = 0;
-    /// Shared so INSERT (which does not change it) can reuse the set and
-    /// DELETE can copy-on-write; null means "no tombstones".
-    std::shared_ptr<const std::unordered_set<int64_t>> deleted;
+    /// Set bit = dead heap position; positions at or past its size are
+    /// live. Null when no row is dead. Shared so INSERT (which does not
+    /// change it) reuses it and DELETE copies it on write.
+    std::shared_ptr<const filter::SelectionVector> dead;
   };
   /// Per-table concurrency state, held by unique_ptr so TableEntry stays
   /// movable while the mutex and atomic stay pinned in memory.
@@ -248,19 +256,17 @@ class MiniDatabase {
   /// Checkpoint body, for callers already holding the catalog lock.
   Status CheckpointLocked() VECDB_REQUIRES(catalog_mu_);
 
-  /// The published tombstone set of `table` (a shared empty set when none
-  /// exists). Callable wherever the snapshot pointer may be dereferenced:
+  /// The published dead-position bitmap of `table`; null when no row is
+  /// dead. Callable wherever the snapshot pointer may be dereferenced:
   /// under the table lock, under an epoch pin, or under the exclusive
   /// catalog lock (which excludes all writers).
-  static const std::unordered_set<int64_t>& DeletedRows(
-      const TableEntry& table);
+  static const filter::SelectionVector* DeadPositions(const TableEntry& table);
 
   /// Swaps in a new TableSnapshot (release-store) and retires the old one
   /// through the epoch manager. Call once per mutating statement, under
   /// the table writer lock, AFTER the heap/index mutations it publishes.
-  void PublishSnapshot(
-      TableEntry& table, uint64_t visible_rows,
-      std::shared_ptr<const std::unordered_set<int64_t>> deleted);
+  void PublishSnapshot(TableEntry& table, uint64_t visible_rows,
+                       std::shared_ptr<const filter::SelectionVector> dead);
 
   /// Inserts the statement's rows into the heap, the predicate columns
   /// and every index; split out of ExecInsert so the snapshot publish
@@ -271,7 +277,8 @@ class MiniDatabase {
 
   /// Rebuilds the in-memory state (tables_, indexes_) from the durable
   /// catalog after REDO; `wal_tombstones` are deletes newer than the
-  /// catalog's sets, keyed by heap relation id.
+  /// catalog's, keyed by heap relation id. A dead position at or past a
+  /// table's heap row count is Corruption.
   Status RecoverFrom(const Catalog& catalog,
                      const std::vector<pgstub::WalTombstone>& wal_tombstones)
       VECDB_REQUIRES(catalog_mu_);
@@ -282,13 +289,8 @@ class MiniDatabase {
                       IndexEntry* entry);
 
   /// CREATE INDEX and recovery's rebuild path: a fresh index, AmBuild
-  /// over every heap row, then the table's deletes re-applied.
+  /// over every heap row, dead ones included (scans filter them).
   Status BuildIndex(const TableEntry& table, IndexEntry* entry);
-
-  /// Tombstones the table's deleted rows in `am`'s index; an index that
-  /// cannot delete (the bridge) keeps them.
-  static Status ApplyTombstones(const TableEntry& table,
-                                pgstub::VectorIndexAm* am);
 
   /// Serializes tables_/indexes_ into the durable catalog (temp + rename).
   Status SaveCatalogNow() const VECDB_REQUIRES_SHARED(catalog_mu_);
@@ -312,16 +314,18 @@ class MiniDatabase {
                                     const filter::BoundPredicate* bound,
                                     const QueryContext& ctx);
 
-  /// The exact position-indexed selection bitmap (deleted rows excluded)
-  /// plus a strided sampled selectivity estimate, evaluated over the
-  /// table's predicate columns: no heap page is read. Caller must hold the
-  /// table lock (any mode), which keeps the columns and the heap in step.
+  /// The exact position-indexed selection bitmap plus a strided sampled
+  /// selectivity estimate: the rows `bound` matches (every row when null),
+  /// minus the `dead` positions (nullable), evaluated over the table's
+  /// predicate columns: no heap page is read. Caller must hold the table
+  /// lock (any mode), which keeps the columns and the heap in step.
   struct FilterPlan {
     filter::SelectionVector selection;
     double est_selectivity = 1.0;
   };
   static FilterPlan BuildFilterPlan(const TableEntry& table,
-                                    const filter::BoundPredicate& bound,
+                                    const filter::BoundPredicate* bound,
+                                    const filter::SelectionVector* dead,
                                     size_t sample_rows)
       VECDB_REQUIRES_SHARED(table.state->mu);
 

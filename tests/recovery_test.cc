@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <string>
@@ -136,6 +138,169 @@ TEST(RecoveryTest, SnapshotReloadMatchesRebuild) {
   EXPECT_EQ(via_index, before);
 }
 
+/// Reads or rewrites a whole file.
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+void WriteFile(const std::string& path, const std::string& text) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+/// Creates table t with rows 0..9, then a second row carrying id 2, and
+/// closes the database; returns the heap relation id.
+pgstub::RelId MakeTenRowTable(const std::string& dir) {
+  auto db = MiniDatabase::Open(dir, SmallPool()).ValueOrDie();
+  EXPECT_TRUE(Exec(db.get(), "CREATE TABLE t (id int, vec float[4])").ok());
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(Exec(db.get(), InsertRow(i)).ok());
+  EXPECT_TRUE(Exec(db.get(), InsertRow(2)).ok());
+  EXPECT_TRUE(Exec(db.get(), "CHECKPOINT").ok());
+  return db->smgr()->FindRelation("t").ValueOrDie();
+}
+
+TEST(RecoveryTest, OlderFormatsKeepTheirIdMeaning) {
+  // Catalog version 1 and kTombstone WAL records name deleted row ids; a
+  // database written in those formats opens with every heap row carrying
+  // such an id dead. Here the v1 catalog deletes id 2 (two rows) and a
+  // WAL id record deletes id 5.
+  const std::string dir = TestDir("data");
+  const pgstub::RelId rel = MakeTenRowTable(dir);
+  std::string catalog = ReadFile(dir + "/CATALOG");
+  ASSERT_EQ(catalog.rfind("vecdb-catalog 2\n", 0), 0u) << catalog;
+  catalog.replace(0, 15, "vecdb-catalog 1");
+  const size_t dead = catalog.find("dead t 0");
+  ASSERT_NE(dead, std::string::npos) << catalog;
+  catalog.replace(dead, 8, "tombstones t 1 2");
+  WriteFile(dir + "/CATALOG", catalog);
+  {
+    auto wal = std::move(pgstub::WalManager::Open(dir + "/wal.log"))
+                   .ValueOrDie();
+    ASSERT_TRUE(wal.LogTombstone(rel, 5).ok());
+    ASSERT_TRUE(wal.Flush().ok());
+  }
+  const std::set<int64_t> want = {0, 1, 3, 4, 6, 7, 8, 9};
+  for (int open = 0; open < 2; ++open) {
+    // The second open reads what the first one's checkpoint wrote: a
+    // version-2 catalog of dead positions and an empty log.
+    auto db = MiniDatabase::Open(dir, SmallPool()).ValueOrDie();
+    auto live = Exec(db.get(), "SELECT id FROM t ORDER BY vec <#> "
+                               "'1,1,1,1' LIMIT 100");
+    ASSERT_TRUE(live.ok());
+    std::multiset<int64_t> ids;
+    for (const auto& row : live->rows) ids.insert(row.id);
+    EXPECT_EQ(ids, std::multiset<int64_t>(want.begin(), want.end()))
+        << "open " << open;
+    EXPECT_EQ(ReadFile(dir + "/CATALOG").rfind("vecdb-catalog 2\n", 0), 0u);
+  }
+}
+
+TEST(RecoveryTest, DeadPositionPastTheHeapIsCorruption) {
+  const std::string dir = TestDir("data");
+  const pgstub::RelId rel = MakeTenRowTable(dir);
+  {
+    // The table has 11 rows: position 11 is past its end.
+    auto wal = std::move(pgstub::WalManager::Open(dir + "/wal.log"))
+                   .ValueOrDie();
+    ASSERT_TRUE(wal.LogDeadRow(rel, 11).ok());
+    ASSERT_TRUE(wal.Flush().ok());
+  }
+  auto from_wal = MiniDatabase::Open(dir, SmallPool());
+  EXPECT_TRUE(from_wal.status().IsCorruption()) << from_wal.status().ToString();
+
+  // The same position in the catalog.
+  const std::string catalog_dir = TestDir("catalog");
+  MakeTenRowTable(catalog_dir);
+  std::string catalog = ReadFile(catalog_dir + "/CATALOG");
+  const size_t dead = catalog.find("dead t 0");
+  ASSERT_NE(dead, std::string::npos) << catalog;
+  catalog.replace(dead, 8, "dead t 1 11");
+  WriteFile(catalog_dir + "/CATALOG", catalog);
+  auto from_catalog = MiniDatabase::Open(catalog_dir, SmallPool());
+  EXPECT_TRUE(from_catalog.status().IsCorruption())
+      << from_catalog.status().ToString();
+}
+
+TEST(RecoveryTest, ReloadAfterDeleteSkipsRebuild) {
+  // Deletes never reach an index, so a faiss index on a table with dead
+  // rows is snapshot at CHECKPOINT and reopens from that snapshot under
+  // kReload — no Build — with the results a rebuild gives.
+  const std::string dir = TestDir("data");
+  DatabaseOptions reload = SmallPool();
+  reload.index_recovery = IndexRecovery::kReload;
+  const std::vector<std::string> methods = {"ivfflat", "ivfpq", "hnsw"};
+  const std::string select =
+      " ORDER BY vec <-> '2,3,1,20' OPTIONS (nprobe=2, efs=32) LIMIT 10";
+  auto results = [&](MiniDatabase* db) {
+    std::vector<std::vector<QueryResult::Row>> out;
+    for (const auto& method : methods) {
+      for (const std::string where : {"", " WHERE id < 100"}) {
+        auto result = Exec(db, "SELECT * FROM t_" + method + where + select);
+        EXPECT_TRUE(result.ok()) << result.status().ToString();
+        out.push_back(result.ok() ? result->rows
+                                  : std::vector<QueryResult::Row>{});
+      }
+    }
+    return out;
+  };
+  auto same = [](const std::vector<std::vector<QueryResult::Row>>& a,
+                 const std::vector<std::vector<QueryResult::Row>>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].size() != b[i].size()) return false;
+      for (size_t j = 0; j < a[i].size(); ++j) {
+        if (a[i][j].id != b[i][j].id ||
+            a[i][j].distance != b[i][j].distance) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  std::vector<std::vector<QueryResult::Row>> before;
+  {
+    auto db = MiniDatabase::Open(dir, reload).ValueOrDie();
+    for (const auto& method : methods) {
+      const std::string table = "t_" + method;
+      ASSERT_TRUE(
+          Exec(db.get(), "CREATE TABLE " + table + " (id int, vec float[4])")
+              .ok());
+      std::string insert = "INSERT INTO " + table + " VALUES ";
+      for (int i = 0; i < 200; ++i) {
+        if (i > 0) insert += ", ";
+        insert += "(" + std::to_string(i) + ", '" + Vec4(i) + "')";
+      }
+      ASSERT_TRUE(Exec(db.get(), insert).ok());
+      ASSERT_TRUE(Exec(db.get(), "CREATE INDEX " + table + "_idx ON " + table +
+                                     " USING " + method +
+                                     " (vec) WITH (clusters=2, "
+                                     "sample_ratio=1, m=2, pq_codes=16, "
+                                     "engine='faiss')")
+                      .ok());
+      ASSERT_TRUE(
+          Exec(db.get(), "DELETE FROM " + table + " WHERE id >= 15 AND id < 25")
+              .ok());
+      ASSERT_TRUE(Exec(db.get(), "DELETE FROM " + table + " WHERE id = 20")
+                      .status()
+                      .IsNotFound());
+    }
+    ASSERT_TRUE(Exec(db.get(), "CHECKPOINT").ok());
+    before = results(db.get());
+  }
+  auto& metrics = obs::MetricsRegistry::Global();
+  {
+    const uint64_t builds = metrics.Value(obs::Counter::kFaissBuilds);
+    auto db = MiniDatabase::Open(dir, reload).ValueOrDie();
+    EXPECT_EQ(metrics.Value(obs::Counter::kFaissBuilds), builds)
+        << "an index was rebuilt instead of reloaded";
+    EXPECT_TRUE(same(results(db.get()), before));
+  }
+  const uint64_t builds = metrics.Value(obs::Counter::kFaissBuilds);
+  auto db = MiniDatabase::Open(dir, SmallPool()).ValueOrDie();
+  EXPECT_EQ(metrics.Value(obs::Counter::kFaissBuilds),
+            builds + methods.size());
+  EXPECT_TRUE(same(results(db.get()), before));
+}
+
 // The v1 bug this PR fixes: LogCheckpoint() was called without first
 // forcing dirty pages to storage, so replay trusted a checkpoint whose
 // claim ("everything before me is on disk") was false, and pages vanished.
@@ -236,15 +401,21 @@ const std::vector<std::string>& KillWorkload() {
     for (int i = 0; i < 12; ++i) v->push_back(InsertRow(i));
     v->push_back("DELETE FROM t WHERE id = 3");
     for (int i = 12; i < 20; ++i) v->push_back(InsertRow(i));
+    // A re-used id: the new row is live, and deleting it again marks it.
+    v->push_back(InsertRow(3));
     v->push_back("CREATE INDEX t_idx ON t USING ivfflat (vec) "
                  "WITH (clusters=2, sample_ratio=1)");
     for (int i = 20; i < 32; ++i) v->push_back(InsertRow(i));
     v->push_back("DELETE FROM t WHERE id = 17");
     v->push_back("DELETE FROM t WHERE id = 25");
     for (int i = 32; i < 40; ++i) v->push_back(InsertRow(i));
+    v->push_back("DELETE FROM t WHERE id = 3");
     v->push_back("CHECKPOINT");
     for (int i = 40; i < 48; ++i) v->push_back(InsertRow(i));
     v->push_back("DELETE FROM t WHERE id = 44");
+    v->push_back(InsertRow(3));
+    v->push_back(InsertRow(44));
+    v->push_back("DELETE FROM t WHERE id = 3");
     return v;
   }();
   return *ops;

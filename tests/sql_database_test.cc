@@ -23,11 +23,18 @@ class DatabaseTest : public ::testing::Test {
   }
 
   /// Closes the database and opens it again from its directory.
-  void Reopen() {
+  void Reopen(const DatabaseOptions& options = {}) {
     session_.reset();
     db_.reset();
-    db_ = MiniDatabase::Open(dir_).ValueOrDie();
+    db_ = MiniDatabase::Open(dir_, options).ValueOrDie();
     session_ = db_->CreateSession();
+  }
+
+  /// The ids `sql` returns, in order.
+  std::vector<int64_t> Ids(const std::string& sql) {
+    std::vector<int64_t> ids;
+    for (const auto& row : Must(sql).rows) ids.push_back(row.id);
+    return ids;
   }
 
   QueryResult Must(const std::string& sql) {
@@ -127,6 +134,23 @@ TEST_F(DatabaseTest, ExplainShowsPlan) {
   EXPECT_NE(idx.message.find("Index Scan"), std::string::npos);
 }
 
+TEST_F(DatabaseTest, ExplainPlansAScanOverDeadRowsAsFiltered) {
+  // With a dead row the scan runs filtered over the live rows, WHERE or
+  // not, and EXPLAIN shows that plan's strategy and estimate.
+  LoadSmallTable();
+  Must("CREATE INDEX items_idx ON items USING ivfflat (vec) "
+       "WITH (clusters=2, sample_ratio=1)");
+  const std::string explain =
+      "EXPLAIN SELECT id FROM items ORDER BY vec <-> '1,0,0,0' LIMIT 2";
+  EXPECT_EQ(Must(explain).message.find("strategy="), std::string::npos);
+  Must("DELETE FROM items WHERE id = 10");
+  const std::string plan = Must(explain).message;
+  EXPECT_NE(plan.find(" strategy="), std::string::npos) << plan;
+  EXPECT_NE(plan.find(" est_selectivity=0.800000"), std::string::npos)
+      << plan;  // 4 of 5 rows live
+  EXPECT_EQ(plan.find("filter="), std::string::npos) << plan;
+}
+
 TEST_F(DatabaseTest, NonL2MetricFallsBackToSeqScan) {
   LoadSmallTable();
   Must("CREATE INDEX items_idx ON items USING ivfflat (vec) "
@@ -221,7 +245,7 @@ TEST_F(DatabaseTest, DeleteTombstonesEveryIndexCopyOfADuplicateId) {
     Must(std::string("CREATE INDEX t_idx ON t USING ivfflat (vec) WITH "
                      "(clusters=2, sample_ratio=1, engine='") +
          engine + "')");
-    EXPECT_EQ(Must("DELETE FROM t WHERE id = 5").message, "DELETE 1");
+    EXPECT_EQ(Must("DELETE FROM t WHERE id = 5").message, "DELETE 2");
     for (const std::string where : {"", "WHERE id < 1000 "}) {
       auto result = Must("SELECT id FROM t " + where +
                          "ORDER BY vec <-> '5,0,0,0' OPTIONS (nprobe=2" +
@@ -273,9 +297,8 @@ TEST_F(DatabaseTest, DeleteByIdOfRowMissingFromRebuildOnlyIndex) {
 }
 
 TEST_F(DatabaseTest, CreateIndexAfterDeleteKeepsDeletedRowsOut) {
-  // CREATE INDEX builds over every heap row, deleted ones included, so it
-  // must apply the table's tombstones as the rebuild on reopen does. The
-  // bridge is left out: it answers NotSupported to Delete.
+  // CREATE INDEX builds over every heap row, deleted ones included, so its
+  // scans must skip the table's dead rows, as after the rebuild on reopen.
   const std::string with =
       " (vec) WITH (clusters=2, sample_ratio=1, m=2, pq_codes=16, bnn=8, "
       "efb=16, engine='";
@@ -283,8 +306,11 @@ TEST_F(DatabaseTest, CreateIndexAfterDeleteKeepsDeletedRowsOut) {
       " ORDER BY vec <-> '0,0,0,0' OPTIONS (nprobe=2, efs=64) LIMIT 8";
   std::vector<std::string> tables;
   std::vector<std::vector<int64_t>> answers;
-  for (const std::string engine : {"faiss", "pase"}) {
+  for (const std::string engine : {"faiss", "pase", "bridge"}) {
     for (const std::string method : {"ivfflat", "ivfpq", "ivfsq8", "hnsw"}) {
+      if (engine == "bridge" && (method == "ivfpq" || method == "ivfsq8")) {
+        continue;  // the bridge implements ivfflat and hnsw only
+      }
       const std::string table = "t_" + engine + "_" + method;
       SCOPED_TRACE(table);
       Must("CREATE TABLE " + table + " (id int, vec float[4])");
@@ -318,6 +344,107 @@ TEST_F(DatabaseTest, CreateIndexAfterDeleteKeepsDeletedRowsOut) {
     for (const auto& row : result.rows) ids.push_back(row.id);
     EXPECT_EQ(ids, answers[t]) << tables[t];
   }
+}
+
+TEST_F(DatabaseTest, BridgeIndexScanSkipsDeletedRows) {
+  // The bridge cannot tombstone (its Delete answers NotSupported), so the
+  // table's dead positions alone keep a deleted row out of its scans.
+  for (const std::string method : {"ivfflat", "hnsw"}) {
+    const std::string table = "b_" + method;
+    Must("CREATE TABLE " + table + " (id int, vec float[2])");
+    std::string insert = "INSERT INTO " + table + " VALUES ";
+    for (int i = 1; i <= 8; ++i) {
+      if (i > 1) insert += ", ";
+      insert += "(" + std::to_string(i) + ", '" + std::to_string(i) + ",0')";
+    }
+    Must(insert);
+    Must("CREATE INDEX " + table + "_idx ON " + table + " USING " + method +
+         " (vec) WITH (clusters=2, sample_ratio=1, bnn=4, efb=8, "
+         "engine='bridge')");
+    EXPECT_EQ(Must("DELETE FROM " + table + " WHERE id = 1").message,
+              "DELETE 1");
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string method : {"ivfflat", "hnsw"}) {
+      EXPECT_EQ(Ids("SELECT id FROM b_" + method +
+                    " ORDER BY vec <-> '0,0' OPTIONS (nprobe=2, efs=16) "
+                    "LIMIT 3"),
+                (std::vector<int64_t>{2, 3, 4}))
+          << method << " round " << round;
+    }
+    Reopen();
+  }
+}
+
+TEST_F(DatabaseTest, ReinsertedIdIsLiveOnEveryScanPath) {
+  // Deleting id 1 and inserting it again must leave the new row live: the
+  // table's deletes are heap positions, not ids. Checked on the seq scan
+  // (table s, no index) and on faiss and pase index scans, before CREATE
+  // INDEX, after it, and after a reopen under either recovery policy.
+  for (const IndexRecovery recovery :
+       {IndexRecovery::kRebuild, IndexRecovery::kReload}) {
+    DatabaseOptions options;
+    options.index_recovery = recovery;
+    Reopen(options);
+    const std::string tag =
+        recovery == IndexRecovery::kReload ? "_reload" : "_rebuild";
+    const std::vector<std::string> indexed = {"faiss_ivfflat", "faiss_hnsw",
+                                              "pase_ivfflat", "pase_hnsw"};
+    std::vector<std::string> tables = {"s"};
+    for (const auto& name : indexed) tables.push_back(name);
+    for (auto& table : tables) table += tag;
+    auto for_all = [&](const std::string& head, const std::string& tail) {
+      for (const auto& table : tables) Must(head + table + tail);
+    };
+    for_all("CREATE TABLE ", " (id int, vec float[2])");
+    for_all("INSERT INTO ",
+            " VALUES (1, '1,0'), (2, '2,0'), (3, '3,0'), (4, '4,0'), "
+            "(5, '5,0'), (6, '6,0'), (7, '7,0'), (8, '8,0')");
+    for_all("DELETE FROM ", " WHERE id = 1");
+    for_all("INSERT INTO ", " VALUES (1, '0,0')");
+    auto expect_ids = [&](const std::vector<int64_t>& want,
+                          const std::string& when) {
+      for (const auto& table : tables) {
+        EXPECT_EQ(Ids("SELECT id FROM " + table +
+                      " ORDER BY vec <-> '0,0' OPTIONS (nprobe=2, efs=16) "
+                      "LIMIT 3"),
+                  want)
+            << table << " " << when;
+      }
+    };
+    expect_ids({1, 2, 3}, "before CREATE INDEX");
+    for (size_t t = 1; t < tables.size(); ++t) {
+      const std::string& name = indexed[t - 1];
+      const std::string engine = name.substr(0, name.find('_'));
+      const std::string method = name.substr(name.find('_') + 1);
+      Must("CREATE INDEX " + tables[t] + "_idx ON " + tables[t] + " USING " +
+           method + " (vec) WITH (clusters=2, sample_ratio=1, bnn=4, efb=8, "
+           "engine='" + engine + "')");
+    }
+    expect_ids({1, 2, 3}, "after CREATE INDEX");
+    // The same through the indexes' insert path.
+    for_all("DELETE FROM ", " WHERE id = 2");
+    for_all("INSERT INTO ", " VALUES (2, '0.5,0')");
+    expect_ids({1, 2, 3}, "after a re-insert into the index");
+    Must("CHECKPOINT");
+    Reopen(options);
+    expect_ids({1, 2, 3}, "after reopen");
+  }
+}
+
+TEST_F(DatabaseTest, DeletingAReinsertedIdCountsOnlyTheLiveRow) {
+  Must("CREATE TABLE t (id int, vec float[2])");
+  Must("INSERT INTO t VALUES (1, '1,0'), (2, '2,0')");
+  Must("CREATE INDEX t_idx ON t USING ivfflat (vec) WITH (clusters=1, "
+       "sample_ratio=1)");
+  EXPECT_EQ(Must("DELETE FROM t WHERE id = 1").message, "DELETE 1");
+  Must("INSERT INTO t VALUES (1, '0,0')");
+  EXPECT_EQ(Must("DELETE FROM t WHERE id = 1").message, "DELETE 1");
+  auto again = session_->Execute("DELETE FROM t WHERE id = 1");
+  EXPECT_TRUE(again.status().IsNotFound()) << again.status().ToString();
+  EXPECT_EQ(Ids("SELECT id FROM t ORDER BY vec <-> '0,0' OPTIONS (nprobe=1) "
+                "LIMIT 3"),
+            (std::vector<int64_t>{2}));
 }
 
 TEST_F(DatabaseTest, LimitPastTheTableIsClamped) {
