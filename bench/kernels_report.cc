@@ -14,6 +14,9 @@
 // floats (beside the strtof reading the parser replaced), and one row's
 // SGEMM-path bucket assignment at c=173 against a packed codebook (beside
 // the per-call path that packs the centroids every time).
+// The "wal" block times heap inserts of 128-d rows through the buffer
+// manager with and without a write-ahead log attached, and the log bytes
+// each row costs: the durability tax on the generalized engine's writes.
 //
 // Usage: kernels_report [output.json]   (default ./BENCH_kernels.json)
 //
@@ -21,9 +24,12 @@
 // dependency — it is meant to run in CI-ish contexts and produce one small
 // file, not interactive tables.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,6 +40,9 @@
 #include "distance/dispatch.h"
 #include "distance/kernels.h"
 #include "distance/sgemm.h"
+#include "pgstub/bufmgr.h"
+#include "pgstub/heap_table.h"
+#include "pgstub/wal.h"
 #include "quantizer/pq.h"
 #include "quantizer/sq8.h"
 #include "sql/lexer.h"
@@ -299,10 +308,78 @@ void AppendIngest(std::string* json, const IngestTimes& t) {
       "    \"parse_insert_ms\": %.3f,\n"
       "    \"assign_one_row_us\": %.3f,\n"
       "    \"assign_one_row_per_call_us\": %.3f\n"
-      "  }\n",
+      "  },\n",
       kIngestRows, kDim, kIngestClusters, t.parse_floats_per_s,
       t.parse_strtof_floats_per_s, t.tokenize_mb_per_s, t.parse_insert_ms,
       t.assign_one_row_us, t.assign_one_row_per_call_us);
+  *json += buf;
+}
+
+// WAL block shape: rows per timed load and the pool (large enough that no
+// page is evicted, so the load times the insert and logging paths only).
+constexpr int kWalRows = 20000;
+constexpr size_t kWalPoolPages = 2048;
+
+struct WalTimes {
+  double insert_us_no_wal = 0;
+  double insert_us_wal = 0;
+  double wal_bytes_per_row = 0;
+};
+
+/// Best-of-kRepetitions per-row time of a fresh kWalRows-row heap load,
+/// with a WAL attached when `log_bytes` is non-null (set to its size).
+double TimeHeapLoad(bool with_wal, double* log_bytes) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "vecdb_kernels_wal").string();
+  const auto row = RandomVectors(1, kDim, 18);
+  int64_t best = INT64_MAX;
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    std::filesystem::remove_all(dir);
+    auto smgr = std::make_unique<pgstub::StorageManager>(
+        pgstub::StorageManager::Open(dir, 8192).ValueOrDie());
+    pgstub::BufferManager bufmgr(smgr.get(), kWalPoolPages);
+    std::unique_ptr<pgstub::WalManager> wal;
+    if (with_wal) {
+      wal = std::make_unique<pgstub::WalManager>(
+          pgstub::WalManager::Open(dir + "/wal.log").ValueOrDie());
+      bufmgr.SetWal(wal.get());
+    }
+    auto table = pgstub::HeapTable::Create(&bufmgr, smgr.get(), "t",
+                                           static_cast<uint32_t>(kDim))
+                     .ValueOrDie();
+    Timer t;
+    for (int i = 0; i < kWalRows; ++i) {
+      if (!table.Insert(i, row.data()).ok()) std::abort();
+    }
+    best = std::min(best, t.ElapsedNanos());
+    if (wal != nullptr) *log_bytes = static_cast<double>(wal->size_bytes());
+  }
+  std::filesystem::remove_all(dir);
+  return static_cast<double>(best) / kWalRows / 1e3;
+}
+
+WalTimes TimeWal() {
+  std::fprintf(stderr, "[kernels_report] timing wal...\n");
+  WalTimes out;
+  double log_bytes = 0;
+  out.insert_us_no_wal = TimeHeapLoad(false, nullptr);
+  out.insert_us_wal = TimeHeapLoad(true, &log_bytes);
+  out.wal_bytes_per_row = log_bytes / kWalRows;
+  return out;
+}
+
+void AppendWal(std::string* json, const WalTimes& t) {
+  char buf[384];
+  std::snprintf(buf, sizeof(buf),
+                "  \"wal\": {\n"
+                "    \"config\": {\"rows\": %d, \"d\": %zu, "
+                "\"page_size\": 8192},\n"
+                "    \"heap_insert_us_no_wal\": %.3f,\n"
+                "    \"heap_insert_us_wal\": %.3f,\n"
+                "    \"wal_bytes_per_row\": %.1f\n"
+                "  }\n",
+                kWalRows, kDim, t.insert_us_no_wal, t.insert_us_wal,
+                t.wal_bytes_per_row);
   *json += buf;
 }
 
@@ -379,6 +456,7 @@ int Run(const char* out_path) {
 
   const PqTimes pq_times = TimePq();
   const IngestTimes ingest_times = TimeIngest();
+  const WalTimes wal_times = TimeWal();
 
   auto fastscan_speedup = [&](KernelIsa isa) {
     const double ns = sq8_scan.by_isa[static_cast<int>(isa)];
@@ -417,6 +495,7 @@ int Run(const char* out_path) {
   json += "  },\n";
   AppendPq(&json, pq_times);
   AppendIngest(&json, ingest_times);
+  AppendWal(&json, wal_times);
   json += "}\n";
 
   std::FILE* f = std::fopen(out_path, "w");

@@ -508,8 +508,9 @@ void BM_HeapInsertNoWal(benchmark::State& state) {
 BENCHMARK(BM_HeapInsertNoWal);
 
 void BM_HeapInsertWal(benchmark::State& state) {
-  // The same insert path with full-page-image WAL attached: the durability
-  // tax a generalized vector database pays on writes.
+  // The same insert path with the WAL attached (an init record per fresh
+  // page, then one item record per row): the durability tax a generalized
+  // vector database pays on writes.
   const size_t d = 128;
   auto data = RandomVectors(1, d, 9);
   const std::string dir = "/tmp/vecdb_micro_wal";

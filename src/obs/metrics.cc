@@ -17,6 +17,7 @@ const char* CounterName(Counter c) {
     case Counter::kWalBytes: return "wal.bytes";
     case Counter::kWalCheckpoints: return "wal.checkpoints";
     case Counter::kWalRecoveredPages: return "wal.recovered_pages";
+    case Counter::kWalPageImages: return "wal.page_images";
     case Counter::kSgemmCalls: return "sgemm.calls";
     case Counter::kKernelSq8Blocks: return "kernel.sq8_blocks";
     case Counter::kKernelSq8Codes: return "kernel.sq8_codes";

@@ -37,6 +37,7 @@ enum class Counter : uint32_t {
   kWalBytes,
   kWalCheckpoints,
   kWalRecoveredPages,
+  kWalPageImages,  ///< full-page images logged
   // distance kernels (RC#1: batched SGEMM-decomposed distances).
   kSgemmCalls,
   kKernelSq8Blocks,  ///< SQ8 fast-scan blocks (Sq8CodeStore::kBlockCodes grain)

@@ -152,7 +152,8 @@ class PaseIvfScanIndex : public VectorIndex {
 
   /// Appends one tuple (zeroed kHeaderBytes header carrying `row_id`, then
   /// `payload`) to a bucket's page chain, chaining a fresh page when the
-  /// tail is full.
+  /// tail is full. The append logs only its tuple (an init record for a
+  /// fresh page); the chain link it sets on the old tail logs an image.
   Status AppendToBucket(uint32_t bucket, int64_t row_id, const void* payload,
                         size_t payload_bytes);
 
@@ -446,9 +447,10 @@ Status PaseIvfScanIndex<Derived>::AppendToBucket(uint32_t bucket,
     VECDB_ASSIGN_OR_RETURN(pgstub::BufferHandle handle,
                            env_.bufmgr->Pin(data_rel_, chain.tail));
     pgstub::PageView page(handle.data, env_.bufmgr->page_size());
-    if (page.AddItem(tuple.data(), static_cast<uint16_t>(tuple_bytes)) !=
-        pgstub::kInvalidOffset) {
-      env_.bufmgr->Unpin(handle, true);
+    const pgstub::OffsetNumber slot =
+        page.AddItem(tuple.data(), static_cast<uint16_t>(tuple_bytes));
+    if (slot != pgstub::kInvalidOffset) {
+      env_.bufmgr->UnpinAppended(handle, slot);
       return Status::OK();
     }
     env_.bufmgr->Unpin(handle, false);
@@ -460,13 +462,14 @@ Status PaseIvfScanIndex<Derived>::AppendToBucket(uint32_t bucket,
   page.Init(sizeof(DataPageSpecial));
   reinterpret_cast<DataPageSpecial*>(page.Special())->next =
       pgstub::kInvalidBlock;
-  if (page.AddItem(tuple.data(), static_cast<uint16_t>(tuple_bytes)) ==
-      pgstub::kInvalidOffset) {
+  const pgstub::OffsetNumber slot =
+      page.AddItem(tuple.data(), static_cast<uint16_t>(tuple_bytes));
+  if (slot == pgstub::kInvalidOffset) {
     env_.bufmgr->Unpin(fresh.second, true);
     return Status::Internal(std::string(Derived::kName) +
                             ": tuple larger than a page");
   }
-  env_.bufmgr->Unpin(fresh.second, true);
+  env_.bufmgr->UnpinAppended(fresh.second, slot);
 
   if (chain.tail != pgstub::kInvalidBlock) {
     VECDB_ASSIGN_OR_RETURN(pgstub::BufferHandle prev,

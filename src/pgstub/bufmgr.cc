@@ -79,6 +79,7 @@ Result<BufferHandle> BufferManager::Pin(RelId rel, BlockId block) {
   f.usage = 1;
   f.dirty = false;
   f.valid = true;
+  f.fresh = false;
   table_[TagKey(rel, block)] = frame;
   return BufferHandle{frame, data};
 }
@@ -96,6 +97,7 @@ Result<std::pair<BlockId, BufferHandle>> BufferManager::NewPage(RelId rel) {
   f.usage = 1;
   f.dirty = true;
   f.valid = true;
+  f.fresh = true;
   table_[TagKey(rel, block)] = frame;
   ++stats_.pins;
   obs::MetricsRegistry::Global().Add(obs::Counter::kBufmgrPin);
@@ -103,6 +105,16 @@ Result<std::pair<BlockId, BufferHandle>> BufferManager::NewPage(RelId rel) {
 }
 
 void BufferManager::Unpin(const BufferHandle& handle, bool dirty) {
+  Release(handle, dirty, kInvalidOffset);
+}
+
+void BufferManager::UnpinAppended(const BufferHandle& handle,
+                                  OffsetNumber slot) {
+  Release(handle, /*dirty=*/true, slot);
+}
+
+void BufferManager::Release(const BufferHandle& handle, bool dirty,
+                            OffsetNumber slot) {
   if (!handle.valid()) return;
   MutexLock guard(mu_);
   Frame& f = frames_[handle.frame];
@@ -111,17 +123,20 @@ void BufferManager::Unpin(const BufferHandle& handle, bool dirty) {
   VECDB_DCHECK_GT(f.pin_count, 0) << "Unpin of frame " << handle.frame
                                   << " that is not pinned";
   if (f.pin_count > 0) --f.pin_count;
-  if (dirty) {
-    f.dirty = true;
-    if (wal_ != nullptr) {
-      auto logged = wal_->LogFullPage(
-          f.rel, f.block,
-          pool_.data() + static_cast<size_t>(handle.frame) *
-                             smgr_->page_size(),
-          smgr_->page_size());
-      if (!logged.ok() && wal_error_.ok()) wal_error_ = logged.status();
-    }
-  }
+  // Only the NewPage pin's own unpin may log an init record.
+  const bool fresh = f.fresh;
+  f.fresh = false;
+  if (!dirty) return;
+  f.dirty = true;
+  if (wal_ == nullptr) return;
+  const char* page = pool_.data() + static_cast<size_t>(handle.frame) *
+                                        smgr_->page_size();
+  auto logged =
+      slot == kInvalidOffset
+          ? wal_->LogFullPage(f.rel, f.block, page, smgr_->page_size())
+          : wal_->LogAppend(f.rel, f.block, page, smgr_->page_size(), slot,
+                            fresh);
+  if (!logged.ok() && wal_error_.ok()) wal_error_ = logged.status();
 }
 
 void BufferManager::CheckInvariants() const {

@@ -2,6 +2,12 @@
 // pin counts, and a tag hash table (PostgreSQL's bufmgr.c analog). Every
 // PASE tuple access goes Pin -> line-pointer lookup -> Unpin; this
 // indirection — even with a 100% hit rate — is the paper's RC#2.
+//
+// Dirty unpins are where the WAL is written. A plain dirty Unpin logs the
+// page's full image, which is correct for any change. UnpinAppended is for
+// a writer that appended exactly one item: the WalManager logs just that
+// item when the page was already imaged since the last checkpoint, and a
+// page fresh from NewPage goes out as an init record instead of an image.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +68,16 @@ class BufferManager {
   /// wal_error().
   void Unpin(const BufferHandle& handle, bool dirty) VECDB_EXCLUDES(mu_);
 
-  /// Attaches a write-ahead log (not owned; may be null to detach).
+  /// Dirty unpin after the pin holder appended one item at `slot` and
+  /// changed nothing else (on a page from NewPage: Init, its special
+  /// space, then that first item). Logs through WalManager::LogAppend:
+  /// an item or init record where it suffices, else a full image.
+  void UnpinAppended(const BufferHandle& handle, OffsetNumber slot)
+      VECDB_EXCLUDES(mu_);
+
+  /// Attaches a write-ahead log (not owned; may be null to detach). Pages
+  /// changed while no WAL is attached are not logged, so attach it before
+  /// the first change the log must cover, or checkpoint right after.
   void SetWal(WalManager* wal) VECDB_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     wal_ = wal;
@@ -114,6 +129,9 @@ class BufferManager {
     uint8_t usage = 0;
     bool dirty = false;
     bool valid = false;
+    /// From NewPage and not yet unpinned: its first record may be an init
+    /// record rather than an image.
+    bool fresh = false;
   };
 
   static uint64_t TagKey(RelId rel, BlockId block) {
@@ -123,6 +141,11 @@ class BufferManager {
   /// Finds a victim frame via clock sweep; evicts (writing back if dirty).
   /// Returns -1 with ResourceExhausted if all frames are pinned.
   Result<int32_t> AllocFrame() VECDB_REQUIRES(mu_);
+
+  /// Unpin body: releases the pin and, when `dirty`, logs the page — an
+  /// append through LogAppend when `slot` is valid, else a full image.
+  void Release(const BufferHandle& handle, bool dirty, OffsetNumber slot)
+      VECDB_EXCLUDES(mu_);
 
   StorageManager* smgr_;       // const after construction
   const size_t num_frames_;    // frames_.size(), readable without the lock

@@ -85,7 +85,7 @@ Result<TupleId> HeapTable::Insert(int64_t row_id, const float* vec,
     const OffsetNumber slot =
         page.AddItem(tuple.data(), static_cast<uint16_t>(tuple.size()));
     if (slot != kInvalidOffset) {
-      bufmgr_->Unpin(handle, /*dirty=*/true);
+      bufmgr_->UnpinAppended(handle, slot);
       ++num_rows_;
       return TupleId{last_block_, slot};
     }
@@ -97,10 +97,11 @@ Result<TupleId> HeapTable::Insert(int64_t row_id, const float* vec,
   page.Init(/*special_size=*/0);
   const OffsetNumber slot =
       page.AddItem(tuple.data(), static_cast<uint16_t>(tuple.size()));
-  bufmgr_->Unpin(fresh.second, /*dirty=*/true);
   if (slot == kInvalidOffset) {
+    bufmgr_->Unpin(fresh.second, /*dirty=*/true);
     return Status::Internal("HeapTable: tuple does not fit on a fresh page");
   }
+  bufmgr_->UnpinAppended(fresh.second, slot);
   last_block_ = fresh.first;
   ++num_rows_;
   return TupleId{fresh.first, slot};

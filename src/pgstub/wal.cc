@@ -1,5 +1,6 @@
 #include "pgstub/wal.h"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -108,6 +109,59 @@ Result<DecodedLog> DecodeAll(VfsFile* file) {
   return out;
 }
 
+/// Extends `rel` until it has a block `block`.
+Status ExtendTo(StorageManager* smgr, RelId rel, BlockId block,
+                BlockId blocks) {
+  while (blocks <= block) {
+    VECDB_ASSIGN_OR_RETURN(BlockId fresh, smgr->ExtendRelation(rel));
+    blocks = fresh + 1;
+  }
+  return Status::OK();
+}
+
+/// Reads and checks the fixed head of a kItemAppend payload.
+Result<WalItemHeader> ParseItemHeader(const WalRecord& record,
+                                      uint32_t page_size) {
+  WalItemHeader header;
+  if (record.payload.size() < sizeof(header)) {
+    return Status::Corruption("WAL item record too short");
+  }
+  std::memcpy(&header, record.payload.data(), sizeof(header));
+  const size_t item_off = sizeof(header) + header.special_size;
+  if (header.init > 1 || (header.init == 0 && header.special_size != 0) ||
+      header.special_size + sizeof(PageView::Header) > page_size ||
+      record.payload.size() <= item_off ||
+      record.payload.size() - item_off > 0xffff) {
+    return Status::Corruption("WAL item record malformed");
+  }
+  return header;
+}
+
+/// Redoes one kItemAppend record on `page`: an init record rebuilds the
+/// page from nothing; any other must find exactly slot - 1 items.
+Status RedoItemAppend(const WalRecord& record, const WalItemHeader& header,
+                      char* page, uint32_t page_size) {
+  PageView view(page, page_size);
+  if (header.init == 1) {
+    view.Init(header.special_size);
+    std::memcpy(view.Special(), record.payload.data() + sizeof(header),
+                header.special_size);
+  } else if (!view.Check().ok() || view.ItemCount() + 1 != header.slot) {
+    return Status::Corruption(
+        "WAL item record for slot " + std::to_string(header.slot) +
+        " of (" + std::to_string(record.rel) + "," +
+        std::to_string(record.block) + ") does not follow its page");
+  }
+  const size_t item_off = sizeof(header) + header.special_size;
+  const OffsetNumber slot = view.AddItem(
+      record.payload.data() + item_off,
+      static_cast<uint16_t>(record.payload.size() - item_off));
+  if (slot != header.slot) {
+    return Status::Corruption("WAL item record does not fit its page");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<WalManager> WalManager::Open(Vfs* vfs, const std::string& path) {
@@ -150,37 +204,42 @@ WalManager::WalManager(WalManager&& other) noexcept {
   path_ = std::move(other.path_);
   size_ = other.size_;
   next_lsn_ = other.next_lsn_;
+  imaged_ = std::move(other.imaged_);
 }
 
 Status WalManager::AppendRecord(WalRecordType type, RelId rel, BlockId block,
-                                const char* payload, uint32_t payload_len) {
+                                std::initializer_list<Piece> pieces) {
   if (file_ == nullptr) return Status::InvalidArgument("WAL closed");
+  size_t payload_len = 0;
+  for (const Piece& piece : pieces) payload_len += piece.size;
   RecordHeader header{};
   header.lsn = next_lsn_;
-  header.payload_len = payload_len;
+  header.payload_len = static_cast<uint32_t>(payload_len);
   header.rel = rel;
   header.block = block;
   header.type = static_cast<uint8_t>(type);
-  // One streaming CRC across header and payload: correlated flips in the
-  // two regions cannot cancel the way the old header^payload XOR could.
-  uint32_t state = Crc32cUpdate(Crc32cInit(), &header, sizeof(header));
-  state = Crc32cUpdate(state, payload, payload_len);
-  const uint32_t crc = Crc32cFinalize(state);
 
   // One contiguous frame, one WriteAt: the fault harness then sees each
   // record as a single write, and a crash tears at most this frame.
-  std::vector<char> frame(sizeof(header) + payload_len + sizeof(crc));
-  std::memcpy(frame.data(), &header, sizeof(header));
-  if (payload_len > 0) {
-    std::memcpy(frame.data() + sizeof(header), payload, payload_len);
+  frame_.resize(sizeof(header) + payload_len + sizeof(uint32_t));
+  std::memcpy(frame_.data(), &header, sizeof(header));
+  size_t off = sizeof(header);
+  for (const Piece& piece : pieces) {
+    if (piece.size > 0) {
+      std::memcpy(frame_.data() + off, piece.data, piece.size);
+    }
+    off += piece.size;
   }
-  std::memcpy(frame.data() + sizeof(header) + payload_len, &crc, sizeof(crc));
-  VECDB_RETURN_NOT_OK(file_->WriteAt(size_, frame.data(), frame.size()));
-  size_ += frame.size();
+  // One CRC across header and payload: correlated flips in the two
+  // regions cannot cancel the way the old header^payload XOR could.
+  const uint32_t crc = Crc32c(frame_.data(), off);
+  std::memcpy(frame_.data() + off, &crc, sizeof(crc));
+  VECDB_RETURN_NOT_OK(file_->WriteAt(size_, frame_.data(), frame_.size()));
+  size_ += frame_.size();
   ++next_lsn_;
   auto& metrics = obs::MetricsRegistry::Global();
   metrics.Add(obs::Counter::kWalRecords);
-  metrics.Add(obs::Counter::kWalBytes, frame.size());
+  metrics.Add(obs::Counter::kWalBytes, frame_.size());
   return Status::OK();
 }
 
@@ -188,19 +247,65 @@ Result<Lsn> WalManager::LogFullPage(RelId rel, BlockId block,
                                     const char* page, uint32_t page_size) {
   MutexLock lock(mu_);
   const Lsn lsn = next_lsn_;
-  VECDB_RETURN_NOT_OK(
-      AppendRecord(WalRecordType::kFullPage, rel, block, page, page_size));
+  VECDB_RETURN_NOT_OK(AppendImage(rel, block, page, page_size));
   return lsn;
 }
 
-Result<Lsn> WalManager::LogDelete(WalRecordType type, RelId rel,
-                                  uint64_t value) {
+Status WalManager::AppendImage(RelId rel, BlockId block, const char* page,
+                               uint32_t page_size) {
+  VECDB_RETURN_NOT_OK(AppendRecord(WalRecordType::kFullPage, rel, block,
+                                   {{page, page_size}}));
+  imaged_.insert(PageKey(rel, block));
+  obs::MetricsRegistry::Global().Add(obs::Counter::kWalPageImages);
+  return Status::OK();
+}
+
+Result<Lsn> WalManager::LogAppend(RelId rel, BlockId block, const char* page,
+                                  uint32_t page_size, OffsetNumber slot,
+                                  bool fresh) {
+  const PageView view(const_cast<char*>(page), page_size);
+  const char* item = view.GetItem(slot);
+  const uint16_t item_len = view.GetItemLength(slot);
   MutexLock lock(mu_);
   const Lsn lsn = next_lsn_;
-  char payload[sizeof(value)];
-  std::memcpy(payload, &value, sizeof(value));
+  const uint64_t key = PageKey(rel, block);
+  const bool init = fresh && slot == 1;
+  if (item == nullptr || (!init && imaged_.count(key) == 0)) {
+    VECDB_RETURN_NOT_OK(AppendImage(rel, block, page, page_size));
+    return lsn;
+  }
+  WalItemHeader header{};
+  header.slot = slot;
+  header.init = init ? 1 : 0;
+  header.special_size = init ? view.SpecialSize() : 0;
   VECDB_RETURN_NOT_OK(
-      AppendRecord(type, rel, kInvalidBlock, payload, sizeof(payload)));
+      AppendRecord(WalRecordType::kItemAppend, rel, block,
+                   {{&header, sizeof(header)},
+                    {view.Special(), header.special_size},
+                    {item, item_len}}));
+  if (init) imaged_.insert(key);
+  return lsn;
+}
+
+Result<Lsn> WalManager::LogDeadRows(RelId rel,
+                                    const std::vector<uint64_t>& positions) {
+  constexpr size_t kPerRecord = kMaxPayload / sizeof(uint64_t);
+  MutexLock lock(mu_);
+  const Lsn lsn = next_lsn_;
+  for (size_t i = 0; i < positions.size(); i += kPerRecord) {
+    const size_t n = std::min(kPerRecord, positions.size() - i);
+    VECDB_RETURN_NOT_OK(
+        AppendRecord(WalRecordType::kDeadRow, rel, kInvalidBlock,
+                     {{positions.data() + i, n * sizeof(uint64_t)}}));
+  }
+  return lsn;
+}
+
+Result<Lsn> WalManager::LogTombstone(RelId rel, int64_t row_id) {
+  MutexLock lock(mu_);
+  const Lsn lsn = next_lsn_;
+  VECDB_RETURN_NOT_OK(AppendRecord(WalRecordType::kTombstone, rel,
+                                   kInvalidBlock, {{&row_id, sizeof(row_id)}}));
   return lsn;
 }
 
@@ -208,8 +313,11 @@ Result<Lsn> WalManager::LogCheckpoint() {
   MutexLock lock(mu_);
   const Lsn lsn = next_lsn_;
   VECDB_RETURN_NOT_OK(AppendRecord(WalRecordType::kCheckpoint, kInvalidRel,
-                                   kInvalidBlock, nullptr, 0));
+                                   kInvalidBlock, {}));
   VECDB_RETURN_NOT_OK(FlushLocked());
+  // Under the same lock as the record: a change logged after it sees the
+  // empty set and logs an image, one logged before it may log an item.
+  imaged_.clear();
   obs::MetricsRegistry::Global().Add(obs::Counter::kWalCheckpoints);
   return lsn;
 }
@@ -262,38 +370,65 @@ Status WalManager::Recover(Vfs* vfs, const std::string& path,
                            StorageManager* smgr,
                            std::vector<WalTombstone>* tombstones) {
   auto& metrics = obs::MetricsRegistry::Global();
+  std::vector<char> page(smgr->page_size());
   return Replay(vfs, path, [&](const WalRecord& record) -> Status {
     switch (record.type) {
-      case WalRecordType::kFullPage: {
-        if (record.payload.size() != smgr->page_size()) {
+      case WalRecordType::kFullPage:
+      case WalRecordType::kItemAppend: {
+        const bool image = record.type == WalRecordType::kFullPage;
+        WalItemHeader item{};
+        if (image && record.payload.size() != smgr->page_size()) {
           return Status::Corruption("WAL page image size mismatch");
+        }
+        if (!image) {
+          VECDB_ASSIGN_OR_RETURN(item,
+                                 ParseItemHeader(record, smgr->page_size()));
         }
         // The relation may have been dropped after this record was logged
         // (its removal survived via the durable relation manifest); its
-        // stale images must not resurrect anything.
+        // stale records must not resurrect anything.
         auto blocks_r = smgr->NumBlocks(record.rel);
         if (blocks_r.status().IsNotFound()) return Status::OK();
         VECDB_RETURN_NOT_OK(blocks_r.status());
-        BlockId blocks = *blocks_r;
-        while (blocks <= record.block) {
-          VECDB_ASSIGN_OR_RETURN(BlockId fresh,
-                                 smgr->ExtendRelation(record.rel));
-          blocks = fresh + 1;
+        if (image) {
+          VECDB_RETURN_NOT_OK(
+              ExtendTo(smgr, record.rel, record.block, *blocks_r));
+          VECDB_RETURN_NOT_OK(smgr->WriteBlock(record.rel, record.block,
+                                               record.payload.data()));
+          metrics.Add(obs::Counter::kWalRecoveredPages);
+          return Status::OK();
+        }
+        // An init record is the page's image: it extends like one. Any
+        // other item record follows an image or init of its page.
+        if (item.init == 1) {
+          VECDB_RETURN_NOT_OK(
+              ExtendTo(smgr, record.rel, record.block, *blocks_r));
+          metrics.Add(obs::Counter::kWalRecoveredPages);
+        } else if (record.block >= *blocks_r) {
+          return Status::Corruption("WAL item record past its relation");
+        } else {
+          VECDB_RETURN_NOT_OK(
+              smgr->ReadBlock(record.rel, record.block, page.data()));
         }
         VECDB_RETURN_NOT_OK(
-            smgr->WriteBlock(record.rel, record.block, record.payload.data()));
-        metrics.Add(obs::Counter::kWalRecoveredPages);
-        return Status::OK();
+            RedoItemAppend(record, item, page.data(), smgr->page_size()));
+        return smgr->WriteBlock(record.rel, record.block, page.data());
       }
       case WalRecordType::kTombstone:
       case WalRecordType::kDeadRow: {
-        if (record.payload.size() != sizeof(uint64_t)) {
+        const size_t n = record.payload.size() / sizeof(uint64_t);
+        if (n == 0 || record.payload.size() % sizeof(uint64_t) != 0 ||
+            (record.type == WalRecordType::kTombstone && n != 1)) {
           return Status::Corruption("WAL delete payload size mismatch");
         }
-        if (tombstones != nullptr &&
-            smgr->NumBlocks(record.rel).ok()) {  // skip dropped relations
+        if (tombstones == nullptr ||
+            !smgr->NumBlocks(record.rel).ok()) {  // skip dropped relations
+          return Status::OK();
+        }
+        for (size_t i = 0; i < n; ++i) {
           uint64_t value = 0;
-          std::memcpy(&value, record.payload.data(), sizeof(value));
+          std::memcpy(&value, record.payload.data() + i * sizeof(value),
+                      sizeof(value));
           tombstones->push_back({record.rel,
                                  record.type == WalRecordType::kDeadRow,
                                  value, static_cast<int64_t>(value)});

@@ -295,14 +295,13 @@ Status MiniDatabase::RecoverFrom(
                                 " references missing table " +
                                 cat_index.def.table);
     }
-    IndexEntry entry;
+    IndexEntry& entry = indexes_[name];
     entry.def = cat_index.def;
     if (options_.index_recovery != IndexRecovery::kReload ||
         !TryReloadIndex(cat_index, tbl->second, &entry)) {
       VECDB_RETURN_NOT_OK(BuildIndex(tbl->second, &entry));
     }
     tbl->second.indexes.push_back(name);
-    indexes_.emplace(name, std::move(entry));
   }
   return Status::OK();
 }
@@ -648,10 +647,16 @@ Status MiniDatabase::InsertRowsLocked(TableEntry& table,
     for (const auto& index_name : table.indexes) {
       auto idx = indexes_.find(index_name);
       if (idx != indexes_.end()) {
-        Status s = idx->second.am->AmInsert(row.vec.data(), row.id);
-        if (!s.ok() && !s.IsNotSupported()) return s;
-        // NotSupported: PASE-era indexes require a rebuild after bulk
-        // loads; the paper's workloads build after loading, as we do.
+        IndexEntry& entry = idx->second;
+        if (entry.stale.load(std::memory_order_relaxed)) continue;
+        Status s = entry.am->AmInsert(row.vec.data(), row.id);
+        // NotSupported: a rebuild-only engine (faiss flat, bridge). It
+        // now lacks this row, so it must not answer until rebuilt.
+        if (s.IsNotSupported()) {
+          entry.stale.store(true, std::memory_order_release);
+        } else if (!s.ok()) {
+          return s;
+        }
       }
     }
   }
@@ -726,11 +731,14 @@ Result<QueryResult> MiniDatabase::ExecCreateIndex(
   if (table.heap->num_rows() == 0) {
     return Status::InvalidArgument("cannot index empty table " + stmt.table);
   }
-  IndexEntry entry;
+  IndexEntry& entry = indexes_[stmt.index];
   entry.def = stmt;
-  VECDB_RETURN_NOT_OK(BuildIndex(table, &entry));
+  Status built = BuildIndex(table, &entry);
+  if (!built.ok()) {
+    indexes_.erase(stmt.index);
+    return built;
+  }
   table.indexes.push_back(stmt.index);
-  indexes_.emplace(stmt.index, std::move(entry));
   Status saved = SaveCatalogNow();
   if (!saved.ok()) {
     indexes_.erase(stmt.index);
@@ -902,36 +910,53 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
 
   // Plan: an index scan needs an index on this column and an L2 operator
   // (the engines implement Euclidean distance, PASE similarity type 0).
+  // A stale index lacks rows the heap has, so it is passed over.
   const IndexEntry* chosen = nullptr;
+  std::string stale;  // stale indexes passed over, for EXPLAIN
   if (stmt.metric == Metric::kL2) {
     for (const auto& index_name : table.indexes) {
       auto idx = indexes_.find(index_name);
-      if (idx != indexes_.end()) {
-        chosen = &idx->second;
-        break;
+      if (idx == indexes_.end()) continue;
+      if (idx->second.stale.load(std::memory_order_acquire)) {
+        stale += (stale.empty() ? "" : ", ") + index_name;
+        continue;
       }
+      chosen = &idx->second;
+      break;
     }
   }
-
-  if (chosen == nullptr) {
-    if (stmt.explain) {
-      QueryResult out;
-      out.message = "Seq Scan on " + stmt.table + " (brute force, metric=" +
-                    std::string(MetricName(stmt.metric)) + ") k=" +
-                    std::to_string(stmt.limit);
-      if (has_predicate) {
-        out.message += " filter=" + filter::ToString(*stmt.predicate);
-      }
-      return out;
+  auto seq_scan = [&]() -> Result<QueryResult> {
+    if (!stmt.explain) {
+      return SeqScanSelect(stmt, table, has_predicate ? &bound : nullptr,
+                           ctx);
     }
-    return SeqScanSelect(stmt, table, has_predicate ? &bound : nullptr, ctx);
-  }
+    QueryResult out;
+    out.message = "Seq Scan on " + stmt.table + " (brute force, metric=" +
+                  std::string(MetricName(stmt.metric)) + ") k=" +
+                  std::to_string(stmt.limit);
+    if (has_predicate) {
+      out.message += " filter=" + filter::ToString(*stmt.predicate);
+    }
+    if (!stale.empty()) {
+      out.message += " stale_index=" + stale +
+                     " (lacks rows inserted since it was built; rebuilt on "
+                     "next open)";
+    }
+    return out;
+  };
+  if (chosen == nullptr) return seq_scan();
 
   // Index scan (or its EXPLAIN): lock the table shared. Every index's
   // Search is reentrant, so scans run concurrently with each other; the
   // lock excludes writers, which is what BuildFilterPlan's read of the
   // predicate columns and the index itself require.
   ReaderMutexLock lock(table.state->mu);
+  // An INSERT may have made the index stale while this statement waited
+  // for the lock; the seq scan needs no lock, holding it is harmless.
+  if (chosen->stale.load(std::memory_order_acquire)) {
+    stale = chosen->def.index;
+    return seq_scan();
+  }
 
   // No scan returns more rows than the table holds, so a larger LIMIT is
   // clamped before it sizes a heap or the HNSW queue; EXPLAIN still
@@ -1137,31 +1162,26 @@ Result<QueryResult> MiniDatabase::ExecDelete(const DeleteStmt& stmt) {
   }
 
   // A delete mutates no heap page, so durability rides on one logical WAL
-  // record per dead position (replayed into the bitmap at recovery).
-  // Copy-on-write: mark a private copy, publish it once.
-  filter::SelectionVector next =
-      dead != nullptr ? filter::SelectionVector::FromWords(n, dead->words())
-                      : filter::SelectionVector(n);
-  Status logged;
-  size_t deleted_count = 0;
-  matches.ForEachSet([&](size_t pos) {
-    if (logged.ok() && wal_ != nullptr) {
-      logged = wal_->LogDeadRow(table.heap->rel(), pos).status();
+  // record listing the statement's dead positions (replayed into the
+  // bitmap at recovery); it is logged before any position is published.
+  std::vector<uint64_t> positions;
+  matches.ForEachSet([&positions](size_t pos) { positions.push_back(pos); });
+  if (!positions.empty()) {
+    if (wal_ != nullptr) {
+      VECDB_RETURN_NOT_OK(
+          wal_->LogDeadRows(table.heap->rel(), positions).status());
     }
-    if (!logged.ok()) return;
-    next.Set(pos);
-    ++deleted_count;
-  });
-  // Positions logged before a failure stay dead: publish what was
-  // applied, then surface the error.
-  if (deleted_count > 0) {
+    // Copy-on-write: mark a private copy, publish it once.
+    filter::SelectionVector next =
+        dead != nullptr ? filter::SelectionVector::FromWords(n, dead->words())
+                        : filter::SelectionVector(n);
+    for (const uint64_t pos : positions) next.Set(pos);
     PublishSnapshot(table, snap->visible_rows,
                     std::make_shared<const filter::SelectionVector>(
                         std::move(next)));
   }
-  VECDB_RETURN_NOT_OK(logged);
   QueryResult out;
-  out.message = "DELETE " + std::to_string(deleted_count);
+  out.message = "DELETE " + std::to_string(positions.size());
   return out;
 }
 

@@ -219,6 +219,13 @@ class MiniDatabase {
     /// Snapshot bookkeeping (kReload policy), persisted in the catalog.
     bool has_snapshot = false;
     uint64_t rows_at_snapshot = 0;
+    /// Set (under the table writer lock) when the engine refused a row
+    /// with NotSupported: the index lacks rows the heap has, so SELECT
+    /// plans a seq scan instead, and the next Open rebuilds it. Atomic
+    /// because the planner reads it before taking the table lock; the
+    /// index scan re-reads it under that lock. Entries live in place in
+    /// `indexes_` (std::map nodes never move).
+    std::atomic<bool> stale{false};
   };
 
   /// Defined in database.cc: member destructors (instantiated for

@@ -7,6 +7,7 @@
 #include "sql/session.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -69,13 +70,31 @@ TEST(EpochManagerTest, AccountingAndReclaimAll) {
 // ---------------------------------------------------------------------------
 // Shared fixture plumbing.
 
+/// This process's databases live under one directory named by the
+/// process id, so overlapping runs of this binary (from different build
+/// trees) never delete each other's; it is removed when the run ends.
+const std::string& ProcessRoot() {
+  static const std::string root =
+      ::testing::TempDir() + "/session_" + std::to_string(::getpid());
+  return root;
+}
+
+class RemoveProcessRoot : public ::testing::Environment {
+ public:
+  void TearDown() override { std::filesystem::remove_all(ProcessRoot()); }
+};
+[[maybe_unused]] ::testing::Environment* const kRemoveProcessRoot =
+    ::testing::AddGlobalTestEnvironment(new RemoveProcessRoot);
+
+/// A fresh directory for the running test.
 std::string TestDir(const char* suffix) {
-  std::string dir = ::testing::TempDir() + "/session_" +
+  std::string dir = ProcessRoot() + "/" +
                     ::testing::UnitTest::GetInstance()
                         ->current_test_info()
                         ->name() +
                     "_" + suffix;
   std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(ProcessRoot());
   return dir;
 }
 

@@ -1,12 +1,14 @@
 #include "sql/database.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sql/session.h"
 
 namespace vecdb::sql {
@@ -15,11 +17,20 @@ namespace {
 class DatabaseTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The process id keeps overlapping runs of this binary (from
+    // different build trees) out of each other's directories.
     dir_ = ::testing::TempDir() + "/db_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "_" + std::to_string(::getpid());
     std::filesystem::remove_all(dir_);
     db_ = MiniDatabase::Open(dir_).ValueOrDie();
     session_ = db_->CreateSession();
+  }
+
+  void TearDown() override {
+    session_.reset();
+    db_.reset();
+    std::filesystem::remove_all(dir_);
   }
 
   /// Closes the database and opens it again from its directory.
@@ -120,6 +131,45 @@ TEST_F(DatabaseTest, AllThreeEnginesAnswerQueries) {
     ASSERT_EQ(result.rows.size(), 3u) << engine;
     EXPECT_TRUE(result.rows[0].id == 0 || result.rows[0].id == 1) << engine;
   }
+}
+
+TEST_F(DatabaseTest, DeleteLogsOneRecordAndReplaysTheSameDeadSet) {
+  Must("CREATE TABLE t (id int, vec float[2], a int)");
+  std::string insert = "INSERT INTO t VALUES ";
+  for (int i = 0; i < 2000; ++i) {
+    insert += (i == 0 ? "(" : ", (") + std::to_string(i) + ", '" +
+              std::to_string(i % 13) + ",1', " + std::to_string(i % 100) +
+              ")";
+  }
+  Must(insert);
+  const std::string scan =
+      "SELECT id FROM t ORDER BY vec <-> '0,0' LIMIT 5000";
+  auto& metrics = obs::MetricsRegistry::Global();
+  const uint64_t records = metrics.Value(obs::Counter::kWalRecords);
+  EXPECT_EQ(Must("DELETE FROM t WHERE a < 50").message, "DELETE 1000");
+  EXPECT_EQ(metrics.Value(obs::Counter::kWalRecords), records + 1);
+  const std::vector<int64_t> live = Ids(scan);
+  ASSERT_EQ(live.size(), 1000u);
+  Reopen();  // no checkpoint since the DELETE: the WAL record replays
+  EXPECT_EQ(Ids(scan), live);
+}
+
+TEST_F(DatabaseTest, RebuildOnlyIndexGoesStaleOnInsert) {
+  LoadSmallTable();
+  Must("CREATE INDEX items_flat ON items USING flat (vec) "
+       "WITH (engine='faiss')");
+  const std::string explain =
+      "EXPLAIN SELECT id FROM items ORDER BY vec <-> '1,0,0,0' LIMIT 3";
+  EXPECT_EQ(Must(explain).message.rfind("Index Scan", 0), 0u);
+  // faiss flat cannot insert: the index would miss row 60.
+  Must("INSERT INTO items VALUES (60, '1,0,0,0')");
+  const std::string plan = Must(explain).message;
+  EXPECT_EQ(plan.rfind("Seq Scan", 0), 0u) << plan;
+  EXPECT_NE(plan.find("stale_index=items_flat"), std::string::npos) << plan;
+  EXPECT_EQ(Ids("SELECT id FROM items ORDER BY vec <-> '1,0,0,0' LIMIT 2"),
+            (std::vector<int64_t>{10, 60}));
+  Reopen();  // rebuilt from the heap
+  EXPECT_EQ(Must(explain).message.rfind("Index Scan", 0), 0u);
 }
 
 TEST_F(DatabaseTest, ExplainShowsPlan) {

@@ -37,16 +37,15 @@ struct Pair {
   const char* engine;
   const char* method;
   bool exact_distances;  ///< false: PQ/SQ8 codes approximate distances
-  bool rebuild_only;     ///< no Insert: rows added after a build are absent
 };
 
 constexpr Pair kPairs[] = {
-    {"faiss", "flat", true, true},      {"faiss", "ivfflat", true, false},
-    {"faiss", "ivfpq", false, false},   {"faiss", "ivfsq8", false, false},
-    {"faiss", "hnsw", true, false},     {"pase", "ivfflat", true, false},
-    {"pase", "ivfpq", false, false},    {"pase", "ivfsq8", false, false},
-    {"pase", "hnsw", true, false},      {"bridge", "ivfflat", true, true},
-    {"bridge", "hnsw", true, true},
+    {"faiss", "flat", true},     {"faiss", "ivfflat", true},
+    {"faiss", "ivfpq", false},   {"faiss", "ivfsq8", false},
+    {"faiss", "hnsw", true},     {"pase", "ivfflat", true},
+    {"pase", "ivfpq", false},    {"pase", "ivfsq8", false},
+    {"pase", "hnsw", true},      {"bridge", "ivfflat", true},
+    {"bridge", "hnsw", true},
 };
 
 /// A fresh directory; the process id keeps runs of this binary from
@@ -114,7 +113,6 @@ class Script {
          " (vec) WITH (clusters=" + std::to_string(kClusters) +
          ", sample_ratio=1, m=2, pq_codes=16, bnn=8, efb=32, engine='" +
          pair_.engine + "')");
-    indexed_rows_ = heap_.size();
     VerifyScans("after CREATE INDEX");
     for (int step = 0; step < steps; ++step) {
       const int dice = static_cast<int>(rng_() % 20);
@@ -142,8 +140,6 @@ class Script {
     db_.reset();
     db_ = MiniDatabase::Open(dir_, options_).ValueOrDie();
     session_ = db_->CreateSession();
-    // Every index is rebuilt or reloaded and topped up from the heap.
-    indexed_rows_ = heap_.size();
   }
 
   QueryResult Must(const std::string& sql) {
@@ -227,13 +223,12 @@ class Script {
     return "DELETE by predicate";
   }
 
-  /// Brute force over the live rows with position < `rows` that pass the
-  /// optional `a < a_below` filter (a_below < 0: no filter).
+  /// Brute force over the live rows that pass the optional `a < a_below`
+  /// filter (a_below < 0: no filter).
   std::vector<Expected> BruteForce(const std::vector<float>& query,
-                                   int64_t a_below, size_t rows) const {
+                                   int64_t a_below) const {
     std::vector<Expected> out;
-    for (size_t pos = 0; pos < std::min(rows, heap_.size()); ++pos) {
-      const ModelRow& row = heap_[pos];
+    for (const ModelRow& row : heap_) {
       if (row.dead || (a_below >= 0 && row.a >= a_below)) continue;
       double dist = 0.0;
       for (uint32_t d = 0; d < kDim; ++d) {
@@ -281,7 +276,6 @@ class Script {
     std::vector<float> query;
     for (uint32_t d = 0; d < kDim; ++d) query.push_back(unit(rng_));
     const size_t all = heap_.size() + 1;
-    const size_t index_rows = pair_.rebuild_only ? indexed_rows_ : all;
     for (const int64_t a_below : {int64_t{-1}, int64_t{1}, int64_t{6}}) {
       for (const size_t limit : {size_t{10}, all}) {
         std::string sql = "SELECT * FROM % ";
@@ -297,18 +291,14 @@ class Script {
         index_sql.replace(index_sql.find('%'), 1, "t");
         const QueryResult seq = Must(seq_sql);
         const QueryResult idx = Must(index_sql);
-        ExpectRows(seq.rows, BruteForce(query, a_below, all), limit,
+        ExpectRows(seq.rows, BruteForce(query, a_below), limit,
                    "seq " + what);
-        const std::vector<Expected> want =
-            BruteForce(query, a_below, index_rows);
+        const std::vector<Expected> want = BruteForce(query, a_below);
         if (pair_.exact_distances) {
           ExpectRows(idx.rows, want, limit, "index " + what);
-          // Without the rebuild-only gap the index scan is the seq scan.
-          if (index_rows == all) {
-            ASSERT_EQ(idx.rows.size(), seq.rows.size()) << what;
-            for (size_t i = 0; i < seq.rows.size(); ++i) {
-              EXPECT_EQ(idx.rows[i].id, seq.rows[i].id) << what;
-            }
+          ASSERT_EQ(idx.rows.size(), seq.rows.size()) << what;
+          for (size_t i = 0; i < seq.rows.size(); ++i) {
+            EXPECT_EQ(idx.rows[i].id, seq.rows[i].id) << what;
           }
         } else if (limit == all) {
           ExpectSameIds(idx.rows, want, "index " + what);
@@ -335,7 +325,6 @@ class Script {
   std::unique_ptr<MiniDatabase> db_;
   std::shared_ptr<Session> session_;
   std::vector<ModelRow> heap_;
-  size_t indexed_rows_ = 0;
   int64_t next_id_ = 0;
 };
 

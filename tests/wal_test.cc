@@ -4,8 +4,11 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "pgstub/bufmgr.h"
 #include "pgstub/crc32c.h"
@@ -364,6 +367,253 @@ TEST(WalTest, RecoverCollectsTombstonesAndSkipsDroppedRelations) {
   EXPECT_EQ(tombstones[0].rel, keep);
   EXPECT_EQ(tombstones[0].row_id, 7);
   EXPECT_EQ(tombstones[1].row_id, 9);
+}
+
+// ---------------------------------------------------------------------------
+// Image once per checkpoint, then items.
+
+/// Flushes `wal`, then lists the types of the records Replay yields (those
+/// after the last checkpoint), an item record with its init flag as "init".
+std::vector<std::string> RecordKinds(WalManager* wal,
+                                     const std::string& wal_path) {
+  EXPECT_TRUE(wal->Flush().ok());
+  std::vector<std::string> kinds;
+  EXPECT_TRUE(WalManager::Replay(wal_path, [&](const WalRecord& record) {
+                switch (record.type) {
+                  case WalRecordType::kFullPage:
+                    kinds.push_back("image");
+                    break;
+                  case WalRecordType::kItemAppend: {
+                    WalItemHeader header;
+                    std::memcpy(&header, record.payload.data(),
+                                sizeof(header));
+                    kinds.push_back(header.init == 1 ? "init" : "item");
+                    break;
+                  }
+                  default:
+                    kinds.push_back("other");
+                }
+                return Status::OK();
+              }).ok());
+  return kinds;
+}
+
+/// Every block of `rel` as stored.
+std::vector<std::vector<char>> ReadBlocks(StorageManager* smgr, RelId rel) {
+  std::vector<std::vector<char>> blocks(*smgr->NumBlocks(rel));
+  for (BlockId b = 0; b < blocks.size(); ++b) {
+    blocks[b].resize(smgr->page_size());
+    EXPECT_TRUE(smgr->ReadBlock(rel, b, blocks[b].data()).ok());
+  }
+  return blocks;
+}
+
+/// Appends one distinct 40-byte item to a pinned page and unpins it
+/// through UnpinAppended.
+void AppendItem(BufferManager* bufmgr, const BufferHandle& handle, char fill) {
+  PageView page(handle.data, bufmgr->page_size());
+  const std::vector<char> item(40, fill);
+  const OffsetNumber slot = page.AddItem(item.data(), 40);
+  ASSERT_NE(slot, kInvalidOffset);
+  bufmgr->UnpinAppended(handle, slot);
+}
+
+TEST(WalItemTest, ItemAndInitRecordsReplayByteIdentically) {
+  const std::string data_dir = TestDir("data");
+  const std::string wal_path = data_dir + "/wal.log";
+  RelId rel;
+  std::vector<std::vector<char>> want;
+  {
+    auto smgr = std::make_unique<StorageManager>(
+        StorageManager::Open(data_dir, 512).ValueOrDie());
+    auto wal = std::move(WalManager::Open(wal_path)).ValueOrDie();
+    BufferManager bufmgr(smgr.get(), 8);
+    bufmgr.SetWal(&wal);
+    rel = *smgr->CreateRelation("r");
+    // Block 0: fresh, with 8 bytes of special space -> one init record.
+    auto fresh = std::move(bufmgr.NewPage(rel)).ValueOrDie();
+    PageView page(fresh.second.data, 512);
+    page.Init(8);
+    std::memset(page.Special(), 0x5A, 8);
+    AppendItem(&bufmgr, fresh.second, 1);
+    // Two more appends to it -> item records.
+    for (char fill : {2, 3}) {
+      AppendItem(&bufmgr, std::move(bufmgr.Pin(rel, 0)).ValueOrDie(), fill);
+    }
+    EXPECT_EQ(RecordKinds(&wal, wal_path),
+              (std::vector<std::string>{"init", "item", "item"}));
+    // Copies of the pool's pages; then the pool is dropped unflushed.
+    for (BlockId b = 0; b < *smgr->NumBlocks(rel); ++b) {
+      auto handle = std::move(bufmgr.Pin(rel, b)).ValueOrDie();
+      want.emplace_back(handle.data, handle.data + 512);
+      bufmgr.Unpin(handle, false);
+    }
+    ASSERT_TRUE(bufmgr.wal_error().ok());
+  }
+  auto smgr = std::make_unique<StorageManager>(
+      StorageManager::Open(data_dir, 512).ValueOrDie());
+  // The file holds block 0 as NewPage left it: zeroed. Tear it too.
+  std::vector<char> torn(512, static_cast<char>(0xEE));
+  ASSERT_TRUE(smgr->WriteBlock(rel, 0, torn.data()).ok());
+  ASSERT_TRUE(WalManager::Recover(wal_path, smgr.get()).ok());
+  EXPECT_EQ(ReadBlocks(smgr.get(), rel), want);
+}
+
+TEST(WalItemTest, InitRecordRebuildsAMissingBlock) {
+  const std::string data_dir = TestDir("data");
+  const std::string wal_path = data_dir + "/wal.log";
+  RelId rel;
+  std::vector<char> want;
+  {
+    auto smgr = std::make_unique<StorageManager>(
+        StorageManager::Open(data_dir, 512).ValueOrDie());
+    auto wal = std::move(WalManager::Open(wal_path)).ValueOrDie();
+    rel = *smgr->CreateRelation("r");
+    std::vector<char> page(512);
+    PageView view(page.data(), 512);
+    view.Init(0);
+    const std::vector<char> item(24, 7);
+    ASSERT_EQ(view.AddItem(item.data(), 24), 1);
+    ASSERT_TRUE(wal.LogAppend(rel, 2, page.data(), 512, 1, true).ok());
+    want = page;
+  }
+  // The relation file has no blocks at all: the init record extends it.
+  auto smgr = std::make_unique<StorageManager>(
+      StorageManager::Open(data_dir, 512).ValueOrDie());
+  ASSERT_EQ(*smgr->NumBlocks(rel), 0u);
+  ASSERT_TRUE(WalManager::Recover(wal_path, smgr.get()).ok());
+  const auto blocks = ReadBlocks(smgr.get(), rel);
+  ASSERT_EQ(blocks.size(), 3u);
+  EXPECT_EQ(blocks[2], want);
+  EXPECT_EQ(blocks[0], std::vector<char>(512, 0));
+}
+
+TEST(WalItemTest, ItemRecordThatSkipsASlotIsCorruption) {
+  const std::string data_dir = TestDir("data");
+  const std::string wal_path = data_dir + "/wal.log";
+  RelId rel;
+  {
+    auto smgr = std::make_unique<StorageManager>(
+        StorageManager::Open(data_dir, 512).ValueOrDie());
+    auto wal = std::move(WalManager::Open(wal_path)).ValueOrDie();
+    rel = *smgr->CreateRelation("r");
+    std::vector<char> page(512);
+    PageView view(page.data(), 512);
+    view.Init(0);
+    const std::vector<char> item(24, 7);
+    ASSERT_EQ(view.AddItem(item.data(), 24), 1);
+    ASSERT_TRUE(wal.LogFullPage(rel, 0, page.data(), 512).ok());
+    // Slot 2 is never logged; slot 3's record then finds one item.
+    ASSERT_EQ(view.AddItem(item.data(), 24), 2);
+    ASSERT_EQ(view.AddItem(item.data(), 24), 3);
+    ASSERT_TRUE(wal.LogAppend(rel, 0, page.data(), 512, 3, false).ok());
+    EXPECT_EQ(RecordKinds(&wal, wal_path),
+              (std::vector<std::string>{"image", "item"}));
+  }
+  auto smgr = std::make_unique<StorageManager>(
+      StorageManager::Open(data_dir, 512).ValueOrDie());
+  EXPECT_TRUE(WalManager::Recover(wal_path, smgr.get()).IsCorruption());
+}
+
+TEST(WalItemTest, FirstChangeAfterCheckpointIsAnImage) {
+  const std::string wal_path = TestLog("log");
+  auto wal = std::move(WalManager::Open(wal_path)).ValueOrDie();
+  std::vector<char> page(512);
+  PageView view(page.data(), 512);
+  view.Init(0);
+  const std::vector<char> item(24, 7);
+  // Not imaged yet and not fresh: an image.
+  ASSERT_EQ(view.AddItem(item.data(), 24), 1);
+  ASSERT_TRUE(wal.LogAppend(1, 0, page.data(), 512, 1, false).ok());
+  ASSERT_EQ(view.AddItem(item.data(), 24), 2);
+  ASSERT_TRUE(wal.LogAppend(1, 0, page.data(), 512, 2, false).ok());
+  EXPECT_EQ(RecordKinds(&wal, wal_path),
+            (std::vector<std::string>{"image", "item"}));
+  ASSERT_TRUE(wal.LogCheckpoint().ok());
+  ASSERT_EQ(view.AddItem(item.data(), 24), 3);
+  ASSERT_TRUE(wal.LogAppend(1, 0, page.data(), 512, 3, false).ok());
+  ASSERT_EQ(view.AddItem(item.data(), 24), 4);
+  ASSERT_TRUE(wal.LogAppend(1, 0, page.data(), 512, 4, false).ok());
+  EXPECT_EQ(RecordKinds(&wal, wal_path),
+            (std::vector<std::string>{"image", "item"}));
+}
+
+TEST(WalItemTest, DeadRowsOfOneStatementAreOneRecord) {
+  const std::string wal_path = TestLog("log");
+  const std::string data_dir = TestDir("data");
+  auto smgr = std::make_unique<StorageManager>(
+      StorageManager::Open(data_dir, 512).ValueOrDie());
+  const RelId rel = *smgr->CreateRelation("r");
+  {
+    auto wal = std::move(WalManager::Open(wal_path)).ValueOrDie();
+    ASSERT_TRUE(wal.LogDeadRows(rel, {4, 9, 1000}).ok());
+    ASSERT_TRUE(wal.LogDeadRows(rel, {}).ok());  // logs nothing
+    ASSERT_EQ(wal.next_lsn(), 2u);
+  }
+  std::vector<WalTombstone> dead;
+  ASSERT_TRUE(
+      WalManager::Recover(Vfs::Default(), wal_path, smgr.get(), &dead).ok());
+  ASSERT_EQ(dead.size(), 3u);
+  EXPECT_EQ(dead[0].position, 4u);
+  EXPECT_EQ(dead[1].position, 9u);
+  EXPECT_EQ(dead[2].position, 1000u);
+  EXPECT_TRUE(dead[2].by_position);
+}
+
+// Heap rows across many pages through a small pool (so pages are evicted
+// and re-read), a checkpoint halfway, then the pool dropped unflushed:
+// REDO must rebuild every block byte for byte, from init records, item
+// records and at most one image per page per checkpoint cycle.
+TEST(WalItemTest, RecoveredHeapEqualsThePoolByteForByte) {
+  const std::string data_dir = TestDir("data");
+  const std::string wal_path = data_dir + "/wal.log";
+  constexpr uint32_t kDim = 32;
+  constexpr int kRows = 1200;
+  RelId rel;
+  std::vector<std::vector<char>> want;
+  {
+    auto smgr = std::make_unique<StorageManager>(
+        StorageManager::Open(data_dir, 8192).ValueOrDie());
+    auto wal = std::move(WalManager::Open(wal_path)).ValueOrDie();
+    BufferManager bufmgr(smgr.get(), 4);
+    bufmgr.SetWal(&wal);
+    auto table = std::move(HeapTable::Create(&bufmgr, smgr.get(), "t", kDim,
+                                             /*num_attrs=*/1))
+                     .ValueOrDie();
+    rel = table.rel();
+    std::vector<float> vec(kDim);
+    for (int i = 0; i < kRows; ++i) {
+      for (uint32_t d = 0; d < kDim; ++d) vec[d] = static_cast<float>(i + d);
+      const int64_t attr = i * 3;
+      ASSERT_TRUE(table.Insert(i, vec.data(), &attr).ok());
+      if (i == kRows / 2) {
+        ASSERT_TRUE(bufmgr.FlushAll().ok());
+        ASSERT_TRUE(smgr->SyncAll().ok());
+        ASSERT_TRUE(wal.LogCheckpoint().ok());
+      }
+    }
+    ASSERT_TRUE(bufmgr.wal_error().ok());
+    ASSERT_GT(*smgr->NumBlocks(rel), 20u);
+    // After the checkpoint only the then-tail page needed an image.
+    size_t images = 0;
+    for (const std::string& kind : RecordKinds(&wal, wal_path)) {
+      images += kind == "image";
+    }
+    EXPECT_EQ(images, 1u);
+    for (BlockId b = 0; b < *smgr->NumBlocks(rel); ++b) {
+      auto handle = std::move(bufmgr.Pin(rel, b)).ValueOrDie();
+      want.emplace_back(handle.data, handle.data + 8192);
+      bufmgr.Unpin(handle, false);
+    }
+  }
+  auto smgr = std::make_unique<StorageManager>(
+      StorageManager::Open(data_dir, 8192).ValueOrDie());
+  ASSERT_TRUE(WalManager::Recover(wal_path, smgr.get()).ok());
+  const auto got = ReadBlocks(smgr.get(), rel);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t b = 0; b < got.size(); ++b) {
+    EXPECT_EQ(got[b], want[b]) << "block " << b;
+  }
 }
 
 }  // namespace

@@ -2,14 +2,19 @@
 // byte. For every possible cut point of a multi-record log, replay and
 // recovery must never error, must deliver exactly the records whose frames
 // are fully intact, and the reopened log must append cleanly after the
-// surviving prefix without reusing LSNs.
+// surviving prefix without reusing LSNs. A log mixing page images, init
+// records and item records must recover, at every cut, to exactly the
+// pages its intact prefix describes.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <vector>
 
+#include "pgstub/page.h"
+#include "pgstub/smgr.h"
 #include "pgstub/wal.h"
 
 namespace vecdb::pgstub {
@@ -31,6 +36,18 @@ struct BuiltLog {
   std::vector<uint64_t> frame_end;  ///< end offset of record i's frame
 };
 
+std::vector<char> ReadAll(const std::string& path) {
+  std::vector<char> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  std::fseek(f, 0, SEEK_END);
+  bytes.resize(static_cast<size_t>(std::ftell(f)));
+  std::fseek(f, 0, SEEK_SET);
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  return bytes;
+}
+
 /// Writes a log of `n` distinct full-page records (page size `psize`) plus
 /// a tombstone, recording each record's frame-end offset by observing the
 /// file size after every append.
@@ -47,14 +64,7 @@ BuiltLog BuildLog(const std::string& path, int n, uint32_t psize) {
   out.frame_end.push_back(wal.size_bytes());
   EXPECT_TRUE(wal.Flush().ok());
 
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  out.bytes.resize(static_cast<size_t>(std::ftell(f)));
-  std::fseek(f, 0, SEEK_SET);
-  EXPECT_EQ(std::fread(out.bytes.data(), 1, out.bytes.size(), f),
-            out.bytes.size());
-  std::fclose(f);
+  out.bytes = ReadAll(path);
   return out;
 }
 
@@ -157,6 +167,90 @@ TEST(WalTornTailTest, TruncationInsideFileHeaderIsAnEmptyLog) {
     ASSERT_TRUE(wal.LogFullPage(1, 0, page.data(), 64).ok());
     ASSERT_TRUE(wal.Flush().ok());
   }
+  std::remove(master.c_str());
+  std::remove(path.c_str());
+}
+
+/// A log over relation `rel` (512-byte pages) mixing every page record
+/// kind: block 0 imaged, then appended to; block 1 fresh (an init record
+/// carrying 8 bytes of special space), then appended to; interleaved.
+/// `pages[i]` is every block's bytes after record i.
+struct MixedLog : BuiltLog {
+  std::vector<std::vector<std::vector<char>>> pages;
+};
+
+constexpr uint32_t kMixedPage = 512;
+
+MixedLog BuildMixedLog(const std::string& path, RelId rel) {
+  MixedLog out;
+  auto wal = std::move(WalManager::Open(path)).ValueOrDie();
+  std::vector<std::vector<char>> pages(1, std::vector<char>(kMixedPage));
+  auto add = [&](BlockId block, char fill) {
+    PageView view(pages[block].data(), kMixedPage);
+    const std::vector<char> item(16, fill);
+    const OffsetNumber slot = view.AddItem(item.data(), 16);
+    EXPECT_NE(slot, kInvalidOffset);
+    return slot;
+  };
+  auto append = [&](BlockId block, char fill, bool fresh) {
+    const OffsetNumber slot = add(block, fill);
+    EXPECT_TRUE(wal.LogAppend(rel, block, pages[block].data(), kMixedPage,
+                              slot, fresh)
+                    .ok());
+    out.frame_end.push_back(wal.size_bytes());
+    out.pages.push_back(pages);
+  };
+  PageView(pages[0].data(), kMixedPage).Init(0);
+  add(0, 1);
+  EXPECT_TRUE(wal.LogFullPage(rel, 0, pages[0].data(), kMixedPage).ok());
+  out.frame_end.push_back(wal.size_bytes());
+  out.pages.push_back(pages);
+  append(0, 2, false);
+  pages.emplace_back(kMixedPage);
+  PageView fresh(pages[1].data(), kMixedPage);
+  fresh.Init(8);
+  std::memset(fresh.Special(), 0x5A, 8);
+  append(1, 3, true);
+  append(0, 4, false);
+  append(1, 5, false);
+  append(1, 6, false);
+  EXPECT_TRUE(wal.Flush().ok());
+  out.bytes = ReadAll(path);
+  return out;
+}
+
+TEST(WalTornTailTest, EveryTruncationOffsetRecoversAMixedLog) {
+  const std::string master = TestLog("master");
+  const std::string dir = master + ".data";
+  const std::string path = TestLog("cut");
+  std::filesystem::remove_all(dir);
+  RelId rel;
+  {
+    auto smgr = std::move(StorageManager::Open(dir, kMixedPage)).ValueOrDie();
+    rel = *smgr.CreateRelation("r");
+  }
+  const MixedLog log = BuildMixedLog(master, rel);
+  ASSERT_EQ(log.frame_end.size(), 6u);
+
+  std::vector<char> block(kMixedPage);
+  for (size_t cut = 0; cut <= log.bytes.size(); ++cut) {
+    WriteTruncated(path, log, cut);
+    const size_t intact = IntactPrefix(log, cut);
+    std::filesystem::remove_all(dir);
+    auto smgr = std::move(StorageManager::Open(dir, kMixedPage)).ValueOrDie();
+    ASSERT_EQ(*smgr.CreateRelation("r"), rel);
+    Status s = WalManager::Recover(path, &smgr);
+    ASSERT_TRUE(s.ok()) << "cut at " << cut << ": " << s.ToString();
+    const std::vector<std::vector<char>> want =
+        intact == 0 ? std::vector<std::vector<char>>{}
+                    : log.pages[intact - 1];
+    ASSERT_EQ(*smgr.NumBlocks(rel), want.size()) << "cut at " << cut;
+    for (BlockId b = 0; b < want.size(); ++b) {
+      ASSERT_TRUE(smgr.ReadBlock(rel, b, block.data()).ok());
+      EXPECT_EQ(block, want[b]) << "cut at " << cut << ", block " << b;
+    }
+  }
+  std::filesystem::remove_all(dir);
   std::remove(master.c_str());
   std::remove(path.c_str());
 }
