@@ -1,5 +1,7 @@
 #include "common/serialize.h"
 
+#include <unistd.h>
+
 #include <utility>
 
 namespace vecdb {
@@ -42,8 +44,13 @@ Status BinaryWriter::WriteString(const std::string& value) {
 
 Status BinaryWriter::Close() {
   if (file_ == nullptr) return Status::OK();
+  // A checkpoint renames the file into place and then commits a catalog
+  // that names it, so its bytes must reach storage first.
+  const bool synced =
+      std::fflush(file_) == 0 && ::fsync(::fileno(file_)) == 0;
   const int rc = std::fclose(file_);
   file_ = nullptr;
+  if (!synced) return Status::IOError("sync failed");
   if (rc != 0) return Status::IOError("close failed");
   return Status::OK();
 }

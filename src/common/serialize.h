@@ -32,12 +32,18 @@ class BinaryWriter {
     return WriteBytes(&value, sizeof(T));
   }
 
+  /// Writes `n` trivially-copyable elements, length-prefixed.
+  template <typename T>
+  Status WriteArray(const T* values, size_t n) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    VECDB_RETURN_NOT_OK(Write<uint64_t>(n));
+    return WriteBytes(values, n * sizeof(T));
+  }
+
   /// Writes a length-prefixed array of trivially-copyable elements.
   template <typename T>
   Status WriteVector(const std::vector<T>& values) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    VECDB_RETURN_NOT_OK(Write<uint64_t>(values.size()));
-    return WriteBytes(values.data(), values.size() * sizeof(T));
+    return WriteArray(values.data(), values.size());
   }
 
   /// Writes a length-prefixed float buffer.
@@ -46,12 +52,34 @@ class BinaryWriter {
   /// Writes a length-prefixed string.
   Status WriteString(const std::string& value);
 
-  /// Flushes and closes; further writes are invalid.
+  /// Writes each field in order: a vector or AlignedFloats length-
+  /// prefixed, any other value as its bytes. BinaryReader::Fields reads
+  /// the same list back, so a format names its fields once for both
+  /// directions (hnswlib's writeBinaryPOD / readBinaryPOD pairs).
+  template <typename... T>
+  Status Fields(const T&... fields) {
+    Status status;
+    (void)((status = Field(fields)).ok() && ...);
+    return status;
+  }
+
+  /// Flushes, fsyncs and closes; further writes are invalid. The bytes
+  /// are durable once this returns OK.
   Status Close();
 
  private:
   explicit BinaryWriter(std::FILE* file) : file_(file) {}
   Status WriteBytes(const void* data, size_t len);
+
+  Status Field(const AlignedFloats& values) { return WriteFloats(values); }
+  template <typename T>
+  Status Field(const std::vector<T>& values) {
+    return WriteVector(values);
+  }
+  template <typename T>
+  Status Field(const T& value) {
+    return Write(value);
+  }
 
   std::FILE* file_;
 };
@@ -94,9 +122,27 @@ class BinaryReader {
   Status ReadFloats(AlignedFloats* values);
   Status ReadString(std::string* value);
 
+  /// Reads each field in order, mirroring BinaryWriter::Fields.
+  template <typename... T>
+  Status Fields(T&... fields) {
+    Status status;
+    (void)((status = Field(fields)).ok() && ...);
+    return status;
+  }
+
  private:
   explicit BinaryReader(std::FILE* file) : file_(file) {}
   Status ReadBytes(void* data, size_t len);
+
+  Status Field(AlignedFloats& values) { return ReadFloats(&values); }
+  template <typename T>
+  Status Field(std::vector<T>& values) {
+    return ReadVector(&values);
+  }
+  template <typename T>
+  Status Field(T& value) {
+    return Read(&value);
+  }
 
   std::FILE* file_;
 };

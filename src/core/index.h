@@ -114,6 +114,22 @@ class VectorIndex {
     return Status::NotSupported(Describe() + ": delete not supported");
   }
 
+  /// Writes the built index to one self-describing file (Faiss's
+  /// write_index). Indexes without snapshots return NotSupported; the SQL
+  /// layer rebuilds those from the heap on recovery.
+  virtual Status Save(const std::string& path) const {
+    (void)path;
+    return Status::NotSupported(Describe() + ": snapshots not supported");
+  }
+
+  /// Replaces this index with a file its class's Save wrote (Faiss's
+  /// read_index). The file's options replace the constructed ones; a file
+  /// of another dimension is Corruption. On failure the index is unchanged.
+  virtual Status Load(const std::string& path) {
+    (void)path;
+    return Status::NotSupported(Describe() + ": snapshots not supported");
+  }
+
   /// Top-k search; results ascending by distance. Reentrant: any number
   /// of threads may search one index at once, because no implementation
   /// keeps search scratch in the index (per-query or per-thread only).

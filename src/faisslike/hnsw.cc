@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/serialize.h"
 #include "common/timer.h"
 #include "distance/kernels.h"
 
@@ -29,6 +30,11 @@ std::pair<uint32_t*, uint32_t> NextVisitEpoch(size_t num_nodes) {
   }
   return {stamps.data(), epoch};
 }
+
+constexpr uint32_t kHnswMagic = 0x56484e57;  // "VHNW"
+// v2 added the seed to the options block; Load accepts both.
+constexpr uint32_t kHnswMinVersion = 1;
+constexpr uint32_t kHnswVersion = 2;
 
 }  // namespace
 
@@ -455,6 +461,61 @@ std::string HnswIndex::Describe() const {
   return "faisslike::HNSW dim=" + std::to_string(dim_) +
          " bnn=" + std::to_string(options_.bnn) +
          " efb=" + std::to_string(options_.efb);
+}
+
+Status HnswIndex::Save(const std::string& path) const {
+  if (num_nodes_ == 0) {
+    return Status::InvalidArgument("Hnsw::Save: index is empty");
+  }
+  if (!tombstones_.empty()) {
+    return Status::InvalidArgument(
+        "Hnsw::Save: rebuild before persisting a deleted-from index");
+  }
+  VECDB_ASSIGN_OR_RETURN(
+      BinaryWriter writer,
+      BinaryWriter::Open(path, kHnswMagic, kHnswVersion));
+  VECDB_RETURN_NOT_OK(writer.Fields(
+      dim_, options_.bnn, options_.efb, options_.seed, num_nodes_,
+      entry_point_, max_level_, vectors_, node_level_, link_offset_, links_,
+      link_counts_, count_offset_));
+  return writer.Close();
+}
+
+Status HnswIndex::Load(const std::string& path) {
+  uint32_t version = 0;
+  VECDB_ASSIGN_OR_RETURN(
+      BinaryReader reader,
+      BinaryReader::Open(path, kHnswMagic, kHnswMinVersion, kHnswVersion,
+                         &version));
+  uint32_t dim = 0;
+  HnswOptions options;
+  options.profiler = options_.profiler;
+  VECDB_RETURN_NOT_OK(reader.Fields(dim, options.bnn, options.efb));
+  if (version >= 2) VECDB_RETURN_NOT_OK(reader.Fields(options.seed));
+  if (dim != dim_) {
+    return Status::Corruption("Hnsw::Load: file dim " + std::to_string(dim) +
+                              " != index dim " + std::to_string(dim_));
+  }
+  if (options.bnn == 0) return Status::Corruption("Hnsw::Load: bad geometry");
+  HnswIndex loaded(dim, options);
+  VECDB_RETURN_NOT_OK(reader.Fields(
+      loaded.num_nodes_, loaded.entry_point_, loaded.max_level_,
+      loaded.vectors_, loaded.node_level_, loaded.link_offset_, loaded.links_,
+      loaded.link_counts_, loaded.count_offset_));
+  const size_t n = loaded.num_nodes_;
+  if (loaded.vectors_.size() != n * dim || loaded.node_level_.size() != n ||
+      loaded.link_offset_.size() != n || loaded.count_offset_.size() != n ||
+      (n > 0 && loaded.entry_point_ >= n)) {
+    return Status::Corruption("Hnsw::Load: inconsistent graph");
+  }
+  for (uint32_t nb : loaded.links_) {
+    // Unused slots are zero-filled; a nonzero out-of-range id is corrupt.
+    if (nb >= n && nb != 0) {
+      return Status::Corruption("Hnsw::Load: neighbor id out of range");
+    }
+  }
+  *this = std::move(loaded);
+  return Status::OK();
 }
 
 }  // namespace vecdb::faisslike

@@ -58,11 +58,9 @@ class HnswIndex final : public VectorIndex {
   /// Construction options (round-tripped by Save/Load since format v2).
   const HnswOptions& options() const { return options_; }
 
-  /// Persists the built graph (vectors + links) to a file.
-  Status Save(const std::string& path) const;
-
-  /// Loads a graph previously written by Save.
-  static Result<HnswIndex> Load(const std::string& path);
+  /// Writes the options, the vectors and the graph's link arrays.
+  Status Save(const std::string& path) const override;
+  Status Load(const std::string& path) override;
 
   /// Aborts if the graph structure is inconsistent: per-node array sizes
   /// out of step, link counts above level capacity, an edge to a

@@ -24,6 +24,24 @@ void IvfFlatIndex::Scorer::Score(uint32_t bucket, const uint32_t* pos,
   }
 }
 
+Status IvfFlatIndex::SavePayload(BinaryWriter& writer) const {
+  for (uint32_t b = 0; b < num_clusters_; ++b) {
+    VECDB_RETURN_NOT_OK(writer.Fields(bucket_vecs_[b], bucket_ids_[b]));
+  }
+  return Status::OK();
+}
+
+Status IvfFlatIndex::LoadPayload(BinaryReader& reader) {
+  ResetBuckets(num_clusters_);
+  for (uint32_t b = 0; b < num_clusters_; ++b) {
+    VECDB_RETURN_NOT_OK(reader.Fields(bucket_vecs_[b], bucket_ids_[b]));
+    if (bucket_vecs_[b].size() != bucket_ids_[b].size() * dim_) {
+      return Status::Corruption("IvfFlat::Load: bucket size mismatch");
+    }
+  }
+  return Status::OK();
+}
+
 void IvfFlatIndex::CheckInvariants() const {
   if (num_clusters_ == 0) return;  // not trained yet; nothing to audit
   VECDB_CHECK_EQ(bucket_vecs_.size(), num_clusters_);

@@ -40,12 +40,6 @@ class IvfFlatIndex final : public IvfScanIndex<IvfFlatIndex> {
   size_t SizeBytes() const override;
   std::string Describe() const override;
 
-  /// Persists the built index (codebook + buckets) to a file.
-  Status Save(const std::string& path) const;
-
-  /// Loads an index previously written by Save.
-  static Result<IvfFlatIndex> Load(const std::string& path);
-
   /// Aborts if bucket storage is inconsistent: bucket sizes not summing to
   /// the total vector count, a bucket whose vector storage disagrees with
   /// its id list, or a truncated codebook. Test/debug hook.
@@ -63,6 +57,19 @@ class IvfFlatIndex final : public IvfScanIndex<IvfFlatIndex> {
 
  private:
   friend class IvfScanIndex<IvfFlatIndex>;
+
+  static constexpr uint32_t kMagic = 0x56495646;  // "VIVF"
+  /// v1 stored only use_sgemm; v2 appends the rest of the options.
+  template <class Io, class Opts>
+  static Status OptionFields(Io& io, Opts& o, uint32_t version) {
+    VECDB_RETURN_NOT_OK(io.Fields(o.use_sgemm));
+    if (version < 2) return Status::OK();
+    return io.Fields(o.num_clusters, o.sample_ratio, o.train_iterations,
+                     o.seed, o.num_threads);
+  }
+  /// Each bucket's vectors, then its ids.
+  Status SavePayload(BinaryWriter& writer) const;
+  Status LoadPayload(BinaryReader& reader);
 
   /// A bucket stores the float row itself: nothing to train or encode.
   static constexpr const char* kEncodeLabel = "";

@@ -38,6 +38,47 @@ void IvfPqIndex::Append(uint32_t b, int64_t id, const float* vec,
   }
 }
 
+Status IvfPqIndex::SavePayload(BinaryWriter& writer) const {
+  VECDB_RETURN_NOT_OK(pq_->Serialize(&writer));
+  for (uint32_t b = 0; b < num_clusters_; ++b) {
+    VECDB_RETURN_NOT_OK(writer.Fields(bucket_codes_[b], bucket_ids_[b]));
+  }
+  if (options_.refine_factor == 0) return Status::OK();
+  std::vector<int64_t> row_ids(refine_vectors_.size() / dim_);
+  for (const auto& [id, row] : refine_pos_) row_ids[row] = id;
+  return writer.Fields(refine_vectors_, row_ids);
+}
+
+Status IvfPqIndex::LoadPayload(BinaryReader& reader) {
+  VECDB_ASSIGN_OR_RETURN(ProductQuantizer pq,
+                         ProductQuantizer::Deserialize(&reader));
+  if (pq.dim() != dim_) {
+    return Status::Corruption("IvfPq::Load: PQ dim mismatch");
+  }
+  options_.pq_m = pq.num_subvectors();
+  options_.pq_codes = pq.num_codes();
+  pq_.emplace(std::move(pq));
+  ResetBuckets(num_clusters_);
+  for (uint32_t b = 0; b < num_clusters_; ++b) {
+    VECDB_RETURN_NOT_OK(reader.Fields(bucket_codes_[b], bucket_ids_[b]));
+    if (bucket_codes_[b].size() != bucket_ids_[b].size() * code_size()) {
+      return Status::Corruption("IvfPq::Load: bucket size mismatch");
+    }
+  }
+  // A v1 file's options default to no refinement, so it has no sidecar.
+  if (options_.refine_factor == 0) return Status::OK();
+  std::vector<int64_t> row_ids;
+  VECDB_RETURN_NOT_OK(reader.Fields(refine_vectors_, row_ids));
+  if (refine_vectors_.size() != row_ids.size() * dim_) {
+    return Status::Corruption("IvfPq::Load: refine sidecar mismatch");
+  }
+  refine_pos_.reserve(row_ids.size());
+  for (size_t row = 0; row < row_ids.size(); ++row) {
+    refine_pos_[row_ids[row]] = row;
+  }
+  return Status::OK();
+}
+
 IvfPqIndex::Scorer IvfPqIndex::MakeScorer(const float* query,
                                           Profiler* profiler) const {
   Scorer scorer{this, std::vector<float>(pq_->table_size())};

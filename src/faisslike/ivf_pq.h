@@ -44,12 +44,6 @@ class IvfPqIndex final : public IvfScanIndex<IvfPqIndex> {
   size_t SizeBytes() const override;
   std::string Describe() const override;
 
-  /// Persists the built index (codebooks + coded buckets) to a file.
-  Status Save(const std::string& path) const;
-
-  /// Loads an index previously written by Save.
-  static Result<IvfPqIndex> Load(const std::string& path);
-
   const ProductQuantizer* pq() const { return pq_ ? &*pq_ : nullptr; }
   /// Construction options (round-tripped by Save/Load since format v2).
   const IvfPqOptions& options() const { return options_; }
@@ -60,6 +54,21 @@ class IvfPqIndex final : public IvfScanIndex<IvfPqIndex> {
 
  private:
   friend class IvfScanIndex<IvfPqIndex>;
+
+  static constexpr uint32_t kMagic = 0x56505158;  // "VPQX"
+  /// v1 stored only optimized_table; v2 appends the rest of the options.
+  template <class Io, class Opts>
+  static Status OptionFields(Io& io, Opts& o, uint32_t version) {
+    VECDB_RETURN_NOT_OK(io.Fields(o.optimized_table));
+    if (version < 2) return Status::OK();
+    return io.Fields(o.num_clusters, o.pq_m, o.pq_codes, o.sample_ratio,
+                     o.train_iterations, o.use_sgemm, o.refine_factor,
+                     o.seed, o.num_threads);
+  }
+  /// The PQ, each bucket's codes then ids, and with refinement the raw
+  /// vectors then each row's id.
+  Status SavePayload(BinaryWriter& writer) const;
+  Status LoadPayload(BinaryReader& reader);
 
   /// The PQ trains on its own sample (same sr) of the base data.
   Status TrainPayload(const float* data, size_t n);

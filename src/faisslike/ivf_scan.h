@@ -15,10 +15,13 @@
 //   - intra-query parallelism over lock-free local heaps merged by
 //     MergeTopK (RC#3);
 //   - pre-filter and in-filter as selection policies over that same scan;
-//   - cancellation checkpoints, SearchCounters and the profiler labels.
+//   - cancellation checkpoints, SearchCounters and the profiler labels;
+//   - the snapshot file: header, geometry, coarse codebook, and Load's
+//     consistency checks.
 //
 // A derived index `D final : public IvfScanIndex<D>` provides
 //   static constexpr const char* kName;           // "IvfFlat", ...
+//   static constexpr uint32_t kMagic;             // its snapshot magic
 //   Options options_;  // num_clusters, sample_ratio, train_iterations,
 //                      // use_sgemm, seed, profiler[, num_threads]
 //   Status TrainPayload(const float* data, size_t n);
@@ -35,6 +38,12 @@
 //              obs::SearchCounters& sc) const;
 // scores positions pos[0..n) of bucket b, or its first n entries when
 // `pos` is null. IVF_PQ also shadows FetchK and Refine (exact re-ranking).
+// For snapshots it provides
+//   template <class Io, class Opts>                // BinaryWriter + const
+//   static Status OptionFields(Io&, Opts&, uint32_t version);  // or Reader
+//   Status SavePayload(BinaryWriter& writer) const;
+//   Status LoadPayload(BinaryReader& reader);     // codebook already set
+// where OptionFields lists the options block once for both directions.
 #pragma once
 
 #include <algorithm>
@@ -45,6 +54,7 @@
 
 #include "clustering/kmeans.h"
 #include "common/aligned_buffer.h"
+#include "common/serialize.h"
 #include "common/timer.h"
 #include "core/index.h"
 #include "core/parallel.h"
@@ -55,6 +65,16 @@
 #include "topk/heaps.h"
 
 namespace vecdb::faisslike {
+
+// Snapshot format versions. v1 carried only the options needed to search
+// (IVF_FLAT's use_sgemm, IVF_PQ's optimized_table); v2 appends the full
+// build-options block, so a loaded index re-trains and re-inserts exactly
+// like the original, and adds IVF_PQ's refinement sidecar that v1 dropped.
+// Load accepts both.
+inline constexpr uint32_t kIvfMinSnapshotVersion = 1;
+inline constexpr uint32_t kIvfSnapshotVersion = 2;
+// Options blocks store `int` fields as 4 bytes.
+static_assert(sizeof(int) == 4);
 
 template <class Derived>
 class IvfScanIndex : public VectorIndex {
@@ -95,6 +115,12 @@ class IvfScanIndex : public VectorIndex {
     }
     return tombstones_.Mark(id);
   }
+
+  /// Writes the header, geometry, options block, coarse codebook and
+  /// payload. Refuses an unbuilt or deleted-from index.
+  Status Save(const std::string& path) const override;
+
+  Status Load(const std::string& path) override;
 
   size_t NumVectors() const override {
     return num_vectors_ - tombstones_.size();
@@ -376,6 +402,70 @@ Status IvfScanIndex<Derived>::Build(const float* data, size_t n) {
   registry.Add(obs::Counter::kFaissBuilds);
   registry.Record(obs::Hist::kFaissBuildNanos,
                   static_cast<uint64_t>(build_stats_.total_seconds() * 1e9));
+  return Status::OK();
+}
+
+template <class Derived>
+Status IvfScanIndex<Derived>::Save(const std::string& path) const {
+  const std::string who = std::string(Derived::kName) + "::Save: ";
+  if (num_clusters_ == 0) {
+    return Status::InvalidArgument(who + "index not built");
+  }
+  if (!tombstones_.empty()) {
+    return Status::InvalidArgument(
+        who + "rebuild before persisting a deleted-from index");
+  }
+  VECDB_ASSIGN_OR_RETURN(
+      BinaryWriter writer,
+      BinaryWriter::Open(path, Derived::kMagic, kIvfSnapshotVersion));
+  VECDB_RETURN_NOT_OK(writer.Fields(dim_, num_clusters_,
+                                    static_cast<uint64_t>(num_vectors_)));
+  VECDB_RETURN_NOT_OK(Derived::OptionFields(writer, derived().options_,
+                                            kIvfSnapshotVersion));
+  VECDB_RETURN_NOT_OK(writer.Fields(centroids_));
+  VECDB_RETURN_NOT_OK(derived().SavePayload(writer));
+  return writer.Close();
+}
+
+template <class Derived>
+Status IvfScanIndex<Derived>::Load(const std::string& path) {
+  const std::string who = std::string(Derived::kName) + "::Load: ";
+  uint32_t version = 0;
+  VECDB_ASSIGN_OR_RETURN(
+      BinaryReader reader,
+      BinaryReader::Open(path, Derived::kMagic, kIvfMinSnapshotVersion,
+                         kIvfSnapshotVersion, &version));
+  uint32_t dim = 0, clusters = 0;
+  uint64_t num_vectors = 0;
+  VECDB_RETURN_NOT_OK(reader.Fields(dim, clusters, num_vectors));
+  // Options a v1 file lacks keep their defaults, and its cluster count is
+  // the geometry's; the profiler is a runtime handle, never saved.
+  decltype(Derived::options_) options;
+  options.num_clusters = clusters;
+  options.profiler = derived().options_.profiler;
+  VECDB_RETURN_NOT_OK(Derived::OptionFields(reader, options, version));
+  if (dim != dim_) {
+    return Status::Corruption(who + "file dim " + std::to_string(dim) +
+                              " != index dim " + std::to_string(dim_));
+  }
+  if (clusters == 0) return Status::Corruption(who + "bad geometry");
+  Derived loaded(dim, options);
+  loaded.num_clusters_ = clusters;
+  loaded.num_vectors_ = num_vectors;
+  VECDB_RETURN_NOT_OK(reader.Fields(loaded.centroids_));
+  if (loaded.centroids_.size() != static_cast<size_t>(clusters) * dim) {
+    return Status::Corruption(who + "centroid size mismatch");
+  }
+  VECDB_RETURN_NOT_OK(loaded.LoadPayload(reader));
+  size_t total = 0;
+  for (uint32_t b = 0; b < clusters; ++b) {
+    total += loaded.bucket_ids(b).size();
+  }
+  if (total != num_vectors) {
+    return Status::Corruption(who + "vector count mismatch");
+  }
+  loaded.PackCodebook();
+  derived() = std::move(loaded);
   return Status::OK();
 }
 

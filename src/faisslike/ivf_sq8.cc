@@ -9,6 +9,38 @@ Status IvfSq8Index::TrainPayload(const float* data, size_t n) {
   return Status::OK();
 }
 
+Status IvfSq8Index::SavePayload(BinaryWriter& writer) const {
+  VECDB_RETURN_NOT_OK(sq_->Serialize(&writer));
+  for (const Sq8CodeStore& bucket : buckets_) {
+    VECDB_RETURN_NOT_OK(writer.WriteArray(
+        bucket.codes(), bucket.size() * bucket.code_size()));
+    VECDB_RETURN_NOT_OK(writer.Fields(bucket.ids()));
+  }
+  return Status::OK();
+}
+
+Status IvfSq8Index::LoadPayload(BinaryReader& reader) {
+  VECDB_ASSIGN_OR_RETURN(ScalarQuantizer8 sq,
+                         ScalarQuantizer8::Deserialize(&reader));
+  if (sq.dim() != dim_) {
+    return Status::Corruption("IvfSq8::Load: SQ8 dim mismatch");
+  }
+  sq_.emplace(std::move(sq));
+  ResetBuckets(num_clusters_);
+  std::vector<uint8_t> codes;
+  std::vector<int64_t> ids;
+  for (Sq8CodeStore& bucket : buckets_) {
+    VECDB_RETURN_NOT_OK(reader.Fields(codes, ids));
+    if (codes.size() != ids.size() * code_size()) {
+      return Status::Corruption("IvfSq8::Load: bucket size mismatch");
+    }
+    for (size_t i = 0; i < ids.size(); ++i) {
+      bucket.Append(codes.data() + i * code_size(), ids[i]);
+    }
+  }
+  return Status::OK();
+}
+
 void IvfSq8Index::Scorer::Score(uint32_t bucket, const uint32_t* pos,
                                 size_t n, float* out,
                                 obs::SearchCounters& sc) const {

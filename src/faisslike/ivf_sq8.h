@@ -46,6 +46,17 @@ class IvfSq8Index final : public IvfScanIndex<IvfSq8Index> {
  private:
   friend class IvfScanIndex<IvfSq8Index>;
 
+  static constexpr uint32_t kMagic = 0x56535138;  // "VSQ8"
+  /// Every version stores the whole options block.
+  template <class Io, class Opts>
+  static Status OptionFields(Io& io, Opts& o, uint32_t /*version*/) {
+    return io.Fields(o.num_clusters, o.sample_ratio, o.train_iterations,
+                     o.use_sgemm, o.seed);
+  }
+  /// The SQ8 ranges, then each bucket's codes in row order and its ids.
+  Status SavePayload(BinaryWriter& writer) const;
+  Status LoadPayload(BinaryReader& reader);
+
   /// The per-dimension scalar ranges, trained on every row.
   Status TrainPayload(const float* data, size_t n);
   static constexpr const char* kEncodeLabel = "";

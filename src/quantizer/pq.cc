@@ -217,25 +217,15 @@ void ProductQuantizer::ComputeDistanceTableOptimized(
 }
 
 Status ProductQuantizer::Serialize(BinaryWriter* writer) const {
-  VECDB_RETURN_NOT_OK(writer->Write(dim_));
-  VECDB_RETURN_NOT_OK(writer->Write(m_));
-  VECDB_RETURN_NOT_OK(writer->Write(c_pq_));
-  VECDB_RETURN_NOT_OK(writer->Write(sub_dim_));
-  VECDB_RETURN_NOT_OK(writer->Write(use_ref_kernel_));
-  VECDB_RETURN_NOT_OK(writer->WriteFloats(codebooks_));
-  VECDB_RETURN_NOT_OK(writer->WriteVector(codeword_norms_));
-  return Status::OK();
+  return writer->Fields(dim_, m_, c_pq_, sub_dim_, use_ref_kernel_,
+                        codebooks_, codeword_norms_);
 }
 
 Result<ProductQuantizer> ProductQuantizer::Deserialize(BinaryReader* reader) {
   ProductQuantizer pq;
-  VECDB_RETURN_NOT_OK(reader->Read(&pq.dim_));
-  VECDB_RETURN_NOT_OK(reader->Read(&pq.m_));
-  VECDB_RETURN_NOT_OK(reader->Read(&pq.c_pq_));
-  VECDB_RETURN_NOT_OK(reader->Read(&pq.sub_dim_));
-  VECDB_RETURN_NOT_OK(reader->Read(&pq.use_ref_kernel_));
-  VECDB_RETURN_NOT_OK(reader->ReadFloats(&pq.codebooks_));
-  VECDB_RETURN_NOT_OK(reader->ReadVector(&pq.codeword_norms_));
+  VECDB_RETURN_NOT_OK(reader->Fields(pq.dim_, pq.m_, pq.c_pq_, pq.sub_dim_,
+                                     pq.use_ref_kernel_, pq.codebooks_,
+                                     pq.codeword_norms_));
   if (pq.m_ == 0 || pq.sub_dim_ == 0 || pq.dim_ != pq.m_ * pq.sub_dim_ ||
       pq.c_pq_ == 0 || pq.c_pq_ > 256 ||
       pq.codebooks_.size() !=

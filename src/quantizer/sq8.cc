@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/serialize.h"
 #include "distance/dispatch.h"
 
 namespace vecdb {
@@ -92,6 +93,20 @@ void ScalarQuantizer8::DistanceToCodesGather(const Sq8Query& q,
                                              size_t n, float* out) const {
   ActiveKernels().sq8_l2_gather(q.qadj.data(), vscale_.data(), dim_, codes, n,
                                 out);
+}
+
+Status ScalarQuantizer8::Serialize(BinaryWriter* writer) const {
+  return writer->Fields(dim_, vmin_, vscale_);
+}
+
+Result<ScalarQuantizer8> ScalarQuantizer8::Deserialize(BinaryReader* reader) {
+  ScalarQuantizer8 sq;
+  VECDB_RETURN_NOT_OK(reader->Fields(sq.dim_, sq.vmin_, sq.vscale_));
+  if (sq.dim_ == 0 || sq.vmin_.size() != sq.dim_ ||
+      sq.vscale_.size() != sq.dim_) {
+    return Status::Corruption("SQ8: inconsistent serialized ranges");
+  }
+  return sq;
 }
 
 void Sq8CodeStore::Reset(size_t code_size) {

@@ -64,6 +64,12 @@ class ScalarQuantizer8 {
   void DistanceToCodesGather(const Sq8Query& q, const uint8_t* const* codes,
                              size_t n, float* out) const;
 
+  /// Writes the dimension and the per-dimension ranges (index snapshots).
+  Status Serialize(class BinaryWriter* writer) const;
+
+  /// Reads a quantizer previously written by Serialize.
+  static Result<ScalarQuantizer8> Deserialize(class BinaryReader* reader);
+
  private:
   ScalarQuantizer8() = default;
 

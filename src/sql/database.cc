@@ -8,9 +8,6 @@
 #include "core/factory.h"
 #include "distance/dispatch.h"
 #include "distance/kernels.h"
-#include "faisslike/hnsw.h"
-#include "faisslike/ivf_flat.h"
-#include "faisslike/ivf_pq.h"
 #include "obs/metrics.h"
 #include "sql/parser.h"
 #include "sql/session.h"
@@ -327,30 +324,20 @@ std::string MiniDatabase::SnapshotPath(const std::string& name,
 bool MiniDatabase::TryReloadIndex(const CatalogIndex& cat,
                                   const TableEntry& table,
                                   IndexEntry* entry) {
-  // Only the "faiss" engine has Save/Load; page-resident engines rebuild.
-  if (cat.def.engine != "faiss" || !cat.has_snapshot) return false;
+  // Only an index whose Save succeeded at a checkpoint has a snapshot;
+  // every other index rebuilds.
+  if (!cat.has_snapshot) return false;
   if (table.heap->num_rows() < cat.rows_at_snapshot) return false;
   const std::string path = SnapshotPath(cat.def.index, cat.rows_at_snapshot);
   auto exists = vfs_->Exists(path);
   if (!exists.ok() || !*exists) return false;
-
-  std::unique_ptr<VectorIndex> loaded;
-  if (cat.def.method == "ivfflat") {
-    auto r = faisslike::IvfFlatIndex::Load(path);
-    if (!r.ok()) return false;
-    loaded = std::make_unique<faisslike::IvfFlatIndex>(std::move(*r));
-  } else if (cat.def.method == "ivfpq") {
-    auto r = faisslike::IvfPqIndex::Load(path);
-    if (!r.ok()) return false;
-    loaded = std::make_unique<faisslike::IvfPqIndex>(std::move(*r));
-  } else if (cat.def.method == "hnsw") {
-    auto r = faisslike::HnswIndex::Load(path);
-    if (!r.ok()) return false;
-    loaded = std::make_unique<faisslike::HnswIndex>(std::move(*r));
-  } else {
+  auto made = MakeIndex(cat.def, table.schema.dim);
+  if (!made.ok()) return false;
+  std::unique_ptr<VectorIndex> loaded = std::move(*made);
+  if (!loaded->Load(path).ok() ||
+      loaded->NumVectors() != cat.rows_at_snapshot) {
     return false;
   }
-  if (loaded->NumVectors() != cat.rows_at_snapshot) return false;
 
   auto am = std::make_unique<pgstub::VectorIndexAm>(loaded.get());
   if (!am->AmAttach(*table.heap, cat.rows_at_snapshot).ok()) return false;
@@ -403,13 +390,12 @@ Status MiniDatabase::Checkpoint() {
 Status MiniDatabase::CheckpointLocked() {
   // The exclusive catalog lock quiesces every statement: no buffer pins
   // are held (FlushAll requires that) and no writer is mid-publish.
-  // 1. Index snapshots (reload policy only). Best-effort: a failed save
-  //    just leaves the rebuild path. Deletes never reach an index, so a
-  //    table with dead rows snapshots like any other.
+  // 1. Index snapshots (reload policy only). Best-effort: a failed save,
+  //    NotSupported included, just leaves the rebuild path. Deletes never
+  //    reach an index, so a table with dead rows snapshots like any other.
   std::vector<std::string> stale_snapshots;
   if (options_.index_recovery == IndexRecovery::kReload) {
     for (auto& [name, entry] : indexes_) {
-      if (entry.def.engine != "faiss") continue;
       auto tbl = tables_.find(entry.def.table);
       if (tbl == tables_.end()) continue;
       const uint64_t rows = tbl->second.heap->num_rows();
@@ -418,20 +404,9 @@ Status MiniDatabase::CheckpointLocked() {
       if (entry.index->NumVectors() != rows) continue;
       const std::string path = SnapshotPath(name, rows);
       const std::string tmp = path + ".tmp";
-      Status saved;
-      if (auto* ivf =
-              dynamic_cast<const faisslike::IvfFlatIndex*>(entry.index.get())) {
-        saved = ivf->Save(tmp);
-      } else if (auto* pq = dynamic_cast<const faisslike::IvfPqIndex*>(
-                     entry.index.get())) {
-        saved = pq->Save(tmp);
-      } else if (auto* hnsw = dynamic_cast<const faisslike::HnswIndex*>(
-                     entry.index.get())) {
-        saved = hnsw->Save(tmp);
-      } else {
-        continue;  // flat/ivfsq8: no persistence support
+      if (!entry.index->Save(tmp).ok() || !vfs_->Rename(tmp, path).ok()) {
+        continue;
       }
-      if (!saved.ok() || !vfs_->Rename(tmp, path).ok()) continue;
       if (entry.has_snapshot) {
         stale_snapshots.push_back(
             SnapshotPath(name, entry.rows_at_snapshot));

@@ -96,7 +96,8 @@ enum class IndexRecovery {
   /// Rebuild every index from the recovered heap (always correct; build
   /// cost proportional to data size — PostgreSQL REINDEX).
   kRebuild,
-  /// Reload "faiss"-engine indexes from the snapshot taken at the last
+  /// Reload each index that supports VectorIndex::Save/Load (faiss
+  /// ivfflat, ivfpq, ivfsq8, hnsw) from the snapshot taken at the last
   /// checkpoint, then top up with post-snapshot rows from the heap; falls
   /// back to kRebuild per index when no usable snapshot exists. Deletes
   /// need no top-up: they live in the table's dead-position bitmap.

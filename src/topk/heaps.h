@@ -27,11 +27,11 @@ class KMaxHeap {
   void Push(float dist, int64_t id) {
     if (heap_.size() < k_) {
       heap_.push_back({dist, id});
-      std::push_heap(heap_.begin(), heap_.end(), Less);
+      std::push_heap(heap_.begin(), heap_.end(), Less{});
     } else if (dist < heap_.front().dist) {
-      std::pop_heap(heap_.begin(), heap_.end(), Less);
+      std::pop_heap(heap_.begin(), heap_.end(), Less{});
       heap_.back() = {dist, id};
-      std::push_heap(heap_.begin(), heap_.end(), Less);
+      std::push_heap(heap_.begin(), heap_.end(), Less{});
     }
   }
 
@@ -64,7 +64,13 @@ class KMaxHeap {
 
  private:
   // Max-heap on distance (worst on top) with id tie-break for determinism.
-  static bool Less(const Neighbor& a, const Neighbor& b) { return a < b; }
+  // A function object, not a function pointer: the heap algorithms then
+  // inline the comparison wherever Push itself is inlined.
+  struct Less {
+    bool operator()(const Neighbor& a, const Neighbor& b) const {
+      return a < b;
+    }
+  };
 
   size_t k_;
   std::vector<Neighbor> heap_;

@@ -256,7 +256,8 @@ TEST(RecoveryTest, ReloadAfterDeleteSkipsRebuild) {
   const std::string dir = TestDir("data");
   DatabaseOptions reload = SmallPool();
   reload.index_recovery = IndexRecovery::kReload;
-  const std::vector<std::string> methods = {"ivfflat", "ivfpq", "hnsw"};
+  const std::vector<std::string> methods = {"ivfflat", "ivfpq", "ivfsq8",
+                                             "hnsw"};
   const std::string select =
       " ORDER BY vec <-> '2,3,1,20' OPTIONS (nprobe=2, efs=32) LIMIT 10";
   auto results = [&](MiniDatabase* db) {

@@ -22,7 +22,7 @@ std::string TestDir(const char* suffix) {
                     ::testing::UnitTest::GetInstance()
                         ->current_test_info()
                         ->name() +
-                    "_" + suffix;
+                    "_" + suffix + "_" + std::to_string(::getpid());
   // Durable state now survives reruns; start every test from scratch.
   std::filesystem::remove_all(dir);
   return dir;

@@ -25,7 +25,7 @@ std::string TestLog(const char* suffix) {
                      ::testing::UnitTest::GetInstance()
                          ->current_test_info()
                          ->name() +
-                     "_" + suffix + ".wal";
+                     "_" + suffix + "_" + std::to_string(::getpid()) + ".wal";
   std::remove(path.c_str());
   std::remove((path + ".new").c_str());
   return path;

@@ -54,6 +54,11 @@ Rules (suppress one occurrence with a trailing `// lint-allow:<rule>`):
                     threads may search one const index at once, so scratch
                     kept in a mutable member (a visited table, a stamp
                     array) races; keep it per query or per thread.
+  engine-include    a faisslike/, pase/ or bridge/ header included from
+                    src/sql/ or src/net/ -- the front ends reach engines
+                    only through core/factory.h and the VectorIndex
+                    interface, so no per-class ladder (a dynamic_cast or
+                    method-name chain over index classes) can grow there.
 
 Additionally, every `// lint-allow:<rule>` suppression is itself audited:
 naming a rule that does not exist, or sitting on a line where its rule no
@@ -84,11 +89,17 @@ INTRINSICS_ALLOWED = {os.path.join("src", "pgstub", "crc32c.cc")}
 # Where raw socket(2)-family calls may live: the RAII wrapper layer.
 SOCKET_ALLOWED_PREFIX = os.path.join("src", "net") + os.sep
 
+# The front ends, and the engine headers they may not include.
+ENGINE_INCLUDE_SCOPES = tuple(os.path.join("src", d) + os.sep
+                              for d in ("sql", "net"))
+ENGINE_INCLUDE_RE = re.compile(
+    r'^\s*#\s*include\s*"(?:faisslike|pase|bridge)/')
+
 # Every rule a lint-allow comment may name (stale-suppression audits this).
 KNOWN_RULES = {
     "new-array", "raw-pthread", "discarded-status", "pragma-once",
     "std-endl", "removed-field", "raw-mutex", "database-execute",
-    "raw-intrinsics", "raw-socket", "mutable-member",
+    "raw-intrinsics", "raw-socket", "mutable-member", "engine-include",
 }
 
 NEW_ARRAY_RE = re.compile(r"\bnew\s+[\w:<>]+\s*\[|\bdelete\s*\[\]")
@@ -292,6 +303,12 @@ def lint_file(root, path, status_stmt_re, errors):
                    "run on many threads at once, so keep scratch per query "
                    "or per thread (only Mutex, SharedMutex and std::atomic "
                    "may be mutable)" % m.group(1).strip())
+        # The raw line: stripping blanks the quoted include path.
+        if (path.startswith(ENGINE_INCLUDE_SCOPES)
+                and ENGINE_INCLUDE_RE.match(raw)):
+            report(i, "engine-include",
+                   "engine header included from a front end; reach engines "
+                   "through core/factory.h and VectorIndex")
         if in_src and ENDL_RE.search(line):
             report(i, "std-endl", "std::endl flushes; use '\\n'")
         if database_execute_re and database_execute_re.search(line):
