@@ -106,14 +106,6 @@ class VectorIndex {
                                 ": incremental insert not supported");
   }
 
-  /// Tombstones a row id: it stops appearing in results (amdelete; the
-  /// space is reclaimed on rebuild, like PostgreSQL's VACUUM). Fails with
-  /// NotFound if the id was never indexed or is already deleted.
-  virtual Status Delete(int64_t id) {
-    (void)id;
-    return Status::NotSupported(Describe() + ": delete not supported");
-  }
-
   /// Writes the built index to one self-describing file (Faiss's
   /// write_index). Indexes without snapshots return NotSupported; the SQL
   /// layer rebuilds those from the heap on recovery.
@@ -170,9 +162,8 @@ class VectorIndex {
   /// strategy (kAuto lets ChooseStrategy pick from the selectivity
   /// estimate), falls back to post-filter when a planner-chosen strategy
   /// is unimplemented for this index, and records the filter.* metrics.
-  /// Results are ascending by distance and contain only selected,
-  /// non-tombstoned ids; at most k, fewer when the bitmap has fewer
-  /// matches in reach.
+  /// Results are ascending by distance and contain only selected ids; at
+  /// most k, fewer when the bitmap has fewer matches in reach.
   Result<std::vector<Neighbor>> FilteredSearch(const float* query,
                                                const FilterRequest& filter,
                                                const SearchParams& params) const;

@@ -29,21 +29,6 @@ Status FlatIndex::Add(const float* vec, int64_t id) {
   return Status::OK();
 }
 
-Status FlatIndex::Delete(int64_t id) {
-  bool stored = false;
-  for (int64_t existing : ids_) {
-    if (existing == id) {
-      stored = true;
-      break;
-    }
-  }
-  if (!stored) {
-    return Status::NotFound("FlatIndex::Delete: id " + std::to_string(id) +
-                            " not indexed");
-  }
-  return tombstones_.Mark(id);
-}
-
 Result<std::vector<Neighbor>> FlatIndex::Search(
     const float* query, const SearchParams& params) const {
   if (query == nullptr) {
@@ -54,16 +39,11 @@ Result<std::vector<Neighbor>> FlatIndex::Search(
   obs::MetricsRegistry* metrics = params.ctx.live_metrics();
   obs::LatencyScope latency(metrics, obs::Hist::kFaissSearchNanos);
   KMaxHeap heap(params.k);
-  size_t skipped = 0;
   for (size_t i = 0; i < ids_.size(); ++i) {
     // Cancellation checkpoint every 1024 rows: the exhaustive scan's unit
     // of uninterruptible work.
     if (i % 1024 == 0) {
       VECDB_RETURN_NOT_OK(params.ctx.CheckStop("FlatIndex::Search"));
-    }
-    if (tombstones_.Contains(ids_[i])) {
-      ++skipped;
-      continue;
     }
     const float dist =
         Distance(metric_, query, vectors_.data() + i * dim_, dim_);
@@ -72,9 +52,7 @@ Result<std::vector<Neighbor>> FlatIndex::Search(
   if (metrics != nullptr) {
     metrics->AddUnchecked(obs::Counter::kFaissQueries);
     metrics->AddUnchecked(obs::Counter::kFaissTuplesVisited, ids_.size());
-    metrics->AddUnchecked(obs::Counter::kFaissHeapPushes,
-                          ids_.size() - skipped);
-    metrics->AddUnchecked(obs::Counter::kFaissTombstonesSkipped, skipped);
+    metrics->AddUnchecked(obs::Counter::kFaissHeapPushes, ids_.size());
   }
   return heap.TakeSorted();
 }

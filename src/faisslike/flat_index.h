@@ -6,7 +6,6 @@
 
 #include "common/aligned_buffer.h"
 #include "core/index.h"
-#include "core/tombstones.h"
 #include "distance/metric.h"
 
 namespace vecdb::faisslike {
@@ -23,17 +22,13 @@ class FlatIndex final : public VectorIndex {
   /// Appends one vector with an explicit id.
   Status Add(const float* vec, int64_t id);
 
-  /// Tombstones a row id (filtered from scan results); NotFound if the id
-  /// was never added or is already deleted.
-  Status Delete(int64_t id) override;
-
   Result<std::vector<Neighbor>> Search(const float* query,
                                        const SearchParams& params) const override;
 
   size_t SizeBytes() const override {
     return vectors_.size() * sizeof(float) + ids_.size() * sizeof(int64_t);
   }
-  size_t NumVectors() const override { return ids_.size() - tombstones_.size(); }
+  size_t NumVectors() const override { return ids_.size(); }
   uint32_t Dim() const override { return dim_; }
   std::string Describe() const override;
 
@@ -45,7 +40,6 @@ class FlatIndex final : public VectorIndex {
   Metric metric_;
   AlignedFloats vectors_;
   std::vector<int64_t> ids_;
-  TombstoneSet tombstones_;
 };
 
 }  // namespace vecdb::faisslike

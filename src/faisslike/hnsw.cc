@@ -98,7 +98,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(
   auto admit = [&](uint32_t u) {
     if constexpr (Gate::kFiltered) {
       ++bitmap_probes;
-      return gate(u) && !tombstones_.Contains(u);
+      return gate(u);
     }
     return true;
   };
@@ -288,13 +288,6 @@ Status HnswIndex::Build(const float* data, size_t n) {
   return Status::OK();
 }
 
-Status HnswIndex::Delete(int64_t id) {
-  if (id < 0 || static_cast<uint32_t>(id) >= num_nodes_) {
-    return Status::NotFound("no node with id " + std::to_string(id));
-  }
-  return tombstones_.Mark(id);
-}
-
 Result<std::vector<Neighbor>> HnswIndex::PreFilterSearch(
     const float* query, const filter::SelectionVector& selection,
     const SearchParams& params) const {
@@ -314,10 +307,6 @@ Result<std::vector<Neighbor>> HnswIndex::PreFilterSearch(
   obs::SearchCounters counters;
   selection.ForEachSet([&](size_t pos) {
     if (pos >= num_nodes_) return;
-    if (tombstones_.Contains(static_cast<int64_t>(pos))) {
-      ++counters.tombstones_skipped;
-      return;
-    }
     gathered.Append(NodeVector(static_cast<uint32_t>(pos)), dim_);
     gathered_ids.push_back(static_cast<int64_t>(pos));
   });
@@ -335,8 +324,7 @@ Result<std::vector<Neighbor>> HnswIndex::PreFilterSearch(
   if (metrics != nullptr) {
     counters.FlushTo(metrics, obs::Counter::kFaissBucketsProbed,
                      obs::Counter::kFaissTuplesVisited,
-                     obs::Counter::kFaissHeapPushes,
-                     obs::Counter::kFaissTombstonesSkipped);
+                     obs::Counter::kFaissHeapPushes);
   }
   return heap.TakeSorted();
 }
@@ -364,26 +352,10 @@ Result<std::vector<Neighbor>> HnswIndex::SearchGraph(
   for (int lev = max_level_; lev > 0; --lev) {
     cur = GreedyClosest(query, cur, lev, ctx.profiler);
   }
-  // A filtered beam keeps tombstones out of its results; an unfiltered one
-  // over-fetches by the tombstone count so deletions do not starve top-k.
-  const size_t want =
-      Gate::kFiltered ? params.k : params.k + tombstones_.size();
   const uint32_t ef =
-      std::max<uint32_t>(params.efs, static_cast<uint32_t>(want));
+      std::max<uint32_t>(params.efs, static_cast<uint32_t>(params.k));
   auto cands = SearchLayer(query, cur, ef, 0, gate, ctx.profiler, sc, &ctx);
   VECDB_RETURN_NOT_OK(ctx.CheckStop(who));
-  if (!Gate::kFiltered && !tombstones_.empty()) {
-    std::vector<Neighbor> kept;
-    kept.reserve(cands.size());
-    for (const auto& nb : cands) {
-      if (!tombstones_.Contains(nb.id)) {
-        kept.push_back(nb);
-      } else {
-        ++counters.tombstones_skipped;
-      }
-    }
-    cands = std::move(kept);
-  }
   if (cands.size() > params.k) cands.resize(params.k);
   if (metrics != nullptr) {
     if constexpr (!Gate::kFiltered) {
@@ -391,8 +363,7 @@ Result<std::vector<Neighbor>> HnswIndex::SearchGraph(
     }
     counters.FlushTo(metrics, obs::Counter::kFaissBucketsProbed,
                      obs::Counter::kFaissTuplesVisited,
-                     obs::Counter::kFaissHeapPushes,
-                     obs::Counter::kFaissTombstonesSkipped);
+                     obs::Counter::kFaissHeapPushes);
   }
   return cands;
 }
@@ -466,10 +437,6 @@ std::string HnswIndex::Describe() const {
 Status HnswIndex::Save(const std::string& path) const {
   if (num_nodes_ == 0) {
     return Status::InvalidArgument("Hnsw::Save: index is empty");
-  }
-  if (!tombstones_.empty()) {
-    return Status::InvalidArgument(
-        "Hnsw::Save: rebuild before persisting a deleted-from index");
   }
   VECDB_ASSIGN_OR_RETURN(
       BinaryWriter writer,

@@ -13,7 +13,6 @@
 #include "common/aligned_buffer.h"
 #include "common/random.h"
 #include "core/index.h"
-#include "core/tombstones.h"
 #include "obs/metrics.h"
 #include "topk/heaps.h"
 
@@ -41,17 +40,11 @@ class HnswIndex final : public VectorIndex {
   /// Incremental insert via the graph insertion path.
   Status Insert(const float* vec) override { return Add(vec); }
 
-  /// Tombstones a node: it stays in the graph for routing but is filtered
-  /// from results (the standard HNSW deletion strategy).
-  Status Delete(int64_t id) override;
-
   Result<std::vector<Neighbor>> Search(const float* query,
                                        const SearchParams& params) const override;
 
   size_t SizeBytes() const override;
-  size_t NumVectors() const override {
-    return num_nodes_ - tombstones_.size();
-  }
+  size_t NumVectors() const override { return num_nodes_; }
   uint32_t Dim() const override { return dim_; }
   std::string Describe() const override;
 
@@ -109,9 +102,7 @@ class HnswIndex final : public VectorIndex {
 
   /// The graph walk behind Search (AllSelected) and InFilterSearch
   /// (SelectionGate): greedy upper-level descent, then a level-0 beam.
-  /// Unfiltered queries over-fetch by the tombstone count and drop
-  /// tombstones after the beam; filtered ones keep tombstones out of the
-  /// beam's results instead. `who` prefixes error messages.
+  /// `who` prefixes error messages.
   template <class Gate>
   Result<std::vector<Neighbor>> SearchGraph(const float* query,
                                             const Gate& gate,
@@ -122,14 +113,12 @@ class HnswIndex final : public VectorIndex {
   /// Visited nodes are tracked in this thread's stamp table, so the walk
   /// touches no index state. Instrumented with the Fig 8 sub-phase
   /// labels. `gate` admits nodes to the result heap: AllSelected for
-  /// construction and unfiltered queries (which over-fetch by the
-  /// tombstone count instead), a SelectionGate for in-filter queries,
-  /// which also keeps tombstones out; rejected nodes still route the
-  /// frontier. `counters` (nullable, query path only) picks up nodes
-  /// visited, heap pushes and bitmap probes. `ctx` (nullable, query path
-  /// only) makes the beam loop poll for cancellation every few pops; the
-  /// loop exits early with a partial beam and the caller converts that
-  /// into a Cancelled error.
+  /// construction and unfiltered queries, a SelectionGate for in-filter
+  /// queries; rejected nodes still route the frontier. `counters`
+  /// (nullable, query path only) picks up nodes visited, heap pushes and
+  /// bitmap probes. `ctx` (nullable, query path only) makes the beam loop
+  /// poll for cancellation every few pops; the loop exits early with a
+  /// partial beam and the caller converts that into a Cancelled error.
   template <class Gate>
   std::vector<Neighbor> SearchLayer(const float* query, uint32_t entry,
                                     uint32_t ef, int level, const Gate& gate,
@@ -165,7 +154,6 @@ class HnswIndex final : public VectorIndex {
   std::vector<size_t> count_offset_;    // per node: start into link_counts_
 
   uint32_t num_nodes_ = 0;
-  TombstoneSet tombstones_;
   uint32_t entry_point_ = 0;
   int max_level_ = -1;
 };

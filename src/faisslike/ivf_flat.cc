@@ -49,8 +49,6 @@ void IvfFlatIndex::CheckInvariants() const {
   VECDB_CHECK_EQ(centroids_.size(),
                  static_cast<size_t>(num_clusters_) * dim_)
       << "codebook truncated";
-  VECDB_CHECK_LE(tombstones_.size(), num_vectors_)
-      << "more tombstones than stored rows";
   size_t stored = 0;
   for (uint32_t b = 0; b < num_clusters_; ++b) {
     VECDB_CHECK_EQ(bucket_vecs_[b].size(), bucket_ids_[b].size() * dim_)

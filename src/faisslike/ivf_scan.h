@@ -58,7 +58,6 @@
 #include "common/timer.h"
 #include "core/index.h"
 #include "core/parallel.h"
-#include "core/tombstones.h"
 #include "distance/kernels.h"
 #include "distance/sgemm.h"
 #include "obs/metrics.h"
@@ -106,25 +105,13 @@ class IvfScanIndex : public VectorIndex {
       const float* queries, size_t nq,
       const SearchParams& params) const override;
 
-  /// Tombstones a row id (filtered at search, reclaimed on rebuild);
-  /// NotFound if the id was never indexed or is already deleted.
-  Status Delete(int64_t id) override {
-    if (!ContainsId(id)) {
-      return Status::NotFound(std::string(Derived::kName) + "::Delete: id " +
-                              std::to_string(id) + " not indexed");
-    }
-    return tombstones_.Mark(id);
-  }
-
   /// Writes the header, geometry, options block, coarse codebook and
-  /// payload. Refuses an unbuilt or deleted-from index.
+  /// payload. Refuses an unbuilt index.
   Status Save(const std::string& path) const override;
 
   Status Load(const std::string& path) override;
 
-  size_t NumVectors() const override {
-    return num_vectors_ - tombstones_.size();
-  }
+  size_t NumVectors() const override { return num_vectors_; }
   uint32_t Dim() const override { return dim_; }
   uint32_t num_clusters() const { return num_clusters_; }
 
@@ -154,7 +141,6 @@ class IvfScanIndex : public VectorIndex {
   void SetCodebook(const float* centroids, uint32_t num_clusters) {
     derived().ResetBuckets(num_clusters);
     num_vectors_ = 0;
-    tombstones_.Clear();
     num_clusters_ = num_clusters;
     centroids_.Resize(0);
     centroids_.Append(centroids, static_cast<size_t>(num_clusters) * dim_);
@@ -166,15 +152,6 @@ class IvfScanIndex : public VectorIndex {
   /// its Bᵀ panels, amortized across every insert and SearchBatch.
   void PackCodebook() {
     codebook_ = PackedCodebook(centroids_.data(), num_clusters_, dim_);
-  }
-
-  /// True if `id` is currently stored in some bucket (live or tombstoned).
-  bool ContainsId(int64_t id) const {
-    for (uint32_t b = 0; b < num_clusters_; ++b) {
-      const auto& ids = derived().bucket_ids(b);
-      if (std::find(ids.begin(), ids.end(), id) != ids.end()) return true;
-    }
-    return false;
   }
 
   /// Identity hooks; IVF_PQ shadows both for exact re-ranking.
@@ -190,7 +167,6 @@ class IvfScanIndex : public VectorIndex {
   AlignedFloats centroids_;
   PackedCodebook codebook_;  ///< centroids_ packed for SGEMM; not saved
   size_t num_vectors_ = 0;
-  TombstoneSet tombstones_;
 
  private:
   const Derived& derived() const { return static_cast<const Derived&>(*this); }
@@ -234,15 +210,14 @@ class IvfScanIndex : public VectorIndex {
   static void Flush(obs::MetricsRegistry* m, const obs::SearchCounters& sc) {
     sc.FlushTo(m, obs::Counter::kFaissBucketsProbed,
                obs::Counter::kFaissTuplesVisited,
-               obs::Counter::kFaissHeapPushes,
-               obs::Counter::kFaissTombstonesSkipped);
+               obs::Counter::kFaissHeapPushes);
   }
 
   /// The one bucket scan. Faiss computes every distance first, then makes
   /// one heap pass: two tight loops, matching the Table V profile where
   /// the distance kernel dominates. A gated scan first narrows the bucket
-  /// to its selected live positions, so rejected and tombstoned entries
-  /// cost one bit test and are never scored.
+  /// to its selected positions, so a rejected entry costs one bit test and
+  /// is never scored.
   template <class Scorer, class Gate>
   void ScanBucket(const Scorer& scorer, uint32_t bucket, const Gate& gate,
                   KMaxHeap& heap, Profiler* profiler,
@@ -252,17 +227,11 @@ class IvfScanIndex : public VectorIndex {
     thread_local std::vector<uint32_t> pos;
     thread_local std::vector<float> dists;
     size_t n = ids.size();
-    size_t skipped = 0;
     if constexpr (Gate::kFiltered) {
       pos.clear();
       for (size_t i = 0; i < ids.size(); ++i) {
         ++sc.bitmap_probes;
-        if (!gate(ids[i])) continue;
-        if (tombstones_.Contains(ids[i])) {
-          ++skipped;
-          continue;
-        }
-        pos.push_back(static_cast<uint32_t>(i));
+        if (gate(ids[i])) pos.push_back(static_cast<uint32_t>(i));
       }
       n = pos.size();
     }
@@ -276,16 +245,10 @@ class IvfScanIndex : public VectorIndex {
       }
       ProfScope scope(profiler, "MinHeap");
       for (size_t j = 0; j < n; ++j) {
-        const int64_t id = ids[Gate::kFiltered ? pos[j] : j];
-        if (!Gate::kFiltered && tombstones_.Contains(id)) {
-          ++skipped;
-          continue;
-        }
-        heap.Push(dists[j], id);
+        heap.Push(dists[j], ids[Gate::kFiltered ? pos[j] : j]);
       }
     }
-    sc.heap_pushes += Gate::kFiltered ? n : n - skipped;
-    sc.tombstones_skipped += skipped;
+    sc.heap_pushes += n;
   }
 
   Result<std::vector<Neighbor>> FilteredScan(
@@ -410,10 +373,6 @@ Status IvfScanIndex<Derived>::Save(const std::string& path) const {
   const std::string who = std::string(Derived::kName) + "::Save: ";
   if (num_clusters_ == 0) {
     return Status::InvalidArgument(who + "index not built");
-  }
-  if (!tombstones_.empty()) {
-    return Status::InvalidArgument(
-        who + "rebuild before persisting a deleted-from index");
   }
   VECDB_ASSIGN_OR_RETURN(
       BinaryWriter writer,

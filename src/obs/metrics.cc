@@ -26,13 +26,11 @@ const char* CounterName(Counter c) {
     case Counter::kFaissBucketsProbed: return "faiss.buckets_probed";
     case Counter::kFaissTuplesVisited: return "faiss.tuples_visited";
     case Counter::kFaissHeapPushes: return "faiss.heap_pushes";
-    case Counter::kFaissTombstonesSkipped: return "faiss.tombstones_skipped";
     case Counter::kFaissBuilds: return "faiss.builds";
     case Counter::kPaseQueries: return "pase.queries";
     case Counter::kPaseBucketsProbed: return "pase.buckets_probed";
     case Counter::kPaseTuplesVisited: return "pase.tuples_visited";
     case Counter::kPaseHeapPushes: return "pase.heap_pushes";
-    case Counter::kPaseTombstonesSkipped: return "pase.tombstones_skipped";
     case Counter::kPaseBuilds: return "pase.builds";
     case Counter::kBridgeQueries: return "bridge.queries";
     case Counter::kBridgeBucketsProbed: return "bridge.buckets_probed";

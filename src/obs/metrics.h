@@ -48,14 +48,12 @@ enum class Counter : uint32_t {
   kFaissBucketsProbed,
   kFaissTuplesVisited,
   kFaissHeapPushes,
-  kFaissTombstonesSkipped,
   kFaissBuilds,
   // pase engine search/build.
   kPaseQueries,
   kPaseBucketsProbed,
   kPaseTuplesVisited,
   kPaseHeapPushes,
-  kPaseTombstonesSkipped,
   kPaseBuilds,
   // bridge engine search.
   kBridgeQueries,
@@ -300,7 +298,6 @@ struct SearchCounters {
   uint64_t buckets_probed = 0;
   uint64_t tuples_visited = 0;
   uint64_t heap_pushes = 0;
-  uint64_t tombstones_skipped = 0;
   uint64_t bitmap_probes = 0;  ///< filter.bitmap_probes (gated scans)
   uint64_t sq8_blocks = 0;     ///< kernel.sq8_blocks (SQ8 fast scan)
   uint64_t sq8_codes = 0;      ///< kernel.sq8_codes (SQ8 fast scan)
@@ -309,7 +306,6 @@ struct SearchCounters {
     buckets_probed += other.buckets_probed;
     tuples_visited += other.tuples_visited;
     heap_pushes += other.heap_pushes;
-    tombstones_skipped += other.tombstones_skipped;
     bitmap_probes += other.bitmap_probes;
     sq8_blocks += other.sq8_blocks;
     sq8_codes += other.sq8_codes;
@@ -320,11 +316,10 @@ struct SearchCounters {
   /// engine-neutral and only touched when the scan did that work. `m`
   /// must be a live (enabled) registry.
   void FlushTo(MetricsRegistry* m, Counter buckets, Counter tuples,
-               Counter pushes, Counter tombstones) const {
+               Counter pushes) const {
     m->AddUnchecked(buckets, buckets_probed);
     m->AddUnchecked(tuples, tuples_visited);
     m->AddUnchecked(pushes, heap_pushes);
-    m->AddUnchecked(tombstones, tombstones_skipped);
     if (bitmap_probes != 0) {
       m->AddUnchecked(Counter::kFilterBitmapProbes, bitmap_probes);
     }

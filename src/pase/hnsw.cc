@@ -215,7 +215,7 @@ Result<std::vector<PaseHnswIndex::Scored>> PaseHnswIndex::SearchLayer(
   auto admit = [&](int64_t row_id) {
     if constexpr (Gate::kFiltered) {
       ++bitmap_probes;
-      return gate(row_id) && !tombstones_.Contains(row_id);
+      return gate(row_id);
     }
     return true;
   };
@@ -478,13 +478,6 @@ Status PaseHnswIndex::Build(const float* data, size_t n) {
   return Status::OK();
 }
 
-Status PaseHnswIndex::Delete(int64_t id) {
-  if (id < 0 || static_cast<size_t>(id) >= num_vectors_) {
-    return Status::NotFound("no row with id " + std::to_string(id));
-  }
-  return tombstones_.Mark(id);
-}
-
 Result<std::vector<Neighbor>> PaseHnswIndex::PreFilterSearch(
     const float* query, const filter::SelectionVector& selection,
     const SearchParams& params) const {
@@ -518,10 +511,6 @@ Result<std::vector<Neighbor>> PaseHnswIndex::PreFilterSearch(
           !selection.Test(static_cast<size_t>(header->row_id))) {
         continue;
       }
-      if (tombstones_.Contains(header->row_id)) {
-        ++counters.tombstones_skipped;
-        continue;
-      }
       const float* vec =
           reinterpret_cast<const float*>(item + sizeof(PaseVectorTuple));
       collector.Push(L2Sqr(query, vec, dim_), header->row_id);
@@ -533,8 +522,7 @@ Result<std::vector<Neighbor>> PaseHnswIndex::PreFilterSearch(
   if (metrics != nullptr) {
     counters.FlushTo(metrics, obs::Counter::kPaseBucketsProbed,
                      obs::Counter::kPaseTuplesVisited,
-                     obs::Counter::kPaseHeapPushes,
-                     obs::Counter::kPaseTombstonesSkipped);
+                     obs::Counter::kPaseHeapPushes);
   }
   return collector.PopK(params.k);
 }
@@ -561,12 +549,8 @@ Result<std::vector<Neighbor>> PaseHnswIndex::SearchGraph(
   for (int lev = max_level_; lev > 0; --lev) {
     VECDB_ASSIGN_OR_RETURN(cur, GreedyClosest(query, cur, lev, ctx.profiler));
   }
-  // A filtered beam keeps tombstones out of its results; an unfiltered one
-  // over-fetches by the tombstone count and drops them below.
-  const size_t want =
-      Gate::kFiltered ? params.k : params.k + tombstones_.size();
   const uint32_t ef =
-      std::max<uint32_t>(params.efs, static_cast<uint32_t>(want));
+      std::max<uint32_t>(params.efs, static_cast<uint32_t>(params.k));
   VECDB_ASSIGN_OR_RETURN(
       std::vector<Scored> found,
       SearchLayer(query, cur, ef, 0, gate, ctx.profiler, sc, &ctx));
@@ -577,18 +561,13 @@ Result<std::vector<Neighbor>> PaseHnswIndex::SearchGraph(
   out.reserve(std::min(found.size(), params.k));
   for (const auto& s : found) {
     if (out.size() >= params.k) break;
-    if (!Gate::kFiltered && tombstones_.Contains(s.row_id)) {
-      ++counters.tombstones_skipped;
-      continue;
-    }
     out.push_back({s.dist, s.row_id});
   }
   if (metrics != nullptr) {
     metrics->AddUnchecked(obs::Counter::kPaseQueries);
     counters.FlushTo(metrics, obs::Counter::kPaseBucketsProbed,
                      obs::Counter::kPaseTuplesVisited,
-                     obs::Counter::kPaseHeapPushes,
-                     obs::Counter::kPaseTombstonesSkipped);
+                     obs::Counter::kPaseHeapPushes);
   }
   return out;
 }

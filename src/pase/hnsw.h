@@ -14,7 +14,6 @@
 
 #include "common/random.h"
 #include "core/index.h"
-#include "core/tombstones.h"
 #include "obs/metrics.h"
 #include "pase/pase_common.h"
 
@@ -40,18 +39,13 @@ class PaseHnswIndex final : public VectorIndex {
   /// aminsert: inserts one vector through the page-resident graph path.
   Status Insert(const float* vec) override;
 
-  /// amdelete: tombstones a node; it keeps routing but leaves results.
-  Status Delete(int64_t id) override;
-
   Result<std::vector<Neighbor>> Search(const float* query,
                                        const SearchParams& params) const override;
 
   /// Relation-file footprint (pages * page size) across the data and
   /// neighbor relations — the Fig 13 / Table IV metric.
   size_t SizeBytes() const override;
-  size_t NumVectors() const override {
-    return num_vectors_ - tombstones_.size();
-  }
+  size_t NumVectors() const override { return num_vectors_; }
   uint32_t Dim() const override { return dim_; }
   std::string Describe() const override;
 
@@ -126,9 +120,7 @@ class PaseHnswIndex final : public VectorIndex {
 
   /// The graph walk behind Search (AllSelected) and InFilterSearch
   /// (SelectionGate): greedy upper-level descent, then a level-0 beam.
-  /// Unfiltered queries over-fetch by the tombstone count and drop
-  /// tombstones after the beam; filtered ones keep tombstones out of the
-  /// beam's results instead. `who` names the caller in errors.
+  /// `who` names the caller in errors.
   template <class Gate>
   Result<std::vector<Neighbor>> SearchGraph(const float* query,
                                             const Gate& gate,
@@ -139,12 +131,11 @@ class PaseHnswIndex final : public VectorIndex {
   /// Visited vertices go through this thread's HashVisitedTable (HVTGet),
   /// reset per call, so the walk touches no index state. `gate` admits
   /// vertices to the result heap: AllSelected for construction and
-  /// unfiltered queries (which over-fetch by the tombstone count instead),
-  /// a SelectionGate for in-filter queries, which also keeps tombstones
-  /// out; rejected vertices still route the frontier. `counters`
-  /// (nullable, query path only) picks up tuples visited, heap pushes and
-  /// bitmap probes. `ctx` (nullable, query path only) makes the beam loop
-  /// poll for cancellation every few pops and fail with Cancelled.
+  /// unfiltered queries, a SelectionGate for in-filter queries; rejected
+  /// vertices still route the frontier. `counters` (nullable, query path
+  /// only) picks up tuples visited, heap pushes and bitmap probes. `ctx`
+  /// (nullable, query path only) makes the beam loop poll for cancellation
+  /// every few pops and fail with Cancelled.
   template <class Gate>
   Result<std::vector<Scored>> SearchLayer(
       const float* query, const Scored& entry, uint32_t ef, int level,
@@ -174,7 +165,6 @@ class PaseHnswIndex final : public VectorIndex {
   pgstub::RelId data_rel_ = pgstub::kInvalidRel;
   pgstub::RelId nbr_rel_ = pgstub::kInvalidRel;
   size_t num_vectors_ = 0;
-  TombstoneSet tombstones_;
   VertexRef entry_point_;
   int64_t entry_row_ = -1;
   int max_level_ = -1;

@@ -45,81 +45,6 @@ std::vector<Neighbor> PaseIvfFlatIndex::TakeTopK(NHeap& collector,
   return all;
 }
 
-Status PaseIvfFlatIndex::Vacuum() {
-  if (num_clusters_ == 0) {
-    return Status::InvalidArgument("PaseIvfFlat: index not built");
-  }
-  if (tombstones_.empty()) return Status::OK();
-
-  // Collect live tuples bucket by bucket from the old chains.
-  struct LiveRow {
-    int64_t row_id;
-    std::vector<float> vec;
-  };
-  std::vector<std::vector<LiveRow>> live(num_clusters_);
-  for (uint32_t b = 0; b < num_clusters_; ++b) {
-    VECDB_RETURN_NOT_OK(WalkChain(
-        b, nullptr,
-        [&](pgstub::BlockId, const std::vector<const char*>& tuples) {
-          for (const char* tuple : tuples) {
-            const int64_t row_id = TupleRowId(tuple);
-            if (tombstones_.Contains(row_id)) continue;
-            const float* vec = TupleVector(tuple);
-            live[b].push_back({row_id, {vec, vec + dim_}});
-          }
-          return true;
-        }));
-  }
-
-  // Swap in a fresh data relation and rewrite the chains densely.
-  VECDB_RETURN_NOT_OK(env_.bufmgr->InvalidateRelation(data_rel_));
-  VECDB_RETURN_NOT_OK(env_.smgr->DropRelation(data_rel_));
-  VECDB_ASSIGN_OR_RETURN(
-      data_rel_, env_.smgr->CreateRelation(options_.rel_prefix + "_data"));
-  chains_.assign(num_clusters_, {});
-  size_t total = 0;
-  for (uint32_t b = 0; b < num_clusters_; ++b) {
-    for (const auto& row : live[b]) {
-      VECDB_RETURN_NOT_OK(AppendToBucket(b, row.row_id, row.vec.data(),
-                                         dim_ * sizeof(float)));
-      ++total;
-    }
-  }
-  num_vectors_ = total;
-  tombstones_.Clear();
-#ifndef NDEBUG
-  CheckInvariants();
-#endif
-  return Status::OK();
-}
-
-Result<bool> PaseIvfFlatIndex::ContainsRow(int64_t row_id) const {
-  bool found = false;
-  for (uint32_t b = 0; b < num_clusters_ && !found; ++b) {
-    VECDB_RETURN_NOT_OK(WalkChain(
-        b, nullptr,
-        [&](pgstub::BlockId, const std::vector<const char*>& tuples) {
-          for (const char* tuple : tuples) {
-            if (TupleRowId(tuple) == row_id) found = true;
-          }
-          return !found;
-        }));
-  }
-  return found;
-}
-
-Status PaseIvfFlatIndex::Delete(int64_t id) {
-  if (num_clusters_ == 0) {
-    return Status::InvalidArgument("PaseIvfFlat: index not built");
-  }
-  VECDB_ASSIGN_OR_RETURN(bool stored, ContainsRow(id));
-  if (!stored) {
-    return Status::NotFound("PaseIvfFlat::Delete: row " + std::to_string(id) +
-                            " not indexed");
-  }
-  return tombstones_.Mark(id);
-}
-
 std::string PaseIvfFlatIndex::Describe() const {
   return "pase::IVF_FLAT dim=" + std::to_string(dim_) +
          " c=" + std::to_string(num_clusters_) + " page=" +

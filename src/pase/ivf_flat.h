@@ -39,15 +39,6 @@ class PaseIvfFlatIndex final : public PaseIvfScanIndex<PaseIvfFlatIndex> {
   PaseIvfFlatIndex(PaseEnv env, uint32_t dim, PaseIvfFlatOptions options)
       : PaseIvfScanIndex(env, dim), options_(options) {}
 
-  /// amdelete: tombstones a row (PASE marks dead tuples; VACUUM reclaims).
-  /// NotFound if the row id is not stored in any page chain — which
-  /// includes ids reclaimed by a previous Vacuum.
-  Status Delete(int64_t id) override;
-
-  /// VACUUM: rewrites the bucket chains without dead tuples, reclaiming
-  /// pages and clearing the tombstone set.
-  Status Vacuum();
-
   std::string Describe() const override;
 
  private:
@@ -80,10 +71,6 @@ class PaseIvfFlatIndex final : public PaseIvfScanIndex<PaseIvfFlatIndex> {
   /// pgvector sorts the full candidate set (ORDER BY semantics) rather
   /// than heap-selecting k of n.
   std::vector<Neighbor> TakeTopK(NHeap& collector, size_t k) const;
-
-  /// Walks every page chain looking for a stored tuple with `row_id`
-  /// (live or tombstoned). Vacuumed rows are gone from the chains.
-  Result<bool> ContainsRow(int64_t row_id) const;
 
   PaseIvfFlatOptions options_;
 };

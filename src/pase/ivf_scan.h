@@ -5,8 +5,8 @@
 //   - Build: PASE-style K-means (RC#5) with no SGEMM anywhere (RC#1),
 //     naive per-pair assignment, the encode-and-append loop, the centroid
 //     pages, the phase timers and pase.builds;
-//   - Insert (row ids continue from the last one issued), the range-checked
-//     Delete, and CheckInvariants' audit of the page chains;
+//   - Insert (a new row's id is the stored row count) and
+//     CheckInvariants' audit of the page chains;
 //   - page storage: per-bucket chains of data pages, and centroid pages
 //     scanned through the buffer manager for bucket selection;
 //   - the page-chain walk with one pin per page and line-pointer tuple
@@ -32,8 +32,7 @@
 // and
 //   void Score(const char* const* tuples, size_t n, float* out,
 //              obs::SearchCounters& sc) const;
-// scores n pinned tuples. IVF_FLAT also shadows Delete (a chain walk, as
-// its Vacuum reclaims ids) and TakeTopK (pgvector mode).
+// scores n pinned tuples. IVF_FLAT also shadows TakeTopK (pgvector mode).
 #pragma once
 
 #include <algorithm>
@@ -49,7 +48,6 @@
 #include "common/thread_annotations.h"
 #include "common/timer.h"
 #include "core/index.h"
-#include "core/tombstones.h"
 #include "distance/kernels.h"
 #include "obs/metrics.h"
 #include "pase/pase_common.h"
@@ -70,17 +68,6 @@ class PaseIvfScanIndex : public VectorIndex {
   /// aminsert: assigns the new row to its bucket chain.
   Status Insert(const float* vec) override;
 
-  /// amdelete: tombstones a row (PASE marks dead tuples; VACUUM reclaims).
-  /// Row ids are issued contiguously from 0, so anything outside
-  /// [0, next_row_id_) was never indexed and reports NotFound.
-  Status Delete(int64_t id) override {
-    if (id < 0 || id >= next_row_id_) {
-      return Status::NotFound(std::string(Derived::kName) + "::Delete: row " +
-                              std::to_string(id) + " not indexed");
-    }
-    return tombstones_.Mark(id);
-  }
-
   /// Relation-file footprint in bytes (pages * page size), which is how a
   /// PostgreSQL index reports its size.
   size_t SizeBytes() const override {
@@ -92,16 +79,13 @@ class PaseIvfScanIndex : public VectorIndex {
 
   /// Aborts if index structure is inconsistent: chain count differing from
   /// the cluster count, page-chain tuple population not summing to the
-  /// vector count, more tombstones than rows, or a truncated centroid
-  /// matrix. Test/debug hook.
+  /// vector count, or a truncated centroid matrix. Test/debug hook.
   void CheckInvariants() const;
 
   Result<std::vector<Neighbor>> Search(
       const float* query, const SearchParams& params) const override;
 
-  size_t NumVectors() const override {
-    return num_vectors_ - tombstones_.size();
-  }
+  size_t NumVectors() const override { return num_vectors_; }
   uint32_t Dim() const override { return dim_; }
   uint32_t num_clusters() const { return num_clusters_; }
   /// Trained centroids (row-major, c * dim), e.g. for the paper's Fig 15
@@ -208,9 +192,6 @@ class PaseIvfScanIndex : public VectorIndex {
   pgstub::RelId data_rel_ = pgstub::kInvalidRel;
   std::vector<BucketChain> chains_;
   AlignedFloats centroids_;  ///< in-memory copy for row assignment
-  TombstoneSet tombstones_;
-  /// Monotone id source for Insert; never reused, even after Vacuum.
-  int64_t next_row_id_ = 0;
 
  private:
   const Derived& derived() const { return static_cast<const Derived&>(*this); }
@@ -241,13 +222,12 @@ class PaseIvfScanIndex : public VectorIndex {
   static void Flush(obs::MetricsRegistry* m, const obs::SearchCounters& sc) {
     sc.FlushTo(m, obs::Counter::kPaseBucketsProbed,
                obs::Counter::kPaseTuplesVisited,
-               obs::Counter::kPaseHeapPushes,
-               obs::Counter::kPaseTombstonesSkipped);
+               obs::Counter::kPaseHeapPushes);
   }
 
-  /// The one bucket scan: per pinned page, narrow the tuples to the live
-  /// (and, when gated, selected) ones, score them, then push every one
-  /// into the n-sized collector. With `mu` set the collector is the shared
+  /// The one bucket scan: per pinned page, narrow the tuples to the
+  /// selected ones when gated, score them, then push every one into the
+  /// n-sized collector. With `mu` set the collector is the shared
   /// global heap: one lock acquisition per insertion (RC#3), the lock+push
   /// time charged to `serial_nanos`.
   template <class Scorer, class Gate>
@@ -255,30 +235,21 @@ class PaseIvfScanIndex : public VectorIndex {
                     NHeap* collector, Mutex* mu, int64_t* serial_nanos,
                     Profiler* profiler, obs::SearchCounters& sc) const {
     ++sc.buckets_probed;
-    thread_local std::vector<const char*> live;
+    thread_local std::vector<const char*> selected;
     thread_local std::vector<float> dists;
     return WalkChain(bucket, profiler, [&](pgstub::BlockId,
                                            const std::vector<const char*>&
                                                tuples) {
       const char* const* scored = tuples.data();
       size_t n = tuples.size();
-      size_t skipped = 0;
-      if (Gate::kFiltered || !tombstones_.empty()) {
-        live.clear();
+      if constexpr (Gate::kFiltered) {
+        selected.clear();
         for (const char* tuple : tuples) {
-          const int64_t row_id = TupleRowId(tuple);
-          if constexpr (Gate::kFiltered) {
-            ++sc.bitmap_probes;
-            if (!gate(row_id)) continue;
-          }
-          if (tombstones_.Contains(row_id)) {
-            ++skipped;
-            continue;
-          }
-          live.push_back(tuple);
+          ++sc.bitmap_probes;
+          if (gate(TupleRowId(tuple))) selected.push_back(tuple);
         }
-        scored = live.data();
-        n = live.size();
+        scored = selected.data();
+        n = selected.size();
       }
       if (n > 0) {
         dists.resize(n);
@@ -301,9 +272,8 @@ class PaseIvfScanIndex : public VectorIndex {
           *serial_nanos += timer.ElapsedNanos();
         }
       }
-      sc.tuples_visited += Gate::kFiltered ? n : tuples.size();
+      sc.tuples_visited += n;
       sc.heap_pushes += n;
-      sc.tombstones_skipped += skipped;
       return true;
     });
   }
@@ -363,7 +333,6 @@ Status PaseIvfScanIndex<Derived>::Build(const float* data, size_t n) {
   }
   VECDB_RETURN_NOT_OK(WriteCentroidPages());
   num_vectors_ = n;
-  next_row_id_ = static_cast<int64_t>(n);
   build_stats_.add_seconds = timer.ElapsedSeconds();
 #ifndef NDEBUG
   CheckInvariants();
@@ -390,8 +359,8 @@ Status PaseIvfScanIndex<Derived>::Insert(const float* vec) {
                   /*use_sgemm=*/false, &bucket, nullptr);
   std::vector<uint8_t> scratch(derived().payload_bytes());
   VECDB_RETURN_NOT_OK(
-      AppendRow(bucket, next_row_id_, vec, scratch.data(), nullptr));
-  ++next_row_id_;
+      AppendRow(bucket, static_cast<int64_t>(num_vectors_), vec,
+                scratch.data(), nullptr));
   ++num_vectors_;
   return Status::OK();
 }
@@ -403,11 +372,8 @@ void PaseIvfScanIndex<Derived>::CheckInvariants() const {
   VECDB_CHECK_EQ(centroids_.size(),
                  static_cast<size_t>(num_clusters_) * dim_)
       << "centroid matrix truncated";
-  VECDB_CHECK_LE(tombstones_.size(), num_vectors_)
-      << "more tombstones than stored rows";
-  // Walk every bucket's page chain; stored tuples (live + tombstoned, which
-  // stay in place until Vacuum) must sum to num_vectors_, and a tail block
-  // must terminate its chain.
+  // Walk every bucket's page chain; stored tuples must sum to num_vectors_,
+  // and a tail block must terminate its chain.
   size_t stored = 0;
   for (uint32_t b = 0; b < num_clusters_; ++b) {
     const BucketChain& chain = chains_[b];

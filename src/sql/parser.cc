@@ -477,11 +477,13 @@ Result<std::vector<float>> ParseVectorLiteral(std::string_view text) {
     bracketed = true;
     ++i;
   }
+  bool closed = !bracketed;
   for (;;) {
     skip_ws();
     if (i >= n) break;
     if (bracketed && text[i] == ']') {
       ++i;
+      closed = true;
       break;
     }
     // from_chars is correctly rounded, like strtof, so the two agree on
@@ -504,9 +506,13 @@ Result<std::vector<float>> ParseVectorLiteral(std::string_view text) {
     skip_ws();
     if (i < n && text[i] == ',') {
       ++i;
-      continue;
+      skip_ws();
+      if (i >= n || text[i] == ']') {
+        return Status::InvalidArgument("trailing comma in vector literal");
+      }
     }
   }
+  if (!closed) return Status::InvalidArgument("unclosed '[' in vector literal");
   skip_ws();
   if (i != n) {
     return Status::InvalidArgument("trailing garbage in vector literal");

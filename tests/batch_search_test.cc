@@ -1,9 +1,9 @@
 // SearchBatch contract: the batched path must return exactly what N
 // single-query Search calls return (ids and distances), for the overriding
 // faisslike IVF indexes and for the looping fallback the PASE engine
-// inherits — with and without tombstones, across thread counts, and at the
-// nq = 0 / nq = 1 edges. Also pins the RC#1 claim: one batch selects
-// buckets for every query with a single SGEMM call.
+// inherits — across thread counts, and at the nq = 0 / nq = 1 edges. Also
+// pins the RC#1 claim: one batch selects buckets for every query with a
+// single SGEMM call.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -21,6 +21,7 @@
 #include "pase/ivf_sq8.h"
 #include "pgstub/bufmgr.h"
 #include "pgstub/smgr.h"
+#include "temp_path.h"
 
 namespace vecdb {
 namespace {
@@ -97,29 +98,6 @@ TEST(BatchSearchTest, FaissIvfFlatMultiThreadMatchesPerQuery) {
   params.nprobe = 4;
   params.num_threads = 4;  // inter-query parallelism, per-worker heaps
   CheckBatchMatchesPerQuery(index, ds, params);
-}
-
-TEST(BatchSearchTest, FaissIvfFlatWithTombstones) {
-  auto ds = TestData();
-  faisslike::IvfFlatOptions opt;
-  opt.num_clusters = 16;
-  opt.sample_ratio = 1.0;
-  faisslike::IvfFlatIndex index(ds.dim, opt);
-  ASSERT_TRUE(index.Build(ds.base.data(), ds.num_base).ok());
-  for (int64_t id = 0; id < 100; ++id) {
-    ASSERT_TRUE(index.Delete(id).ok());
-  }
-  SearchParams params;
-  params.k = 10;
-  params.nprobe = 4;
-  CheckBatchMatchesPerQuery(index, ds, params);
-  // No tombstoned id may surface from the batched path.
-  auto batched =
-      index.SearchBatch(ds.queries.data(), ds.num_queries, params)
-          .ValueOrDie();
-  for (const auto& per_query : batched) {
-    for (const auto& nb : per_query) EXPECT_GE(nb.id, 100);
-  }
 }
 
 TEST(BatchSearchTest, FaissIvfFlatOneSgemmPerBatch) {
@@ -203,27 +181,9 @@ TEST(BatchSearchTest, FaissIvfPqRefineMatchesPerQuery) {
   CheckBatchMatchesPerQuery(index, ds, params);
 }
 
-TEST(BatchSearchTest, FaissIvfPqWithTombstones) {
-  auto ds = TestData();
-  faisslike::IvfPqOptions opt;
-  opt.num_clusters = 16;
-  opt.pq_m = 4;
-  opt.pq_codes = 32;
-  opt.sample_ratio = 1.0;
-  faisslike::IvfPqIndex index(ds.dim, opt);
-  ASSERT_TRUE(index.Build(ds.base.data(), ds.num_base).ok());
-  for (int64_t id = 200; id < 260; ++id) {
-    ASSERT_TRUE(index.Delete(id).ok());
-  }
-  SearchParams params;
-  params.k = 10;
-  params.nprobe = 4;
-  CheckBatchMatchesPerQuery(index, ds, params);
-}
-
 TEST(BatchSearchTest, PaseFallbackMatchesPerQuery) {
   auto ds = TestData();
-  const std::string dir = ::testing::TempDir() + "/batch_pase";
+  const std::string dir = TempPath("batch_pase");
   std::filesystem::remove_all(dir);
   auto smgr = std::make_unique<pgstub::StorageManager>(
       pgstub::StorageManager::Open(dir, 8192).ValueOrDie());
@@ -238,13 +198,9 @@ TEST(BatchSearchTest, PaseFallbackMatchesPerQuery) {
   params.nprobe = 4;
   // PASE has no override: the base-class fallback loops Search one
   // statement at a time (the generalized-engine behavior), so parity is
-  // trivially exact — including after deletes.
+  // trivially exact.
   CheckBatchMatchesPerQuery(index, ds, params);
   CheckBatchEdges(index, ds, params);
-  for (int64_t id = 0; id < 50; ++id) {
-    ASSERT_TRUE(index.Delete(id).ok());
-  }
-  CheckBatchMatchesPerQuery(index, ds, params);
 }
 
 TEST(BatchSearchTest, FaissIvfSq8MatchesPerQuery) {
@@ -261,15 +217,11 @@ TEST(BatchSearchTest, FaissIvfSq8MatchesPerQuery) {
   CheckBatchEdges(index, ds, params);
   params.num_threads = 4;
   CheckBatchMatchesPerQuery(index, ds, params);
-  for (int64_t id = 0; id < 100; ++id) {
-    ASSERT_TRUE(index.Delete(id).ok());
-  }
-  CheckBatchMatchesPerQuery(index, ds, params);
 }
 
 TEST(BatchSearchTest, PaseIvfSq8MatchesPerQuery) {
   auto ds = TestData();
-  const std::string dir = ::testing::TempDir() + "/batch_pase_sq8";
+  const std::string dir = TempPath("batch_pase_sq8");
   std::filesystem::remove_all(dir);
   auto smgr = std::make_unique<pgstub::StorageManager>(
       pgstub::StorageManager::Open(dir, 8192).ValueOrDie());
@@ -285,10 +237,6 @@ TEST(BatchSearchTest, PaseIvfSq8MatchesPerQuery) {
   CheckBatchMatchesPerQuery(index, ds, params);
   CheckBatchEdges(index, ds, params);
   params.num_threads = 4;
-  CheckBatchMatchesPerQuery(index, ds, params);
-  for (int64_t id = 0; id < 50; ++id) {
-    ASSERT_TRUE(index.Delete(id).ok());
-  }
   CheckBatchMatchesPerQuery(index, ds, params);
 }
 

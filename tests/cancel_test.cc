@@ -21,6 +21,7 @@
 #include "pase/ivf_flat.h"
 #include "sql/database.h"
 #include "sql/session.h"
+#include "temp_path.h"
 
 namespace vecdb {
 namespace {
@@ -321,7 +322,7 @@ TEST_F(SqlCancelTest, SetValidatesTimeoutRange) {
 }
 
 TEST(SqlCancelOpenTest, DatabaseTimeoutOptionValidatedAtOpen) {
-  const std::string dir = ::testing::TempDir() + "/cancel_open_validate";
+  const std::string dir = TempPath("cancel_open_validate");
   std::filesystem::remove_all(dir);
   sql::DatabaseOptions options;
   options.statement_timeout_ms = 25u * 60 * 60 * 1000;  // > 24h cap

@@ -36,8 +36,10 @@ struct Workload {
   SearchParams params;
   int passes = 5;  ///< per thread, over the query set
   /// When set, every query also runs as a FilteredSearch under this
-  /// strategy, over one selection (every third row) shared by all threads.
+  /// strategy, over one selection shared by all threads.
   std::optional<filter::FilterStrategy> filter_strategy;
+  /// The rows that selection keeps.
+  bool (*selected)(size_t row) = [](size_t row) { return row % 3 == 0; };
 };
 
 Workload IvfWorkload() {
@@ -59,11 +61,22 @@ Workload HnswWorkload(filter::FilterStrategy strategy) {
   return w;
 }
 
+/// HNSW in-filter over a selection that clears every 5th row: cleared
+/// nodes are rejected mid-beam, so they route the walk but never enter
+/// the results.
+Workload HnswInFilterWorkload() {
+  Workload w = HnswWorkload(filter::FilterStrategy::kInFilter);
+  w.selected = [](size_t row) { return row % 5 != 0; };
+  return w;
+}
+
 template <typename IndexT>
 void RunConcurrentQueries(const IndexT& index, const Dataset& ds,
                           const Workload& w) {
   filter::SelectionVector selection(ds.num_base);
-  for (size_t i = 0; i < ds.num_base; i += 3) selection.Set(i);
+  for (size_t i = 0; i < ds.num_base; ++i) {
+    if (w.selected(i)) selection.Set(i);
+  }
   FilterRequest request;
   request.selection = &selection;
   if (w.filter_strategy) request.strategy = *w.filter_strategy;
@@ -164,11 +177,7 @@ TEST(ConcurrencyTest, FaissHnswSharedAcrossThreads) {
   auto ds = TestData();
   faisslike::HnswIndex index(ds.dim, faisslike::HnswOptions{});
   ASSERT_TRUE(index.Build(ds.base.data(), ds.num_base).ok());
-  // Tombstones exercise both over-fetch (Search) and in-beam skipping
-  // (in-filter).
-  for (int64_t id = 0; id < 200; id += 5) ASSERT_TRUE(index.Delete(id).ok());
-  RunConcurrentQueries(index, ds,
-                       HnswWorkload(filter::FilterStrategy::kInFilter));
+  RunConcurrentQueries(index, ds, HnswInFilterWorkload());
 }
 
 TEST(ConcurrencyTest, PaseHnswSharedAcrossThreads) {
@@ -176,9 +185,7 @@ TEST(ConcurrencyTest, PaseHnswSharedAcrossThreads) {
   auto ds = TestData();
   pase::PaseHnswIndex index(page_env.env(), ds.dim, pase::PaseHnswOptions{});
   ASSERT_TRUE(index.Build(ds.base.data(), ds.num_base).ok());
-  for (int64_t id = 0; id < 200; id += 5) ASSERT_TRUE(index.Delete(id).ok());
-  RunConcurrentQueries(index, ds,
-                       HnswWorkload(filter::FilterStrategy::kInFilter));
+  RunConcurrentQueries(index, ds, HnswInFilterWorkload());
 }
 
 TEST(ConcurrencyTest, BridgedHnswSharedAcrossThreads) {

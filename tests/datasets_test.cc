@@ -8,6 +8,7 @@
 #include "datasets/registry.h"
 #include "datasets/synthetic.h"
 #include "distance/kernels.h"
+#include "temp_path.h"
 
 namespace vecdb {
 namespace {
@@ -134,7 +135,7 @@ TEST(RegistryTest, ScaledAnalogShrinksConsistently) {
 }
 
 TEST(FvecsIoTest, RoundTrip) {
-  const std::string path = ::testing::TempDir() + "/roundtrip.fvecs";
+  const std::string path = TempPath("roundtrip.fvecs");
   std::vector<float> data = {1.f, 2.f, 3.f, 4.f, 5.f, 6.f};
   ASSERT_TRUE(WriteFvecs(path, data.data(), 2, 3).ok());
   auto loaded = ReadFvecs(path).ValueOrDie();
@@ -149,7 +150,7 @@ TEST(FvecsIoTest, MissingFileIsIOError) {
 }
 
 TEST(FvecsIoTest, TruncatedFileIsCorruption) {
-  const std::string path = ::testing::TempDir() + "/truncated.fvecs";
+  const std::string path = TempPath("truncated.fvecs");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   const int32_t d = 10;  // promises 10 floats, delivers 2
   std::fwrite(&d, sizeof(d), 1, f);
@@ -161,7 +162,7 @@ TEST(FvecsIoTest, TruncatedFileIsCorruption) {
 }
 
 TEST(IvecsIoTest, RoundTrip) {
-  const std::string path = ::testing::TempDir() + "/roundtrip.ivecs";
+  const std::string path = TempPath("roundtrip.ivecs");
   std::vector<std::vector<int32_t>> rows = {{1, 2, 3}, {4, 5, 6}};
   ASSERT_TRUE(WriteIvecs(path, rows).ok());
   auto loaded = ReadIvecs(path).ValueOrDie();

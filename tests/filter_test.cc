@@ -539,36 +539,6 @@ TEST(FilteredSearchTest, EmptySelectionReturnsNoRows) {
   }
 }
 
-TEST(FilteredSearchTest, TombstonedRowsNeverSurface) {
-  auto ds = FilterData();
-  faisslike::IvfFlatOptions opt;
-  opt.num_clusters = 4;
-  opt.sample_ratio = 1.0;
-  faisslike::IvfFlatIndex index(ds.dim, opt);
-  ASSERT_TRUE(index.Build(ds.base.data(), ds.num_base).ok());
-  SelectionVector sel = MakePrefixSelection(kN, 0.1);  // rows 0..199
-  for (int64_t id = 0; id < 50; ++id) {
-    ASSERT_TRUE(index.Delete(id).ok());
-  }
-  SearchParams params;
-  params.k = 200;
-  params.nprobe = 4;
-  for (FilterStrategy strategy :
-       {FilterStrategy::kPreFilter, FilterStrategy::kInFilter,
-        FilterStrategy::kPostFilter}) {
-    FilterRequest req;
-    req.selection = &sel;
-    req.strategy = strategy;
-    auto got =
-        index.FilteredSearch(ds.query_vector(0), req, params).ValueOrDie();
-    EXPECT_EQ(got.size(), 150u) << filter::StrategyName(strategy);
-    for (const auto& nb : got) {
-      EXPECT_GE(nb.id, 50) << filter::StrategyName(strategy);
-      EXPECT_LT(nb.id, 200) << filter::StrategyName(strategy);
-    }
-  }
-}
-
 TEST(FilteredSearchTest, ConcurrentInFilterSharedBitmap) {
   // Many threads running in-filter searches against one shared selection
   // bitmap and one shared metrics registry; run under TSan by

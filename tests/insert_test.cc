@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "pase/ivf_sq8.h"
 #include "sql/database.h"
 #include "sql/session.h"
+#include "temp_path.h"
 
 namespace vecdb {
 namespace {
@@ -248,27 +250,20 @@ TEST_F(PaseInsertTest, PaseHnswGrows) {
 }
 
 /// The PASE IVF maintenance path, for one index class: the page chains
-/// audit clean after Build, Insert and Delete; inserted rows continue the
-/// id sequence; and a never-issued id cannot be deleted.
+/// audit clean after Build and Insert, and inserted rows continue the id
+/// sequence.
 template <typename IndexT>
 void CheckPaseIvfMaintenance(IndexT& index, const Dataset& ds) {
   const size_t half = ds.num_base / 2;
-  const auto n = static_cast<int64_t>(ds.num_base);
   ASSERT_TRUE(index.Build(ds.base.data(), half).ok());
   index.CheckInvariants();
   for (size_t i = half; i < ds.num_base; ++i) {
     ASSERT_TRUE(index.Insert(ds.base_vector(i)).ok()) << i;
   }
   index.CheckInvariants();
-  ASSERT_TRUE(index.Delete(3).ok());
-  ASSERT_TRUE(index.Delete(n - 1).ok());
-  index.CheckInvariants();
-  EXPECT_TRUE(index.Delete(3).IsNotFound());
-  EXPECT_TRUE(index.Delete(n).IsNotFound());
-  EXPECT_TRUE(index.Delete(-1).IsNotFound());
-  EXPECT_EQ(index.NumVectors(), ds.num_base - 2);
+  EXPECT_EQ(index.NumVectors(), ds.num_base);
 
-  // An exhaustive search returns exactly the ids 0..n-1 less the deleted.
+  // An exhaustive search returns exactly the ids 0..n-1.
   SearchParams params;
   params.k = ds.num_base;
   params.nprobe = index.num_clusters();
@@ -276,10 +271,8 @@ void CheckPaseIvfMaintenance(IndexT& index, const Dataset& ds) {
   std::vector<int64_t> ids;
   for (const auto& nb : all) ids.push_back(nb.id);
   std::sort(ids.begin(), ids.end());
-  std::vector<int64_t> expected;
-  for (int64_t id = 0; id < n - 1; ++id) {
-    if (id != 3) expected.push_back(id);
-  }
+  std::vector<int64_t> expected(ds.num_base);
+  std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(ids, expected);
 }
 
@@ -321,7 +314,7 @@ TEST_F(PaseInsertTest, InsertBeforeBuildFails) {
 }
 
 TEST(SqlInsertTest, InsertAfterIndexIsSearchable) {
-  const std::string dir = ::testing::TempDir() + "/sql_insert_after";
+  const std::string dir = TempPath("sql_insert_after");
   std::filesystem::remove_all(dir);
   auto db = std::move(sql::MiniDatabase::Open(dir)).ValueOrDie();
   auto session = db->CreateSession();

@@ -13,6 +13,7 @@
 #include "pase/ivf_sq8.h"
 #include "sql/database.h"
 #include "sql/session.h"
+#include "temp_path.h"
 
 namespace vecdb {
 namespace {
@@ -62,7 +63,7 @@ TEST(IvfSq8Test, NearFlatRecallAtQuarterSize) {
 
 TEST(IvfSq8Test, PaseVariantMatchesRecallBand) {
   auto ds = TestData();
-  const std::string dir = ::testing::TempDir() + "/sq8_pase";
+  const std::string dir = TempPath("sq8_pase");
   std::filesystem::remove_all(dir);
   auto smgr = std::make_unique<pgstub::StorageManager>(
       pgstub::StorageManager::Open(dir, 8192).ValueOrDie());
@@ -164,7 +165,7 @@ TEST(IvfSq8Test, FilterStrategiesAgreeAtFullProbe) {
 
 TEST(IvfSq8Test, PaseFilterStrategiesAgreeAtFullProbe) {
   auto ds = TestData();
-  const std::string dir = ::testing::TempDir() + "/sq8_pase_filter";
+  const std::string dir = TempPath("sq8_pase_filter");
   std::filesystem::remove_all(dir);
   auto smgr = std::make_unique<pgstub::StorageManager>(
       pgstub::StorageManager::Open(dir, 8192).ValueOrDie());
@@ -230,7 +231,7 @@ TEST(IvfSq8Test, FastScanCountersReported) {
 
 TEST(IvfSq8Test, PaseFastScanCountersReported) {
   auto ds = TestData();
-  const std::string dir = ::testing::TempDir() + "/sq8_pase_counters";
+  const std::string dir = TempPath("sq8_pase_counters");
   std::filesystem::remove_all(dir);
   auto smgr = std::make_unique<pgstub::StorageManager>(
       pgstub::StorageManager::Open(dir, 8192).ValueOrDie());
@@ -249,7 +250,7 @@ TEST(IvfSq8Test, PaseFastScanCountersReported) {
 }
 
 TEST(IvfSq8Test, ShowMetricsReportsKernelIsa) {
-  const std::string dir = ::testing::TempDir() + "/sq8_show_isa";
+  const std::string dir = TempPath("sq8_show_isa");
   std::filesystem::remove_all(dir);
   auto db = std::move(sql::MiniDatabase::Open(dir)).ValueOrDie();
   auto session = db->CreateSession();
@@ -261,7 +262,7 @@ TEST(IvfSq8Test, ShowMetricsReportsKernelIsa) {
 }
 
 TEST(IvfSq8Test, AvailableThroughSql) {
-  const std::string dir = ::testing::TempDir() + "/sq8_sql";
+  const std::string dir = TempPath("sq8_sql");
   std::filesystem::remove_all(dir);
   auto db = std::move(sql::MiniDatabase::Open(dir)).ValueOrDie();
   auto session = db->CreateSession();

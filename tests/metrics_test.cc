@@ -209,22 +209,20 @@ TEST(MetricsRegistry, CounterNamesAreUniqueAndKnown) {
 }
 
 TEST(SearchCounters, MergeAndFlush) {
-  SearchCounters a{1, 10, 8, 2};
-  SearchCounters b{2, 20, 19, 1};
+  SearchCounters a{1, 10, 8};
+  SearchCounters b{2, 20, 19};
   a.MergeFrom(b);
   EXPECT_EQ(a.buckets_probed, 3u);
   EXPECT_EQ(a.tuples_visited, 30u);
   EXPECT_EQ(a.heap_pushes, 27u);
-  EXPECT_EQ(a.tombstones_skipped, 3u);
 
   MetricsRegistry reg;
   reg.SetEnabled(true);
   a.FlushTo(&reg, Counter::kFaissBucketsProbed, Counter::kFaissTuplesVisited,
-            Counter::kFaissHeapPushes, Counter::kFaissTombstonesSkipped);
+            Counter::kFaissHeapPushes);
   EXPECT_EQ(reg.Value(Counter::kFaissBucketsProbed), 3u);
   EXPECT_EQ(reg.Value(Counter::kFaissTuplesVisited), 30u);
   EXPECT_EQ(reg.Value(Counter::kFaissHeapPushes), 27u);
-  EXPECT_EQ(reg.Value(Counter::kFaissTombstonesSkipped), 3u);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -14,6 +13,7 @@
 #include "faisslike/ivf_flat.h"
 #include "faisslike/ivf_pq.h"
 #include "faisslike/ivf_sq8.h"
+#include "temp_path.h"
 
 namespace vecdb::faisslike {
 namespace {
@@ -24,11 +24,6 @@ Dataset TestData() {
   opt.num_base = 1200;
   opt.num_queries = 8;
   return GenerateClustered(opt);
-}
-
-// The pid keeps overlapping runs of this binary out of each other's files.
-std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
 std::string FileBytes(const std::string& path) {

@@ -107,22 +107,19 @@ constexpr Combo kIvfCombos[] = {
     {"ivfflat", "pase"},  {"ivfpq", "pase"},  {"ivfsq8", "pase"},
 };
 
-/// The per-engine names of the four SearchCounters fields.
+/// The per-engine names of the three SearchCounters fields.
 struct EngineCounters {
   obs::Counter buckets;
   obs::Counter tuples;
   obs::Counter pushes;
-  obs::Counter tombstones;
 };
 EngineCounters CountersFor(const std::string& engine) {
   if (engine == "pase") {
     return {obs::Counter::kPaseBucketsProbed, obs::Counter::kPaseTuplesVisited,
-            obs::Counter::kPaseHeapPushes,
-            obs::Counter::kPaseTombstonesSkipped};
+            obs::Counter::kPaseHeapPushes};
   }
   return {obs::Counter::kFaissBucketsProbed, obs::Counter::kFaissTuplesVisited,
-          obs::Counter::kFaissHeapPushes,
-          obs::Counter::kFaissTombstonesSkipped};
+          obs::Counter::kFaissHeapPushes};
 }
 
 TEST_F(AllIndexesTest, KnobValidationIsUniform) {
@@ -237,8 +234,6 @@ TEST_F(AllIndexesTest, ParallelSearchCountsMatchSerial) {
     EXPECT_EQ(parallel_reg.Value(c.buckets), serial_reg.Value(c.buckets));
     EXPECT_EQ(parallel_reg.Value(c.tuples), serial_reg.Value(c.tuples));
     EXPECT_EQ(parallel_reg.Value(c.pushes), serial_reg.Value(c.pushes));
-    EXPECT_EQ(parallel_reg.Value(c.tombstones),
-              serial_reg.Value(c.tombstones));
   }
 }
 
@@ -292,37 +287,33 @@ TEST_F(AllIndexesTest, PageEnginesDriveBufmgrCounters) {
   global.SetEnabled(was_enabled);
 }
 
-TEST_F(AllIndexesTest, TombstoneSkipsAreCounted) {
+TEST_F(AllIndexesTest, ScanCountersFollowTheSelection) {
   for (const auto& combo : kIvfCombos) {
     SCOPED_TRACE(std::string(combo.method) + "/" + combo.engine);
     auto index = MakeBuilt(combo.method, combo.engine);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
-    ASSERT_TRUE((*index)->Delete(0).ok());
-    ASSERT_TRUE((*index)->Delete(1).ok());
     const EngineCounters c = CountersFor(combo.engine);
     const uint64_t n = ds_.num_base;
 
-    // Unfiltered: every stored tuple of a probed bucket counts as visited,
-    // tombstoned ones included.
+    // Unfiltered: every stored tuple of a probed bucket is visited and
+    // pushed.
     obs::MetricsRegistry local;
     local.SetEnabled(true);
     SearchParams params;
     params.k = 5;
-    params.nprobe = 4;  // all 4 buckets: every tombstone is encountered
+    params.nprobe = 4;  // all 4 buckets
     params.ctx.metrics = &local;
     ASSERT_TRUE((*index)->Search(ds_.queries.data(), params).ok());
-    EXPECT_EQ(local.Value(c.tombstones), 2u);
-    EXPECT_EQ(local.Value(c.tuples), local.Value(c.pushes) + 2u);
+    EXPECT_EQ(local.Value(c.tuples), local.Value(c.pushes));
     EXPECT_EQ(local.Value(c.buckets), 4u);
     EXPECT_EQ(local.Value(c.tuples), n);
     EXPECT_EQ(local.Value(obs::Counter::kFilterBitmapProbes), 0u);
 
-    // Filtered: even ids selected, so id 0 is a selected tombstone and
-    // id 1 is never selected. Only selected live tuples count as visited;
+    // Filtered: even ids selected. Only selected tuples count as visited;
     // the exhaustive pre-filter pass reports no probed buckets.
     filter::SelectionVector selection(n);
     for (size_t i = 0; i < n; i += 2) selection.Set(i);
-    const uint64_t selected_live = n / 2 - 1;
+    const uint64_t selected = n / 2;
     for (const auto strategy : {filter::FilterStrategy::kPreFilter,
                                 filter::FilterStrategy::kInFilter}) {
       const bool pre = strategy == filter::FilterStrategy::kPreFilter;
@@ -337,9 +328,8 @@ TEST_F(AllIndexesTest, TombstoneSkipsAreCounted) {
           (*index)->FilteredSearch(ds_.queries.data(), request, params);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_EQ(filtered.Value(c.buckets), pre ? 0u : 4u);
-      EXPECT_EQ(filtered.Value(c.tuples), selected_live);
-      EXPECT_EQ(filtered.Value(c.pushes), selected_live);
-      EXPECT_EQ(filtered.Value(c.tombstones), 1u);
+      EXPECT_EQ(filtered.Value(c.tuples), selected);
+      EXPECT_EQ(filtered.Value(c.pushes), selected);
       EXPECT_EQ(filtered.Value(obs::Counter::kFilterBitmapProbes),
                 pre ? 0u : n);
     }

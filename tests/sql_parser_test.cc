@@ -16,7 +16,9 @@ namespace vecdb::sql {
 namespace {
 
 /// The vector-literal parser as it was before it read elements in place
-/// with from_chars, kept verbatim as the oracle for the differential test.
+/// with from_chars, kept as the oracle for the differential test. It has
+/// since learned the grammar's two later rejections: an unclosed '[' and a
+/// trailing comma.
 Result<std::vector<float>> StrtofParseVectorLiteral(const std::string& text) {
   std::vector<float> out;
   size_t i = 0;
@@ -30,11 +32,13 @@ Result<std::vector<float>> StrtofParseVectorLiteral(const std::string& text) {
     bracketed = true;
     ++i;
   }
+  bool closed = !bracketed;
   for (;;) {
     skip_ws();
     if (i >= n) break;
     if (bracketed && text[i] == ']') {
       ++i;
+      closed = true;
       break;
     }
     char* end = nullptr;
@@ -48,9 +52,13 @@ Result<std::vector<float>> StrtofParseVectorLiteral(const std::string& text) {
     skip_ws();
     if (i < n && text[i] == ',') {
       ++i;
-      continue;
+      skip_ws();
+      if (i >= n || text[i] == ']') {
+        return Status::InvalidArgument("trailing comma in vector literal");
+      }
     }
   }
+  if (!closed) return Status::InvalidArgument("unclosed '[' in vector literal");
   skip_ws();
   if (i != n) {
     return Status::InvalidArgument("trailing garbage in vector literal");
@@ -255,12 +263,20 @@ TEST(VectorLiteralTest, PlainAndBracketed) {
   ASSERT_EQ(b.size(), 2u);
   EXPECT_FLOAT_EQ(b[0], -1.f);
   EXPECT_FLOAT_EQ(b[1], 0.2f);
+  auto c = ParseVectorLiteral("1 2 3").ValueOrDie();  // space-separated
+  ASSERT_EQ(c.size(), 3u);
+  EXPECT_FLOAT_EQ(c[2], 3.f);
 }
 
 TEST(VectorLiteralTest, Malformed) {
   EXPECT_FALSE(ParseVectorLiteral("").ok());
   EXPECT_FALSE(ParseVectorLiteral("a,b").ok());
   EXPECT_FALSE(ParseVectorLiteral("1,2]").ok());
+  EXPECT_TRUE(ParseVectorLiteral("[1,2").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseVectorLiteral("[").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseVectorLiteral("1,").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseVectorLiteral("1, ").status().IsInvalidArgument());
+  EXPECT_TRUE(ParseVectorLiteral("[1,]").status().IsInvalidArgument());
 }
 
 TEST(VectorLiteralTest, MatchesStrtofParserBitForBit) {
