@@ -161,12 +161,15 @@ echo "=== build-tsan: concurrent logging+checkpoint smoke (recovery_test) ==="
   --gtest_filter='FaultInjectionTest.ConcurrentLoggingAndCheckpoint'
 
 # Visibility under the race detector: seq scans (lock-free, on the
-# published snapshot) and index scans (under the table lock) beside a
-# writer that deletes and re-inserts ids; the dead-position bitmap each
-# DELETE publishes is the shared state.
-echo "=== build-tsan: scans beside delete/re-insert smoke (visibility_test) ==="
+# published snapshot) and index scans (snapshot and plan under the table
+# lock, engine scan without it) beside a writer that deletes and
+# re-inserts ids, where the dead-position bitmap each DELETE publishes is
+# the shared state; then every engine/method pair's index scans beside
+# multi-row INSERTs, where the engines' bucket and index latches, the
+# IVF_PQ refine sidecar and the access method's id map are.
+echo "=== build-tsan: scans beside concurrent writers smoke (visibility_test) ==="
 ./build-tsan/tests/visibility_test \
-  --gtest_filter='VisibilityStressTest.ScansBesideDeleteAndReinsert'
+  --gtest_filter='VisibilityStressTest.ScansBesideDeleteAndReinsert:VisibilityStressTest.IndexScansBesideMultiRowInserts'
 
 # Session stress under the race detector: lock-free snapshot readers
 # overlap RCU-style snapshot publication and epoch reclamation, plus the

@@ -99,7 +99,8 @@ class VectorIndex {
   virtual Status Build(const float* data, size_t n) = 0;
 
   /// Inserts one vector after Build; its id is the current NumVectors().
-  /// Indexes without incremental maintenance return NotSupported.
+  /// Indexes without incremental maintenance return NotSupported. One
+  /// Insert at a time may run beside any number of searches.
   virtual Status Insert(const float* vec) {
     (void)vec;
     return Status::NotSupported(Describe() +
@@ -125,6 +126,10 @@ class VectorIndex {
   /// Top-k search; results ascending by distance. Reentrant: any number
   /// of threads may search one index at once, because no implementation
   /// keeps search scratch in the index (per-query or per-thread only).
+  /// Searches (this, SearchBatch, FilteredSearch, NumVectors) may also run
+  /// beside one Insert: each index guards its own appends (bucket or
+  /// index latches) and sees a row either whole or not at all. Callers
+  /// serialize Insert, Build and Load.
   virtual Result<std::vector<Neighbor>> Search(
       const float* query, const SearchParams& params) const = 0;
 

@@ -293,6 +293,7 @@ Result<std::vector<Neighbor>> HnswIndex::PreFilterSearch(
     const SearchParams& params) const {
   VECDB_RETURN_NOT_OK(ValidateSearchParams(params, IndexKind::kFlat,
                                            "Hnsw::PreFilterSearch"));
+  ReaderMutexLock latch(*latch_);
   if (num_nodes_ == 0) {
     return Status::InvalidArgument("Hnsw::PreFilterSearch: index is empty");
   }
@@ -337,6 +338,7 @@ Result<std::vector<Neighbor>> HnswIndex::SearchGraph(
     return Status::InvalidArgument(std::string(who) + ": null query");
   }
   VECDB_RETURN_NOT_OK(ValidateSearchParams(params, IndexKind::kGraph, who));
+  ReaderMutexLock latch(*latch_);
   if (num_nodes_ == 0) {
     return Status::InvalidArgument(std::string(who) + ": index is empty");
   }

@@ -3,15 +3,18 @@
 // an epoch-stamped visited table held per thread, so concurrent searches on
 // one index share no scratch. Construction is instrumented with the
 // paper's Table III phases (SearchNbToAdd / AddLink / GreedyUpdate /
-// ShrinkNbList) and Fig 8 sub-phases.
+// ShrinkNbList) and Fig 8 sub-phases. Searches run beside one Insert
+// under an index-level latch: shared in search, exclusive in Insert.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/aligned_buffer.h"
 #include "common/random.h"
+#include "common/thread_annotations.h"
 #include "core/index.h"
 #include "obs/metrics.h"
 #include "topk/heaps.h"
@@ -37,14 +40,20 @@ class HnswIndex final : public VectorIndex {
   /// Inserts one vector (id is the insertion order).
   Status Add(const float* vec);
 
-  /// Incremental insert via the graph insertion path.
-  Status Insert(const float* vec) override { return Add(vec); }
+  /// Incremental insert via the graph insertion path, under the latch.
+  Status Insert(const float* vec) override {
+    WriterMutexLock latch(*latch_);
+    return Add(vec);
+  }
 
   Result<std::vector<Neighbor>> Search(const float* query,
                                        const SearchParams& params) const override;
 
   size_t SizeBytes() const override;
-  size_t NumVectors() const override { return num_nodes_; }
+  size_t NumVectors() const override {
+    ReaderMutexLock latch(*latch_);
+    return num_nodes_;
+  }
   uint32_t Dim() const override { return dim_; }
   std::string Describe() const override;
 
@@ -156,6 +165,9 @@ class HnswIndex final : public VectorIndex {
   uint32_t num_nodes_ = 0;
   uint32_t entry_point_ = 0;
   int max_level_ = -1;
+  /// Shared by searches, exclusive in Insert (the graph and every array
+  /// above grow in place). Held by pointer so Load can move-assign.
+  std::unique_ptr<SharedMutex> latch_ = std::make_unique<SharedMutex>();
 };
 
 }  // namespace vecdb::faisslike

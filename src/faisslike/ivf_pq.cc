@@ -33,6 +33,7 @@ void IvfPqIndex::Append(uint32_t b, int64_t id, const float* vec,
                           code + pq_->code_size());
   bucket_ids_[b].push_back(id);
   if (options_.refine_factor > 0) {
+    WriterMutexLock latch(*refine_latch_);
     refine_pos_[id] = refine_vectors_.size() / dim_;
     refine_vectors_.Append(vec, dim_);
   }
@@ -108,6 +109,7 @@ std::vector<Neighbor> IvfPqIndex::Refine(const float* query,
   if (options_.refine_factor == 0) return adc;
   ProfScope scope(profiler, "refine");
   KMaxHeap exact(k);
+  ReaderMutexLock latch(*refine_latch_);
   for (const auto& nb : adc) {
     auto it = refine_pos_.find(nb.id);
     if (it == refine_pos_.end()) continue;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -104,9 +105,13 @@ class IvfPqIndex final : public IvfScanIndex<IvfPqIndex> {
   std::optional<ProductQuantizer> pq_;
   std::vector<std::vector<uint8_t>> bucket_codes_;
   std::vector<std::vector<int64_t>> bucket_ids_;
-  /// Raw vectors for re-ranking, kept only when refine_factor > 0.
+  /// Raw vectors for re-ranking, kept only when refine_factor > 0. Both
+  /// grow (and may reallocate) on Append, so Refine reads them under
+  /// `refine_latch_` shared and Append writes them under it exclusive.
   AlignedFloats refine_vectors_;
   std::unordered_map<int64_t, size_t> refine_pos_;  ///< id -> row
+  std::unique_ptr<SharedMutex> refine_latch_ =
+      std::make_unique<SharedMutex>();
 };
 
 }  // namespace vecdb::faisslike

@@ -17,7 +17,10 @@
 //   - pre-filter and in-filter as selection policies over that same scan;
 //   - cancellation checkpoints, SearchCounters and the profiler labels;
 //   - the snapshot file: header, geometry, coarse codebook, and Load's
-//     consistency checks.
+//     consistency checks;
+//   - the bucket latches that let searches run beside one Insert: a scan
+//     holds bucket b's latch shared while it scores b, an append holds it
+//     exclusive (PostgreSQL's buffer content lock, one bucket at a time).
 //
 // A derived index `D final : public IvfScanIndex<D>` provides
 //   static constexpr const char* kName;           // "IvfFlat", ...
@@ -48,13 +51,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "clustering/kmeans.h"
 #include "common/aligned_buffer.h"
+#include "common/movable_atomic.h"
 #include "common/serialize.h"
+#include "common/thread_annotations.h"
 #include "common/timer.h"
 #include "core/index.h"
 #include "core/parallel.h"
@@ -140,6 +146,7 @@ class IvfScanIndex : public VectorIndex {
   /// last.
   void SetCodebook(const float* centroids, uint32_t num_clusters) {
     derived().ResetBuckets(num_clusters);
+    latches_ = std::make_unique<SharedMutex[]>(num_clusters);
     num_vectors_ = 0;
     num_clusters_ = num_clusters;
     centroids_.Resize(0);
@@ -166,7 +173,12 @@ class IvfScanIndex : public VectorIndex {
   uint32_t num_clusters_ = 0;
   AlignedFloats centroids_;
   PackedCodebook codebook_;  ///< centroids_ packed for SGEMM; not saved
-  size_t num_vectors_ = 0;
+  /// Read by NumVectors() beside an Insert, so atomic; bumped after the
+  /// rows it counts are in their buckets.
+  MovableAtomic<size_t> num_vectors_;
+  /// One latch per bucket, sized with the codebook: shared while a scan
+  /// reads the bucket, exclusive while AddBatch appends to it.
+  std::unique_ptr<SharedMutex[]> latches_;
 
  private:
   const Derived& derived() const { return static_cast<const Derived&>(*this); }
@@ -217,11 +229,12 @@ class IvfScanIndex : public VectorIndex {
   /// one heap pass: two tight loops, matching the Table V profile where
   /// the distance kernel dominates. A gated scan first narrows the bucket
   /// to its selected positions, so a rejected entry costs one bit test and
-  /// is never scored.
+  /// is never scored. The bucket's latch is held shared throughout.
   template <class Scorer, class Gate>
   void ScanBucket(const Scorer& scorer, uint32_t bucket, const Gate& gate,
                   KMaxHeap& heap, Profiler* profiler,
                   obs::SearchCounters& sc) const {
+    ReaderMutexLock latch(latches_[bucket]);
     ++sc.buckets_probed;
     const std::vector<int64_t>& ids = derived().bucket_ids(bucket);
     thread_local std::vector<uint32_t> pos;
@@ -325,9 +338,11 @@ Status IvfScanIndex<Derived>::AddBatch(const float* data, size_t n,
     });
   }
 
-  // Bucket append is a cheap serial pass.
+  // Bucket append is a cheap serial pass, each row under its bucket's
+  // latch so a concurrent scan never sees a bucket mid-growth.
   CpuTimer append_timer;
   for (size_t i = 0; i < n; ++i) {
+    WriterMutexLock latch(latches_[assign[i]]);
     derived().Append(assign[i],
                      ids != nullptr ? ids[i]
                                     : static_cast<int64_t>(num_vectors_ + i),
@@ -410,6 +425,7 @@ Status IvfScanIndex<Derived>::Load(const std::string& path) {
   if (clusters == 0) return Status::Corruption(who + "bad geometry");
   Derived loaded(dim, options);
   loaded.num_clusters_ = clusters;
+  loaded.latches_ = std::make_unique<SharedMutex[]>(clusters);
   loaded.num_vectors_ = num_vectors;
   VECDB_RETURN_NOT_OK(reader.Fields(loaded.centroids_));
   if (loaded.centroids_.size() != static_cast<size_t>(clusters) * dim) {

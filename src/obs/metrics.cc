@@ -88,6 +88,7 @@ const char* HistName(Hist h) {
     case Hist::kFilterSelectivityBp: return "filter.selectivity_bp";
     case Hist::kSessionQueueWaitNanos: return "session.queue_wait_nanos";
     case Hist::kServerStatementNanos: return "server.statement_nanos";
+    case Hist::kSqlWriteLockWaitNanos: return "sql.write_lock_wait_nanos";
     case Hist::kNumHists: break;
   }
   return "unknown";

@@ -121,6 +121,9 @@ enum class Hist : uint32_t {
   /// End-to-end server-side statement latency (decode to response frame
   /// queued), the networked analogue of sql.select_nanos.
   kServerStatementNanos,
+  /// Time an INSERT or DELETE waited for its table's writer lock: other
+  /// writers, and index scans only while they plan.
+  kSqlWriteLockWaitNanos,
   kNumHists,  // sentinel
 };
 

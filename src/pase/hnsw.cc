@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <queue>
 
@@ -172,8 +173,18 @@ Status PaseHnswIndex::StoreNeighbors(
     return Status::Internal("PaseHnsw: neighbor list overflow");
   }
   header->count = static_cast<uint16_t>(entries.size());
-  std::memcpy(item + sizeof(NeighborListHeader), entries.data(),
-              entries.size() * sizeof(HnswNeighborTuple));
+  // Field by field into zeroed slots: a tuple's 4 padding bytes and the
+  // slots past `count` are then zero, so the page bytes depend on the
+  // graph alone (std::vector copies need not carry padding).
+  char* slots = item + sizeof(NeighborListHeader);
+  std::memset(slots, 0, header->capacity * sizeof(HnswNeighborTuple));
+  for (const HnswNeighborTuple& entry : entries) {
+    std::memcpy(slots + offsetof(HnswNeighborTuple, link), &entry.link,
+                sizeof(entry.link));
+    std::memcpy(slots + offsetof(HnswNeighborTuple, gid), &entry.gid,
+                sizeof(entry.gid));
+    slots += sizeof(HnswNeighborTuple);
+  }
   env_.bufmgr->Unpin(handle, true);
   return Status::OK();
 }
@@ -455,6 +466,7 @@ Status PaseHnswIndex::AddOne(const float* vec) {
 Status PaseHnswIndex::Insert(const float* vec) {
   if (!env_.valid()) return Status::InvalidArgument("PaseHnsw: bad env");
   if (vec == nullptr) return Status::InvalidArgument("PaseHnsw: null vec");
+  WriterMutexLock latch(latch_);
   VECDB_RETURN_NOT_OK(EnsureRelations());
   return AddOne(vec);
 }
@@ -483,6 +495,7 @@ Result<std::vector<Neighbor>> PaseHnswIndex::PreFilterSearch(
     const SearchParams& params) const {
   VECDB_RETURN_NOT_OK(ValidateSearchParams(params, IndexKind::kFlat,
                                            "PaseHnsw::PreFilterSearch"));
+  ReaderMutexLock latch(latch_);
   if (num_vectors_ == 0) {
     return Status::InvalidArgument("PaseHnsw: index is empty");
   }
@@ -533,6 +546,7 @@ Result<std::vector<Neighbor>> PaseHnswIndex::SearchGraph(
     const char* who) const {
   if (query == nullptr) return Status::InvalidArgument("PaseHnsw: null query");
   VECDB_RETURN_NOT_OK(ValidateSearchParams(params, IndexKind::kGraph, who));
+  ReaderMutexLock latch(latch_);
   if (num_vectors_ == 0) {
     return Status::InvalidArgument("PaseHnsw: index is empty");
   }

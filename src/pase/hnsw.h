@@ -5,14 +5,17 @@
 // buffer manager (RC#2), visited checks go through a hash table behind a
 // function call (HVTGet), neighbor lists are fetched via an out-of-line
 // cursor (pasepfirst), and each new adjacency list starts a fresh page
-// (RC#4 — the Fig 13 space blow-up).
+// (RC#4 — the Fig 13 space blow-up). Searches run beside one Insert under
+// an index-level latch: shared in search, exclusive in Insert.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_annotations.h"
 #include "core/index.h"
 #include "obs/metrics.h"
 #include "pase/pase_common.h"
@@ -164,7 +167,11 @@ class PaseHnswIndex final : public VectorIndex {
 
   pgstub::RelId data_rel_ = pgstub::kInvalidRel;
   pgstub::RelId nbr_rel_ = pgstub::kInvalidRel;
-  size_t num_vectors_ = 0;
+  /// Read by NumVectors() beside an Insert, so atomic.
+  std::atomic<size_t> num_vectors_{0};
+  /// Shared by searches, exclusive in Insert (which rewrites neighbor
+  /// lists and the entry point in place).
+  mutable SharedMutex latch_;
   VertexRef entry_point_;
   int64_t entry_row_ = -1;
   int max_level_ = -1;

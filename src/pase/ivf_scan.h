@@ -14,7 +14,10 @@
 //   - PASE's n-sized result heap, popped k times at the end (RC#6);
 //   - intra-query parallelism over ONE locked global heap (RC#3);
 //   - pre-filter and in-filter as selection policies over that same scan;
-//   - cancellation checkpoints, SearchCounters and the profiler labels.
+//   - cancellation checkpoints, SearchCounters and the profiler labels;
+//   - the index-level latch that lets searches run beside one Insert:
+//     shared in every scan, exclusive in Insert (an append rewrites a
+//     bucket's tail page and chain links in place).
 //
 // Every bucket tuple starts with its int64 row id; a derived index
 // `D final : public PaseIvfScanIndex<D>` provides
@@ -36,6 +39,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
@@ -187,7 +191,10 @@ class PaseIvfScanIndex : public VectorIndex {
   PaseEnv env_;
   uint32_t dim_;
   uint32_t num_clusters_ = 0;  ///< nonzero once built
-  size_t num_vectors_ = 0;
+  /// Read by NumVectors() beside an Insert, so atomic.
+  std::atomic<size_t> num_vectors_{0};
+  /// Shared by Search and the filtered scans, exclusive in Insert.
+  mutable SharedMutex latch_;
   pgstub::RelId centroid_rel_ = pgstub::kInvalidRel;
   pgstub::RelId data_rel_ = pgstub::kInvalidRel;
   std::vector<BucketChain> chains_;
@@ -358,6 +365,7 @@ Status PaseIvfScanIndex<Derived>::Insert(const float* vec) {
   AssignToNearest(vec, 1, dim_, centroids_.data(), num_clusters_,
                   /*use_sgemm=*/false, &bucket, nullptr);
   std::vector<uint8_t> scratch(derived().payload_bytes());
+  WriterMutexLock latch(latch_);
   VECDB_RETURN_NOT_OK(
       AppendRow(bucket, static_cast<int64_t>(num_vectors_), vec,
                 scratch.data(), nullptr));
@@ -526,6 +534,7 @@ Result<std::vector<Neighbor>> PaseIvfScanIndex<Derived>::Search(
                                    ": null query");
   }
   VECDB_RETURN_NOT_OK(CheckSearchable(params, IndexKind::kIvf));
+  ReaderMutexLock latch(latch_);
   const QueryContext& ctx = params.ctx;
   obs::MetricsRegistry* metrics = ctx.live_metrics();
   obs::LatencyScope latency(metrics, obs::Hist::kPaseSearchNanos);
@@ -593,6 +602,7 @@ Result<std::vector<Neighbor>> PaseIvfScanIndex<Derived>::FilteredScan(
   // Pre-filter needs no nprobe: it walks every chain.
   VECDB_RETURN_NOT_OK(CheckSearchable(
       params, exhaustive ? IndexKind::kFlat : IndexKind::kIvf));
+  ReaderMutexLock latch(latch_);
   const QueryContext& ctx = params.ctx;
   obs::MetricsRegistry* metrics = ctx.live_metrics();
   obs::LatencyScope latency(metrics, obs::Hist::kPaseSearchNanos);

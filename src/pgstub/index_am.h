@@ -6,8 +6,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "core/index.h"
 #include "pgstub/heap_table.h"
 
@@ -21,6 +23,10 @@ struct AmScanOptions {
   size_t k = 100;
   uint32_t nprobe = 20;
   uint32_t efs = 200;
+  /// The scan's snapshot: index positions at or past it belong to rows
+  /// inserted after the scan was planned and never appear in its result.
+  /// A filtered scan is bounded by its selection's size already.
+  size_t visible_rows = SIZE_MAX;
   FilterRequest filter;
   /// Observability handle forwarded into the engine's SearchParams; a
   /// session's scans carry its per-session QueryContext here so metrics
@@ -59,7 +65,7 @@ class IndexAccessMethod {
 /// arbitrary user ids; the adapter maintains the position -> row-id map.
 /// Index positions are heap positions, so, as in PostgreSQL, deletes never
 /// reach the index: the caller passes the live rows as the scan's
-/// selection.
+/// selection. Like the index it wraps, a scan may run beside one AmInsert.
 class VectorIndexAm final : public IndexAccessMethod {
  public:
   /// Wraps `index` (not owned; must outlive the adapter).
@@ -80,7 +86,11 @@ class VectorIndexAm final : public IndexAccessMethod {
 
  private:
   VectorIndex* index_;
-  std::vector<int64_t> row_ids_;  ///< index position -> user row id
+  /// Shared while a scan maps its result, exclusive while AmInsert
+  /// extends the map (a push_back may reallocate it).
+  mutable SharedMutex ids_latch_;
+  std::vector<int64_t> row_ids_
+      VECDB_GUARDED_BY(ids_latch_);  ///< index position -> user row id
 };
 
 }  // namespace vecdb::pgstub

@@ -46,6 +46,22 @@ void AppendPredicateRow(int64_t row_id, const int64_t* attrs,
   }
 }
 
+/// Samples sql.write_lock_wait_nanos: how long a writer waited for its
+/// table lock, started with `wait` just before the acquire.
+void RecordWriteLockWait(const Timer& wait) {
+  obs::MetricsRegistry::Global().Record(
+      obs::Hist::kSqlWriteLockWaitNanos,
+      static_cast<uint64_t>(wait.ElapsedNanos()));
+}
+
+/// DatabaseOptions::scan_delay_nanos_for_test's stall: a busy-wait, not a
+/// sleep, so a stretched scan keeps its cooperative structure.
+void BusyWait(uint64_t nanos) {
+  const int64_t until = NowNanos() + static_cast<int64_t>(nanos);
+  while (NowNanos() < until) {
+  }
+}
+
 const char* kWalFileName = "/wal.log";
 
 /// Upper bound for every statement_timeout_ms source (DatabaseOptions,
@@ -659,7 +675,9 @@ Result<QueryResult> MiniDatabase::ExecInsert(const InsertStmt& stmt) {
   }
   Status inserted;
   {
+    Timer wait;
     WriterMutexLock lock(table.state->mu);
+    RecordWriteLockWait(wait);
     const TableSnapshot* snap =
         table.state->snapshot.load(std::memory_order_acquire);
     std::shared_ptr<const filter::SelectionVector> dead = snap->dead;
@@ -747,7 +765,7 @@ Result<QueryResult> MiniDatabase::SeqScanSelect(
   // Cancelled status out of the callback (returning false only halts the
   // scan; ScanPrefixFull itself stays OK).
   Status stop;
-  const uint64_t delay = options_.seqscan_delay_nanos_for_test;
+  const uint64_t delay = options_.scan_delay_nanos_for_test;
   std::vector<int64_t> row_image(1 + table.schema.attr_columns.size());
   VECDB_RETURN_NOT_OK(table.heap->ScanPrefixFull(
       visible,
@@ -758,14 +776,7 @@ Result<QueryResult> MiniDatabase::SeqScanSelect(
           stop = ctx.CheckStop("seqscan");
           if (!stop.ok()) return false;
         }
-        if (delay != 0) {
-          // Test seam: stretch the scan so cancel/timeout tests have a
-          // reliably long statement to abort (busy-wait, not sleep, to
-          // keep the loop's cooperative structure honest).
-          const int64_t until = NowNanos() + static_cast<int64_t>(delay);
-          while (NowNanos() < until) {
-          }
-        }
+        if (delay != 0) BusyWait(delay);  // test seam
         if (dead != nullptr && dead->Test(pos)) return true;  // dead tuple
         if (bound != nullptr) {
           row_image[0] = row_id;
@@ -792,11 +803,12 @@ Result<QueryResult> MiniDatabase::SeqScanSelect(
 }
 
 MiniDatabase::FilterPlan MiniDatabase::BuildFilterPlan(
-    const TableEntry& table, const filter::BoundPredicate* bound,
-    const filter::SelectionVector* dead, size_t sample_rows) {
+    const TableEntry& table, const TableSnapshot& snap,
+    const filter::BoundPredicate* bound, size_t sample_rows) {
   const std::vector<std::vector<int64_t>>& columns = table.state->columns;
-  const size_t n = table.heap->num_rows();
+  const size_t n = snap.visible_rows;
   VECDB_DCHECK_EQ(columns[0].size(), n);
+  const filter::SelectionVector* dead = snap.dead.get();
   FilterPlan plan;
   plan.selection = bound != nullptr ? bound->EvalColumns(columns, n)
                                     : filter::SelectionVector::All(n);
@@ -921,37 +933,47 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
   };
   if (chosen == nullptr) return seq_scan();
 
-  // Index scan (or its EXPLAIN): lock the table shared. Every index's
-  // Search is reentrant, so scans run concurrently with each other; the
-  // lock excludes writers, which is what BuildFilterPlan's read of the
-  // predicate columns and the index itself require.
-  ReaderMutexLock lock(table.state->mu);
-  // An INSERT may have made the index stale while this statement waited
-  // for the lock; the seq scan needs no lock, holding it is harmless.
-  if (chosen->stale.load(std::memory_order_acquire)) {
-    stale = chosen->def.index;
-    return seq_scan();
-  }
-
-  // No scan returns more rows than the table holds, so a larger LIMIT is
-  // clamped before it sizes a heap or the HNSW queue; EXPLAIN still
-  // prints the LIMIT as written.
-  const size_t k = std::min<size_t>(
-      stmt.limit, std::max<size_t>(table.heap->num_rows(), 1));
-
-  // A WHERE, or any dead row, makes the scan filtered: the selection is
-  // the matching live positions. With neither, the snapshot has a null
-  // bitmap and the scan takes the engine's unfiltered Search. EXPLAIN
-  // reports the same plan numbers the executor would use.
-  const filter::SelectionVector* dead = DeadPositions(table);
-  const bool filtered = has_predicate || dead != nullptr;
+  // Index scan (or its EXPLAIN). The table lock is held shared only to
+  // load the snapshot and plan: no INSERT is mid-statement then, so the
+  // snapshot's row count, the heap and the predicate columns agree. The
+  // engine scan runs after the lock is released, bounded by that snapshot
+  // (the selection's size, or AmScanOptions::visible_rows), while writers
+  // append beside it under the engine's own latches.
   const filter::PlannerConfig planner;
   FilterPlan plan;
-  if (filtered) {
-    plan = BuildFilterPlan(table, has_predicate ? &bound : nullptr, dead,
-                           planner.sample_rows);
+  uint64_t visible = 0;
+  bool filtered = false;
+  {
+    ReaderMutexLock lock(table.state->mu);
+    const TableSnapshot& snap =
+        *table.state->snapshot.load(std::memory_order_acquire);
+    // An INSERT may have made the index stale since the choice above.
+    // Read after the snapshot: a writer marks it stale before publishing,
+    // so an index not stale now holds every row the snapshot shows.
+    if (chosen->stale.load(std::memory_order_acquire)) {
+      stale = chosen->def.index;
+      chosen = nullptr;
+    } else {
+      visible = snap.visible_rows;
+      // A WHERE, or any dead row, makes the scan filtered: the selection
+      // is the matching live positions. With neither, the snapshot has a
+      // null bitmap and the scan takes the engine's unfiltered Search.
+      filtered = has_predicate || snap.dead != nullptr;
+      if (filtered) {
+        plan = BuildFilterPlan(table, snap, has_predicate ? &bound : nullptr,
+                               planner.sample_rows);
+      }
+    }
   }
+  if (chosen == nullptr) return seq_scan();
 
+  // No scan returns more rows than the snapshot holds, so a larger LIMIT
+  // is clamped before it sizes a heap or the HNSW queue; EXPLAIN still
+  // prints the LIMIT as written.
+  const size_t k =
+      std::min<size_t>(stmt.limit, std::max<uint64_t>(visible, 1));
+
+  // EXPLAIN reports the same plan numbers the executor would use.
   if (stmt.explain) {
     QueryResult out;
     out.message = "Index Scan using " + chosen->def.index + " (" +
@@ -963,8 +985,8 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
     if (filtered) {
       const filter::FilterStrategy effective =
           strategy == filter::FilterStrategy::kAuto
-              ? filter::ChooseStrategy(plan.est_selectivity, k,
-                                       chosen->index->NumVectors(), planner)
+              ? filter::ChooseStrategy(plan.est_selectivity, k, visible,
+                                       planner)
               : strategy;
       out.message += " strategy=" +
                      std::string(filter::StrategyName(effective)) +
@@ -974,8 +996,18 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
     return out;
   }
 
+  if (const uint64_t delay = options_.scan_delay_nanos_for_test) {
+    // Test seam: stretch the scan past its plan, lock already released,
+    // at the seq scan's per-row rate.
+    for (uint64_t row = 0; row < visible; ++row) {
+      VECDB_RETURN_NOT_OK(ctx.CheckStop("index scan"));
+      BusyWait(delay);
+    }
+  }
+
   pgstub::AmScanOptions scan;
   scan.k = k;
+  scan.visible_rows = visible;
   scan.nprobe = static_cast<uint32_t>(option_or("nprobe", 20));
   // Engines reject efs < k at the API boundary, so the default must track
   // the requested LIMIT.
@@ -1107,9 +1139,11 @@ Result<QueryResult> MiniDatabase::ExecDelete(const DeleteStmt& stmt) {
     return Status::InvalidArgument("DELETE requires a WHERE clause");
   }
 
-  // Writers serialize on the table lock; lock-free readers keep seeing
-  // the pre-statement snapshot until the single publish below.
+  // Writers serialize on the table lock; readers keep seeing the
+  // pre-statement snapshot until the single publish below.
+  Timer wait;
   WriterMutexLock lock(table.state->mu);
+  RecordWriteLockWait(wait);
   const TableSnapshot* snap =
       table.state->snapshot.load(std::memory_order_acquire);
   const filter::SelectionVector* dead = snap->dead.get();

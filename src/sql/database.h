@@ -7,14 +7,18 @@
 // handles (sql/session.h) and run concurrently under a two-level locking
 // scheme. catalog_mu_ is taken exclusively by DDL (CREATE/DROP/
 // CHECKPOINT) and shared by DML/queries, so the table and index maps are
-// stable while statements run. Each table adds a SharedMutex serializing
-// its writers (INSERT/DELETE take it exclusively; index scans take it
-// shared, for every index type, since each index's Search is reentrant).
-// Sequential-scan SELECTs take NO table lock at all: they pin an
-// epoch (pgstub/epoch.h) and read the table's published TableSnapshot —
-// a bounded row count plus dead-position bitmap that writers replace
-// atomically and retire through the epoch manager — so readers always
-// observe a statement-atomic prefix of the heap.
+// stable while statements run. Each table adds a writer lock: INSERT and
+// DELETE take it exclusively for the whole statement. Readers read the
+// table's published TableSnapshot — a bounded row count plus a
+// dead-position bitmap that writers replace atomically and retire through
+// the epoch manager (pgstub/epoch.h) — so they always observe a
+// statement-atomic prefix of the heap. A sequential scan takes no table
+// lock at all: it pins an epoch and scans the snapshot's heap prefix. An
+// index scan takes the table lock shared only while it loads the snapshot
+// and builds its filter plan, then runs the engine scan unlocked, bounded
+// by that snapshot; each engine guards its own appends (VectorIndex's
+// contract: searches run beside one Insert), as PostgreSQL's buffer
+// content locks do for a page at a time.
 //
 // Deletes (docs/SQL_REFERENCE.md): as in PostgreSQL, a DELETE never
 // touches an index. It marks heap positions in the snapshot's bitmap, and
@@ -133,10 +137,12 @@ struct DatabaseOptions {
   /// and before it executes. Lets tests park admitted statements to pin
   /// the admission state. Never set in production code.
   std::function<void(uint64_t)> statement_hook_for_test;
-  /// Test seam: per-row busy-wait (nanoseconds) in sequential scans, so
-  /// cancellation/timeout tests can make a statement reliably long-running
-  /// without giant datasets. Never set in production code.
-  uint64_t seqscan_delay_nanos_for_test = 0;
+  /// Test seam: per-row busy-wait (nanoseconds) in scans — each row of a
+  /// sequential scan, and one wait per visible row in an index scan after
+  /// its plan (table lock released) — so cancellation, timeout and
+  /// concurrency tests get a reliably long statement without giant
+  /// datasets. Never set in production code.
+  uint64_t scan_delay_nanos_for_test = 0;
 };
 
 /// A multi-session vector database over the pgstub substrate. Statements
@@ -196,8 +202,9 @@ class MiniDatabase {
     explicit TableState(size_t num_columns) : columns(num_columns) {}
     ~TableState() { delete snapshot.load(std::memory_order_acquire); }
 
-    /// Serializes table writers; shared by index scans. Seq scans do not
-    /// take it at all.
+    /// Serializes table writers for their whole statement. An index scan
+    /// holds it shared only to load the snapshot and build its filter
+    /// plan (never across an engine call); seq scans do not take it.
     SharedMutex mu;
     std::atomic<const TableSnapshot*> snapshot{nullptr};
     /// The predicate columns in PredicateColumns() order (id, then the
@@ -220,11 +227,12 @@ class MiniDatabase {
     /// Snapshot bookkeeping (kReload policy), persisted in the catalog.
     bool has_snapshot = false;
     uint64_t rows_at_snapshot = 0;
-    /// Set (under the table writer lock) when the engine refused a row
-    /// with NotSupported: the index lacks rows the heap has, so SELECT
-    /// plans a seq scan instead, and the next Open rebuilds it. Atomic
-    /// because the planner reads it before taking the table lock; the
-    /// index scan re-reads it under that lock. Entries live in place in
+    /// Set (under the table writer lock, before the statement publishes
+    /// its snapshot) when the engine refused a row with NotSupported: the
+    /// index lacks rows the heap has, so SELECT plans a seq scan instead,
+    /// and the next Open rebuilds it. Atomic because the planner reads it
+    /// before taking the table lock; the index scan re-reads it under
+    /// that lock after loading its snapshot. Entries live in place in
     /// `indexes_` (std::map nodes never move).
     std::atomic<bool> stale{false};
   };
@@ -322,18 +330,19 @@ class MiniDatabase {
                                     const filter::BoundPredicate* bound,
                                     const QueryContext& ctx);
 
-  /// The exact position-indexed selection bitmap plus a strided sampled
-  /// selectivity estimate: the rows `bound` matches (every row when null),
-  /// minus the `dead` positions (nullable), evaluated over the table's
-  /// predicate columns: no heap page is read. Caller must hold the table
-  /// lock (any mode), which keeps the columns and the heap in step.
+  /// The exact position-indexed selection bitmap over `snap`'s visible
+  /// rows plus a strided sampled selectivity estimate: the rows `bound`
+  /// matches (every row when null), minus the snapshot's dead positions,
+  /// evaluated over the table's predicate columns: no heap page is read.
+  /// Caller must hold the table lock (any mode) and have loaded `snap`
+  /// under it, which keeps the columns, the heap and the snapshot in step.
   struct FilterPlan {
     filter::SelectionVector selection;
     double est_selectivity = 1.0;
   };
   static FilterPlan BuildFilterPlan(const TableEntry& table,
+                                    const TableSnapshot& snap,
                                     const filter::BoundPredicate* bound,
-                                    const filter::SelectionVector* dead,
                                     size_t sample_rows)
       VECDB_REQUIRES_SHARED(table.state->mu);
 

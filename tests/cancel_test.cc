@@ -233,7 +233,7 @@ class SqlCancelTest : public ::testing::Test {
     std::filesystem::remove_all(dir);
     sql::DatabaseOptions options;
     options.pool_pages = 256;
-    options.seqscan_delay_nanos_for_test = 100 * 1000;  // 0.1ms per row
+    options.scan_delay_nanos_for_test = 100 * 1000;  // 0.1ms per row
     db_ = sql::MiniDatabase::Open(dir, options).ValueOrDie();
     session_ = db_->CreateSession();
     ASSERT_TRUE(session_

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "sql/database.h"
+#include "sql/session.h"
+#include "temp_path.h"
 
 namespace vecdb::obs {
 namespace {
@@ -223,6 +228,41 @@ TEST(SearchCounters, MergeAndFlush) {
   EXPECT_EQ(reg.Value(Counter::kFaissBucketsProbed), 3u);
   EXPECT_EQ(reg.Value(Counter::kFaissTuplesVisited), 30u);
   EXPECT_EQ(reg.Value(Counter::kFaissHeapPushes), 27u);
+}
+
+// --- The SQL layer's table-lock wait -------------------------------------
+
+TEST(SqlMetrics, EachWriteStatementRecordsOneTableLockWait) {
+  // sql.write_lock_wait_nanos samples the exclusive table-lock acquire of
+  // INSERT and DELETE, once per statement; a SELECT records nothing.
+  const std::string dir = TempPath("metrics_write_lock_wait");
+  std::filesystem::remove_all(dir);
+  {
+    auto db = sql::MiniDatabase::Open(dir).ValueOrDie();
+    auto session = db->CreateSession();
+    auto must = [&](const std::string& sql) {
+      auto result = session->Execute(sql);
+      EXPECT_TRUE(result.ok()) << sql << " -> " << result.status().ToString();
+      return result.ok() ? result->message : std::string();
+    };
+    must("CREATE TABLE t (id int, vec float[2])");
+    must("CREATE TABLE u (id int, vec float[2])");
+    must("INSERT INTO u VALUES (7, '0,0')");
+    must("CREATE INDEX u_idx ON u USING hnsw (vec)");
+    const Histogram& waits =
+        MetricsRegistry::Global().histogram(Hist::kSqlWriteLockWaitNanos);
+    const uint64_t before = waits.TotalCount();
+    must("INSERT INTO t VALUES (1, '1,0'), (2, '0,1')");
+    EXPECT_EQ(waits.TotalCount(), before + 1);
+    must("SELECT id FROM t ORDER BY vec <-> '1,0' LIMIT 1");  // seq scan
+    must("SELECT id FROM u ORDER BY vec <-> '1,0' LIMIT 1");  // index scan
+    EXPECT_EQ(waits.TotalCount(), before + 1);
+    must("DELETE FROM t WHERE id = 1");
+    EXPECT_EQ(waits.TotalCount(), before + 2);
+    EXPECT_NE(must("SHOW METRICS").find("sql.write_lock_wait_nanos"),
+              std::string::npos);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -268,7 +268,7 @@ class ServerCancelTest : public ::testing::Test {
 
   void SetUp() override {
     DatabaseOptions options = SmallPool();
-    options.seqscan_delay_nanos_for_test = kDelayNanos;
+    options.scan_delay_nanos_for_test = kDelayNanos;
     harness_ = StartHarness(TestDir("db"), options);
     auto setup = harness_.db->CreateSession();
     Must(*setup, "CREATE TABLE t (id int, vec float[4], price int)");
@@ -491,7 +491,7 @@ TEST(ServerStressTest, ChurnMixedLoadAndCancel) {
 
 TEST(ServerStressTest, StopWithClientsMidFlight) {
   DatabaseOptions options = SmallPool();
-  options.seqscan_delay_nanos_for_test = 100 * 1000;  // 0.1ms per row
+  options.scan_delay_nanos_for_test = 100 * 1000;  // 0.1ms per row
   auto h = StartHarness(TestDir("db"), options);
   auto setup = h.db->CreateSession();
   Must(*setup, "CREATE TABLE t (id int, vec float[4], price int)");

@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 
 #include "datasets/ground_truth.h"
 #include "datasets/synthetic.h"
 #include "pase/hnsw.h"
 #include "pase/ivf_flat.h"
 #include "pase/ivf_pq.h"
+#include "temp_path.h"
 
 namespace vecdb::pase {
 namespace {
@@ -163,6 +166,39 @@ TEST_F(PaseTest, HnswUsesOnePagePerVertex) {
   ASSERT_TRUE(index.Build(ds_.base.data(), n).ok());
   auto nbr_rel = smgr_->FindRelation("hnsw_pages_nbr").ValueOrDie();
   EXPECT_GE(*smgr_->NumBlocks(nbr_rel), n);
+}
+
+TEST(PaseHnswBytesTest, TwoBuildsWriteIdenticalNeighborPages) {
+  // Neighbor lists are written field by field into zeroed slots, so no
+  // stray byte lands in a tuple's padding or past a list's count: the
+  // same input builds a byte-identical neighbor relation (and WAL images).
+  SyntheticOptions opt;
+  opt.dim = 16;
+  opt.num_base = 400;
+  opt.num_queries = 1;
+  const Dataset ds = GenerateClustered(opt);
+  std::string bytes[2];
+  for (int run = 0; run < 2; ++run) {
+    const std::string dir =
+        TempPath(("pase_hnsw_bytes_" + std::to_string(run)).c_str());
+    std::filesystem::remove_all(dir);
+    {
+      auto smgr = pgstub::StorageManager::Open(dir, 8192).ValueOrDie();
+      pgstub::BufferManager bufmgr(&smgr, 1024);
+      PaseHnswOptions hopt;
+      hopt.bnn = 8;
+      hopt.rel_prefix = "bytes";
+      PaseHnswIndex index({&smgr, &bufmgr}, ds.dim, hopt);
+      ASSERT_TRUE(index.Build(ds.base.data(), ds.num_base).ok());
+      ASSERT_TRUE(bufmgr.FlushAll().ok());
+      ASSERT_TRUE(smgr.SyncAll().ok());
+    }
+    std::ifstream in(dir + "/bytes_nbr.rel", std::ios::binary);
+    bytes[run].assign(std::istreambuf_iterator<char>(in), {});
+    std::filesystem::remove_all(dir);
+  }
+  ASSERT_FALSE(bytes[0].empty());
+  EXPECT_TRUE(bytes[0] == bytes[1]) << "neighbor relations differ";
 }
 
 TEST_F(PaseTest, HnswBuildProfilerSeesTable3Phases) {

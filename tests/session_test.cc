@@ -1,8 +1,8 @@
 // Session front-end tests: the epoch reclamation primitive, session
 // lifecycle and per-session state, admission control (global and
 // per-session caps, provably pinned via the statement hook), result-value
-// independence, and multi-session stress with a snapshot-visibility
-// oracle. ci/run_checks.sh also runs the stress suite under TSan and the
+// independence, an INSERT returning while an index scan runs, and
+// multi-session stress with a snapshot-visibility oracle. ci/run_checks.sh also runs the stress suite under TSan and the
 // whole binary under ASan/UBSan.
 #include "sql/session.h"
 
@@ -416,6 +416,75 @@ TEST(AdmissionTest, PerSessionCapDoesNotHeadOfLineBlock) {
 }
 
 // ---------------------------------------------------------------------------
+// Index scans and writers.
+
+TEST(IndexScanTest, InsertReturnsWhileAScanRuns) {
+  // An index scan holds the table lock only while it plans. Stretched
+  // well past its plan by scan_delay_nanos_for_test, it must not hold up
+  // an INSERT from another session, and it must not return the rows that
+  // INSERT put into the index after its snapshot: the new rows sit right
+  // beside the query, so the unfiltered scan drops them and re-runs over
+  // its snapshot, and the filtered scan's selection never covers them.
+  constexpr int kRows = 100;
+  constexpr uint64_t kDelayNanos = 10 * 1000 * 1000;  // x kRows: >= 1 s
+  DatabaseOptions options = SmallPool();
+  options.scan_delay_nanos_for_test = kDelayNanos;
+  std::atomic<uint64_t> reader_id{0};
+  std::atomic<bool> reader_admitted{false};
+  options.statement_hook_for_test = [&](uint64_t session_id) {
+    if (session_id == reader_id.load()) reader_admitted.store(true);
+  };
+  auto db = MiniDatabase::Open(TestDir("data"), options).ValueOrDie();
+  auto writer = db->CreateSession();
+  ASSERT_TRUE(writer->Execute("CREATE TABLE t (id int, vec float[4])").ok());
+  ASSERT_TRUE(writer->Execute(InsertBatch(0, kRows)).ok());
+  ASSERT_TRUE(writer->Execute("CREATE INDEX t_idx ON t USING ivfflat (vec) "
+                              "WITH (clusters=4, sample_ratio=1)")
+                  .ok());
+  for (int round = 0; round < 2; ++round) {
+    const std::string where = round == 0 ? "" : "WHERE id < 100000 ";
+    SCOPED_TRACE(where);
+    const int64_t first_new = 1000 * (round + 1);
+    const std::string select = "SELECT id FROM t " + where +
+                               "ORDER BY vec <-> '0,0,0," +
+                               std::to_string(first_new + 5) +
+                               "' OPTIONS (nprobe=4) LIMIT 5";
+    auto reader = db->CreateSession();
+    reader_admitted.store(false);
+    reader_id.store(reader->id());
+    std::atomic<bool> select_done{false};
+    std::vector<int64_t> got;
+    std::thread scan([&] {
+      auto result = reader->Execute(select);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      if (result.ok()) {
+        for (const auto& row : result->rows) got.push_back(row.id);
+      }
+      select_done.store(true);
+    });
+    // Non-fatal checks while the scan thread runs: it is joined below.
+    EXPECT_TRUE(WaitFor([&] { return reader_admitted.load(); }));
+    // The plan takes microseconds; the stretched scan takes a second.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_TRUE(writer->Execute(InsertBatch(first_new, 10)).ok());
+    EXPECT_FALSE(select_done.load()) << "INSERT waited for the index scan";
+    scan.join();
+    reader_id.store(0);
+    // The scan's snapshot predates the INSERT: its answer is the top 5 of
+    // the rows that were there before.
+    auto before = writer->Execute("SELECT id FROM t WHERE id < " +
+                                  std::to_string(first_new) +
+                                  " ORDER BY vec <-> '0,0,0," +
+                                  std::to_string(first_new + 5) +
+                                  "' OPTIONS (nprobe=4) LIMIT 5");
+    ASSERT_TRUE(before.ok());
+    std::vector<int64_t> want;
+    for (const auto& row : before->rows) want.push_back(row.id);
+    EXPECT_EQ(got, want);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Multi-session stress. Run under TSan via ci/run_checks.sh.
 
 TEST(SessionStressTest, SnapshotReaderNeverSeesTornInsert) {
@@ -536,9 +605,10 @@ TEST(SessionStressTest, MixedWorkloadEightSessionsStaysConsistent) {
 }
 
 TEST(SessionStressTest, FilteredIndexScanBesideWriters) {
-  // Filtered index scans (one session per forced strategy) read the
-  // predicate columns under the table lock while one session appends to
-  // them (INSERT) and another tombstones rows by predicate (DELETE).
+  // Filtered index scans (one session per forced strategy) plan from the
+  // predicate columns under the table lock, then scan beside one session
+  // appending rows (INSERT) and another marking rows dead by predicate
+  // (DELETE).
   // Every row carries a = id % 100 and the readers ask for a < 50, so
   // each result can be checked on its ids alone.
   constexpr int kSeed = 200;    // ids 0..199, deleted in chunks below

@@ -279,10 +279,11 @@ TEST_F(DatabaseTest, DeleteRemovesRowFromBothScanPaths) {
   EXPECT_FALSE(session_->Execute("DELETE FROM items WHERE id = 777").ok());
 }
 
-TEST_F(DatabaseTest, DeleteTombstonesEveryIndexCopyOfADuplicateId) {
+TEST_F(DatabaseTest, DeleteMarksEveryCopyOfADuplicateId) {
   // Row ids need not be unique: ids 0..63 on a line, then a second row
-  // carrying id 5 right beside the query. DELETE must tombstone both index
-  // positions, or an unfiltered index scan resurfaces the deleted id.
+  // carrying id 5 right beside the query. DELETE must mark both heap
+  // positions dead, or an index scan, which reads the rows at those same
+  // positions, resurfaces the deleted id.
   for (const char* engine : {"faiss", "pase"}) {
     SCOPED_TRACE(engine);
     Must("CREATE TABLE t (id int, vec float[4])");
@@ -397,8 +398,9 @@ TEST_F(DatabaseTest, CreateIndexAfterDeleteKeepsDeletedRowsOut) {
 }
 
 TEST_F(DatabaseTest, BridgeIndexScanSkipsDeletedRows) {
-  // The bridge cannot tombstone (its Delete answers NotSupported), so the
-  // table's dead positions alone keep a deleted row out of its scans.
+  // The bridge's indexes are never told of a delete, like every other
+  // engine's: the table's dead heap positions alone keep a deleted row
+  // out of their scans.
   for (const std::string method : {"ivfflat", "hnsw"}) {
     const std::string table = "b_" + method;
     Must("CREATE TABLE " + table + " (id int, vec float[2])");

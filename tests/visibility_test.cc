@@ -6,13 +6,15 @@
 // scan equals brute force over them, and an index scan at exhaustive
 // settings (nprobe = clusters, efs >= rows) equals the seq scan, with and
 // without a WHERE, for all eleven engine/method pairs under both index
-// recovery policies. A second suite runs seq and index scans beside a
-// writer that deletes and re-inserts ids, for the race detector.
+// recovery policies. A second suite runs scans beside writers for the
+// race detector: seq and index scans beside a writer that deletes and
+// re-inserts ids, and every pair's index scans beside multi-row INSERTs.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -358,7 +360,7 @@ TEST(VisibilityStressTest, ScansBesideDeleteAndReinsert) {
   // and over. In every snapshot each id is live exactly once or (between
   // the two statements) not at all, so a scan that returned a dead row
   // would show an id twice. Seq scans read the snapshot lock-free; index
-  // scans read it under the table lock.
+  // scans load it under the table lock, then scan without it.
   constexpr int kIds = 64;
   const std::string dir = TestDir("stress");
   DatabaseOptions options;
@@ -434,6 +436,199 @@ TEST(VisibilityStressTest, ScansBesideDeleteAndReinsert) {
   setup.reset();
   db.reset();
   std::filesystem::remove_all(dir);
+}
+
+/// One index scan's answer checked against the statement prefixes it may
+/// have seen: rows 0..kBase-1, then kBatch rows per INSERT.
+class PrefixOracle {
+ public:
+  static constexpr int kBase = 48;
+  static constexpr int kBatch = 6;
+  static constexpr int kBatches = 20;
+  static constexpr int kTotal = kBase + kBatch * kBatches;
+
+  PrefixOracle() {
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<float> unit(0.0f, 1.0f);
+    vecs_.resize(kTotal);
+    for (auto& vec : vecs_) {
+      for (uint32_t d = 0; d < kDim; ++d) vec.push_back(unit(rng));
+    }
+  }
+
+  /// VALUES rows for ids [first, first + count): id i is heap position i.
+  std::string Values(int first, int count) const {
+    std::string sql;
+    for (int id = first; id < first + count; ++id) {
+      if (id > first) sql += ", ";
+      sql += "(" + std::to_string(id) + ", '" + FormatVec(vecs_[id]) +
+             "', " + std::to_string(id % kAttrValues) + ")";
+    }
+    return sql;
+  }
+
+  const std::vector<float>& query() const { return vecs_[0]; }
+
+  /// Empty when some prefix of m INSERTs, m in [lo, hi], explains `rows`
+  /// (a scan's answer at exhaustive settings, `a < a_below` when
+  /// a_below >= 0); else what is wrong.
+  std::string Check(const std::vector<QueryResult::Row>& rows, int lo,
+                    int hi, int64_t a_below, size_t limit,
+                    bool exact_distances) const {
+    std::set<int64_t> ids;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const int64_t id = rows[i].id;
+      if (i > 0 && rows[i - 1].distance > rows[i].distance) {
+        return "not sorted at rank " + std::to_string(i);
+      }
+      if (!ids.insert(id).second) return "id " + std::to_string(id) + " twice";
+      if (id < 0 || id >= kBase + kBatch * hi ||
+          (a_below >= 0 && id % kAttrValues >= a_below)) {
+        return "id " + std::to_string(id) + " is not a visible match";
+      }
+    }
+    for (int m = lo; m <= hi; ++m) {
+      const std::vector<Expected> want = Top(kBase + kBatch * m, a_below);
+      if (rows.size() != std::min(limit, want.size())) continue;
+      if (limit >= want.size()) {
+        // The whole visible match set: every row of each INSERT or none.
+        std::set<int64_t> want_ids;
+        for (const Expected& e : want) want_ids.insert(e.id);
+        if (ids == want_ids) return "";
+      } else if (!exact_distances) {
+        return "";  // a top-k cut of quantized distances
+      } else {
+        bool same = true;
+        for (size_t i = 0; same && i < rows.size(); ++i) {
+          same = rows[i].id == want[i].id &&
+                 std::fabs(rows[i].distance - want[i].distance) < 1e-4;
+        }
+        if (same) return "";
+      }
+    }
+    return std::to_string(rows.size()) + " rows match no prefix of " +
+           std::to_string(lo) + ".." + std::to_string(hi) + " INSERTs";
+  }
+
+ private:
+  /// Brute force over the first `rows` rows passing `a < a_below`.
+  std::vector<Expected> Top(int rows, int64_t a_below) const {
+    std::vector<Expected> out;
+    for (int id = 0; id < rows; ++id) {
+      if (a_below >= 0 && id % kAttrValues >= a_below) continue;
+      double dist = 0.0;
+      for (uint32_t d = 0; d < kDim; ++d) {
+        const double diff = static_cast<double>(vecs_[id][d]) -
+                            static_cast<double>(query()[d]);
+        dist += diff * diff;
+      }
+      out.push_back({id, dist});
+    }
+    std::sort(out.begin(), out.end(), [](const Expected& x, const Expected& y) {
+      return x.distance < y.distance;
+    });
+    return out;
+  }
+
+  std::vector<std::vector<float>> vecs_;
+};
+
+TEST(VisibilityStressTest, IndexScansBesideMultiRowInserts) {
+  // Every pair's index scans beside a writer whose statements INSERT
+  // kBatch rows each. A scan plans under the table lock and then runs
+  // unlocked while the writer appends to the index under the engine's
+  // own latches; bounded by its snapshot, it must see every row of an
+  // INSERT or none. At exhaustive settings (nprobe = clusters, efs >=
+  // rows) each answer is sorted, distinct and live, holds min(k, matching
+  // visible rows) rows, and for exact-distance pairs is the brute-force
+  // top k of some prefix of INSERTs the scan overlapped. (The rebuild-only
+  // pairs go stale at the first INSERT, so their scans become seq scans.)
+  const PrefixOracle oracle;
+  const std::string query = FormatVec(oracle.query());
+  for (const Pair& pair : kPairs) {
+    const std::string name = std::string(pair.engine) + "_" + pair.method;
+    SCOPED_TRACE(name);
+    const std::string dir = TestDir("inserts_" + name);
+    DatabaseOptions options;
+    options.pool_pages = 512;
+    // Stretches each scan between its plan and its engine call, so the
+    // writer's INSERTs land inside that window.
+    options.scan_delay_nanos_for_test = 2000;
+    auto db = MiniDatabase::Open(dir, options).ValueOrDie();
+    auto setup = db->CreateSession();
+    ASSERT_TRUE(
+        setup->Execute("CREATE TABLE t (id int, vec float[4], a int)").ok());
+    ASSERT_TRUE(setup
+                    ->Execute("INSERT INTO t VALUES " +
+                              oracle.Values(0, PrefixOracle::kBase))
+                    .ok());
+    ASSERT_TRUE(setup
+                    ->Execute(std::string("CREATE INDEX t_idx ON t USING ") +
+                              pair.method + " (vec) WITH (clusters=" +
+                              std::to_string(kClusters) +
+                              ", sample_ratio=1, m=2, pq_codes=16, bnn=8, "
+                              "efb=32, engine='" + pair.engine + "')")
+                    .ok());
+    // started: INSERTs issued; published: INSERTs returned. A scan that
+    // began after `published` reached lo and ended before `started`
+    // passed hi saw between lo and hi of them.
+    std::atomic<int> started{0};
+    std::atomic<int> published{0};
+    std::atomic<bool> done{false};
+    std::atomic<bool> failed{false};
+    std::thread writer([&] {
+      auto session = db->CreateSession();
+      for (int b = 0; b < PrefixOracle::kBatches && !failed.load(); ++b) {
+        started.store(b + 1);
+        auto result = session->Execute(
+            "INSERT INTO t VALUES " +
+            oracle.Values(PrefixOracle::kBase + b * PrefixOracle::kBatch,
+                          PrefixOracle::kBatch));
+        if (!result.ok()) {
+          ADD_FAILURE() << "INSERT failed: " << result.status().ToString();
+          failed.store(true);
+        }
+        published.store(b + 1);
+        // Room for scans between statements as well as during them.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+      done.store(true);
+    });
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+      readers.emplace_back([&, r] {
+        auto session = db->CreateSession();
+        for (int iter = 0; !failed.load() && (iter < 4 || !done.load());
+             ++iter) {
+          const int64_t a_below = (iter + r) % 2 == 1 ? 5 : -1;
+          const size_t limit = iter % 3 == 0 ? PrefixOracle::kTotal + 1 : 10;
+          std::string sql = "SELECT * FROM t ";
+          if (a_below >= 0) sql += "WHERE a < " + std::to_string(a_below) + " ";
+          sql += "ORDER BY vec <-> '" + query + "' OPTIONS (nprobe=" +
+                 std::to_string(kClusters) + ", efs=" +
+                 std::to_string(PrefixOracle::kTotal + 64) + ") LIMIT " +
+                 std::to_string(limit);
+          const int lo = published.load();
+          auto result = session->Execute(sql);
+          const int hi = started.load();
+          const std::string error =
+              result.ok() ? oracle.Check(result->rows, lo, hi, a_below, limit,
+                                         pair.exact_distances)
+                          : result.status().ToString();
+          if (!error.empty()) {
+            ADD_FAILURE() << sql << ": " << error;
+            failed.store(true);
+          }
+        }
+      });
+    }
+    writer.join();
+    for (auto& reader : readers) reader.join();
+    setup.reset();
+    db.reset();
+    std::filesystem::remove_all(dir);
+    if (HasFailure()) return;
+  }
 }
 
 }  // namespace
