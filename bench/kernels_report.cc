@@ -17,6 +17,9 @@
 // The "wal" block times heap inserts of 128-d rows through the buffer
 // manager with and without a write-ahead log attached, and the log bytes
 // each row costs: the durability tax on the generalized engine's writes.
+// Its "sql" rows time PASE ivfflat and hnsw through a MiniDatabase with the
+// WAL on: CREATE INDEX over a loaded table, then one-row INSERTs, each
+// with the WAL bytes it logged.
 //
 // Usage: kernels_report [output.json]   (default ./BENCH_kernels.json)
 //
@@ -25,6 +28,7 @@
 // file, not interactive tables.
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -45,8 +49,11 @@
 #include "pgstub/wal.h"
 #include "quantizer/pq.h"
 #include "quantizer/sq8.h"
+#include "obs/metrics.h"
+#include "sql/database.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
+#include "sql/session.h"
 
 namespace vecdb {
 namespace {
@@ -320,12 +327,6 @@ void AppendIngest(std::string* json, const IngestTimes& t) {
 constexpr int kWalRows = 20000;
 constexpr size_t kWalPoolPages = 2048;
 
-struct WalTimes {
-  double insert_us_no_wal = 0;
-  double insert_us_wal = 0;
-  double wal_bytes_per_row = 0;
-};
-
 /// Best-of-kRepetitions per-row time of a fresh kWalRows-row heap load,
 /// with a WAL attached when `log_bytes` is non-null (set to its size).
 double TimeHeapLoad(bool with_wal, double* log_bytes) {
@@ -358,6 +359,90 @@ double TimeHeapLoad(bool with_wal, double* log_bytes) {
   return static_cast<double>(best) / kWalRows / 1e3;
 }
 
+// SQL rows of the WAL block: a kWalSqlRows-row table of 128-d rows is
+// loaded untimed, then CREATE INDEX and kWalSqlInserts one-row INSERTs are
+// timed (best of kWalSqlRepetitions fresh databases), with the bytes the
+// WAL logged for each (the wal.bytes counter, which survives rotation).
+constexpr size_t kWalSqlRows = 5000;
+constexpr int kWalSqlInserts = 1000;
+constexpr int kWalSqlRepetitions = 3;
+constexpr size_t kWalSqlPoolPages = 16384;
+
+struct WalSqlTimes {
+  double create_index_s = 0;
+  double create_index_wal_bytes = 0;
+  double inserts_s = 0;
+  double inserts_wal_bytes = 0;
+};
+
+WalSqlTimes TimeWalSql(const std::string& create_index) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "vecdb_kernels_wal_sql")
+          .string();
+  const std::string load = bench::InsertStatement(kWalSqlRows, kDim, 19);
+  const auto rows = RandomVectors(kWalSqlInserts, kDim, 20);
+  std::vector<std::string> inserts;
+  char buf[32];
+  for (int i = 0; i < kWalSqlInserts; ++i) {
+    std::string sql =
+        "INSERT INTO items VALUES (" + std::to_string(kWalSqlRows + i) + ", '";
+    for (size_t t = 0; t < kDim; ++t) {
+      if (t != 0) sql += ',';
+      sql.append(buf, std::to_chars(buf, buf + sizeof(buf),
+                                    rows[i * kDim + t])
+                          .ptr);
+    }
+    inserts.push_back(sql + "')");
+  }
+  auto must = [](sql::Session* session, const std::string& sql) {
+    auto result = session->Execute(sql);
+    if (!result.ok()) {
+      std::fprintf(stderr, "[kernels_report] %s\n",
+                   result.status().ToString().c_str());
+      std::abort();
+    }
+  };
+  const auto& metrics = obs::MetricsRegistry::Global();
+  WalSqlTimes best;
+  for (int rep = 0; rep < kWalSqlRepetitions; ++rep) {
+    std::filesystem::remove_all(dir);
+    sql::DatabaseOptions options;
+    options.pool_pages = kWalSqlPoolPages;
+    auto db = sql::MiniDatabase::Open(dir, options).ValueOrDie();
+    auto session = db->CreateSession();
+    must(session.get(), "CREATE TABLE items (id int, vec float[" +
+                            std::to_string(kDim) + "])");
+    must(session.get(), load);
+    uint64_t logged = metrics.Value(obs::Counter::kWalBytes);
+    Timer index_timer;
+    must(session.get(), create_index);
+    const double index_s = index_timer.ElapsedSeconds();
+    const uint64_t index_bytes = metrics.Value(obs::Counter::kWalBytes) - logged;
+    logged = metrics.Value(obs::Counter::kWalBytes);
+    Timer insert_timer;
+    for (const std::string& insert : inserts) must(session.get(), insert);
+    const double inserts_s = insert_timer.ElapsedSeconds();
+    const uint64_t insert_bytes =
+        metrics.Value(obs::Counter::kWalBytes) - logged;
+    if (rep == 0 || index_s < best.create_index_s) {
+      best.create_index_s = index_s;
+    }
+    if (rep == 0 || inserts_s < best.inserts_s) best.inserts_s = inserts_s;
+    best.create_index_wal_bytes = static_cast<double>(index_bytes);
+    best.inserts_wal_bytes = static_cast<double>(insert_bytes);
+  }
+  std::filesystem::remove_all(dir);
+  return best;
+}
+
+struct WalTimes {
+  double insert_us_no_wal = 0;
+  double insert_us_wal = 0;
+  double wal_bytes_per_row = 0;
+  WalSqlTimes pase_ivfflat;
+  WalSqlTimes pase_hnsw;
+};
+
 WalTimes TimeWal() {
   std::fprintf(stderr, "[kernels_report] timing wal...\n");
   WalTimes out;
@@ -365,22 +450,48 @@ WalTimes TimeWal() {
   out.insert_us_no_wal = TimeHeapLoad(false, nullptr);
   out.insert_us_wal = TimeHeapLoad(true, &log_bytes);
   out.wal_bytes_per_row = log_bytes / kWalRows;
+  std::fprintf(stderr, "[kernels_report] timing wal sql rows...\n");
+  out.pase_ivfflat = TimeWalSql(
+      "CREATE INDEX items_idx ON items USING ivfflat (vec) WITH "
+      "(clusters=70, engine='pase')");
+  out.pase_hnsw = TimeWalSql(
+      "CREATE INDEX items_idx ON items USING hnsw (vec) WITH "
+      "(engine='pase')");
   return out;
 }
 
+void AppendWalSql(std::string* json, const char* name, const WalSqlTimes& t,
+                  bool last) {
+  char buf[320];
+  std::snprintf(buf, sizeof(buf),
+                "      \"%s\": {\"create_index_s\": %.3f, "
+                "\"create_index_wal_bytes\": %.0f, \"inserts_s\": %.3f, "
+                "\"inserts_wal_bytes\": %.0f}%s\n",
+                name, t.create_index_s, t.create_index_wal_bytes, t.inserts_s,
+                t.inserts_wal_bytes, last ? "" : ",");
+  *json += buf;
+}
+
 void AppendWal(std::string* json, const WalTimes& t) {
-  char buf[384];
+  char buf[640];
   std::snprintf(buf, sizeof(buf),
                 "  \"wal\": {\n"
                 "    \"config\": {\"rows\": %d, \"d\": %zu, "
                 "\"page_size\": 8192},\n"
                 "    \"heap_insert_us_no_wal\": %.3f,\n"
                 "    \"heap_insert_us_wal\": %.3f,\n"
-                "    \"wal_bytes_per_row\": %.1f\n"
-                "  }\n",
+                "    \"wal_bytes_per_row\": %.1f,\n"
+                "    \"sql\": {\n"
+                "      \"config\": {\"rows\": %zu, \"d\": %zu, "
+                "\"one_row_inserts\": %d, \"pool_pages\": %zu, "
+                "\"ivfflat_clusters\": 70, \"repetitions\": %d},\n",
                 kWalRows, kDim, t.insert_us_no_wal, t.insert_us_wal,
-                t.wal_bytes_per_row);
+                t.wal_bytes_per_row, kWalSqlRows, kDim, kWalSqlInserts,
+                kWalSqlPoolPages, kWalSqlRepetitions);
   *json += buf;
+  AppendWalSql(json, "pase_ivfflat", t.pase_ivfflat, false);
+  AppendWalSql(json, "pase_hnsw", t.pase_hnsw, true);
+  *json += "    }\n  }\n";
 }
 
 int Run(const char* out_path) {

@@ -151,10 +151,10 @@ echo "=== build-tsan: concurrent in-filter bitmap smoke (filter_test) ==="
 ./build-tsan/tests/filter_test \
   --gtest_filter='FilteredSearchTest.ConcurrentInFilterSharedBitmap'
 
-# Recovery stage, part 2: writers appending WAL records through the
-# buffer manager while a checkpointer loops flush/sync/checkpoint/rotate.
-# The WAL's internal mutex, the sticky wal_error latch, and rotation's
-# swap of the underlying file are all shared state; TSan makes any
+# Recovery stage, part 2: heap writers appending WAL records while a
+# checkpointer loops flush/sync/checkpoint/rotate. The WAL's internal
+# mutex, the buffer pool's dirty flags, and rotation's swap of the
+# underlying file are all shared state; TSan makes any
 # unlocked access a hard failure instead of a one-in-a-thousand torn log.
 echo "=== build-tsan: concurrent logging+checkpoint smoke (recovery_test) ==="
 ./build-tsan/tests/recovery_test \

@@ -217,7 +217,8 @@ Result<std::vector<Neighbor>> BridgedIvfFlatIndex::Search(
     }
     return ScanBucketPages(b, query, sink, ctx.profiler, counters);
   };
-  auto flush_counters = [metrics](const obs::SearchCounters& sc) {
+  auto flush_counters = [metrics, &ctx](const obs::SearchCounters& sc) {
+    ctx.CountTuples(sc.tuples_visited);
     metrics->AddUnchecked(obs::Counter::kBridgeBucketsProbed,
                           sc.buckets_probed);
     metrics->AddUnchecked(obs::Counter::kBridgeTuplesVisited,

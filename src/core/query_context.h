@@ -41,6 +41,18 @@ struct QueryContext {
   /// the statement within one checkpoint interval.
   const std::atomic<bool>* cancel = nullptr;
 
+  /// Per-statement tally of the tuples the engines visited (the SQL
+  /// layer's rows_scanned); null means "not counted". Engines add to it
+  /// where they flush their SearchCounters, so it holds this statement's
+  /// traffic alone, whatever other statements run beside it.
+  std::atomic<uint64_t>* tuples_visited = nullptr;
+
+  void CountTuples(uint64_t n) const {
+    if (tuples_visited != nullptr) {
+      tuples_visited->fetch_add(n, std::memory_order_relaxed);
+    }
+  }
+
   /// Absolute statement deadline on the NowNanos() (steady) clock; 0 means
   /// no deadline. Resolved by the SQL layer from statement_timeout_ms
   /// (statement OPTIONS > session default > DatabaseOptions).

@@ -50,6 +50,7 @@ Result<std::vector<Neighbor>> FlatIndex::Search(
     heap.Push(dist, ids_[i]);
   }
   if (metrics != nullptr) {
+    params.ctx.CountTuples(ids_.size());
     metrics->AddUnchecked(obs::Counter::kFaissQueries);
     metrics->AddUnchecked(obs::Counter::kFaissTuplesVisited, ids_.size());
     metrics->AddUnchecked(obs::Counter::kFaissHeapPushes, ids_.size());

@@ -323,6 +323,7 @@ Result<std::vector<Neighbor>> HnswIndex::PreFilterSearch(
     counters.heap_pushes += gathered_ids.size();
   }
   if (metrics != nullptr) {
+    params.ctx.CountTuples(counters.tuples_visited);
     counters.FlushTo(metrics, obs::Counter::kFaissBucketsProbed,
                      obs::Counter::kFaissTuplesVisited,
                      obs::Counter::kFaissHeapPushes);
@@ -363,6 +364,7 @@ Result<std::vector<Neighbor>> HnswIndex::SearchGraph(
     if constexpr (!Gate::kFiltered) {
       metrics->AddUnchecked(obs::Counter::kFaissQueries);
     }
+    params.ctx.CountTuples(counters.tuples_visited);
     counters.FlushTo(metrics, obs::Counter::kFaissBucketsProbed,
                      obs::Counter::kFaissTuplesVisited,
                      obs::Counter::kFaissHeapPushes);

@@ -219,7 +219,9 @@ class IvfScanIndex : public VectorIndex {
     return out;
   }
 
-  static void Flush(obs::MetricsRegistry* m, const obs::SearchCounters& sc) {
+  static void Flush(const QueryContext& ctx, obs::MetricsRegistry* m,
+                    const obs::SearchCounters& sc) {
+    ctx.CountTuples(sc.tuples_visited);
     sc.FlushTo(m, obs::Counter::kFaissBucketsProbed,
                obs::Counter::kFaissTuplesVisited,
                obs::Counter::kFaissHeapPushes);
@@ -497,7 +499,7 @@ Result<std::vector<Neighbor>> IvfScanIndex<Derived>::Search(
   }
   if (metrics != nullptr) {
     for (int w = 1; w < workers; ++w) counters[0].MergeFrom(counters[w]);
-    Flush(metrics, counters[0]);
+    Flush(ctx, metrics, counters[0]);
   }
   return derived().Refine(query, std::move(top), params.k, ctx.profiler);
 }
@@ -565,7 +567,7 @@ Result<std::vector<std::vector<Neighbor>>> IvfScanIndex<Derived>::SearchBatch(
   VECDB_RETURN_NOT_OK(ctx.CheckStop(Derived::kName));
   if (metrics != nullptr) {
     for (int w = 1; w < workers; ++w) counters[0].MergeFrom(counters[w]);
-    Flush(metrics, counters[0]);
+    Flush(ctx, metrics, counters[0]);
   }
   return results;
 }
@@ -604,7 +606,7 @@ Result<std::vector<Neighbor>> IvfScanIndex<Derived>::FilteredScan(
       counters.buckets_probed = 0;
       counters.bitmap_probes = 0;
     }
-    Flush(metrics, counters);
+    Flush(ctx, metrics, counters);
   }
   return derived().Refine(query, heap.TakeSorted(), params.k, ctx.profiler);
 }

@@ -533,6 +533,7 @@ Result<std::vector<Neighbor>> PaseHnswIndex::PreFilterSearch(
     env_.bufmgr->Unpin(handle, false);
   }
   if (metrics != nullptr) {
+    params.ctx.CountTuples(counters.tuples_visited);
     counters.FlushTo(metrics, obs::Counter::kPaseBucketsProbed,
                      obs::Counter::kPaseTuplesVisited,
                      obs::Counter::kPaseHeapPushes);
@@ -579,6 +580,7 @@ Result<std::vector<Neighbor>> PaseHnswIndex::SearchGraph(
   }
   if (metrics != nullptr) {
     metrics->AddUnchecked(obs::Counter::kPaseQueries);
+    params.ctx.CountTuples(counters.tuples_visited);
     counters.FlushTo(metrics, obs::Counter::kPaseBucketsProbed,
                      obs::Counter::kPaseTuplesVisited,
                      obs::Counter::kPaseHeapPushes);

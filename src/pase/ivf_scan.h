@@ -226,7 +226,9 @@ class PaseIvfScanIndex : public VectorIndex {
     return Status::OK();
   }
 
-  static void Flush(obs::MetricsRegistry* m, const obs::SearchCounters& sc) {
+  static void Flush(const QueryContext& ctx, obs::MetricsRegistry* m,
+                    const obs::SearchCounters& sc) {
+    ctx.CountTuples(sc.tuples_visited);
     sc.FlushTo(m, obs::Counter::kPaseBucketsProbed,
                obs::Counter::kPaseTuplesVisited,
                obs::Counter::kPaseHeapPushes);
@@ -423,11 +425,8 @@ Status PaseIvfScanIndex<Derived>::AppendToBucket(uint32_t bucket,
     pgstub::PageView page(handle.data, env_.bufmgr->page_size());
     const pgstub::OffsetNumber slot =
         page.AddItem(tuple.data(), static_cast<uint16_t>(tuple_bytes));
-    if (slot != pgstub::kInvalidOffset) {
-      env_.bufmgr->UnpinAppended(handle, slot);
-      return Status::OK();
-    }
-    env_.bufmgr->Unpin(handle, false);
+    env_.bufmgr->Unpin(handle, slot != pgstub::kInvalidOffset);
+    if (slot != pgstub::kInvalidOffset) return Status::OK();
   }
 
   // Chain a fresh page onto the bucket.
@@ -438,12 +437,11 @@ Status PaseIvfScanIndex<Derived>::AppendToBucket(uint32_t bucket,
       pgstub::kInvalidBlock;
   const pgstub::OffsetNumber slot =
       page.AddItem(tuple.data(), static_cast<uint16_t>(tuple_bytes));
+  env_.bufmgr->Unpin(fresh.second, true);
   if (slot == pgstub::kInvalidOffset) {
-    env_.bufmgr->Unpin(fresh.second, true);
     return Status::Internal(std::string(Derived::kName) +
                             ": tuple larger than a page");
   }
-  env_.bufmgr->UnpinAppended(fresh.second, slot);
 
   if (chain.tail != pgstub::kInvalidBlock) {
     VECDB_ASSIGN_OR_RETURN(pgstub::BufferHandle prev,
@@ -574,7 +572,7 @@ Result<std::vector<Neighbor>> PaseIvfScanIndex<Derived>::Search(
   VECDB_RETURN_NOT_OK(ctx.CheckStop(Derived::kName));
   if (metrics != nullptr) {
     for (int w = 1; w < workers; ++w) counters[0].MergeFrom(counters[w]);
-    Flush(metrics, counters[0]);
+    Flush(ctx, metrics, counters[0]);
   }
   ParallelAccounting* acct = ctx.accounting;
   const bool account_pop = acct != nullptr && workers > 1;
@@ -633,7 +631,7 @@ Result<std::vector<Neighbor>> PaseIvfScanIndex<Derived>::FilteredScan(
       counters.buckets_probed = 0;
       counters.bitmap_probes = 0;
     }
-    Flush(metrics, counters);
+    Flush(ctx, metrics, counters);
   }
   return derived().TakeTopK(collector, params.k);
 }

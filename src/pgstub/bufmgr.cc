@@ -34,10 +34,10 @@ Result<int32_t> BufferManager::AllocFrame() {
       continue;
     }
     // Victim: write back if dirty, drop the mapping. WAL-before-data:
-    // the page's full-page image (logged at Unpin) must be durable before
-    // the page itself overwrites its on-disk predecessor.
+    // the records its writer logged must be durable before the page
+    // itself overwrites its on-disk predecessor.
     if (f.dirty) {
-      if (wal_ != nullptr) VECDB_RETURN_NOT_OK(wal_->Flush());
+      if (WalManager* wal = this->wal()) VECDB_RETURN_NOT_OK(wal->Flush());
       VECDB_RETURN_NOT_OK(smgr_->WriteBlock(
           f.rel, f.block, pool_.data() + frame_idx * smgr_->page_size()));
       f.dirty = false;
@@ -79,7 +79,6 @@ Result<BufferHandle> BufferManager::Pin(RelId rel, BlockId block) {
   f.usage = 1;
   f.dirty = false;
   f.valid = true;
-  f.fresh = false;
   table_[TagKey(rel, block)] = frame;
   return BufferHandle{frame, data};
 }
@@ -97,7 +96,6 @@ Result<std::pair<BlockId, BufferHandle>> BufferManager::NewPage(RelId rel) {
   f.usage = 1;
   f.dirty = true;
   f.valid = true;
-  f.fresh = true;
   table_[TagKey(rel, block)] = frame;
   ++stats_.pins;
   obs::MetricsRegistry::Global().Add(obs::Counter::kBufmgrPin);
@@ -105,16 +103,6 @@ Result<std::pair<BlockId, BufferHandle>> BufferManager::NewPage(RelId rel) {
 }
 
 void BufferManager::Unpin(const BufferHandle& handle, bool dirty) {
-  Release(handle, dirty, kInvalidOffset);
-}
-
-void BufferManager::UnpinAppended(const BufferHandle& handle,
-                                  OffsetNumber slot) {
-  Release(handle, /*dirty=*/true, slot);
-}
-
-void BufferManager::Release(const BufferHandle& handle, bool dirty,
-                            OffsetNumber slot) {
   if (!handle.valid()) return;
   MutexLock guard(mu_);
   Frame& f = frames_[handle.frame];
@@ -123,20 +111,14 @@ void BufferManager::Release(const BufferHandle& handle, bool dirty,
   VECDB_DCHECK_GT(f.pin_count, 0) << "Unpin of frame " << handle.frame
                                   << " that is not pinned";
   if (f.pin_count > 0) --f.pin_count;
-  // Only the NewPage pin's own unpin may log an init record.
-  const bool fresh = f.fresh;
-  f.fresh = false;
-  if (!dirty) return;
-  f.dirty = true;
-  if (wal_ == nullptr) return;
-  const char* page = pool_.data() + static_cast<size_t>(handle.frame) *
-                                        smgr_->page_size();
-  auto logged =
-      slot == kInvalidOffset
-          ? wal_->LogFullPage(f.rel, f.block, page, smgr_->page_size())
-          : wal_->LogAppend(f.rel, f.block, page, smgr_->page_size(), slot,
-                            fresh);
-  if (!logged.ok() && wal_error_.ok()) wal_error_ = logged.status();
+  if (dirty) f.dirty = true;
+}
+
+void BufferManager::MarkDirty(const BufferHandle& handle) {
+  MutexLock guard(mu_);
+  VECDB_DCHECK_GT(frames_[handle.frame].pin_count, 0)
+      << "MarkDirty of frame " << handle.frame << " that is not pinned";
+  frames_[handle.frame].dirty = true;
 }
 
 void BufferManager::CheckInvariants() const {
@@ -179,10 +161,9 @@ Status BufferManager::FlushAll() {
           " block " + std::to_string(f.block));
     }
   }
-  // WAL-before-data, wholesale: every dirty page about to be written has a
-  // full-page image in the log (from its dirty Unpin); force those out
+  // WAL-before-data, wholesale: force out every record logged so far
   // before any page write can clobber its on-disk predecessor.
-  if (wal_ != nullptr) VECDB_RETURN_NOT_OK(wal_->Flush());
+  if (WalManager* wal = this->wal()) VECDB_RETURN_NOT_OK(wal->Flush());
   for (size_t i = 0; i < frames_.size(); ++i) {
     Frame& f = frames_[i];
     if (f.valid && f.dirty) {

@@ -3,13 +3,14 @@
 // PASE tuple access goes Pin -> line-pointer lookup -> Unpin; this
 // indirection — even with a 100% hit rate — is the paper's RC#2.
 //
-// Dirty unpins are where the WAL is written. A plain dirty Unpin logs the
-// page's full image, which is correct for any change. UnpinAppended is for
-// a writer that appended exactly one item: the WalManager logs just that
-// item when the page was already imaged since the last checkpoint, and a
-// page fresh from NewPage goes out as an init record instead of an image.
+// The buffer manager writes no WAL record. As in PostgreSQL, the access
+// method logs its own change (the heap, through WalManager::LogAppend) and
+// the buffer manager only enforces WAL-before-data: it flushes the log
+// before a dirty page is written back. Index relations are unlogged by
+// construction: recovery drops and rebuilds them from the heap.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -62,34 +63,20 @@ class BufferManager {
   Result<std::pair<BlockId, BufferHandle>> NewPage(RelId rel)
       VECDB_EXCLUDES(mu_);
 
-  /// Releases a pin; `dirty` marks the page for write-back. When a WAL is
-  /// attached, dirty unpins log a full-page image before the page becomes
-  /// eligible for eviction (WAL-before-data); logging failures surface via
-  /// wal_error().
+  /// Releases a pin; `dirty` marks the page for write-back.
   void Unpin(const BufferHandle& handle, bool dirty) VECDB_EXCLUDES(mu_);
 
-  /// Dirty unpin after the pin holder appended one item at `slot` and
-  /// changed nothing else (on a page from NewPage: Init, its special
-  /// space, then that first item). Logs through WalManager::LogAppend:
-  /// an item or init record where it suffices, else a full image.
-  void UnpinAppended(const BufferHandle& handle, OffsetNumber slot)
-      VECDB_EXCLUDES(mu_);
+  /// Marks a pinned page for write-back (PostgreSQL's MarkBufferDirty). A
+  /// writer that logs its change marks the page dirty first, then logs,
+  /// then unpins: while the record is not yet in the log the page is
+  /// pinned and dirty, so FlushAll refuses and no checkpoint can claim it.
+  void MarkDirty(const BufferHandle& handle) VECDB_EXCLUDES(mu_);
 
-  /// Attaches a write-ahead log (not owned; may be null to detach). Pages
-  /// changed while no WAL is attached are not logged, so attach it before
-  /// the first change the log must cover, or checkpoint right after.
-  void SetWal(WalManager* wal) VECDB_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    wal_ = wal;
-  }
-
-  /// First WAL logging failure observed by Unpin, if any. Returns a
-  /// snapshot by value: the underlying Status is mutated under the pool
-  /// lock by concurrent dirty unpins.
-  Status wal_error() const VECDB_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return wal_error_;
-  }
+  /// Attaches a write-ahead log (not owned; may be null to detach). Dirty
+  /// pages are written back only after the log is flushed; writers reach
+  /// the log through wal() to record their changes.
+  void SetWal(WalManager* wal) { wal_.store(wal, std::memory_order_release); }
+  WalManager* wal() const { return wal_.load(std::memory_order_acquire); }
 
   /// Writes all dirty pages back to storage. Fails with InvalidArgument
   /// (flushing nothing) if any dirty page is pinned: pin holders mutate
@@ -129,9 +116,6 @@ class BufferManager {
     uint8_t usage = 0;
     bool dirty = false;
     bool valid = false;
-    /// From NewPage and not yet unpinned: its first record may be an init
-    /// record rather than an image.
-    bool fresh = false;
   };
 
   static uint64_t TagKey(RelId rel, BlockId block) {
@@ -141,11 +125,6 @@ class BufferManager {
   /// Finds a victim frame via clock sweep; evicts (writing back if dirty).
   /// Returns -1 with ResourceExhausted if all frames are pinned.
   Result<int32_t> AllocFrame() VECDB_REQUIRES(mu_);
-
-  /// Unpin body: releases the pin and, when `dirty`, logs the page — an
-  /// append through LogAppend when `slot` is valid, else a full image.
-  void Release(const BufferHandle& handle, bool dirty, OffsetNumber slot)
-      VECDB_EXCLUDES(mu_);
 
   StorageManager* smgr_;       // const after construction
   const size_t num_frames_;    // frames_.size(), readable without the lock
@@ -157,8 +136,8 @@ class BufferManager {
   std::unordered_map<uint64_t, int32_t> table_ VECDB_GUARDED_BY(mu_);
   size_t clock_hand_ VECDB_GUARDED_BY(mu_) = 0;
   BufferStats stats_ VECDB_GUARDED_BY(mu_);
-  WalManager* wal_ VECDB_GUARDED_BY(mu_) = nullptr;
-  Status wal_error_ VECDB_GUARDED_BY(mu_);
+  /// Atomic, not guarded: every heap insert reads it.
+  std::atomic<WalManager*> wal_{nullptr};
   mutable Mutex mu_;
 };
 

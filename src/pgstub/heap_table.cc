@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "common/check.h"
@@ -78,33 +79,50 @@ Result<TupleId> HeapTable::Insert(int64_t row_id, const float* vec,
   }
 
   // Try the current tail page first; extend on overflow.
-  if (last_block_ != kInvalidBlock) {
-    VECDB_ASSIGN_OR_RETURN(BufferHandle handle,
-                           bufmgr_->Pin(rel_, last_block_));
-    PageView page(handle.data, bufmgr_->page_size());
-    const OffsetNumber slot =
-        page.AddItem(tuple.data(), static_cast<uint16_t>(tuple.size()));
-    if (slot != kInvalidOffset) {
-      bufmgr_->UnpinAppended(handle, slot);
-      ++num_rows_;
-      return TupleId{last_block_, slot};
+  const uint16_t len = static_cast<uint16_t>(tuple.size());
+  BlockId block = last_block_;
+  BufferHandle handle;
+  OffsetNumber slot = kInvalidOffset;
+  PageView::Header before{};
+  if (block != kInvalidBlock) {
+    VECDB_ASSIGN_OR_RETURN(handle, bufmgr_->Pin(rel_, block));
+    std::memcpy(&before, handle.data, sizeof(before));
+    slot = PageView(handle.data, bufmgr_->page_size())
+               .AddItem(tuple.data(), len);
+    if (slot == kInvalidOffset) bufmgr_->Unpin(handle, /*dirty=*/false);
+  }
+  const bool fresh = slot == kInvalidOffset;
+  if (fresh) {
+    VECDB_ASSIGN_OR_RETURN(auto extended, bufmgr_->NewPage(rel_));
+    std::tie(block, handle) = extended;
+    // The new page is the tail even if this insert fails, so rows stay
+    // dense (row r at block r / rows_per_page()).
+    last_block_ = block;
+    PageView view(handle.data, bufmgr_->page_size());
+    view.Init(/*special_size=*/0);
+    std::memcpy(&before, handle.data, sizeof(before));
+    slot = view.AddItem(tuple.data(), len);
+    if (slot == kInvalidOffset) {
+      bufmgr_->Unpin(handle, /*dirty=*/true);
+      return Status::Internal("HeapTable: tuple does not fit on a fresh page");
     }
-    bufmgr_->Unpin(handle, /*dirty=*/false);
   }
 
-  VECDB_ASSIGN_OR_RETURN(auto fresh, bufmgr_->NewPage(rel_));
-  PageView page(fresh.second.data, bufmgr_->page_size());
-  page.Init(/*special_size=*/0);
-  const OffsetNumber slot =
-      page.AddItem(tuple.data(), static_cast<uint16_t>(tuple.size()));
-  if (slot == kInvalidOffset) {
-    bufmgr_->Unpin(fresh.second, /*dirty=*/true);
-    return Status::Internal("HeapTable: tuple does not fit on a fresh page");
+  // PostgreSQL's order: mark the page dirty, log the item, then unpin.
+  // A failed log takes the item back off the page, so the row is either
+  // in the heap and in the log, or in neither.
+  Status logged;
+  if (WalManager* wal = bufmgr_->wal()) {
+    bufmgr_->MarkDirty(handle);
+    logged = wal->LogAppend(rel_, block, handle.data, bufmgr_->page_size(),
+                            slot, fresh)
+                 .status();
+    if (!logged.ok()) std::memcpy(handle.data, &before, sizeof(before));
   }
-  bufmgr_->UnpinAppended(fresh.second, slot);
-  last_block_ = fresh.first;
+  bufmgr_->Unpin(handle, /*dirty=*/true);
+  VECDB_RETURN_NOT_OK(logged);
   ++num_rows_;
-  return TupleId{fresh.first, slot};
+  return TupleId{block, slot};
 }
 
 Status HeapTable::Read(TupleId tid, int64_t* row_id, float* vec,

@@ -4,6 +4,11 @@
 // and one more cost a generalized vector database pays on writes that a
 // specialized in-memory system does not.
 //
+// The log covers the heap alone. HeapTable::Insert logs its own appends;
+// the buffer manager writes no record and only flushes the log before a
+// dirty page is written back. Index relations are unlogged: recovery drops
+// them before REDO and rebuilds every index from the heap.
+//
 // Like PostgreSQL's full_page_writes, a page's full image is logged at
 // most once per checkpoint cycle: on its first change after a checkpoint.
 // Later appends to it log only the appended item (XLOG_HEAP_INSERT), and a
@@ -98,7 +103,7 @@ struct WalTombstone {
 ///
 /// Thread-safe: an internal mutex serializes appends, flushes, and
 /// rotation, so LSNs stay dense and record frames never interleave even
-/// when several components (dirty unpins via the buffer manager,
+/// when several components (heap inserts from concurrent sessions,
 /// checkpointers, tests) log concurrently. The same mutex guards the set
 /// of pages imaged since the last checkpoint, so the image-or-item choice
 /// is ordered against the checkpoint record. The discipline is statically

@@ -80,7 +80,7 @@ struct DeleteStmt {
 /// SHOW METRICS; / SHOW METRICS RESET; / SHOW SESSIONS;
 struct ShowStmt {
   enum class What {
-    kMetrics,   ///< registry export plus WAL health lines
+    kMetrics,   ///< registry export plus WAL gauge lines
     kSessions,  ///< per-session table: id, state, statements, in-flight
   };
   What what = What::kMetrics;

@@ -16,16 +16,6 @@
 namespace vecdb::sql {
 
 namespace {
-/// Sum of every engine's tuples-visited counter in `m`; the before/after
-/// delta of this across one statement is the executor's rows_scanned.
-/// Under concurrency the delta can include other statements' traffic
-/// (counters are process-wide unless the session sets a private sink).
-uint64_t TuplesVisitedSnapshot(const obs::MetricsRegistry& m) {
-  return m.Value(obs::Counter::kFaissTuplesVisited) +
-         m.Value(obs::Counter::kPaseTuplesVisited) +
-         m.Value(obs::Counter::kBridgeTuplesVisited);
-}
-
 /// Row-image column layout predicates bind against: the id column first,
 /// then the attribute columns in declaration order.
 std::vector<std::string> PredicateColumns(const CreateTableStmt& schema) {
@@ -172,14 +162,11 @@ Result<std::unique_ptr<MiniDatabase>> MiniDatabase::Open(
       options.max_concurrent_queries, options.max_inflight_per_session);
   db->sessions_ = std::make_unique<SessionManager>(db.get());
   db->wal_ = std::move(wal);
+  db->bufmgr_.SetWal(db->wal_.get());
   {
     WriterMutexLock lock(db->catalog_mu_);
     VECDB_RETURN_NOT_OK(db->RecoverFrom(catalog, wal_tombstones));
   }
-  // Attach the WAL only now: index rebuilds above regenerate state that is
-  // already recoverable from the heap, so logging their pages would only
-  // bloat the fresh log.
-  db->bufmgr_.SetWal(db->wal_.get());
   // End-of-recovery checkpoint (PostgreSQL does the same): makes the
   // recovered pages durable and resets the WAL so the next crash replays
   // only new work.
@@ -634,7 +621,6 @@ Status MiniDatabase::InsertRowsLocked(TableEntry& table,
     // The row is in the heap: extend the predicate columns before any
     // other exit, so they stay one-for-one with the heap.
     AppendPredicateRow(row.id, attrs, &table.state->columns);
-    VECDB_RETURN_NOT_OK(bufmgr_.wal_error());
     for (const auto& index_name : table.indexes) {
       auto idx = indexes_.find(index_name);
       if (idx != indexes_.end()) {
@@ -1023,9 +1009,8 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
     scan.filter.est_selectivity = plan.est_selectivity;
     scan.filter.planner = planner;
   }
-  const obs::MetricsRegistry& scan_registry =
-      sink != nullptr ? *sink : obs::MetricsRegistry::Global();
-  const uint64_t visited_before = TuplesVisitedSnapshot(scan_registry);
+  std::atomic<uint64_t> visited{0};
+  scan.ctx.tuples_visited = &visited;
   VECDB_ASSIGN_OR_RETURN(std::unique_ptr<pgstub::IndexScanCursor> cursor,
                          chosen->am->AmBeginScan(stmt.query.data(), scan));
   QueryResult out;
@@ -1038,12 +1023,11 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
     if (!more) break;
     out.rows.push_back({nb.id, nb.dist});
   }
-  // The engine flushed its scan counters when the scan materialized in
-  // AmBeginScan, so the delta is this statement's tuple traffic. Fall back
-  // to the result size if the registry was toggled off mid-statement.
-  const uint64_t delta = TuplesVisitedSnapshot(scan_registry) - visited_before;
-  out.stats.rows_scanned =
-      std::max<uint64_t>(delta, out.rows.size());
+  // The engine counted its tuples when the scan materialized in
+  // AmBeginScan. Engines count only while metrics are on, so fall back to
+  // the result size if the registry is off.
+  out.stats.rows_scanned = std::max<uint64_t>(
+      visited.load(std::memory_order_relaxed), out.rows.size());
   return out;
 }
 
@@ -1078,19 +1062,14 @@ Result<QueryResult> MiniDatabase::ExecShow(const ShowStmt& stmt) {
   auto& metrics = obs::MetricsRegistry::Global();
   out.message = metrics.ExportTable();
   // Resolved kernel tier: a config fact, not a counter, so it rides along
-  // as its own line like the wal.* health lines below.
+  // as its own line like the wal.* gauge lines below.
   out.message +=
       std::string("distance.isa: ") + KernelIsaName(ActiveKernelIsa()) + "\n";
-  // WAL health lines: the sticky wal_error() surfaces logging failures
-  // that would otherwise hide inside void Unpin calls.
   if (wal_ != nullptr) {
     out.message += "wal.next_lsn: " + std::to_string(wal_->next_lsn()) + "\n";
     out.message +=
         "wal.size_bytes: " + std::to_string(wal_->size_bytes()) + "\n";
   }
-  const Status wal_error = bufmgr_.wal_error();
-  out.message +=
-      "wal.error: " + (wal_error.ok() ? "none" : wal_error.ToString()) + "\n";
   if (stmt.reset) metrics.ResetAll();
   return out;
 }

@@ -269,9 +269,47 @@ TEST(SessionApiTest, MetricsSinkRoutesIndexScanCounters) {
                            sink.Value(obs::Counter::kFaissTuplesVisited) +
                            sink.Value(obs::Counter::kBridgeTuplesVisited);
   EXPECT_EQ(visited, 32u);
-  // rows_scanned was computed from the sink's counters, not the global's.
+  // rows_scanned counts the same tuples the sink saw.
   EXPECT_EQ(session->last_stats().rows_scanned, visited);
   session->SetMetricsSink(nullptr);
+}
+
+// rows_scanned is the statement's own tuple count: a second session
+// scanning every cluster at the same time must not add to it.
+TEST(SessionApiTest, RowsScannedIgnoresAConcurrentSessionsScans) {
+  auto db = MiniDatabase::Open(TestDir("data"), SmallPool()).ValueOrDie();
+  auto reader = db->CreateSession();
+  ASSERT_TRUE(reader->Execute("CREATE TABLE t (id int, vec float[4])").ok());
+  for (int b = 0; b < 8; ++b) {
+    ASSERT_TRUE(reader->Execute(InsertBatch(b * 500, 500)).ok());
+  }
+  ASSERT_TRUE(reader->Execute("CREATE INDEX t_idx ON t USING ivfflat "
+                              "(vec) WITH (clusters=4, sample_ratio=1)")
+                  .ok());
+  const std::string narrow =
+      "SELECT id FROM t ORDER BY vec <-> '1,1,1,1' OPTIONS (nprobe=1) "
+      "LIMIT 5";
+  ASSERT_TRUE(reader->Execute(narrow).ok());
+  const uint64_t alone = reader->last_stats().rows_scanned;
+  ASSERT_GT(alone, 0u);
+  ASSERT_LT(alone, 4000u);
+
+  std::atomic<bool> done{false};
+  std::thread wide([&] {
+    auto session = db->CreateSession();
+    while (!done.load(std::memory_order_relaxed)) {
+      EXPECT_TRUE(session
+                      ->Execute("SELECT id FROM t ORDER BY vec <-> "
+                                "'3,3,3,3' OPTIONS (nprobe=4) LIMIT 5")
+                      .ok());
+    }
+  });
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(reader->Execute(narrow).ok());
+    EXPECT_EQ(reader->last_stats().rows_scanned, alone) << "statement " << i;
+  }
+  done.store(true, std::memory_order_relaxed);
+  wide.join();
 }
 
 TEST(SessionApiTest, ResultsAreIndependentValues) {

@@ -13,6 +13,7 @@
 #include "pgstub/bufmgr.h"
 #include "pgstub/crc32c.h"
 #include "pgstub/heap_table.h"
+#include "pgstub/vfs.h"
 
 namespace vecdb::pgstub {
 namespace {
@@ -304,7 +305,6 @@ TEST(WalTest, CrashRecoveryRestoresUnflushedPages) {
     for (int i = 0; i < 50; ++i) {
       ASSERT_TRUE(table.Insert(i, vec).ok());
     }
-    ASSERT_TRUE(bufmgr.wal_error().ok());
     ASSERT_TRUE(wal.Flush().ok());
     // CRASH: destructors run, but dirty pages were never flushed. The
     // relation file contains zero pages beyond what NewPage pre-extended.
@@ -408,14 +408,21 @@ std::vector<std::vector<char>> ReadBlocks(StorageManager* smgr, RelId rel) {
   return blocks;
 }
 
-/// Appends one distinct 40-byte item to a pinned page and unpins it
-/// through UnpinAppended.
-void AppendItem(BufferManager* bufmgr, const BufferHandle& handle, char fill) {
+/// Appends one distinct 40-byte item to pinned block `block` of `rel`,
+/// logs it through WalManager::LogAppend (`fresh`: the page came from
+/// NewPage and has no record yet) and unpins the page dirty.
+void AppendItem(BufferManager* bufmgr, WalManager* wal, RelId rel,
+                BlockId block, const BufferHandle& handle, char fill,
+                bool fresh) {
   PageView page(handle.data, bufmgr->page_size());
   const std::vector<char> item(40, fill);
   const OffsetNumber slot = page.AddItem(item.data(), 40);
   ASSERT_NE(slot, kInvalidOffset);
-  bufmgr->UnpinAppended(handle, slot);
+  bufmgr->MarkDirty(handle);
+  ASSERT_TRUE(
+      wal->LogAppend(rel, block, handle.data, bufmgr->page_size(), slot, fresh)
+          .ok());
+  bufmgr->Unpin(handle, /*dirty=*/true);
 }
 
 TEST(WalItemTest, ItemAndInitRecordsReplayByteIdentically) {
@@ -428,17 +435,19 @@ TEST(WalItemTest, ItemAndInitRecordsReplayByteIdentically) {
         StorageManager::Open(data_dir, 512).ValueOrDie());
     auto wal = std::move(WalManager::Open(wal_path)).ValueOrDie();
     BufferManager bufmgr(smgr.get(), 8);
-    bufmgr.SetWal(&wal);
     rel = *smgr->CreateRelation("r");
     // Block 0: fresh, with 8 bytes of special space -> one init record.
     auto fresh = std::move(bufmgr.NewPage(rel)).ValueOrDie();
     PageView page(fresh.second.data, 512);
     page.Init(8);
     std::memset(page.Special(), 0x5A, 8);
-    AppendItem(&bufmgr, fresh.second, 1);
+    AppendItem(&bufmgr, &wal, rel, fresh.first, fresh.second, 1,
+               /*fresh=*/true);
     // Two more appends to it -> item records.
     for (char fill : {2, 3}) {
-      AppendItem(&bufmgr, std::move(bufmgr.Pin(rel, 0)).ValueOrDie(), fill);
+      AppendItem(&bufmgr, &wal, rel, 0,
+                 std::move(bufmgr.Pin(rel, 0)).ValueOrDie(), fill,
+                 /*fresh=*/false);
     }
     EXPECT_EQ(RecordKinds(&wal, wal_path),
               (std::vector<std::string>{"init", "item", "item"}));
@@ -448,7 +457,6 @@ TEST(WalItemTest, ItemAndInitRecordsReplayByteIdentically) {
       want.emplace_back(handle.data, handle.data + 512);
       bufmgr.Unpin(handle, false);
     }
-    ASSERT_TRUE(bufmgr.wal_error().ok());
   }
   auto smgr = std::make_unique<StorageManager>(
       StorageManager::Open(data_dir, 512).ValueOrDie());
@@ -560,6 +568,58 @@ TEST(WalItemTest, DeadRowsOfOneStatementAreOneRecord) {
   EXPECT_TRUE(dead[2].by_position);
 }
 
+// A heap insert whose WAL append fails takes its row back off the page
+// and returns the error, on a page with room and on the insert that starts
+// a new page. The heap stays dense, and recovery finds exactly the rows
+// whose inserts succeeded.
+TEST(WalItemTest, FailedLogLeavesTheRowOutOfTheHeap) {
+  const std::string data_dir = TestDir("data");
+  const std::string wal_path = data_dir + "/wal.log";
+  FaultInjectionVfs vfs(Vfs::Default());
+  RelId rel;
+  int64_t rows = 0;
+  {
+    auto smgr = std::make_unique<StorageManager>(
+        StorageManager::Open(data_dir, 512).ValueOrDie());
+    auto wal = std::move(WalManager::Open(&vfs, wal_path)).ValueOrDie();
+    BufferManager bufmgr(smgr.get(), 8);
+    bufmgr.SetWal(&wal);
+    auto table =
+        std::move(HeapTable::Create(&bufmgr, smgr.get(), "t", 4)).ValueOrDie();
+    rel = table.rel();
+    const int64_t per_page = table.rows_per_page();
+    const float vec[4] = {1.f, 2.f, 3.f, 4.f};
+    for (; rows < 2 * per_page; ++rows) {
+      if (rows == 3 || rows == per_page) {
+        vfs.ArmAfterBytes(0);
+        EXPECT_TRUE(table.Insert(-1, vec).status().IsIOError());
+        vfs.Disarm();
+        EXPECT_EQ(table.num_rows(), static_cast<size_t>(rows));
+        table.CheckInvariants();
+      }
+      ASSERT_TRUE(table.Insert(rows, vec).ok());
+    }
+    table.CheckInvariants();
+    ASSERT_EQ(*smgr->NumBlocks(rel), 2u);
+    ASSERT_TRUE(wal.Flush().ok());
+  }
+  auto smgr = std::make_unique<StorageManager>(
+      StorageManager::Open(data_dir, 512).ValueOrDie());
+  ASSERT_TRUE(WalManager::Recover(wal_path, smgr.get()).ok());
+  BufferManager bufmgr(smgr.get(), 8);
+  auto table =
+      std::move(HeapTable::Attach(&bufmgr, smgr.get(), "t", 4)).ValueOrDie();
+  std::vector<int64_t> ids;
+  ASSERT_TRUE(table
+                  .SeqScan([&](TupleId, int64_t id, const float*) {
+                    ids.push_back(id);
+                    return true;
+                  })
+                  .ok());
+  ASSERT_EQ(ids.size(), static_cast<size_t>(rows));
+  for (int64_t i = 0; i < rows; ++i) EXPECT_EQ(ids[i], i);
+}
+
 // Heap rows across many pages through a small pool (so pages are evicted
 // and re-read), a checkpoint halfway, then the pool dropped unflushed:
 // REDO must rebuild every block byte for byte, from init records, item
@@ -592,7 +652,6 @@ TEST(WalItemTest, RecoveredHeapEqualsThePoolByteForByte) {
         ASSERT_TRUE(wal.LogCheckpoint().ok());
       }
     }
-    ASSERT_TRUE(bufmgr.wal_error().ok());
     ASSERT_GT(*smgr->NumBlocks(rel), 20u);
     // After the checkpoint only the then-tail page needed an image.
     size_t images = 0;
