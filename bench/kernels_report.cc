@@ -15,8 +15,9 @@
 // SGEMM-path bucket assignment at c=173 against a packed codebook (beside
 // the per-call path that packs the centroids every time).
 // The "wal" block times heap inserts of 128-d rows through the buffer
-// manager with and without a write-ahead log attached, and the log bytes
-// each row costs: the durability tax on the generalized engine's writes.
+// manager with and without a write-ahead log attached (alternating loads,
+// median with min and max), and the log bytes each row costs: the
+// durability tax on the generalized engine's writes.
 // Its "sql" rows time PASE ivfflat and hnsw through a MiniDatabase with the
 // WAL on: CREATE INDEX over a loaded table, then one-row INSERTs, each
 // with the WAL bytes it logged.
@@ -324,40 +325,53 @@ void AppendIngest(std::string* json, const IngestTimes& t) {
 
 // WAL block shape: rows per timed load and the pool (large enough that no
 // page is evicted, so the load times the insert and logging paths only).
+// The heap rows alternate a load without and a load with the WAL
+// kWalHeapRepetitions times, so drift on the host reaches both sides
+// alike, and report each side's median with its min and max.
 constexpr int kWalRows = 20000;
 constexpr size_t kWalPoolPages = 2048;
+constexpr int kWalHeapRepetitions = 9;
 
-/// Best-of-kRepetitions per-row time of a fresh kWalRows-row heap load,
-/// with a WAL attached when `log_bytes` is non-null (set to its size).
+/// Per-row µs of one fresh kWalRows-row heap load, with a WAL attached
+/// when `log_bytes` is non-null (set to its size).
 double TimeHeapLoad(bool with_wal, double* log_bytes) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "vecdb_kernels_wal").string();
   const auto row = RandomVectors(1, kDim, 18);
-  int64_t best = INT64_MAX;
-  for (int rep = 0; rep < kRepetitions; ++rep) {
-    std::filesystem::remove_all(dir);
-    auto smgr = std::make_unique<pgstub::StorageManager>(
-        pgstub::StorageManager::Open(dir, 8192).ValueOrDie());
-    pgstub::BufferManager bufmgr(smgr.get(), kWalPoolPages);
-    std::unique_ptr<pgstub::WalManager> wal;
-    if (with_wal) {
-      wal = std::make_unique<pgstub::WalManager>(
-          pgstub::WalManager::Open(dir + "/wal.log").ValueOrDie());
-      bufmgr.SetWal(wal.get());
-    }
-    auto table = pgstub::HeapTable::Create(&bufmgr, smgr.get(), "t",
-                                           static_cast<uint32_t>(kDim))
-                     .ValueOrDie();
-    Timer t;
-    for (int i = 0; i < kWalRows; ++i) {
-      if (!table.Insert(i, row.data()).ok()) std::abort();
-    }
-    best = std::min(best, t.ElapsedNanos());
-    if (wal != nullptr) *log_bytes = static_cast<double>(wal->size_bytes());
-  }
   std::filesystem::remove_all(dir);
-  return static_cast<double>(best) / kWalRows / 1e3;
+  auto smgr = std::make_unique<pgstub::StorageManager>(
+      pgstub::StorageManager::Open(dir, 8192).ValueOrDie());
+  pgstub::BufferManager bufmgr(smgr.get(), kWalPoolPages);
+  std::unique_ptr<pgstub::WalManager> wal;
+  if (with_wal) {
+    wal = std::make_unique<pgstub::WalManager>(
+        pgstub::WalManager::Open(dir + "/wal.log").ValueOrDie());
+    bufmgr.SetWal(wal.get());
+  }
+  auto table = pgstub::HeapTable::Create(&bufmgr, smgr.get(), "t",
+                                         static_cast<uint32_t>(kDim))
+                   .ValueOrDie();
+  Timer t;
+  for (int i = 0; i < kWalRows; ++i) {
+    if (!table.Insert(i, row.data()).ok()) std::abort();
+  }
+  const int64_t ns = t.ElapsedNanos();
+  if (wal != nullptr) *log_bytes = static_cast<double>(wal->size_bytes());
+  std::filesystem::remove_all(dir);
+  return static_cast<double>(ns) / kWalRows / 1e3;
 }
+
+/// Median, min and max of a set of timings.
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+
+  static Spread Of(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return {v[v.size() / 2], v.front(), v.back()};
+  }
+};
 
 // SQL rows of the WAL block: a kWalSqlRows-row table of 128-d rows is
 // loaded untimed, then CREATE INDEX and kWalSqlInserts one-row INSERTs are
@@ -436,8 +450,8 @@ WalSqlTimes TimeWalSql(const std::string& create_index) {
 }
 
 struct WalTimes {
-  double insert_us_no_wal = 0;
-  double insert_us_wal = 0;
+  Spread insert_us_no_wal;
+  Spread insert_us_wal;
   double wal_bytes_per_row = 0;
   WalSqlTimes pase_ivfflat;
   WalSqlTimes pase_hnsw;
@@ -447,8 +461,13 @@ WalTimes TimeWal() {
   std::fprintf(stderr, "[kernels_report] timing wal...\n");
   WalTimes out;
   double log_bytes = 0;
-  out.insert_us_no_wal = TimeHeapLoad(false, nullptr);
-  out.insert_us_wal = TimeHeapLoad(true, &log_bytes);
+  std::vector<double> no_wal, with_wal;
+  for (int rep = 0; rep < kWalHeapRepetitions; ++rep) {
+    no_wal.push_back(TimeHeapLoad(false, nullptr));
+    with_wal.push_back(TimeHeapLoad(true, &log_bytes));
+  }
+  out.insert_us_no_wal = Spread::Of(std::move(no_wal));
+  out.insert_us_wal = Spread::Of(std::move(with_wal));
   out.wal_bytes_per_row = log_bytes / kWalRows;
   std::fprintf(stderr, "[kernels_report] timing wal sql rows...\n");
   out.pase_ivfflat = TimeWalSql(
@@ -473,21 +492,25 @@ void AppendWalSql(std::string* json, const char* name, const WalSqlTimes& t,
 }
 
 void AppendWal(std::string* json, const WalTimes& t) {
-  char buf[640];
+  char buf[800];
   std::snprintf(buf, sizeof(buf),
                 "  \"wal\": {\n"
                 "    \"config\": {\"rows\": %d, \"d\": %zu, "
-                "\"page_size\": 8192},\n"
-                "    \"heap_insert_us_no_wal\": %.3f,\n"
-                "    \"heap_insert_us_wal\": %.3f,\n"
+                "\"page_size\": 8192, \"repetitions\": %d},\n"
+                "    \"heap_insert_us_no_wal\": {\"median\": %.3f, "
+                "\"min\": %.3f, \"max\": %.3f},\n"
+                "    \"heap_insert_us_wal\": {\"median\": %.3f, "
+                "\"min\": %.3f, \"max\": %.3f},\n"
                 "    \"wal_bytes_per_row\": %.1f,\n"
                 "    \"sql\": {\n"
                 "      \"config\": {\"rows\": %zu, \"d\": %zu, "
                 "\"one_row_inserts\": %d, \"pool_pages\": %zu, "
                 "\"ivfflat_clusters\": 70, \"repetitions\": %d},\n",
-                kWalRows, kDim, t.insert_us_no_wal, t.insert_us_wal,
-                t.wal_bytes_per_row, kWalSqlRows, kDim, kWalSqlInserts,
-                kWalSqlPoolPages, kWalSqlRepetitions);
+                kWalRows, kDim, kWalHeapRepetitions, t.insert_us_no_wal.median,
+                t.insert_us_no_wal.min, t.insert_us_no_wal.max,
+                t.insert_us_wal.median, t.insert_us_wal.min,
+                t.insert_us_wal.max, t.wal_bytes_per_row, kWalSqlRows, kDim,
+                kWalSqlInserts, kWalSqlPoolPages, kWalSqlRepetitions);
   *json += buf;
   AppendWalSql(json, "pase_ivfflat", t.pase_ivfflat, false);
   AppendWalSql(json, "pase_hnsw", t.pase_hnsw, true);

@@ -16,6 +16,8 @@
 #                       the connection-churn stress suite under TSan, and
 #                       the wire-overhead bench artifact (BENCH_server.json)
 #                       from the Release tree
+#   kernel report       the kernel-speed artifact (BENCH_kernels.json)
+#                       from the Release tree
 #   kernels             the kernel/SQ8 dispatch suites re-run with
 #                       VECDB_KERNEL_ISA=scalar (proving the override and
 #                       the scalar tier), and again under ASan/UBSan per
@@ -217,6 +219,11 @@ fi
 # statement latency and multi-client scaling for CI trend lines.
 echo "=== build-release: server overhead bench (ext_server) ==="
 ./build-release/bench/ext_server BENCH_server.json
+
+# The kernel-speed artifact from the same tree: per-tier float/SQ8/PQ
+# kernel times, ingest and WAL rows (docs/KERNELS.md "Benchmarks").
+echo "=== build-release: kernel report (kernels_report) ==="
+./build-release/bench/kernels_report BENCH_kernels.json
 
 echo "=== lint (standalone) ==="
 python3 tools/lint.py .

@@ -31,22 +31,31 @@ enum class KernelIsa : uint8_t {
 /// accepted VECDB_KERNEL_ISA values.
 const char* KernelIsaName(KernelIsa isa);
 
+/// What codebook_nearest found for one sub-vector.
+struct CodewordPick {
+  uint32_t best;      ///< argmin of ‖c‖² − 2 x·c, lowest index on ties
+  uint32_t num_near;  ///< codewords written to `near` (≥ 1: best is one)
+};
+
 /// One tier's kernel implementations. Float kernels mirror the public
 /// functions in kernels.h; the sq8_* entries are the quantized fast-scan
 /// family consumed through ScalarQuantizer8 (quantizer/sq8.h), and
-/// codebook_ip is consumed through ProductQuantizer (quantizer/pq.h).
+/// codebook_ip and codebook_nearest are consumed through ProductQuantizer
+/// (quantizer/pq.h).
 ///
 /// Contract shared by every tier: each output element depends only on its
 /// own input pair/code (lane blocking runs along the dimension, never
 /// across codes), so batch results are bit-identical to one-at-a-time
 /// calls within a tier — the property the SQ8 oracle tests pin.
 ///
-/// The one exception is codebook_ip: its codebook is stored dim-major, so
-/// lanes run across codewords and each output accumulates its dimensions
-/// in order. An output still depends only on its own codeword, but its
-/// rounding differs from an inner_product call on the same pair; it is
-/// within 1e-5 relative of it, and the PQ encoder re-scores near ties
-/// with l2sqr (see ProductQuantizer::Encode).
+/// The one exception is the codebook family: the codebook is stored
+/// dim-major, so lanes run across codewords and each inner product
+/// accumulates its dimensions in order. A product still depends only on
+/// its own codeword, but its rounding differs from an inner_product call
+/// on the same pair; it is within 1e-5 relative of it, and the PQ encoder
+/// re-scores near ties with l2sqr (see ProductQuantizer::Encode).
+/// codebook_nearest scores with exactly codebook_ip's products, so the two
+/// entries agree bit for bit within a tier.
 struct KernelDispatch {
   KernelIsa isa;
 
@@ -76,6 +85,21 @@ struct KernelDispatch {
   /// table run on it (paper RC#1/RC#7).
   void (*codebook_ip)(const float* x, const float* cb, size_t sub_dim,
                       size_t n, float* out);
+
+  /// Nearest codeword of one sub-vector `x` among the `n` ≤ 256 codewords
+  /// of a dim-major codebook, with `norms[j]` = ‖c_j‖²: the PQ encode
+  /// search in one call (Faiss's batched nearest-codeword role, RC#1).
+  /// Scores s_j = norms[j] − 2·p_j, where p is exactly what codebook_ip
+  /// returns (lanes across codewords). Returns the argmin of s, the lowest
+  /// index on ties, and writes to `near`, ascending, every j inside the
+  /// rounding margin
+  ///   s_j ≤ (s_best + slack·(2·‖x‖² + norms[best])) + slack·norms[j]
+  /// with ‖x‖² from this tier's l2norm_sqr and each product and sum
+  /// rounded as written (a NaN score counts as inside). `near` must hold
+  /// n indices.
+  CodewordPick (*codebook_nearest)(const float* x, const float* cb,
+                                   const float* norms, size_t sub_dim,
+                                   size_t n, float slack, uint8_t* near);
 };
 
 /// The table serving this process, resolved once at first use:

@@ -5,8 +5,8 @@
 // Lane blocking runs along the dimension only — each output depends on
 // exactly one input pair/code — which keeps batch results bit-identical
 // to one-at-a-time calls within this tier (the SQ8 oracle contract). The
-// PQ codebook kernel is the one exception: its lanes run across codewords
-// (see the KernelDispatch contract).
+// PQ codebook kernels are the one exception: their lanes run across
+// codewords (see the KernelDispatch contract).
 #include "distance/kernels_impl.h"
 
 #ifdef VECDB_KERNELS_X86_DISPATCH
@@ -14,6 +14,7 @@
 #include <immintrin.h>
 
 #include <cmath>
+#include <limits>
 
 namespace vecdb::detail {
 namespace {
@@ -195,11 +196,89 @@ VECDB_AVX2 void CodebookIpAvx2(const float* x, const float* cb,
   }
 }
 
+VECDB_AVX2 inline float Hmin256(__m256 v) {
+  __m128 t =
+      _mm_min_ps(_mm256_extractf128_ps(v, 1), _mm256_castps256_ps128(v));
+  t = _mm_min_ps(t, _mm_movehl_ps(t, t));
+  t = _mm_min_ss(t, _mm_shuffle_ps(t, t, 1));
+  return _mm_cvtss_f32(t);
+}
+
+VECDB_AVX2 CodewordPick CodebookNearestAvx2(const float* x, const float* cb,
+                                            const float* norms,
+                                            size_t sub_dim, size_t n,
+                                            float slack, uint8_t* near) {
+  alignas(32) float score[256];
+  CodebookIpAvx2(x, cb, sub_dim, n, score);
+  // Pass 1: s = ‖c‖² − 2 x·c (2·p is exact, so this rounds once, as the
+  // scalar tier does) and the running minimum; 8-wide blocks, then a
+  // scalar tail. min(s, acc) returns acc when s is NaN, and so does the
+  // tail's `<`, so a NaN score never becomes the minimum.
+  const __m256 two = _mm256_set1_ps(2.f);
+  __m256 lane_min = _mm256_set1_ps(std::numeric_limits<float>::infinity());
+  const size_t blocked = n & ~size_t{7};
+  for (size_t j = 0; j < blocked; j += 8) {
+    const __m256 s =
+        _mm256_sub_ps(_mm256_loadu_ps(norms + j),
+                      _mm256_mul_ps(two, _mm256_load_ps(score + j)));
+    _mm256_store_ps(score + j, s);
+    lane_min = _mm256_min_ps(s, lane_min);
+  }
+  float best_s = Hmin256(lane_min);
+  for (size_t j = blocked; j < n; ++j) {
+    score[j] = norms[j] - 2.f * score[j];
+    if (score[j] < best_s) best_s = score[j];
+  }
+  // The argmin is the first codeword scoring best_s. When every score is
+  // NaN none does, and best stays 0 like the scalar tier's.
+  uint32_t best = 0;
+  const __m256 vbest = _mm256_set1_ps(best_s);
+  size_t j = 0;
+  for (; j < blocked; j += 8) {
+    const int eq = _mm256_movemask_ps(
+        _mm256_cmp_ps(_mm256_load_ps(score + j), vbest, _CMP_EQ_OQ));
+    if (eq != 0) {
+      best = static_cast<uint32_t>(j) + __builtin_ctz(eq);
+      break;
+    }
+  }
+  if (j == blocked) {
+    for (; j < n; ++j) {
+      if (score[j] == best_s) {
+        best = static_cast<uint32_t>(j);
+        break;
+      }
+    }
+  }
+  // Pass 2: the rounding margin, as separate multiply and add so the
+  // threshold rounds like the scalar tier's.
+  const float base =
+      best_s + slack * (2.f * L2NormSqrAvx2(x, sub_dim) + norms[best]);
+  const __m256 vbase = _mm256_set1_ps(base);
+  const __m256 vslack = _mm256_set1_ps(slack);
+  uint32_t num_near = 0;
+  for (j = 0; j < blocked; j += 8) {
+    const __m256 threshold = _mm256_add_ps(
+        vbase, _mm256_mul_ps(vslack, _mm256_loadu_ps(norms + j)));
+    unsigned inside = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_cmp_ps(_mm256_load_ps(score + j), threshold, _CMP_NGT_UQ)));
+    for (; inside != 0; inside &= inside - 1) {
+      near[num_near++] = static_cast<uint8_t>(j + __builtin_ctz(inside));
+    }
+  }
+  for (; j < n; ++j) {
+    near[num_near] = static_cast<uint8_t>(j);
+    num_near += !(score[j] > base + slack * norms[j]);
+  }
+  return {best, num_near};
+}
+
 #undef VECDB_AVX2
 
 const KernelDispatch kAvx2Table = {
-    KernelIsa::kAvx2, L2SqrAvx2,    InnerProductAvx2, L2NormSqrAvx2,
-    CosineAvx2,       Sq8BatchAvx2, Sq8GatherAvx2,    CodebookIpAvx2,
+    KernelIsa::kAvx2, L2SqrAvx2,      InnerProductAvx2,
+    L2NormSqrAvx2,    CosineAvx2,     Sq8BatchAvx2,
+    Sq8GatherAvx2,    CodebookIpAvx2, CodebookNearestAvx2,
 };
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <immintrin.h>
 
 #include <cmath>
+#include <limits>
 
 namespace vecdb::detail {
 namespace {
@@ -221,11 +222,86 @@ VECDB_AVX512 void CodebookIpAvx512(const float* x, const float* cb,
   }
 }
 
+// Minimum of the 16 lanes. min is exact, so unlike HorizontalSum the
+// reduction order cannot change the result; the maskz extracts again
+// avoid gcc 12's undefined-passthrough warning.
+VECDB_AVX512 inline float HorizontalMin(__m512 v) {
+  const __m512d vd = _mm512_castps_pd(v);
+  const __m256 t3 = _mm256_min_ps(
+      _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xff, vd, 1)),
+      _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xff, vd, 0)));
+  __m128 t =
+      _mm_min_ps(_mm256_extractf128_ps(t3, 1), _mm256_castps256_ps128(t3));
+  t = _mm_min_ps(t, _mm_movehl_ps(t, t));
+  t = _mm_min_ss(t, _mm_shuffle_ps(t, t, 1));
+  return _mm_cvtss_f32(t);
+}
+
+VECDB_AVX512 inline __mmask16 BlockMask(size_t j, size_t n) {
+  return j + 16 <= n ? static_cast<__mmask16>(0xffff) : TailMask(n - j);
+}
+
+VECDB_AVX512 CodewordPick CodebookNearestAvx512(const float* x,
+                                                const float* cb,
+                                                const float* norms,
+                                                size_t sub_dim, size_t n,
+                                                float slack, uint8_t* near) {
+  alignas(64) float score[256];
+  CodebookIpAvx512(x, cb, sub_dim, n, score);
+  // Pass 1: s = ‖c‖² − 2 x·c (2·p is exact, so this rounds once, as the
+  // scalar tier does) and the running lane minimum. min(s, acc) returns
+  // acc when s is NaN, so a NaN score never becomes the minimum; the
+  // masked form (lanes outside m keep acc) also avoids gcc 12's
+  // undefined-passthrough warning on the unmasked one.
+  const __m512 two = _mm512_set1_ps(2.f);
+  __m512 lane_min = _mm512_set1_ps(std::numeric_limits<float>::infinity());
+  for (size_t j = 0; j < n; j += 16) {
+    const __mmask16 m = BlockMask(j, n);
+    const __m512 s =
+        _mm512_sub_ps(_mm512_maskz_loadu_ps(m, norms + j),
+                      _mm512_mul_ps(two, _mm512_maskz_loadu_ps(m, score + j)));
+    _mm512_mask_storeu_ps(score + j, m, s);
+    lane_min = _mm512_mask_min_ps(lane_min, m, s, lane_min);
+  }
+  const float best_s = HorizontalMin(lane_min);
+  // The argmin is the first codeword scoring best_s. When every score is
+  // NaN none does, and best stays 0 like the scalar tier's.
+  uint32_t best = 0;
+  const __m512 vbest = _mm512_set1_ps(best_s);
+  for (size_t j = 0; j < n; j += 16) {
+    const __mmask16 m = BlockMask(j, n);
+    const __mmask16 eq = _mm512_mask_cmp_ps_mask(
+        m, _mm512_maskz_loadu_ps(m, score + j), vbest, _CMP_EQ_OQ);
+    if (eq != 0) {
+      best = static_cast<uint32_t>(j) + __builtin_ctz(eq);
+      break;
+    }
+  }
+  // Pass 2: the rounding margin, as separate multiply and add so the
+  // threshold rounds like the scalar tier's.
+  const __m512 base = _mm512_set1_ps(
+      best_s + slack * (2.f * L2NormSqrAvx512(x, sub_dim) + norms[best]));
+  const __m512 vslack = _mm512_set1_ps(slack);
+  uint32_t num_near = 0;
+  for (size_t j = 0; j < n; j += 16) {
+    const __mmask16 m = BlockMask(j, n);
+    const __m512 threshold = _mm512_add_ps(
+        base, _mm512_mul_ps(vslack, _mm512_maskz_loadu_ps(m, norms + j)));
+    unsigned inside = _mm512_mask_cmp_ps_mask(
+        m, _mm512_maskz_loadu_ps(m, score + j), threshold, _CMP_NGT_UQ);
+    for (; inside != 0; inside &= inside - 1) {
+      near[num_near++] = static_cast<uint8_t>(j + __builtin_ctz(inside));
+    }
+  }
+  return {best, num_near};
+}
+
 #undef VECDB_AVX512
 
 const KernelDispatch kAvx512Table = {
-    KernelIsa::kAvx512, L2SqrAvx512,    InnerProductAvx512, L2NormSqrAvx512,
-    CosineAvx512,       Sq8BatchAvx512, Sq8GatherAvx512,    CodebookIpAvx512,
+    KernelIsa::kAvx512, L2SqrAvx512,      InnerProductAvx512,
+    L2NormSqrAvx512,    CosineAvx512,     Sq8BatchAvx512,
+    Sq8GatherAvx512,    CodebookIpAvx512, CodebookNearestAvx512,
 };
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Scalar kernel tier: portable C++ the compiler auto-vectorizes to the
 // x86-64 SSE2 baseline. This is both the fallback tier and the reference
 // the dispatch-parity tests measure the intrinsic tiers against.
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "distance/kernels_impl.h"
 
@@ -121,10 +123,64 @@ void CodebookIpScalar(const float* x, const float* cb, size_t sub_dim,
   }
 }
 
+CodewordPick CodebookNearestScalar(const float* x, const float* cb,
+                                   const float* norms, size_t sub_dim,
+                                   size_t n, float slack, uint8_t* near) {
+  float score[256];
+  CodebookIpScalar(x, cb, sub_dim, n, score);
+  // Argmin in kLanes interleaved lanes with selects instead of a branch
+  // per codeword: codeword j goes to lane j % kLanes, each lane keeps its
+  // first minimum, and the reduction takes the smallest value, lowest
+  // index on ties. `<` never selects a NaN score; with no finite minimum
+  // every lane keeps index 0, so best is 0.
+  constexpr size_t kLanes = 8;
+  float lane_min[kLanes];
+  uint32_t lane_arg[kLanes] = {};
+  std::fill_n(lane_min, kLanes, std::numeric_limits<float>::infinity());
+  for (size_t j = 0; j < n; j += kLanes) {
+    const size_t lanes = std::min(kLanes, n - j);
+    for (size_t l = 0; l < lanes; ++l) {
+      const float sj = norms[j + l] - 2.f * score[j + l];
+      score[j + l] = sj;
+      const bool less = sj < lane_min[l];
+      lane_min[l] = less ? sj : lane_min[l];
+      lane_arg[l] = less ? static_cast<uint32_t>(j + l) : lane_arg[l];
+    }
+  }
+  uint32_t best = lane_arg[0];
+  float best_s = lane_min[0];
+  for (size_t l = 1; l < kLanes; ++l) {
+    if (lane_min[l] < best_s ||
+        (lane_min[l] == best_s && lane_arg[l] < best)) {
+      best_s = lane_min[l];
+      best = lane_arg[l];
+    }
+  }
+  const float base =
+      best_s + slack * (2.f * L2NormSqrScalar(x, sub_dim) + norms[best]);
+  // Count first: the margin almost always holds the best alone, and best
+  // is always inside it, so the list is then just best.
+  uint32_t num_near = 0;
+  for (size_t j = 0; j < n; ++j) {
+    num_near += !(score[j] > base + slack * norms[j]);
+  }
+  if (num_near == 1) {
+    near[0] = static_cast<uint8_t>(best);
+    return {best, 1};
+  }
+  num_near = 0;
+  for (size_t j = 0; j < n; ++j) {
+    if (!(score[j] > base + slack * norms[j])) {
+      near[num_near++] = static_cast<uint8_t>(j);
+    }
+  }
+  return {best, num_near};
+}
+
 const KernelDispatch kScalarTable = {
-    KernelIsa::kScalar,  L2SqrScalar,    InnerProductScalar,
-    L2NormSqrScalar,     CosineScalar,   Sq8BatchScalar,
-    Sq8GatherScalar,     CodebookIpScalar,
+    KernelIsa::kScalar, L2SqrScalar,      InnerProductScalar,
+    L2NormSqrScalar,    CosineScalar,     Sq8BatchScalar,
+    Sq8GatherScalar,    CodebookIpScalar, CodebookNearestScalar,
 };
 
 }  // namespace

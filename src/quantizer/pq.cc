@@ -133,43 +133,35 @@ void ProductQuantizer::Encode(const float* vec, uint8_t* code,
   }
 
   // Faiss path: ‖x − c‖² = ‖x‖² + ‖c‖² − 2 x·c, and ‖x‖² is shared by
-  // every codeword, so one codebook_ip call and an argmin of ‖c‖² − 2 x·c
-  // find the nearest codeword.
+  // every codeword, so one codebook_nearest call per subspace scores the
+  // whole codebook as ‖c‖² − 2 x·c and returns its argmin.
   //
   // The expansion and a per-pair l2sqr round differently. Both are within
   // E_j = (sub_dim + 2)·ε·(‖x‖² + ‖c_j‖²) of exact, so only a codeword
   // scoring within 2·E_j + 2·E_best of the best can be the per-pair
-  // search's pick. `slack` doubles that margin. Re-scoring the codewords
-  // inside it (almost always just the best) with l2sqr in index order
-  // returns exactly that search's code.
+  // search's pick. `slack` doubles that margin, and the kernel lists the
+  // codewords inside it. When the best is alone there the pick is
+  // decided; otherwise re-scoring the listed codewords with l2sqr in
+  // index order returns exactly the per-pair search's code.
   const float slack = 4.f * static_cast<float>(sub_dim_ + 2) * FLT_EPSILON;
-  float score[256];  // c_pq ≤ 256 (checked in Train and Deserialize)
+  uint8_t near[256];  // c_pq ≤ 256 (checked in Train and Deserialize)
   for (uint32_t sub = 0; sub < m_; ++sub) {
     const float* x = vec + static_cast<size_t>(sub) * sub_dim_;
-    const float* norms =
-        codeword_norms_.data() + static_cast<size_t>(sub) * c_pq_;
-    kernels.codebook_ip(x, dim_major_codebook(sub), sub_dim_, c_pq_, score);
-    uint32_t best = 0;
-    float best_s = std::numeric_limits<float>::infinity();
-    for (uint32_t j = 0; j < c_pq_; ++j) {
-      const float sj = norms[j] - 2.f * score[j];
-      score[j] = sj;
-      if (sj < best_s) {
-        best_s = sj;
-        best = j;
-      }
-    }
-    const float base =
-        best_s + slack * (2.f * kernels.l2norm_sqr(x, sub_dim_) + norms[best]);
-    const float* cb = codebook(sub);
-    float best_d = std::numeric_limits<float>::infinity();
-    for (uint32_t j = 0; j < c_pq_; ++j) {
-      if (score[j] > base + slack * norms[j]) continue;
-      const float dist =
-          kernels.l2sqr(x, cb + static_cast<size_t>(j) * sub_dim_, sub_dim_);
-      if (dist < best_d) {
-        best_d = dist;
-        best = j;
+    const CodewordPick pick = kernels.codebook_nearest(
+        x, dim_major_codebook(sub),
+        codeword_norms_.data() + static_cast<size_t>(sub) * c_pq_, sub_dim_,
+        c_pq_, slack, near);
+    uint32_t best = pick.best;
+    if (pick.num_near > 1) {
+      const float* cb = codebook(sub);
+      float best_d = std::numeric_limits<float>::infinity();
+      for (uint32_t k = 0; k < pick.num_near; ++k) {
+        const float dist = kernels.l2sqr(
+            x, cb + static_cast<size_t>(near[k]) * sub_dim_, sub_dim_);
+        if (dist < best_d) {
+          best_d = dist;
+          best = near[k];
+        }
       }
     }
     code[sub] = static_cast<uint8_t>(best);

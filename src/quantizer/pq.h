@@ -2,8 +2,9 @@
 // Includes both precomputed-distance-table implementations the paper
 // contrasts (RC#7): PASE's naive per-pair table and Faiss's optimized
 // norm/inner-product decomposition with train-time centroid norms. The
-// Faiss side (encode and the optimized table) scores a sub-vector against
-// a whole codebook in one codebook_ip kernel call (distance/dispatch.h).
+// Faiss side scores a sub-vector against a whole codebook in one kernel
+// call (distance/dispatch.h): codebook_nearest for encode, codebook_ip for
+// the optimized table.
 #pragma once
 
 #include <cstdint>
@@ -64,11 +65,12 @@ class ProductQuantizer {
   size_t table_size() const { return static_cast<size_t>(m_) * c_pq_; }
 
   /// Quantizes `vec` (dim floats) into `code` (code_size() bytes): per
-  /// subspace, the nearest codeword. The Faiss path makes one codebook_ip
-  /// call per subspace and takes the argmin of ‖c‖² − 2 x·c over the
-  /// train-time codeword norms; codewords within that expansion's rounding
-  /// bound of the best are re-scored with l2sqr, so the code always equals
-  /// a per-pair l2sqr search's (lowest index on ties). The PASE path
+  /// subspace, the nearest codeword. The Faiss path makes one
+  /// codebook_nearest call per subspace, which takes the argmin of
+  /// ‖c‖² − 2 x·c over the train-time codeword norms and lists the
+  /// codewords within that expansion's rounding bound of the best; those
+  /// are re-scored with l2sqr unless the best is alone, so the code always
+  /// equals a per-pair l2sqr search's (lowest index on ties). The PASE path
   /// (use_sgemm = false) is that per-pair search on the reference scalar
   /// kernel (RC#1). `kernels` picks the ISA tier (tests and the kernel
   /// report drive every tier).

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "temp_path.h"
 
 namespace vecdb::pgstub {
 namespace {
@@ -15,12 +16,20 @@ namespace {
 class HeapTableTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/heap_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    const std::string name =
+        std::string("heap_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = TempPath(name.c_str());
     std::filesystem::remove_all(dir_);
     smgr_ = std::make_unique<StorageManager>(
         StorageManager::Open(dir_, 8192).ValueOrDie());
     bufmgr_ = std::make_unique<BufferManager>(smgr_.get(), 64);
+  }
+
+  void TearDown() override {
+    bufmgr_.reset();
+    smgr_.reset();
+    std::filesystem::remove_all(dir_);
   }
 
   std::string dir_;

@@ -1,13 +1,15 @@
 // Dispatch-layer tests: tier resolution (including the VECDB_KERNEL_ISA
 // override rule), cross-ISA numerical parity on randomized dimensions
-// (odd tails, d < one SIMD lane), the PQ codebook kernel against
-// per-codeword inner products, and the SQ8 fast-scan oracle — batched
-// results bit-identical to one-at-a-time calls within a tier.
+// (odd tails, d < one SIMD lane), the PQ codebook kernels against
+// per-codeword inner products and a scalar nearest-codeword reference,
+// and the SQ8 fast-scan oracle — batched results bit-identical to
+// one-at-a-time calls within a tier.
 #include "distance/dispatch.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdlib>
 #include <vector>
@@ -170,6 +172,120 @@ TEST(KernelDispatchTest, CodebookIpMatchesPerCodewordInnerProduct) {
               t->inner_product(x.data(), codebook.data() + j * sub_dim, sub_dim);
           EXPECT_NEAR(out[j], ref, 1e-5f * std::max(1.f, std::fabs(ref)))
               << "codeword " << j;
+        }
+      }
+    }
+  }
+}
+
+/// codebook_nearest spelled out from the same tier's codebook_ip and
+/// l2norm_sqr: a first-minimum argmin, then every codeword inside the
+/// margin, in index order.
+CodewordPick NearestReference(const KernelDispatch& t, const float* x,
+                              const float* dim_major, const float* norms,
+                              size_t sub_dim, size_t n, float slack,
+                              std::vector<uint8_t>* near) {
+  std::vector<float> score(n);
+  t.codebook_ip(x, dim_major, sub_dim, n, score.data());
+  uint32_t best = 0;
+  float best_s = INFINITY;
+  for (size_t j = 0; j < n; ++j) {
+    score[j] = norms[j] - 2.f * score[j];
+    if (score[j] < best_s) {
+      best_s = score[j];
+      best = static_cast<uint32_t>(j);
+    }
+  }
+  const float base =
+      best_s + slack * (2.f * t.l2norm_sqr(x, sub_dim) + norms[best]);
+  near->clear();
+  for (size_t j = 0; j < n; ++j) {
+    if (!(score[j] > base + slack * norms[j])) {
+      near->push_back(static_cast<uint8_t>(j));
+    }
+  }
+  return {best, static_cast<uint32_t>(near->size())};
+}
+
+/// Small integers: every product and sum of a few of them is exact in
+/// float, so FMA and multiply-add agree and equal scores are true ties on
+/// every tier.
+std::vector<float> IntegerVec(size_t d, uint64_t seed) {
+  auto out = RandomVec(d, seed);
+  for (auto& v : out) v = std::round(2.f * v);
+  return out;
+}
+
+TEST(KernelDispatchTest, CodebookNearestMatchesScalarReference) {
+  // Codeword counts straddle every lane and block edge (8, 16, 32, 64) up
+  // to the PQ maximum of 256, at sub_dims 1 through 16. Cases: a random codebook and query; an integer codebook whose
+  // last codeword duplicates codeword n/3, queried at that codeword (the
+  // tie the lower index must win); and an all-equal codebook. Slacks: the
+  // encoder's, and a wide one that puts many codewords inside the margin.
+  uint64_t seed = 900;
+  for (size_t n : {1, 15, 16, 17, 63, 64, 65, 255, 256}) {
+    for (size_t sub_dim : {1, 3, 8, 16}) {
+      const size_t lo = n / 3;
+      auto integer_cb = IntegerVec(n * sub_dim, ++seed);
+      std::copy_n(integer_cb.begin() + lo * sub_dim, sub_dim,
+                  integer_cb.begin() + (n - 1) * sub_dim);
+      const std::vector<float> flat_cb(n * sub_dim, 1.f);
+      struct Case {
+        const char* name;
+        std::vector<float> codebook;  // row-major
+        std::vector<float> x;
+      };
+      const Case cases[] = {
+          {"random", RandomVec(n * sub_dim, ++seed),
+           RandomVec(sub_dim, ++seed)},
+          {"duplicate", integer_cb,
+           std::vector<float>(integer_cb.begin() + lo * sub_dim,
+                              integer_cb.begin() + (lo + 1) * sub_dim)},
+          {"flat", flat_cb, IntegerVec(sub_dim, ++seed)},
+      };
+      for (const Case& c : cases) {
+        std::vector<float> dim_major(n * sub_dim), norms(n);
+        for (size_t j = 0; j < n; ++j) {
+          for (size_t t = 0; t < sub_dim; ++t) {
+            dim_major[t * n + j] = c.codebook[j * sub_dim + t];
+          }
+          norms[j] = KernelTableFor(KernelIsa::kScalar)
+                         ->l2norm_sqr(c.codebook.data() + j * sub_dim, sub_dim);
+        }
+        // In the duplicate case the exact nearest codewords are the copies
+        // of x; the first of them must win.
+        size_t first_copy = 0;
+        while (first_copy < n &&
+               !std::equal(c.x.begin(), c.x.end(),
+                          c.codebook.begin() + first_copy * sub_dim)) {
+          ++first_copy;
+        }
+        for (float slack :
+             {4.f * static_cast<float>(sub_dim + 2) * FLT_EPSILON, 0.05f}) {
+          for (const KernelDispatch* t : SupportedTables()) {
+            SCOPED_TRACE(std::string("isa=") + KernelIsaName(t->isa) +
+                         " n=" + std::to_string(n) +
+                         " sub_dim=" + std::to_string(sub_dim) + " case=" +
+                         c.name + " slack=" + std::to_string(slack));
+            std::vector<uint8_t> want;
+            const CodewordPick ref =
+                NearestReference(*t, c.x.data(), dim_major.data(),
+                                 norms.data(), sub_dim, n, slack, &want);
+            std::vector<uint8_t> near(n);
+            const CodewordPick got = t->codebook_nearest(
+                c.x.data(), dim_major.data(), norms.data(), sub_dim, n, slack,
+                near.data());
+            EXPECT_EQ(got.best, ref.best);
+            ASSERT_EQ(got.num_near, ref.num_near);
+            near.resize(got.num_near);
+            EXPECT_EQ(near, want);
+            if (std::string(c.name) == "duplicate") {
+              EXPECT_EQ(got.best, first_copy);
+            } else if (std::string(c.name) == "flat") {
+              EXPECT_EQ(got.best, 0u);
+              EXPECT_EQ(got.num_near, n);
+            }
+          }
         }
       }
     }

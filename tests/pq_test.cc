@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -11,6 +12,7 @@
 #include "datasets/synthetic.h"
 #include "distance/dispatch.h"
 #include "distance/kernels.h"
+#include "temp_path.h"
 
 namespace vecdb {
 namespace {
@@ -153,14 +155,18 @@ TEST(PqTest, OptimizedTableMatchesNaiveTable) {
 }
 
 TEST(PqTest, EncodeMatchesPerPairOracle) {
-  // The Faiss-path encoder (one codebook kernel call plus an argmin per
-  // subspace) must reproduce the per-pair l2sqr encoder's codes exactly,
-  // on every tier. Shapes: filtered_rw's m = 16, c_pq = 256, sub_dim 8,
-  // and an odd one (sub_dim 3, c_pq 17) that leaves lane tails.
+  // The Faiss-path encoder (one codebook_nearest call per subspace) must
+  // reproduce the per-pair l2sqr encoder's codes exactly, on every tier.
+  // Shapes: filtered_rw's m = 16, c_pq = 256, sub_dim 8, then codebook
+  // sizes that end on every lane and block tail (1 through 255) at
+  // sub_dims 1, 3, 8 and 16.
   struct Shape {
     uint32_t dim, m, codes;
   };
-  for (const Shape& shape : {Shape{128, 16, 256}, Shape{30, 10, 17}}) {
+  for (const Shape& shape :
+       {Shape{128, 16, 256}, Shape{30, 10, 17}, Shape{16, 16, 1},
+        Shape{48, 6, 7}, Shape{64, 4, 100}, Shape{32, 32, 255},
+        Shape{36, 12, 256}}) {
     const size_t n = 2000;
     auto ds = MakeData(shape.dim, n, 11);
     auto pq = ProductQuantizer::Train(ds.base.data(), n, shape.dim,
@@ -169,7 +175,9 @@ TEST(PqTest, EncodeMatchesPerPairOracle) {
     std::vector<uint8_t> code(pq.code_size());
     for (const KernelDispatch* t : SupportedTables()) {
       SCOPED_TRACE(std::string("isa=") + KernelIsaName(t->isa) +
-                   " dim=" + std::to_string(shape.dim));
+                   " dim=" + std::to_string(shape.dim) +
+                   " m=" + std::to_string(shape.m) +
+                   " c_pq=" + std::to_string(shape.codes));
       size_t differing = 0;
       for (size_t i = 0; i < n; ++i) {
         const float* vec = ds.base.data() + i * shape.dim;
@@ -179,6 +187,30 @@ TEST(PqTest, EncodeMatchesPerPairOracle) {
       EXPECT_EQ(differing, 0u);
     }
   }
+}
+
+/// A Faiss-path quantizer over a hand-written codebook (`codebooks` holds
+/// m · c_pq · sub_dim floats, subspace-major), read back through
+/// Deserialize, which rebuilds the dim-major copy the kernels use.
+ProductQuantizer MakeQuantizer(uint32_t m, uint32_t c_pq, uint32_t sub_dim,
+                               const std::vector<float>& codebooks) {
+  AlignedFloats cb(codebooks.size());
+  std::copy(codebooks.begin(), codebooks.end(), cb.data());
+  std::vector<float> norms(static_cast<size_t>(m) * c_pq);
+  for (size_t j = 0; j < norms.size(); ++j) {
+    norms[j] = L2NormSqr(cb.data() + j * sub_dim, sub_dim);
+  }
+  const std::string path = TempPath("pq_handmade.bin");
+  {
+    auto writer = std::move(BinaryWriter::Open(path, 0x5051, 1)).ValueOrDie();
+    EXPECT_TRUE(writer.Fields(m * sub_dim, m, c_pq, sub_dim, false, cb, norms)
+                    .ok());
+    EXPECT_TRUE(writer.Close().ok());
+  }
+  auto reader = std::move(BinaryReader::Open(path, 0x5051, 1)).ValueOrDie();
+  auto pq = ProductQuantizer::Deserialize(&reader).ValueOrDie();
+  std::remove(path.c_str());
+  return pq;
 }
 
 TEST(PqTest, EncodeSettlesNearTiesLikePerPairSearch) {
@@ -202,6 +234,48 @@ TEST(PqTest, EncodeSettlesNearTiesLikePerPairSearch) {
       EXPECT_EQ(code, PerPairEncode(pq, vec, t->l2sqr)) << "x=" << v;
     }
   }
+  // The same walk over hand-built codebooks of every size, where the two
+  // codewords (A at 1000, B at 1000.5) each appear twice at scattered
+  // indices, in SIMD blocks and in tails, among far-away filler. Near the
+  // midpoint x is equidistant from two pairs of identical codewords; the
+  // per-pair search keeps the lowest index of the nearer pair, and so
+  // must encode.
+  for (uint32_t c_pq : {7u, 17u, 100u, 255u, 256u}) {
+    for (uint32_t sub_dim : {1u, 3u, 8u}) {
+      const uint32_t m = 3;
+      // Per subspace, A sits at a and a + 5, B at b and b + 9 (mod c_pq;
+      // B wins a clash).
+      const uint32_t a[] = {c_pq - 1, c_pq / 2, 1};
+      const uint32_t b[] = {c_pq / 3, c_pq - 2, 0};
+      std::vector<float> codebooks(static_cast<size_t>(m) * c_pq * sub_dim);
+      for (uint32_t sub = 0; sub < m; ++sub) {
+        for (uint32_t j = 0; j < c_pq; ++j) {
+          float v = -1000.f - static_cast<float>(j);  // filler
+          if (j == a[sub] || j == (a[sub] + 5) % c_pq) v = 1000.f;
+          if (j == b[sub] || j == (b[sub] + 9) % c_pq) v = 1000.5f;
+          std::fill_n(codebooks.begin() +
+                          (static_cast<size_t>(sub) * c_pq + j) * sub_dim,
+                      sub_dim, v);
+        }
+      }
+      const ProductQuantizer repeated =
+          MakeQuantizer(m, c_pq, sub_dim, codebooks);
+      std::vector<uint8_t> repeated_code(repeated.code_size());
+      std::vector<float> x(repeated.dim());
+      for (const KernelDispatch* t : SupportedTables()) {
+        SCOPED_TRACE(std::string("isa=") + KernelIsaName(t->isa) +
+                     " c_pq=" + std::to_string(c_pq) +
+                     " sub_dim=" + std::to_string(sub_dim));
+        for (int step = 0; step <= 400; ++step) {
+          std::fill(x.begin(), x.end(),
+                    1000.f + 0.5f * static_cast<float>(step) / 400.f);
+          repeated.Encode(x.data(), repeated_code.data(), *t);
+          EXPECT_EQ(repeated_code, PerPairEncode(repeated, x.data(), t->l2sqr))
+              << "x=" << x[0];
+        }
+      }
+    }
+  }
 }
 
 TEST(PqTest, DeserializedQuantizerEncodesAndTablesIdentically) {
@@ -210,7 +284,7 @@ TEST(PqTest, DeserializedQuantizerEncodesAndTablesIdentically) {
   auto ds = MakeData(64, 800, 13);
   auto pq = ProductQuantizer::Train(ds.base.data(), 800, 64, SmallPq(16, 64))
                 .ValueOrDie();
-  const std::string path = ::testing::TempDir() + "/pq_roundtrip.bin";
+  const std::string path = TempPath("pq_roundtrip.bin");
   {
     auto writer = std::move(BinaryWriter::Open(path, 0x5051, 1)).ValueOrDie();
     ASSERT_TRUE(pq.Serialize(&writer).ok());
