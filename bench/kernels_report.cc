@@ -14,6 +14,10 @@
 // floats (beside the strtof reading the parser replaced), and one row's
 // SGEMM-path bucket assignment at c=173 against a packed codebook (beside
 // the per-call path that packs the centroids every time).
+// The "pq_adc" block times IVF_PQ's bucket scorer in ns per code at the
+// same m and c_pq: the per-code AdcDistance loop against the four-code
+// AdcScan, over a whole 1024-code bucket and through the positions of a
+// 20% selection.
 // The "wal" block times heap inserts of 128-d rows through the buffer
 // manager with and without a write-ahead log attached (alternating loads,
 // median with min and max), and the log bytes each row costs: the
@@ -153,13 +157,69 @@ void PerPairEncode(const ProductQuantizer& pq, const KernelDispatch& k,
   }
 }
 
+// ADC scan shape: a bucket of kAdcCodes codes scored against one table,
+// whole or through the positions of a kAdcSelectPercent% selection (the
+// gated scan of an in-filter query).
+constexpr size_t kAdcCodes = 1024;
+constexpr uint64_t kAdcSelectPercent = 20;
+
+// ns per scored code, tier-independent (the ADC loop is not dispatched):
+// the per-code AdcDistance loop IVF_PQ's scorer used to run, against the
+// four-code AdcScan, each over the whole bucket and over the selection.
+struct AdcTimes {
+  size_t selected = 0;
+  double per_code_ns = -1.0;
+  double scan_ns = -1.0;
+  double per_code_gather_ns = -1.0;
+  double scan_gather_ns = -1.0;
+};
+
 // µs per operation, per tier; negative when the tier is not runnable.
 struct PqTimes {
   double encode_per_pair_us[3] = {-1.0, -1.0, -1.0};
   double encode_codebook_us[3] = {-1.0, -1.0, -1.0};
   double table_naive_us[3] = {-1.0, -1.0, -1.0};
   double table_optimized_us[3] = {-1.0, -1.0, -1.0};
+  AdcTimes adc;
 };
+
+AdcTimes TimeAdc(const ProductQuantizer& pq, const float* query) {
+  std::fprintf(stderr, "[kernels_report] timing pq adc scan...\n");
+  std::vector<float> table(pq.table_size());
+  pq.ComputeDistanceTableOptimized(query, table.data());
+  Rng rng(21);
+  std::vector<uint8_t> codes(kAdcCodes * pq.code_size());
+  for (auto& c : codes) c = static_cast<uint8_t>(rng.Uniform(kPqCodes));
+  std::vector<uint32_t> pos;
+  for (uint32_t i = 0; i < kAdcCodes; ++i) {
+    if (rng.Uniform(100) < kAdcSelectPercent) pos.push_back(i);
+  }
+  std::vector<float> out(kAdcCodes);
+  const size_t m = pq.code_size();
+  AdcTimes t;
+  t.selected = pos.size();
+  t.per_code_ns = NanosPerOp(kAdcCodes, [&] {
+    for (size_t j = 0; j < kAdcCodes; ++j) {
+      out[j] = pq.AdcDistance(table.data(), codes.data() + j * m);
+    }
+    g_sink = out[kAdcCodes - 1];
+  });
+  t.scan_ns = NanosPerOp(kAdcCodes, [&] {
+    pq.AdcScan(table.data(), codes.data(), nullptr, kAdcCodes, out.data());
+    g_sink = out[kAdcCodes - 1];
+  });
+  t.per_code_gather_ns = NanosPerOp(pos.size(), [&] {
+    for (size_t j = 0; j < pos.size(); ++j) {
+      out[j] = pq.AdcDistance(table.data(), codes.data() + pos[j] * m);
+    }
+    g_sink = out[0];
+  });
+  t.scan_gather_ns = NanosPerOp(pos.size(), [&] {
+    pq.AdcScan(table.data(), codes.data(), pos.data(), pos.size(), out.data());
+    g_sink = out[0];
+  });
+  return t;
+}
 
 PqTimes TimePq() {
   const auto train = RandomVectors(kPqTrain, kDim, 13);
@@ -205,6 +265,7 @@ PqTimes TimePq() {
       g_sink = table[0];
     });
   }
+  out.adc = TimeAdc(pq, vecs.data());
   return out;
 }
 
@@ -226,7 +287,21 @@ void AppendPq(std::string* json, const PqTimes& p) {
         p.table_optimized_us[i], i < 2 ? "," : "");
     *json += buf;
   }
-  *json += "  },\n";  // the ingest block follows
+  *json += "  },\n";
+  const AdcTimes& a = p.adc;
+  std::snprintf(
+      buf, sizeof(buf),
+      "  \"pq_adc\": {\n"
+      "    \"config\": {\"m\": %u, \"c_pq\": %u, \"codes\": %zu, "
+      "\"selected\": %zu},\n"
+      "    \"per_code_ns\": %.3f,\n"
+      "    \"scan_ns\": %.3f,\n"
+      "    \"per_code_gather_ns\": %.3f,\n"
+      "    \"scan_gather_ns\": %.3f\n"
+      "  },\n",  // the ingest block follows
+      kPqM, kPqCodes, kAdcCodes, a.selected, a.per_code_ns, a.scan_ns,
+      a.per_code_gather_ns, a.scan_gather_ns);
+  *json += buf;
 }
 
 // Ingest shape: one perfbench set-up INSERT, and filtered_rw's codebook.

@@ -433,6 +433,70 @@ void BM_PqTableOptimized(benchmark::State& state) {
 }
 BENCHMARK(BM_PqTableOptimized);
 
+// IVF_PQ's bucket scorer: 1024 codes at m = 16, c_pq = 256, scored whole
+// (Arg 100) or through the positions of a 20% selection (Arg 20). The
+// per-code AdcDistance loop is the scorer AdcScan replaced.
+struct AdcBucket {
+  explicit AdcBucket(uint64_t percent) {
+    const size_t d = 128, n = 2000;
+    auto data = RandomVectors(n, d, 5);
+    PqOptions opt;
+    opt.num_subvectors = 16;
+    opt.num_codes = 256;
+    opt.max_iterations = 3;
+    pq = std::make_unique<ProductQuantizer>(
+        ProductQuantizer::Train(data.data(), n, d, opt).ValueOrDie());
+    table.resize(pq->table_size());
+    pq->ComputeDistanceTableOptimized(RandomVectors(1, d, 6).data(),
+                                      table.data());
+    Rng rng(9);
+    codes.resize(kCodes * pq->code_size());
+    for (auto& c : codes) c = static_cast<uint8_t>(rng.Uniform(256));
+    for (uint32_t i = 0; i < kCodes; ++i) {
+      if (rng.Uniform(100) < percent) pos.push_back(i);
+    }
+    out.resize(kCodes);
+  }
+  /// Null for a whole bucket, scored without positions as the unfiltered
+  /// scan does.
+  const uint32_t* Positions() const {
+    return pos.size() == kCodes ? nullptr : pos.data();
+  }
+  static constexpr size_t kCodes = 1024;
+  std::unique_ptr<ProductQuantizer> pq;
+  std::vector<float> table;
+  std::vector<uint8_t> codes;
+  std::vector<uint32_t> pos;
+  std::vector<float> out;
+};
+
+void BM_PqAdcPerCode(benchmark::State& state) {
+  AdcBucket b(static_cast<uint64_t>(state.range(0)));
+  const uint32_t* pos = b.Positions();
+  const size_t m = b.pq->code_size();
+  for (auto _ : state) {
+    for (size_t j = 0; j < b.pos.size(); ++j) {
+      b.out[j] = b.pq->AdcDistance(
+          b.table.data(), b.codes.data() + (pos != nullptr ? pos[j] : j) * m);
+    }
+    benchmark::DoNotOptimize(b.out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * b.pos.size());
+}
+BENCHMARK(BM_PqAdcPerCode)->Arg(100)->Arg(20);
+
+void BM_PqAdcScan(benchmark::State& state) {
+  AdcBucket b(static_cast<uint64_t>(state.range(0)));
+  const uint32_t* pos = b.Positions();
+  for (auto _ : state) {
+    b.pq->AdcScan(b.table.data(), b.codes.data(), pos, b.pos.size(),
+                  b.out.data());
+    benchmark::DoNotOptimize(b.out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * b.pos.size());
+}
+BENCHMARK(BM_PqAdcScan)->Arg(100)->Arg(20);
+
 void BM_TupleAccessDirect(benchmark::State& state) {
   // RC#2 baseline: pointer-direct vector reads.
   const size_t d = 128, n = 1000;

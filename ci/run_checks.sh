@@ -107,7 +107,9 @@ echo "=== build-asan: server loopback e2e (net_server_test) ==="
 # insert suite, whose IVF_PQ and IVF_SQ8 inserts encode through the
 # codebook and SQ8 kernels, and the visibility suite, which runs every
 # engine/method pair's filtered and unfiltered scans, over deleted rows
-# too, against a brute-force model. The
+# too, against a brute-force model, and the faisslike suite, whose gated
+# scan test drives the position buffer and IVF_PQ's four-code ADC tail
+# through every faisslike IVF engine. The
 # kernel_dispatch_test
 # ActiveTableMatchesResolutionRule case asserts the override actually
 # resolved to scalar, so this stage fails loudly if the
@@ -115,7 +117,7 @@ echo "=== build-asan: server loopback e2e (net_server_test) ==="
 echo "=== build-release: kernel suites under VECDB_KERNEL_ISA=scalar ==="
 VECDB_KERNEL_ISA=scalar ctest --test-dir build-release \
   --output-on-failure \
-  -R '^(kernel_dispatch_test|sq8_test|ivf_sq8_test|filter_test|batch_search_test|cancel_test|query_context_test|pq_test|persistence_test|insert_test|visibility_test)$'
+  -R '^(kernel_dispatch_test|sq8_test|ivf_sq8_test|filter_test|batch_search_test|cancel_test|query_context_test|pq_test|persistence_test|insert_test|visibility_test|faisslike_test)$'
 
 # Kernel-dispatch stage, part 2: the same suites under ASan/UBSan once per
 # ISA tier the host can run. The masked tails and 64-bit partial loads in
@@ -133,7 +135,7 @@ for tier in "${KERNEL_TIERS[@]}"; do
   echo "=== build-asan: kernel suites under VECDB_KERNEL_ISA=${tier} ==="
   VECDB_KERNEL_ISA="${tier}" ctest --test-dir build-asan \
     --output-on-failure \
-    -R '^(kernel_dispatch_test|sq8_test|ivf_sq8_test|filter_test|batch_search_test|cancel_test|query_context_test|pq_test|persistence_test|insert_test|visibility_test)$'
+    -R '^(kernel_dispatch_test|sq8_test|ivf_sq8_test|filter_test|batch_search_test|cancel_test|query_context_test|pq_test|persistence_test|insert_test|visibility_test|faisslike_test)$'
 done
 
 run_config build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -132,6 +132,14 @@ void PrintBreakdown(const std::string& title, const Profiler& profiler,
               (others > 0 ? others : 0) * 1e-6);
 }
 
+namespace {
+
+constexpr const char* kBenchFlags =
+    "[--scale=F] [--max-queries=N] [--max-base=N] [--datasets=A,B,...]\n"
+    "    [--data-dir=DIR] [--batch] [--help]\n";
+
+}  // namespace
+
 BenchArgs BenchArgs::Parse(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -156,11 +164,14 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
       args.data_dir = arg + 11;
     } else if (std::strcmp(arg, "--batch") == 0) {
       args.batch = true;
+    } else if (std::strcmp(arg, "--help") == 0) {
+      std::printf("usage: %s %s", argv[0], kBenchFlags);
+      std::exit(0);
     } else {
-      std::fprintf(stderr,
-                   "unknown flag %s (supported: --scale= --max-queries= "
-                   "--max-base= --datasets= --data-dir= --batch)\n",
-                   arg);
+      // A mistyped flag must not start a default-scale run.
+      std::fprintf(stderr, "unknown flag %s\nusage: %s %s", arg, argv[0],
+                   kBenchFlags);
+      std::exit(2);
     }
   }
   return args;

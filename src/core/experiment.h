@@ -77,6 +77,8 @@ struct BenchArgs {
   /// of one Search call per query.
   bool batch = false;
 
+  /// Parses the bench flags. `--help` prints them and exits 0; any other
+  /// flag it does not know prints them to stderr and exits 2.
   static BenchArgs Parse(int argc, char** argv);
 };
 

@@ -113,13 +113,27 @@ void Sq8GatherScalar(const float* qadj, const float* scale, size_t d,
 
 void CodebookIpScalar(const float* x, const float* cb, size_t sub_dim,
                       size_t n, float* out) {
-  // Dimension-outer, codeword-inner: the inner loop is a contiguous
-  // axpy over one dim-major codebook row, which GCC vectorizes.
-  for (size_t j = 0; j < n; ++j) out[j] = 0.f;
-  for (size_t t = 0; t < sub_dim; ++t) {
-    const float xt = x[t];
-    const float* row = cb + t * n;
-    for (size_t j = 0; j < n; ++j) out[j] += xt * row[j];
+  // Codeword-blocked: a block of kBlock outputs stays in registers while
+  // the dimensions are added into it in order, so the output is written
+  // once rather than read and written once per dimension. Each output is
+  // still 0 + x0·c0 + x1·c1 + ..., the same bits as a dimension-outer
+  // pass. The block's inner loop is a contiguous slice of one dim-major
+  // codebook row, which GCC vectorizes.
+  constexpr size_t kBlock = 16;
+  size_t j = 0;
+  for (; j + kBlock <= n; j += kBlock) {
+    float acc[kBlock] = {};
+    for (size_t t = 0; t < sub_dim; ++t) {
+      const float xt = x[t];
+      const float* row = cb + t * n + j;
+      for (size_t l = 0; l < kBlock; ++l) acc[l] += xt * row[l];
+    }
+    for (size_t l = 0; l < kBlock; ++l) out[j + l] = acc[l];
+  }
+  for (; j < n; ++j) {
+    float s = 0.f;
+    for (size_t t = 0; t < sub_dim; ++t) s += x[t] * cb[t * n + j];
+    out[j] = s;
   }
 }
 

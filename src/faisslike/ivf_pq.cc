@@ -95,12 +95,8 @@ IvfPqIndex::Scorer IvfPqIndex::MakeScorer(const float* query,
 void IvfPqIndex::Scorer::Score(uint32_t bucket, const uint32_t* pos,
                                size_t n, float* out,
                                obs::SearchCounters& /*sc*/) const {
-  const uint8_t* codes = index->bucket_codes_[bucket].data();
-  const size_t code_size = index->pq_->code_size();
-  for (size_t j = 0; j < n; ++j) {
-    out[j] = index->pq_->AdcDistance(
-        table.data(), codes + (pos != nullptr ? pos[j] : j) * code_size);
-  }
+  index->pq_->AdcScan(table.data(), index->bucket_codes_[bucket].data(), pos,
+                      n, out);
 }
 
 std::vector<Neighbor> IvfPqIndex::Refine(const float* query,

@@ -10,8 +10,10 @@
 //     then a serial bucket append;
 //   - coarse bucket selection over the in-memory codebook, and one
 //     SGEMM-decomposed selection per SearchBatch (RC#1);
-//   - the per-bucket scan over contiguous bucket arrays: every distance
-//     first, then one pass over the bounded KMaxHeap (RC#6);
+//   - the per-bucket scan over contiguous bucket arrays: a branch-free
+//     compaction of the selected positions when gated, every distance in
+//     one scorer call, then one pass over the bounded KMaxHeap that
+//     admits only candidates under its bound (RC#6);
 //   - intra-query parallelism over lock-free local heaps merged by
 //     MergeTopK (RC#3);
 //   - pre-filter and in-filter as selection policies over that same scan;
@@ -228,10 +230,14 @@ class IvfScanIndex : public VectorIndex {
   }
 
   /// The one bucket scan. Faiss computes every distance first, then makes
-  /// one heap pass: two tight loops, matching the Table V profile where
-  /// the distance kernel dominates. A gated scan first narrows the bucket
-  /// to its selected positions, so a rejected entry costs one bit test and
-  /// is never scored. The bucket's latch is held shared throughout.
+  /// one heap pass: tight loops, matching the Table V profile where the
+  /// distance kernel dominates. A gated scan first compacts the bucket to
+  /// its selected positions without a branch (every entry writes its
+  /// position, a selected one advances the count), so a rejected entry
+  /// costs one bit test and is never scored. The scorer takes the whole
+  /// bucket in one call (IVF_PQ scores four codes per step), and the heap
+  /// pass offers every candidate but admits only those under the bound
+  /// (KMaxHeap::PushAll). The bucket's latch is held shared throughout.
   template <class Scorer, class Gate>
   void ScanBucket(const Scorer& scorer, uint32_t bucket, const Gate& gate,
                   KMaxHeap& heap, Profiler* profiler,
@@ -243,12 +249,14 @@ class IvfScanIndex : public VectorIndex {
     thread_local std::vector<float> dists;
     size_t n = ids.size();
     if constexpr (Gate::kFiltered) {
-      pos.clear();
-      for (size_t i = 0; i < ids.size(); ++i) {
-        ++sc.bitmap_probes;
-        if (gate(ids[i])) pos.push_back(static_cast<uint32_t>(i));
+      pos.resize(n);
+      size_t selected = 0;
+      for (size_t i = 0; i < n; ++i) {
+        pos[selected] = static_cast<uint32_t>(i);
+        selected += gate(ids[i]) ? 1 : 0;
       }
-      n = pos.size();
+      sc.bitmap_probes += n;
+      n = selected;
     }
     sc.tuples_visited += n;
     if (n > 0) {
@@ -259,9 +267,9 @@ class IvfScanIndex : public VectorIndex {
                      dists.data(), sc);
       }
       ProfScope scope(profiler, "MinHeap");
-      for (size_t j = 0; j < n; ++j) {
-        heap.Push(dists[j], ids[Gate::kFiltered ? pos[j] : j]);
-      }
+      heap.PushAll(dists.data(), n, [&](size_t j) {
+        return ids[Gate::kFiltered ? pos[j] : j];
+      });
     }
     sc.heap_pushes += n;
   }

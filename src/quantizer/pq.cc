@@ -208,6 +208,43 @@ void ProductQuantizer::ComputeDistanceTableOptimized(
   }
 }
 
+void ProductQuantizer::AdcScan(const float* table, const uint8_t* codes,
+                               const uint32_t* pos, size_t n,
+                               float* out) const {
+  // One loop per addressing mode; `code(j)` is code j's bytes. The four
+  // sums are independent, so their table loads overlap instead of waiting
+  // on one accumulator's add chain.
+  const uint32_t m = m_;
+  const uint32_t c_pq = c_pq_;
+  auto scan = [&](auto code) {
+    size_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+      const uint8_t* c0 = code(j);
+      const uint8_t* c1 = code(j + 1);
+      const uint8_t* c2 = code(j + 2);
+      const uint8_t* c3 = code(j + 3);
+      float s0 = 0.f, s1 = 0.f, s2 = 0.f, s3 = 0.f;
+      const float* row = table;
+      for (uint32_t sub = 0; sub < m; ++sub, row += c_pq) {
+        s0 += row[c0[sub]];
+        s1 += row[c1[sub]];
+        s2 += row[c2[sub]];
+        s3 += row[c3[sub]];
+      }
+      out[j] = s0;
+      out[j + 1] = s1;
+      out[j + 2] = s2;
+      out[j + 3] = s3;
+    }
+    for (; j < n; ++j) out[j] = AdcDistance(table, code(j));
+  };
+  if (pos == nullptr) {
+    scan([&](size_t j) { return codes + j * m; });
+  } else {
+    scan([&](size_t j) { return codes + size_t{pos[j]} * m; });
+  }
+}
+
 Status ProductQuantizer::Serialize(BinaryWriter* writer) const {
   return writer->Fields(dim_, m_, c_pq_, sub_dim_, use_ref_kernel_,
                         codebooks_, codeword_norms_);

@@ -100,6 +100,14 @@ class ProductQuantizer {
     return s;
   }
 
+  /// ADC over a bucket: out[j] = AdcDistance(table, code j), where code j
+  /// starts at codes + pos[j] * code_size(), or at codes + j * code_size()
+  /// when `pos` is null. Four codes per step with independent
+  /// accumulators; each code is still summed from 0 over subspaces
+  /// 0..m−1 in order, so every distance equals AdcDistance's to the bit.
+  void AdcScan(const float* table, const uint8_t* codes, const uint32_t* pos,
+               size_t n, float* out) const;
+
   /// Codebook for one subspace: c_pq rows of sub_dim floats.
   const float* codebook(uint32_t sub) const {
     return codebooks_.data() +

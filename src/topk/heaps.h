@@ -35,6 +35,25 @@ class KMaxHeap {
     }
   }
 
+  /// Offers candidates (dists[j], id_at(j)) for j in [0, n), leaving the
+  /// heap exactly as n Push calls in that order would. Push's own rule
+  /// decides admission (any candidate while not full, including +inf and
+  /// NaN; then only one strictly below the worst), but that state is
+  /// held in locals re-read only after an admission, so a rejected
+  /// candidate costs a register compare and never reaches Push.
+  template <class IdAt>
+  void PushAll(const float* dists, size_t n, IdAt&& id_at) {
+    bool room = !full();
+    float bound = worst();
+    for (size_t j = 0; j < n; ++j) {
+      if (room || dists[j] < bound) {
+        Push(dists[j], id_at(j));
+        room = !full();
+        bound = worst();
+      }
+    }
+  }
+
   /// Current worst retained distance, or +inf while not yet full. Candidates
   /// at or above this bound cannot enter the heap.
   float worst() const {

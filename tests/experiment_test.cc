@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "core/parallel.h"
 #include "datasets/ground_truth.h"
@@ -59,6 +60,23 @@ TEST(BenchArgsTest, DefaultsWhenNoFlags) {
   EXPECT_GT(args.scale, 0.0);
   EXPECT_TRUE(args.datasets.empty());
   EXPECT_EQ(args.max_base, 0u);
+}
+
+TEST(BenchArgsDeathTest, UnknownFlagExitsNonZero) {
+  const char* argv[] = {"bench", "--scale=0.5", "--sacle=0.1"};
+  EXPECT_EXIT(BenchArgs::Parse(3, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "unknown flag --sacle=0.1");
+}
+
+TEST(BenchArgsDeathTest, HelpPrintsFlagsAndExitsZero) {
+  const char* argv[] = {"bench", "--help"};
+  // The usage goes to stdout; point it at stderr, which the matcher reads.
+  EXPECT_EXIT(
+      {
+        dup2(STDERR_FILENO, STDOUT_FILENO);
+        BenchArgs::Parse(2, const_cast<char**>(argv));
+      },
+      ::testing::ExitedWithCode(0), "usage: bench .*--max-queries=N");
 }
 
 TEST(RunSearchBatchTest, TimesAndScoresRecall) {

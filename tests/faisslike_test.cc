@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <memory>
 #include <set>
 
 #include "datasets/ground_truth.h"
@@ -9,6 +11,9 @@
 #include "faisslike/hnsw.h"
 #include "faisslike/ivf_flat.h"
 #include "faisslike/ivf_pq.h"
+#include "faisslike/ivf_sq8.h"
+#include "filter/selection.h"
+#include "obs/metrics.h"
 
 namespace vecdb::faisslike {
 namespace {
@@ -256,6 +261,80 @@ TEST(IvfPqTest, RefinedResultsAreExactDistances) {
                               ds.base_vector(static_cast<size_t>(nb.id)),
                               ds.dim);
     EXPECT_NEAR(nb.dist, exact, 1e-3f * (exact + 1.f));
+  }
+}
+
+// The gated bucket scan against the unfiltered one over the same probed
+// buckets: an unfiltered search with k at least the table size returns
+// every entry of those buckets, so it fixes what the in-filter scan must
+// count and return. Its bitmap tests are the probed entries, its visited
+// tuples and heap offers the selected ones among them, and its top k the
+// first k selected entries of that list, with the same distance bits.
+TEST(IvfScanTest, GatedScanCountsAndResultsFollowTheUnfilteredScan) {
+  auto ds = TestData(32, 1500);
+  IvfFlatOptions flat;
+  flat.num_clusters = 12;
+  IvfPqOptions pq;
+  pq.num_clusters = 12;
+  pq.pq_m = 8;
+  pq.pq_codes = 32;
+  pq.sample_ratio = 0.5;
+  IvfSq8Options sq8;
+  sq8.num_clusters = 12;
+  sq8.sample_ratio = 0.5;
+  std::vector<std::unique_ptr<VectorIndex>> indexes;
+  indexes.push_back(std::make_unique<IvfFlatIndex>(ds.dim, flat));
+  indexes.push_back(std::make_unique<IvfPqIndex>(ds.dim, pq));
+  indexes.push_back(std::make_unique<IvfSq8Index>(ds.dim, sq8));
+  filter::SelectionVector selection(ds.num_base);
+  for (size_t i = 0; i < ds.num_base; ++i) {
+    if (i % 5 == 1 || i % 7 == 0) selection.Set(i);
+  }
+  for (auto& index : indexes) {
+    SCOPED_TRACE(index->Describe());
+    ASSERT_TRUE(index->Build(ds.base.data(), ds.num_base).ok());
+    for (uint32_t nprobe : {1u, 3u, 12u}) {
+      for (size_t q = 0; q < 3; ++q) {
+        SearchParams params;
+        params.nprobe = nprobe;
+        params.k = ds.num_base;
+        obs::MetricsRegistry plain_metrics;
+        plain_metrics.SetEnabled(true);
+        params.ctx.metrics = &plain_metrics;
+        auto all = index->Search(ds.query_vector(q), params).ValueOrDie();
+        ASSERT_EQ(all.size(),
+                  plain_metrics.Value(obs::Counter::kFaissTuplesVisited));
+        std::vector<Neighbor> want;
+        for (const auto& nb : all) {
+          if (selection.Test(static_cast<size_t>(nb.id))) want.push_back(nb);
+        }
+
+        params.k = 10;
+        obs::MetricsRegistry gated_metrics;
+        gated_metrics.SetEnabled(true);
+        params.ctx.metrics = &gated_metrics;
+        FilterRequest request;
+        request.selection = &selection;
+        request.strategy = filter::FilterStrategy::kInFilter;
+        auto got = index->FilteredSearch(ds.query_vector(q), request, params)
+                       .ValueOrDie();
+        EXPECT_EQ(gated_metrics.Value(obs::Counter::kFilterBitmapProbes),
+                  all.size());
+        EXPECT_EQ(gated_metrics.Value(obs::Counter::kFaissTuplesVisited),
+                  want.size());
+        EXPECT_EQ(gated_metrics.Value(obs::Counter::kFaissHeapPushes),
+                  want.size());
+        EXPECT_EQ(gated_metrics.Value(obs::Counter::kFaissBucketsProbed),
+                  nprobe);
+        if (want.size() > params.k) want.resize(params.k);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].id, want[i].id) << "nprobe=" << nprobe;
+          EXPECT_EQ(std::bit_cast<uint32_t>(got[i].dist),
+                    std::bit_cast<uint32_t>(want[i].dist));
+        }
+      }
+    }
   }
 }
 

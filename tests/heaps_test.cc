@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -39,6 +41,65 @@ TEST(KMaxHeapTest, WorstIsInfUntilFull) {
   EXPECT_FLOAT_EQ(heap.worst(), 2.f);
   heap.Push(0.5f, 3);
   EXPECT_FLOAT_EQ(heap.worst(), 1.f);
+}
+
+/// True when two heaps hold the same entries in the same layout, each
+/// distance compared by its bits (so NaN entries compare too).
+bool SameHeap(const KMaxHeap& a, const KMaxHeap& b) {
+  if (a.raw().size() != b.raw().size()) return false;
+  for (size_t i = 0; i < a.raw().size(); ++i) {
+    if (std::bit_cast<uint32_t>(a.raw()[i].dist) !=
+            std::bit_cast<uint32_t>(b.raw()[i].dist) ||
+        a.raw()[i].id != b.raw()[i].id) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(KMaxHeapTest, PushAllKeepsInfAndNanWhileNotFull) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> dists = {inf, nan, inf};
+  KMaxHeap bulk(3), single(3);
+  bulk.PushAll(dists.data(), dists.size(),
+               [](size_t j) { return static_cast<int64_t>(j); });
+  for (size_t j = 0; j < dists.size(); ++j) {
+    single.Push(dists[j], static_cast<int64_t>(j));
+  }
+  EXPECT_TRUE(SameHeap(bulk, single));
+  // Each fills a free slot whatever its value.
+  std::vector<int64_t> ids;
+  for (const auto& nb : bulk.raw()) ids.push_back(nb.id);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<int64_t>{0, 1, 2}));
+}
+
+TEST(KMaxHeapTest, PushAllMatchesPushWithTiesInfAndNan) {
+  // Few distinct values, so many candidates tie with the bound.
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  Rng rng(31);
+  for (size_t k : {1, 2, 5, 16}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<float> dists(rng.Uniform(40));
+      for (auto& d : dists) {
+        const uint64_t pick = rng.Uniform(12);
+        d = pick < 2 ? specials[pick] : static_cast<float>(pick % 4);
+      }
+      KMaxHeap bulk(k), single(k);
+      // A second batch continues from the first one's bound.
+      for (int batch = 0; batch < 2; ++batch) {
+        const int64_t base = batch * 100;
+        bulk.PushAll(dists.data(), dists.size(),
+                     [&](size_t j) { return base + static_cast<int64_t>(j); });
+        for (size_t j = 0; j < dists.size(); ++j) {
+          single.Push(dists[j], base + static_cast<int64_t>(j));
+        }
+        ASSERT_TRUE(SameHeap(bulk, single)) << "k=" << k << " trial=" << trial;
+      }
+    }
+  }
 }
 
 TEST(KMaxHeapTest, ZeroKClampedToOne) {

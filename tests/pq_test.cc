@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "common/serialize.h"
 #include "datasets/synthetic.h"
 #include "distance/dispatch.h"
@@ -134,6 +136,57 @@ TEST(PqTest, AdcDistanceMatchesDecodedDistance) {
       const float adc = pq.AdcDistance(table.data(), code.data());
       const float direct = L2Sqr(query, rec.data(), 32);
       EXPECT_NEAR(adc, direct, 1e-2f * (direct + 1.f));
+    }
+  }
+}
+
+TEST(PqTest, AdcScanIsBitEqualToPerCodeAdcDistance) {
+  // dim 96 divides into every m below; random code bytes reach every
+  // table entry, and the sizes cover empty input and the four-code tails.
+  constexpr uint32_t kDim = 96;
+  auto ds = MakeData(kDim, 300, 19);
+  Rng rng(23);
+  for (uint32_t m : {1u, 3u, 4u, 8u, 16u, 32u}) {
+    for (uint32_t codes : {16u, 256u}) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " c_pq=" +
+                   std::to_string(codes));
+      PqOptions opt = SmallPq(m, codes);
+      opt.max_iterations = 1;
+      auto pq = ProductQuantizer::Train(ds.base.data(), 300, kDim, opt)
+                    .ValueOrDie();
+      std::vector<float> table(pq.table_size());
+      pq.ComputeDistanceTableOptimized(ds.query_vector(0), table.data());
+      for (size_t n : {0, 1, 3, 4, 5, 1001}) {
+        // A bucket of 2n + 1 codes; pos selects an ascending subset of n.
+        const size_t bucket = 2 * n + 1;
+        std::vector<uint8_t> bytes(bucket * pq.code_size());
+        for (auto& b : bytes) b = static_cast<uint8_t>(rng.Uniform(codes));
+        std::vector<uint32_t> pos;
+        for (size_t i = 0; pos.size() < n; ++i) {
+          if (bucket - i == n - pos.size() || rng.Uniform(2) == 1) {
+            pos.push_back(static_cast<uint32_t>(i));
+          }
+        }
+        std::vector<float> contiguous(n + 1, -1.f), gathered(n + 1, -1.f);
+        pq.AdcScan(table.data(), bytes.data(), nullptr, n, contiguous.data());
+        pq.AdcScan(table.data(), bytes.data(), pos.data(), n,
+                   gathered.data());
+        for (size_t j = 0; j < n; ++j) {
+          const float want_contiguous =
+              pq.AdcDistance(table.data(), bytes.data() + j * m);
+          const float want_gathered =
+              pq.AdcDistance(table.data(), bytes.data() + pos[j] * m);
+          ASSERT_EQ(std::bit_cast<uint32_t>(contiguous[j]),
+                    std::bit_cast<uint32_t>(want_contiguous))
+              << "n=" << n << " j=" << j;
+          ASSERT_EQ(std::bit_cast<uint32_t>(gathered[j]),
+                    std::bit_cast<uint32_t>(want_gathered))
+              << "n=" << n << " j=" << j;
+        }
+        // Nothing is written past out[n).
+        EXPECT_EQ(contiguous[n], -1.f);
+        EXPECT_EQ(gathered[n], -1.f);
+      }
     }
   }
 }
