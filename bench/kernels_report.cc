@@ -9,6 +9,13 @@
 // quantization at m=16, c_pq=256, d=128 per tier: encode per vector with
 // a per-pair l2sqr search versus the codebook kernel, and the ADC table
 // built the naive (PASE) versus the optimized (Faiss) way (RC#1/RC#7).
+// The float-kernel, "pq" and "sgemm" rows alternate every tier and kernel
+// through kRounds rounds, so drift on the host reaches all of them alike,
+// and report each row's median with its min and max; speedups are ratios
+// of medians. The "sgemm" block gives the dispatched SGEMM's GFLOP/s per
+// tier at the shapes the Faiss-side build runs: filtered_rw's assignment
+// (30000×173×128), a 256-list codebook (4096×256×128), PQ training
+// (300×256×8) and a one-row insert (1×173×128).
 // The "ingest" block times what one SQL INSERT costs before it reaches
 // the heap: lexing and parsing a 500-row INSERT of 128-d shortest-repr
 // floats (beside the strtof reading the parser replaced), and one row's
@@ -38,6 +45,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,6 +78,8 @@ namespace {
 constexpr size_t kDim = 128;
 constexpr size_t kNumCodes = 32;
 constexpr int kRepetitions = 5;
+// Alternating rounds of the float-kernel, PQ and SGEMM rows.
+constexpr int kRounds = 9;
 
 // PQ block shape: filtered_rw's quantizer (m = 16, c_pq = 256, sub_dim 8),
 // trained on a small random set, encoding a rotating set of vectors.
@@ -112,25 +122,51 @@ double NanosPerOp(size_t ops, Fn&& fn) {
 // Global sink defeating dead-code elimination across the timed lambdas.
 volatile float g_sink = 0.f;
 
-struct TierTimes {
-  // ns/op per tier; negative when the tier is not runnable on this host.
-  double by_isa[3] = {-1.0, -1.0, -1.0};
+/// Median, min and max of a set of timings; -1 each when there are none.
+struct Spread {
+  double median = -1.0;
+  double min = -1.0;
+  double max = -1.0;
 
+  static Spread Of(std::vector<double> v) {
+    if (v.empty()) return {};
+    std::sort(v.begin(), v.end());
+    return {v[v.size() / 2], v.front(), v.back()};
+  }
+
+  std::string Json() const {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf),
+                  "{\"median\": %.3f, \"min\": %.3f, \"max\": %.3f}", median,
+                  min, max);
+    return buf;
+  }
+};
+
+/// One timing per tier, one sample per round; a tier the host cannot run
+/// has none.
+struct TierTimes {
+  std::vector<double> by_isa[3];
+
+  Spread Of(KernelIsa isa) const {
+    return Spread::Of(by_isa[static_cast<int>(isa)]);
+  }
   double Speedup(KernelIsa over, KernelIsa base) const {
-    const double a = by_isa[static_cast<int>(over)];
-    const double b = by_isa[static_cast<int>(base)];
+    const double a = Of(over).median;
+    const double b = Of(base).median;
     if (a <= 0.0 || b <= 0.0) return -1.0;
     return b / a;
   }
 };
 
 void AppendTier(std::string* json, const char* name, const TierTimes& t) {
-  char buf[256];
+  char buf[128];
+  *json += std::string("    \"") + name + "\": {\"scalar_ns\": " +
+           t.Of(KernelIsa::kScalar).Json() +
+           ", \"avx2_ns\": " + t.Of(KernelIsa::kAvx2).Json() +
+           ", \"avx512_ns\": " + t.Of(KernelIsa::kAvx512).Json();
   std::snprintf(buf, sizeof(buf),
-                "    \"%s\": {\"scalar_ns\": %.3f, \"avx2_ns\": %.3f, "
-                "\"avx512_ns\": %.3f, \"avx2_speedup\": %.2f, "
-                "\"avx512_speedup\": %.2f}",
-                name, t.by_isa[0], t.by_isa[1], t.by_isa[2],
+                ", \"avx2_speedup\": %.2f, \"avx512_speedup\": %.2f}",
                 t.Speedup(KernelIsa::kAvx2, KernelIsa::kScalar),
                 t.Speedup(KernelIsa::kAvx512, KernelIsa::kScalar));
   *json += buf;
@@ -174,12 +210,12 @@ struct AdcTimes {
   double scan_gather_ns = -1.0;
 };
 
-// µs per operation, per tier; negative when the tier is not runnable.
+// µs per operation, per tier, one sample per round.
 struct PqTimes {
-  double encode_per_pair_us[3] = {-1.0, -1.0, -1.0};
-  double encode_codebook_us[3] = {-1.0, -1.0, -1.0};
-  double table_naive_us[3] = {-1.0, -1.0, -1.0};
-  double table_optimized_us[3] = {-1.0, -1.0, -1.0};
+  TierTimes encode_per_pair_us;
+  TierTimes encode_codebook_us;
+  TierTimes table_naive_us;
+  TierTimes table_optimized_us;
   AdcTimes adc;
 };
 
@@ -233,37 +269,42 @@ PqTimes TimePq() {
   std::vector<uint8_t> code(pq.code_size());
   std::vector<float> table(pq.table_size());
   PqTimes out;
-  for (int i = 0; i < 3; ++i) {
-    const KernelDispatch* t = KernelTableFor(static_cast<KernelIsa>(i));
-    if (t == nullptr) continue;
-    std::fprintf(stderr, "[kernels_report] timing pq on tier %s...\n",
-                 KernelIsaName(t->isa));
-    auto per_vector_us = [&](auto&& one) {
-      return NanosPerOp(kPqVectors, [&] {
-               for (size_t j = 0; j < kPqVectors; ++j) {
-                 one(vecs.data() + j * kDim);
-               }
-             }) /
-             1e3;
-    };
-    out.encode_per_pair_us[i] = per_vector_us([&](const float* v) {
-      PerPairEncode(pq, *t, v, code.data());
-      g_sink = code[0];
-    });
-    out.encode_codebook_us[i] = per_vector_us([&](const float* v) {
-      pq.Encode(v, code.data(), *t);
-      g_sink = code[0];
-    });
-    // The naive table runs on the scalar reference kernel on every tier;
-    // timing it per tier keeps each row self-contained.
-    out.table_naive_us[i] = per_vector_us([&](const float* v) {
-      pq.ComputeDistanceTableNaive(v, table.data());
-      g_sink = table[0];
-    });
-    out.table_optimized_us[i] = per_vector_us([&](const float* v) {
-      pq.ComputeDistanceTableOptimized(v, table.data(), *t);
-      g_sink = table[0];
-    });
+  std::fprintf(stderr, "[kernels_report] timing pq, %d rounds...\n", kRounds);
+  for (int round = 0; round < kRounds; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      const KernelDispatch* t = KernelTableFor(static_cast<KernelIsa>(i));
+      if (t == nullptr) continue;
+      auto per_vector_us = [&](auto&& one) {
+        return NanosPerOp(kPqVectors, [&] {
+                 for (size_t j = 0; j < kPqVectors; ++j) {
+                   one(vecs.data() + j * kDim);
+                 }
+               }) /
+               1e3;
+      };
+      out.encode_per_pair_us.by_isa[i].push_back(
+          per_vector_us([&](const float* v) {
+            PerPairEncode(pq, *t, v, code.data());
+            g_sink = code[0];
+          }));
+      out.encode_codebook_us.by_isa[i].push_back(
+          per_vector_us([&](const float* v) {
+            pq.Encode(v, code.data(), *t);
+            g_sink = code[0];
+          }));
+      // The naive table runs on the scalar reference kernel on every tier;
+      // timing it per tier keeps each row self-contained.
+      out.table_naive_us.by_isa[i].push_back(
+          per_vector_us([&](const float* v) {
+            pq.ComputeDistanceTableNaive(v, table.data());
+            g_sink = table[0];
+          }));
+      out.table_optimized_us.by_isa[i].push_back(
+          per_vector_us([&](const float* v) {
+            pq.ComputeDistanceTableOptimized(v, table.data(), *t);
+            g_sink = table[0];
+          }));
+    }
   }
   out.adc = TimeAdc(pq, vecs.data());
   return out;
@@ -277,15 +318,15 @@ void AppendPq(std::string* json, const PqTimes& p) {
                 kPqM, kPqCodes, kDim);
   *json += buf;
   for (int i = 0; i < 3; ++i) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "    \"%s\": {\"encode_per_pair_us\": %.3f, "
-        "\"encode_codebook_us\": %.3f, \"table_naive_us\": %.3f, "
-        "\"table_optimized_us\": %.3f}%s\n",
-        KernelIsaName(static_cast<KernelIsa>(i)), p.encode_per_pair_us[i],
-        p.encode_codebook_us[i], p.table_naive_us[i],
-        p.table_optimized_us[i], i < 2 ? "," : "");
-    *json += buf;
+    const auto isa = static_cast<KernelIsa>(i);
+    *json += std::string("    \"") + KernelIsaName(isa) +
+             "\": {\"encode_per_pair_us\": " +
+             p.encode_per_pair_us.Of(isa).Json() +
+             ", \"encode_codebook_us\": " +
+             p.encode_codebook_us.Of(isa).Json() +
+             ", \"table_naive_us\": " + p.table_naive_us.Of(isa).Json() +
+             ", \"table_optimized_us\": " +
+             p.table_optimized_us.Of(isa).Json() + (i < 2 ? "},\n" : "}\n");
   }
   *json += "  },\n";
   const AdcTimes& a = p.adc;
@@ -436,18 +477,6 @@ double TimeHeapLoad(bool with_wal, double* log_bytes) {
   return static_cast<double>(ns) / kWalRows / 1e3;
 }
 
-/// Median, min and max of a set of timings.
-struct Spread {
-  double median = 0;
-  double min = 0;
-  double max = 0;
-
-  static Spread Of(std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return {v[v.size() / 2], v.front(), v.back()};
-  }
-};
-
 // SQL rows of the WAL block: a kWalSqlRows-row table of 128-d rows is
 // loaded untimed, then CREATE INDEX and kWalSqlInserts one-row INSERTs are
 // timed (best of kWalSqlRepetitions fresh databases), with the bytes the
@@ -592,6 +621,58 @@ void AppendWal(std::string* json, const WalTimes& t) {
   *json += "    }\n  }\n";
 }
 
+// SGEMM shapes (m, n, k): filtered_rw's assignment, a 256-list codebook,
+// PQ training's per-subspace k-means, a one-row insert.
+constexpr size_t kSgemmShapes[][3] = {
+    {30000, 173, 128}, {4096, 256, 128}, {300, 256, 8}, {1, 173, 128}};
+constexpr size_t kNumSgemmShapes = std::size(kSgemmShapes);
+
+/// GFLOP/s per tier per shape, one sample per round.
+std::vector<TierTimes> TimeSgemm() {
+  std::fprintf(stderr, "[kernels_report] timing sgemm, %d rounds...\n",
+               kRounds);
+  std::vector<TierTimes> out(kNumSgemmShapes);
+  std::vector<std::vector<float>> a, c;
+  std::vector<PackedCodebook> b;
+  for (const auto& [m, n, k] : kSgemmShapes) {
+    a.push_back(RandomVectors(m, k, 19));
+    b.emplace_back(RandomVectors(n, k, 20).data(), n, k);
+    c.emplace_back(m * n);
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t s = 0; s < kNumSgemmShapes; ++s) {
+      const auto [m, n, k] = kSgemmShapes[s];
+      for (int i = 0; i < 3; ++i) {
+        const KernelDispatch* t = KernelTableFor(static_cast<KernelIsa>(i));
+        if (t == nullptr) continue;
+        const double ns = NanosPerOp(1, [&] {
+          t->sgemm(m, n, k, a[s].data(), b[s].strips(), c[s].data());
+          g_sink = c[s][0];
+        });
+        out[s].by_isa[i].push_back(2.0 * static_cast<double>(m * n * k) / ns);
+      }
+    }
+  }
+  return out;
+}
+
+void AppendSgemm(std::string* json, const std::vector<TierTimes>& t) {
+  *json += "  \"sgemm\": {\n";
+  for (size_t s = 0; s < kNumSgemmShapes; ++s) {
+    const auto [m, n, k] = kSgemmShapes[s];
+    char buf[128];
+    std::snprintf(buf, sizeof(buf), "    \"%zux%zux%zu\": {", m, n, k);
+    *json += buf;
+    for (int i = 0; i < 3; ++i) {
+      const auto isa = static_cast<KernelIsa>(i);
+      *json += std::string(i > 0 ? ", \"" : "\"") + KernelIsaName(isa) +
+               "_gflops\": " + t[s].Of(isa).Json();
+    }
+    *json += s + 1 < kNumSgemmShapes ? "},\n" : "}\n";
+  }
+  *json += "  },\n";
+}
+
 int Run(const char* out_path) {
   const auto base = RandomVectors(kNumCodes, kDim, 11);
   const auto query = RandomVectors(1, kDim, 12);
@@ -613,43 +694,47 @@ int Run(const char* out_path) {
   TierTimes l2sqr, cosine, batch, sq8_scan;
   for (int i = 0; i < 3; ++i) {
     const auto isa = static_cast<KernelIsa>(i);
-    const KernelDispatch* t = KernelTableFor(isa);
-    if (t == nullptr) {
+    if (KernelTableFor(isa) == nullptr) {
       std::fprintf(stderr, "[kernels_report] tier %s not runnable, skipped\n",
                    KernelIsaName(isa));
-      continue;
     }
-    std::fprintf(stderr, "[kernels_report] timing tier %s...\n",
-                 KernelIsaName(isa));
-    // Single-pair kernels rotate through the base set so we measure the
-    // kernel, not one cache-resident pair's best case.
-    l2sqr.by_isa[i] = NanosPerOp(kNumCodes, [&] {
-      float acc = 0.f;
-      for (size_t j = 0; j < kNumCodes; ++j) {
-        acc += t->l2sqr(query.data(), base.data() + j * kDim, kDim);
-      }
-      g_sink = acc;
-    });
-    cosine.by_isa[i] = NanosPerOp(kNumCodes, [&] {
-      float acc = 0.f;
-      for (size_t j = 0; j < kNumCodes; ++j) {
-        acc += t->cosine(query.data(), base.data() + j * kDim, kDim);
-      }
-      g_sink = acc;
-    });
-    // The DistanceBatch shape: one query against the contiguous base,
-    // results materialized — what every bucket scan does.
-    batch.by_isa[i] = NanosPerOp(kNumCodes, [&] {
-      for (size_t j = 0; j < kNumCodes; ++j) {
-        dists[j] = t->l2sqr(query.data(), base.data() + j * kDim, kDim);
-      }
-      g_sink = dists[kNumCodes - 1];
-    });
-    sq8_scan.by_isa[i] = NanosPerOp(kNumCodes, [&] {
-      t->sq8_l2_batch(prep.qadj.data(), sq.scales(), kDim, store.codes(),
-                      kNumCodes, dists.data());
-      g_sink = dists[kNumCodes - 1];
-    });
+  }
+  std::fprintf(stderr, "[kernels_report] timing float kernels, %d rounds...\n",
+               kRounds);
+  for (int round = 0; round < kRounds; ++round) {
+    for (int i = 0; i < 3; ++i) {
+      const KernelDispatch* t = KernelTableFor(static_cast<KernelIsa>(i));
+      if (t == nullptr) continue;
+      // Single-pair kernels rotate through the base set so we measure the
+      // kernel, not one cache-resident pair's best case.
+      l2sqr.by_isa[i].push_back(NanosPerOp(kNumCodes, [&] {
+        float acc = 0.f;
+        for (size_t j = 0; j < kNumCodes; ++j) {
+          acc += t->l2sqr(query.data(), base.data() + j * kDim, kDim);
+        }
+        g_sink = acc;
+      }));
+      cosine.by_isa[i].push_back(NanosPerOp(kNumCodes, [&] {
+        float acc = 0.f;
+        for (size_t j = 0; j < kNumCodes; ++j) {
+          acc += t->cosine(query.data(), base.data() + j * kDim, kDim);
+        }
+        g_sink = acc;
+      }));
+      // The DistanceBatch shape: one query against the contiguous base,
+      // results materialized — what every bucket scan does.
+      batch.by_isa[i].push_back(NanosPerOp(kNumCodes, [&] {
+        for (size_t j = 0; j < kNumCodes; ++j) {
+          dists[j] = t->l2sqr(query.data(), base.data() + j * kDim, kDim);
+        }
+        g_sink = dists[kNumCodes - 1];
+      }));
+      sq8_scan.by_isa[i].push_back(NanosPerOp(kNumCodes, [&] {
+        t->sq8_l2_batch(prep.qadj.data(), sq.scales(), kDim, store.codes(),
+                        kNumCodes, dists.data());
+        g_sink = dists[kNumCodes - 1];
+      }));
+    }
   }
 
   // Fast-scan baseline: the pre-blocked bucket loop — decode-on-the-fly
@@ -664,11 +749,12 @@ int Run(const char* out_path) {
   });
 
   const PqTimes pq_times = TimePq();
+  const std::vector<TierTimes> sgemm_times = TimeSgemm();
   const IngestTimes ingest_times = TimeIngest();
   const WalTimes wal_times = TimeWal();
 
   auto fastscan_speedup = [&](KernelIsa isa) {
-    const double ns = sq8_scan.by_isa[static_cast<int>(isa)];
+    const double ns = sq8_scan.Of(isa).median;
     return ns > 0.0 ? sq8_per_code_ns / ns : -1.0;
   };
 
@@ -676,8 +762,9 @@ int Run(const char* out_path) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "  \"config\": {\"d\": %zu, \"n_codes\": %zu, "
-                "\"repetitions\": %d, \"active_isa\": \"%s\"},\n",
-                kDim, kNumCodes, kRepetitions,
+                "\"repetitions\": %d, \"rounds\": %d, "
+                "\"active_isa\": \"%s\"},\n",
+                kDim, kNumCodes, kRepetitions, kRounds,
                 KernelIsaName(ActiveKernelIsa()));
   json += buf;
   json += "  \"float_kernels\": {\n";
@@ -703,6 +790,7 @@ int Run(const char* out_path) {
   json += buf;
   json += "  },\n";
   AppendPq(&json, pq_times);
+  AppendSgemm(&json, sgemm_times);
   AppendIngest(&json, ingest_times);
   AppendWal(&json, wal_times);
   json += "}\n";

@@ -109,7 +109,8 @@ echo "=== build-asan: server loopback e2e (net_server_test) ==="
 # engine/method pair's filtered and unfiltered scans, over deleted rows
 # too, against a brute-force model, and the faisslike suite, whose gated
 # scan test drives the position buffer and IVF_PQ's four-code ADC tail
-# through every faisslike IVF engine. The
+# through every faisslike IVF engine, and the SGEMM and k-means suites,
+# whose assignment runs on the dispatched SGEMM and argmin kernels. The
 # kernel_dispatch_test
 # ActiveTableMatchesResolutionRule case asserts the override actually
 # resolved to scalar, so this stage fails loudly if the
@@ -117,7 +118,7 @@ echo "=== build-asan: server loopback e2e (net_server_test) ==="
 echo "=== build-release: kernel suites under VECDB_KERNEL_ISA=scalar ==="
 VECDB_KERNEL_ISA=scalar ctest --test-dir build-release \
   --output-on-failure \
-  -R '^(kernel_dispatch_test|sq8_test|ivf_sq8_test|filter_test|batch_search_test|cancel_test|query_context_test|pq_test|persistence_test|insert_test|visibility_test|faisslike_test)$'
+  -R '^(kernel_dispatch_test|sq8_test|ivf_sq8_test|filter_test|batch_search_test|cancel_test|query_context_test|pq_test|persistence_test|insert_test|visibility_test|faisslike_test|sgemm_test|kmeans_test)$'
 
 # Kernel-dispatch stage, part 2: the same suites under ASan/UBSan once per
 # ISA tier the host can run. The masked tails and 64-bit partial loads in
@@ -135,7 +136,7 @@ for tier in "${KERNEL_TIERS[@]}"; do
   echo "=== build-asan: kernel suites under VECDB_KERNEL_ISA=${tier} ==="
   VECDB_KERNEL_ISA="${tier}" ctest --test-dir build-asan \
     --output-on-failure \
-    -R '^(kernel_dispatch_test|sq8_test|ivf_sq8_test|filter_test|batch_search_test|cancel_test|query_context_test|pq_test|persistence_test|insert_test|visibility_test|faisslike_test)$'
+    -R '^(kernel_dispatch_test|sq8_test|ivf_sq8_test|filter_test|batch_search_test|cancel_test|query_context_test|pq_test|persistence_test|insert_test|visibility_test|faisslike_test|sgemm_test|kmeans_test)$'
 done
 
 run_config build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -174,6 +175,13 @@ echo "=== build-tsan: concurrent logging+checkpoint smoke (recovery_test) ==="
 echo "=== build-tsan: scans beside concurrent writers smoke (visibility_test) ==="
 ./build-tsan/tests/visibility_test \
   --gtest_filter='VisibilityStressTest.ScansBesideDeleteAndReinsert:VisibilityStressTest.IndexScansBesideMultiRowInserts'
+
+# Faisslike IVF builds fan PQ encoding out over build workers (SQL's
+# CREATE INDEX uses every hardware thread): the same index at 1, 2 and 4
+# workers, and one-row inserts beside the batch build, under the race
+# detector, where the workers' shared inputs and per-row code slots are.
+echo "=== build-tsan: faisslike build-thread invariance (faisslike_test) ==="
+./build-tsan/tests/faisslike_test --gtest_filter='IvfBuildThreadsTest.*'
 
 # Session stress under the race detector: lock-free snapshot readers
 # overlap RCU-style snapshot publication and epoch reclamation, plus the

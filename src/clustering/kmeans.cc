@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/random.h"
+#include "distance/dispatch.h"
 #include "distance/kernels.h"
 #include "distance/sgemm.h"
 
@@ -23,25 +24,15 @@ void AssignRangeSgemm(const float* data, size_t begin, size_t end,
   const size_t d = codebook.dim();
   const size_t c = codebook.rows();
   const size_t tile = std::min(kAssignTile, end - begin);
-  std::vector<float> dists(tile * c);
+  std::vector<float> dots(tile * c);
   std::vector<float> x_norms(tile);
   for (size_t t0 = begin; t0 < end; t0 += tile) {
     const size_t nb = std::min(tile, end - t0);
     RowNormsSqr(data + t0 * d, nb, d, x_norms.data());
-    AllPairsL2Sqr(data + t0 * d, nb, codebook, x_norms.data(), dists.data());
-    for (size_t i = 0; i < nb; ++i) {
-      const float* row = dists.data() + i * c;
-      uint32_t best = 0;
-      float best_d = row[0];
-      for (uint32_t j = 1; j < c; ++j) {
-        if (row[j] < best_d) {
-          best_d = row[j];
-          best = j;
-        }
-      }
-      out_assign[t0 + i] = best;
-      if (out_dist != nullptr) out_dist[t0 + i] = best_d;
-    }
+    SgemmTransB(nb, data + t0 * d, codebook, dots.data());
+    ActiveKernels().nearest_from_dots(
+        dots.data(), nb, c, x_norms.data(), codebook.norms(),
+        out_assign + t0, out_dist != nullptr ? out_dist + t0 : nullptr);
   }
 }
 

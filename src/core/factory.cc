@@ -1,6 +1,8 @@
 #include "core/factory.h"
 
+#include <algorithm>
 #include <set>
+#include <thread>
 
 #include "bridge/bridged_hnsw.h"
 #include "bridge/bridged_ivf_flat.h"
@@ -55,6 +57,12 @@ Result<std::unique_ptr<VectorIndex>> CreateIndex(const IndexSpec& spec,
       static_cast<uint32_t>(OptionOr(opt, "refine_factor", 0));
   const uint64_t seed = static_cast<uint64_t>(OptionOr(opt, "seed", 42));
 
+  // Faiss encodes on every core (RC#3); the faisslike IVF builds fan their
+  // encoding out over this many workers. Assignment, k-means and PQ
+  // training stay on one thread, as do PASE builds.
+  const int build_threads =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+
   const bool needs_env = spec.engine == "pase" || spec.engine == "bridge";
   if (needs_env && !env.valid()) {
     return Status::InvalidArgument("engine '" + spec.engine +
@@ -71,6 +79,7 @@ Result<std::unique_ptr<VectorIndex>> CreateIndex(const IndexSpec& spec,
       o.sample_ratio = sr;
       o.train_iterations = iters;
       o.seed = seed;
+      o.num_threads = build_threads;
       return std::unique_ptr<VectorIndex>(
           new faisslike::IvfFlatIndex(spec.dim, o));
     }
@@ -83,6 +92,7 @@ Result<std::unique_ptr<VectorIndex>> CreateIndex(const IndexSpec& spec,
       o.train_iterations = iters;
       o.refine_factor = refine;
       o.seed = seed;
+      o.num_threads = build_threads;
       return std::unique_ptr<VectorIndex>(
           new faisslike::IvfPqIndex(spec.dim, o));
     }

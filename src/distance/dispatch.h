@@ -37,6 +37,10 @@ struct CodewordPick {
   uint32_t num_near;  ///< codewords written to `near` (≥ 1: best is one)
 };
 
+/// Column-strip width of a packed SGEMM B operand (see
+/// KernelDispatch::sgemm): B's rows are packed 16 at a time as k×16 blocks.
+constexpr size_t kSgemmStrip = 16;
+
 /// One tier's kernel implementations. Float kernels mirror the public
 /// functions in kernels.h; the sq8_* entries are the quantized fast-scan
 /// family consumed through ScalarQuantizer8 (quantizer/sq8.h), and
@@ -100,6 +104,33 @@ struct KernelDispatch {
   CodewordPick (*codebook_nearest)(const float* x, const float* cb,
                                    const float* norms, size_t sub_dim,
                                    size_t n, float slack, uint8_t* near);
+
+  /// C (m×n, row-major) = A (m×k, row-major) · Bᵀ for a B (n×k) packed
+  /// into ⌈n/16⌉ column strips: strip s holds rows [16s, 16s+16) of B as a
+  /// k×16 block (strips + s·16·k, element [p][j] = B[16s + j][p]), zero
+  /// past n. Writes every element of C. The SGEMM Faiss calls for batched
+  /// assignment (paper RC#1), behind PackedCodebook (distance/sgemm.h).
+  ///
+  /// Each tier keeps an MR×NR tile of C in registers across the whole k
+  /// loop, and every C element is the same operation sequence over its own
+  /// row of A and column of B whatever its place in a tile and whatever m
+  /// and n are: rows are independent, bit for bit. The scalar tier sums
+  /// c += a0·b0 + a1·b1 + a2·b2 + a3·b3 per four k-steps (restarting the
+  /// groups every 256), without FMA; the SIMD tiers run one FMA per k-step.
+  /// Across tiers only approximate parity holds.
+  void (*sgemm)(size_t m, size_t n, size_t k, const float* a,
+                const float* strips, float* c);
+
+  /// The SGEMM assignment's argmin: for each of `m` rows of n ≥ 1 dot
+  /// products (row i at dots + i·n), the first j minimizing
+  ///   v_j = (x_norms[i] + y_norms[j]) − 2·dots[i·n + j], clamped at 0,
+  /// into assign[i], and v at it into dist[i] when dist is not null. A NaN
+  /// v is never the minimum unless it is v_0, which then stands. Every
+  /// tier computes each v with the same roundings, so the picks agree bit
+  /// for bit across tiers on the same dots.
+  void (*nearest_from_dots)(const float* dots, size_t m, size_t n,
+                            const float* x_norms, const float* y_norms,
+                            uint32_t* assign, float* dist);
 };
 
 /// The table serving this process, resolved once at first use:

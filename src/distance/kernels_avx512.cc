@@ -11,8 +11,11 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace vecdb::detail {
 namespace {
@@ -303,12 +306,138 @@ VECDB_AVX512 CodewordPick CodebookNearestAvx512(const float* x,
   return {best, num_near};
 }
 
+// SGEMM micro-kernel: an MR×(16·NS) tile of C in MR·NS accumulators held
+// across the whole k loop. Per k-step: one load per strip, then one
+// broadcast FMA per accumulator, so every element is the same FMA chain
+// over p = 0..k-1 wherever it sits in a tile.
+constexpr size_t kSgemmRowsAvx512 = 12;
+
+template <size_t MR, size_t NS>
+VECDB_AVX512 void SgemmTileAvx512(size_t k, const float* a,
+                                  const float* strip, float* c, size_t ldc,
+                                  size_t nc) {
+  constexpr size_t NR = kSgemmStrip;
+  __m512 acc[MR][NS];
+#pragma GCC unroll 16
+  for (size_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (size_t s = 0; s < NS; ++s) acc[r][s] = _mm512_setzero_ps();
+  }
+  for (size_t p = 0; p < k; ++p) {
+    __m512 b[NS];
+#pragma GCC unroll 4
+    for (size_t s = 0; s < NS; ++s) {
+      b[s] = _mm512_loadu_ps(strip + s * k * NR + p * NR);
+    }
+#pragma GCC unroll 16
+    for (size_t r = 0; r < MR; ++r) {
+      const __m512 ar = _mm512_set1_ps(a[r * k + p]);
+#pragma GCC unroll 4
+      for (size_t s = 0; s < NS; ++s) {
+        acc[r][s] = _mm512_fmadd_ps(ar, b[s], acc[r][s]);
+      }
+    }
+  }
+#pragma GCC unroll 16
+  for (size_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 4
+    for (size_t s = 0; s < NS; ++s) {
+      _mm512_mask_storeu_ps(c + r * ldc + s * NR, BlockMask(s * NR, nc),
+                            acc[r][s]);
+    }
+  }
+}
+
+using SgemmTileFn = void (*)(size_t, const float*, const float*, float*,
+                             size_t, size_t);
+
+template <size_t NS, size_t... R>
+constexpr std::array<SgemmTileFn, sizeof...(R)> SgemmTilesAvx512(
+    std::index_sequence<R...>) {
+  return {&SgemmTileAvx512<R + 1, NS>...};
+}
+
+VECDB_AVX512 void SgemmAvx512(size_t m, size_t n, size_t k, const float* a,
+                              const float* strips, float* c) {
+  // Tiles by row count (index mr − 1), one strip wide and two.
+  static constexpr auto kOne =
+      SgemmTilesAvx512<1>(std::make_index_sequence<kSgemmRowsAvx512>());
+  static constexpr auto kTwo =
+      SgemmTilesAvx512<2>(std::make_index_sequence<kSgemmRowsAvx512>());
+  constexpr size_t NR = kSgemmStrip;
+  // 128-column blocks of B stay cache-resident while every row passes.
+  constexpr size_t kBlockN = 8 * NR;
+  for (size_t j0 = 0; j0 < n; j0 += kBlockN) {
+    const size_t jend = std::min(n, j0 + kBlockN);
+    for (size_t i0 = 0; i0 < m; i0 += kSgemmRowsAvx512) {
+      const size_t mr = std::min(kSgemmRowsAvx512, m - i0);
+      for (size_t j = j0; j < jend; j += 2 * NR) {
+        const size_t nc = std::min(2 * NR, jend - j);
+        (nc > NR ? kTwo : kOne)[mr - 1](k, a + i0 * k, strips + j * k,
+                                        c + i0 * n + j, n, nc);
+      }
+    }
+  }
+}
+
+// v = (xn + yn) − 2·dot clamped at 0, NaN kept, lanes outside m zero.
+VECDB_AVX512 inline __m512 ClampedL2FromDots(__m512 xn, const float* yn,
+                                             const float* dots,
+                                             __mmask16 m) {
+  const __m512 d = _mm512_maskz_loadu_ps(m, dots);
+  const __m512 v = _mm512_sub_ps(
+      _mm512_add_ps(xn, _mm512_maskz_loadu_ps(m, yn)), _mm512_add_ps(d, d));
+  const __m512 zero = _mm512_setzero_ps();
+  return _mm512_mask_mov_ps(v, _mm512_cmp_ps_mask(v, zero, _CMP_LT_OQ),
+                            zero);
+}
+
+VECDB_AVX512 void NearestFromDotsAvx512(const float* dots, size_t m, size_t n,
+                                        const float* x_norms,
+                                        const float* y_norms,
+                                        uint32_t* assign, float* dist) {
+  for (size_t i = 0; i < m; ++i) {
+    const float* row = dots + i * n;
+    const float xn = x_norms[i];
+    uint32_t best = 0;
+    float best_d = std::max(xn + y_norms[0] - 2.f * row[0], 0.f);
+    if (!std::isnan(best_d)) {
+      // Lane minimum; min(v, acc) keeps acc when v is NaN.
+      const __m512 vxn = _mm512_set1_ps(xn);
+      __m512 lane_min =
+          _mm512_set1_ps(std::numeric_limits<float>::infinity());
+      for (size_t j = 0; j < n; j += 16) {
+        const __mmask16 mk = BlockMask(j, n);
+        lane_min = _mm512_mask_min_ps(
+            lane_min, mk, ClampedL2FromDots(vxn, y_norms + j, row + j, mk),
+            lane_min);
+      }
+      // The first j scoring the minimum; v_0 is not NaN, so one does.
+      const __m512 vmin = _mm512_set1_ps(HorizontalMin(lane_min));
+      for (size_t j = 0; j < n; j += 16) {
+        const __mmask16 mk = BlockMask(j, n);
+        const __mmask16 eq = _mm512_mask_cmp_ps_mask(
+            mk, ClampedL2FromDots(vxn, y_norms + j, row + j, mk), vmin,
+            _CMP_EQ_OQ);
+        if (eq != 0) {
+          best = static_cast<uint32_t>(j) + __builtin_ctz(eq);
+          break;
+        }
+      }
+      best_d = std::max(xn + y_norms[best] - 2.f * row[best], 0.f);
+    }
+    assign[i] = best;
+    if (dist != nullptr) dist[i] = best_d;
+  }
+}
+
 #undef VECDB_AVX512
 
 const KernelDispatch kAvx512Table = {
     KernelIsa::kAvx512, L2SqrAvx512,      InnerProductAvx512,
     L2NormSqrAvx512,    CosineAvx512,     Sq8BatchAvx512,
     Sq8GatherAvx512,    CodebookIpAvx512, CodebookNearestAvx512,
+    SgemmAvx512,        NearestFromDotsAvx512,
 };
 
 }  // namespace

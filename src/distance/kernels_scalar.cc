@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "distance/kernels_impl.h"
@@ -191,10 +192,101 @@ CodewordPick CodebookNearestScalar(const float* x, const float* cb,
   return {best, num_near};
 }
 
+// Four float lanes as a GCC/Clang vector extension: elementwise + and *
+// on the x86-64 SSE2 floor, each rounded as the scalar operation would be
+// (no FMA contraction in ISO C++ mode), so a lane computes exactly what a
+// plain float loop computes.
+using Lanes4 = float __attribute__((vector_size(16)));
+
+inline Lanes4 LoadLanes4(const float* p) {
+  Lanes4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// One row of C against NS 16-column strips: a 1×16·NS tile held in 4·NS
+// lane registers across the whole k loop (SSE2's sixteen registers leave
+// no room for a second row beside the strips' operands; two and four rows
+// measured slower). Each element gets the SGEMM's original per-element
+// expression: four k-steps summed in order and added, no FMA, with the
+// groups restarting every kSgemmBlockK.
+constexpr size_t kSgemmBlockK = 256;
+
+template <size_t NS>
+void SgemmTileScalar(size_t k, const float* a, const float* strip, float* c,
+                     size_t nc) {
+  constexpr size_t NR = kSgemmStrip;
+  constexpr size_t NV = NR / 4;
+  Lanes4 acc[NS][NV] = {};
+  for (size_t k0 = 0; k0 < k; k0 += kSgemmBlockK) {
+    const size_t kend = k0 + std::min(kSgemmBlockK, k - k0);
+    size_t p = k0;
+    for (; p + 4 <= kend; p += 4) {
+      for (size_t s = 0; s < NS; ++s) {
+        const float* b = strip + s * k * NR + p * NR;
+        for (size_t v = 0; v < NV; ++v) {
+          acc[s][v] += a[p] * LoadLanes4(b + 4 * v) +
+                       a[p + 1] * LoadLanes4(b + NR + 4 * v) +
+                       a[p + 2] * LoadLanes4(b + 2 * NR + 4 * v) +
+                       a[p + 3] * LoadLanes4(b + 3 * NR + 4 * v);
+        }
+      }
+    }
+    for (; p < kend; ++p) {
+      for (size_t s = 0; s < NS; ++s) {
+        for (size_t v = 0; v < NV; ++v) {
+          acc[s][v] += a[p] * LoadLanes4(strip + s * k * NR + p * NR + 4 * v);
+        }
+      }
+    }
+  }
+  float row[NS * NR];
+  std::memcpy(row, acc, sizeof(row));
+  std::copy_n(row, nc, c);
+}
+
+void SgemmScalar(size_t m, size_t n, size_t k, const float* a,
+                 const float* strips, float* c) {
+  constexpr size_t NR = kSgemmStrip;
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j0 = 0; j0 < n; j0 += 2 * NR) {
+      const size_t nc = std::min(2 * NR, n - j0);
+      if (nc > NR) {
+        SgemmTileScalar<2>(k, a + i * k, strips + j0 * k, c + i * n + j0, nc);
+      } else {
+        SgemmTileScalar<1>(k, a + i * k, strips + j0 * k, c + i * n + j0, nc);
+      }
+    }
+  }
+}
+
+void NearestFromDotsScalar(const float* dots, size_t m, size_t n,
+                           const float* x_norms, const float* y_norms,
+                           uint32_t* assign, float* dist) {
+  for (size_t i = 0; i < m; ++i) {
+    const float* row = dots + i * n;
+    const float xn = x_norms[i];
+    uint32_t best = 0;
+    float best_d = 0.f;
+    for (size_t j = 0; j < n; ++j) {
+      // The decomposition can dip below zero in float: clamp.
+      float v = xn + y_norms[j] - 2.f * row[j];
+      v = v < 0.f ? 0.f : v;
+      if (j == 0 || v < best_d) {
+        best_d = v;
+        best = static_cast<uint32_t>(j);
+      }
+    }
+    assign[i] = best;
+    if (dist != nullptr) dist[i] = best_d;
+  }
+}
+
 const KernelDispatch kScalarTable = {
     KernelIsa::kScalar, L2SqrScalar,      InnerProductScalar,
     L2NormSqrScalar,    CosineScalar,     Sq8BatchScalar,
     Sq8GatherScalar,    CodebookIpScalar, CodebookNearestScalar,
+    SgemmScalar,        NearestFromDotsScalar,
 };
 
 }  // namespace

@@ -15,13 +15,14 @@ namespace vecdb {
 ///
 /// The B-transposed convention matches vector-search use: A holds queries or
 /// base vectors, B holds centroids, both stored row-major with dimension k.
-/// Packs Bᵀ into column panels, then runs packed rank-4 updates over
-/// L2-sized panel blocks.
+/// Packs Bᵀ into 16-column strips, then runs the dispatched register-blocked
+/// kernel (KernelDispatch::sgemm): rows of C are independent bit for bit,
+/// so a row's products do not depend on m or on the row's place in A.
 void SgemmTransB(size_t m, size_t n, size_t k, const float* a, const float* b,
                  float* c);
 
 /// A row-major B (n×k) prepared once for repeated products against it: the
-/// Bᵀ panels SgemmTransB packs on every call, plus B's squared row norms.
+/// Bᵀ strips SgemmTransB packs on every call, plus B's squared row norms.
 /// An IVF codebook is packed where it is set, so a one-row insert pays for
 /// neither the repack nor the norm pass. In-memory only, never serialized.
 class PackedCodebook {
@@ -31,18 +32,18 @@ class PackedCodebook {
 
   size_t rows() const { return n_; }
   size_t dim() const { return k_; }
-  const float* panels() const { return panels_.data(); }
+  const float* strips() const { return strips_.data(); }
   const float* norms() const { return norms_.data(); }
 
  private:
   size_t n_ = 0;
   size_t k_ = 0;
-  AlignedFloats panels_;  ///< n*k floats: Bᵀ, one column panel after another
+  AlignedFloats strips_;  ///< Bᵀ, one 16-column k×16 strip after another
   AlignedFloats norms_;   ///< n squared L2 row norms
 };
 
 /// SgemmTransB(m, b.rows(), b.dim(), a, B, c) against the prepacked B,
-/// bit-identical to it: the same panels feed the same rank updates.
+/// bit-identical to it: the same strips feed the same kernel.
 void SgemmTransB(size_t m, const float* a, const PackedCodebook& b, float* c);
 
 /// Computes squared L2 norms of `n` row-major k-dim vectors into `out[n]`.

@@ -48,8 +48,6 @@ class IvfFlatIndex final : public IvfScanIndex<IvfFlatIndex> {
   uint32_t dim() const { return dim_; }
   /// Construction options (round-tripped by Save/Load since format v2).
   const IvfFlatOptions& options() const { return options_; }
-  /// Row-major codebook (num_clusters * dim), valid after Train.
-  const float* centroids() const { return centroids_.data(); }
   /// Ids in one bucket (testing/diagnostics).
   const std::vector<int64_t>& bucket_ids(uint32_t b) const {
     return bucket_ids_[b];

@@ -52,6 +52,10 @@ class IvfPqIndex final : public IvfScanIndex<IvfPqIndex> {
   const std::vector<int64_t>& bucket_ids(uint32_t b) const {
     return bucket_ids_[b];
   }
+  /// PQ codes in one bucket, code_size() bytes per id (testing/diagnostics).
+  const std::vector<uint8_t>& bucket_codes(uint32_t b) const {
+    return bucket_codes_[b];
+  }
 
  private:
   friend class IvfScanIndex<IvfPqIndex>;

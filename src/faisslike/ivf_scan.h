@@ -122,6 +122,8 @@ class IvfScanIndex : public VectorIndex {
   size_t NumVectors() const override { return num_vectors_; }
   uint32_t Dim() const override { return dim_; }
   uint32_t num_clusters() const { return num_clusters_; }
+  /// Row-major codebook (num_clusters * dim), valid after Train.
+  const float* centroids() const { return centroids_.data(); }
 
  protected:
   explicit IvfScanIndex(uint32_t dim) : dim_(dim) {}

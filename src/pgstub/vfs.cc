@@ -15,6 +15,14 @@ namespace {
 /// stdio-backed file. "rb+" keeps existing bytes; Sync maps to fflush,
 /// consistent with the repo-wide no-fsync durability model (the fault
 /// model is process crash, not power loss).
+///
+/// A write that continues the previous one at its end offset skips the
+/// seek: glibc's fseek flushes the buffer and issues an lseek, so a log
+/// appending one small record at a time would pay two syscalls a record.
+/// Such writes wait in the stdio buffer until it fills, or until Sync,
+/// Size or Truncate flushes it. Any read, truncate or failed write
+/// forgets the position, so the next write seeks again (C requires a
+/// seek between input and output on one stream).
 class StdioFile final : public VfsFile {
  public:
   explicit StdioFile(std::FILE* f) : f_(f) {}
@@ -25,6 +33,7 @@ class StdioFile final : public VfsFile {
   StdioFile& operator=(const StdioFile&) = delete;
 
   Result<size_t> ReadAt(uint64_t offset, void* buf, size_t len) override {
+    write_end_ = kNoPosition;
     if (std::fseek(f_, static_cast<long>(offset), SEEK_SET) != 0) {
       return Status::IOError("vfs: seek failed");
     }
@@ -37,13 +46,18 @@ class StdioFile final : public VfsFile {
   }
 
   Status WriteAt(uint64_t offset, const void* buf, size_t len) override {
-    if (std::fseek(f_, static_cast<long>(offset), SEEK_SET) != 0) {
-      return Status::IOError("vfs: seek failed");
+    if (offset != write_end_) {
+      write_end_ = kNoPosition;
+      if (std::fseek(f_, static_cast<long>(offset), SEEK_SET) != 0) {
+        return Status::IOError("vfs: seek failed");
+      }
     }
     if (std::fwrite(buf, 1, len, f_) != len) {
+      write_end_ = kNoPosition;
       std::clearerr(f_);
       return Status::IOError("vfs: write failed");
     }
+    write_end_ = offset + len;
     return Status::OK();
   }
 
@@ -63,6 +77,7 @@ class StdioFile final : public VfsFile {
   }
 
   Status Truncate(uint64_t size) override {
+    write_end_ = kNoPosition;
     if (std::fflush(f_) != 0) return Status::IOError("vfs: flush failed");
     if (::ftruncate(::fileno(f_), static_cast<off_t>(size)) != 0) {
       return Status::IOError("vfs: truncate failed");
@@ -71,7 +86,12 @@ class StdioFile final : public VfsFile {
   }
 
  private:
+  static constexpr uint64_t kNoPosition = ~uint64_t{0};
+
   std::FILE* f_;
+  /// End offset of the last successful write, where the stream's position
+  /// still is; kNoPosition when the next write must seek.
+  uint64_t write_end_ = kNoPosition;
 };
 
 class StdioVfs final : public Vfs {

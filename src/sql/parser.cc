@@ -1,7 +1,9 @@
 #include "sql/parser.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 
@@ -450,6 +452,8 @@ bool FromCharsReadsLikeStrtof(std::string_view text, size_t i) {
            (text[j + 1] == 'x' || text[j + 1] == 'X'));
 }
 
+bool IsDigit(char c) { return static_cast<unsigned char>(c - '0') < 10; }
+
 /// strtof over the element at text[i]; returns the bytes it consumed (0:
 /// no conversion). No float syntax contains ',' or ']', so strtof never
 /// reads past them and the copy stops there.
@@ -461,6 +465,67 @@ size_t StrtofElement(std::string_view text, size_t i, float* value) {
 }
 
 }  // namespace
+
+size_t ParseFloatFast(std::string_view text, float* value) {
+  static constexpr double kPow10[] = {
+      1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,  1e8,  1e9,  1e10, 1e11,
+      1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+  constexpr int kMaxPow10 = 22;
+  // At most this many mantissa digits, leading zeros included: w cannot
+  // overflow, and longer forms go to from_chars.
+  constexpr size_t kMaxDigits = 19;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  const bool negative = p != end && *p == '-';
+  p += negative ? 1 : 0;
+  const char* const mantissa = p;
+  uint64_t w = 0;
+  for (; p != end && IsDigit(*p); ++p) {
+    w = w * 10 + static_cast<uint64_t>(*p - '0');
+  }
+  size_t digits = static_cast<size_t>(p - mantissa);
+  int q = 0;
+  if (p != end && *p == '.') {
+    const char* const fraction = ++p;
+    for (; p != end && IsDigit(*p); ++p) {
+      w = w * 10 + static_cast<uint64_t>(*p - '0');
+    }
+    q = -static_cast<int>(p - fraction);
+    digits += static_cast<size_t>(p - fraction);
+  }
+  if (digits == 0 || digits > kMaxDigits) return 0;
+  if (p != end && (*p == 'e' || *p == 'E')) {
+    const char* e = p + 1;
+    const bool exp_negative = e != end && *e == '-';
+    if (e != end && (*e == '+' || *e == '-')) ++e;
+    if (e != end && IsDigit(*e)) {
+      int exp = 0;
+      for (; e != end && IsDigit(*e); ++e) {
+        exp = std::min(exp * 10 + (*e - '0'), 100000);
+      }
+      q += exp_negative ? -exp : exp;
+      p = e;
+    }
+  }
+  const size_t consumed = static_cast<size_t>(p - text.data());
+  if (w == 0) {
+    *value = negative ? -0.f : 0.f;
+    return consumed;
+  }
+  if (w > (uint64_t{1} << 53) || q < -kMaxPow10 || q > kMaxPow10) return 0;
+  const double d = q >= 0 ? static_cast<double>(w) * kPow10[q]
+                          : static_cast<double>(w) / kPow10[-q];
+  if (!(d >= std::numeric_limits<float>::min() &&
+        d <= std::numeric_limits<float>::max())) {
+    return 0;
+  }
+  // A normal float's ulp is 2^29 of the double's: a float midpoint has
+  // exactly the top one of the 29 low mantissa bits set.
+  const uint64_t bits = std::bit_cast<uint64_t>(d);
+  if ((bits & ((uint64_t{1} << 29) - 1)) == uint64_t{1} << 28) return 0;
+  *value = static_cast<float>(negative ? -d : d);
+  return consumed;
+}
 
 Result<std::vector<float>> ParseVectorLiteral(std::string_view text) {
   std::vector<float> out;
@@ -486,15 +551,18 @@ Result<std::vector<float>> ParseVectorLiteral(std::string_view text) {
       closed = true;
       break;
     }
-    // from_chars is correctly rounded, like strtof, so the two agree on
-    // every value it accepts; a range error (strtof's ±inf, denormal or 0)
-    // goes to strtof for its value.
+    // The fast path and from_chars are correctly rounded, like strtof, so
+    // all three agree on every value the first two accept; a range error
+    // (strtof's ±inf, denormal or 0) goes to strtof for its value.
     float v = 0.f;
     size_t consumed = 0;
     if (FromCharsReadsLikeStrtof(text, i)) {
-      const char* first = text.data() + i;
-      const auto [end, ec] = std::from_chars(first, text.data() + n, v);
-      if (ec == std::errc()) consumed = static_cast<size_t>(end - first);
+      consumed = ParseFloatFast(text.substr(i), &v);
+      if (consumed == 0) {
+        const char* first = text.data() + i;
+        const auto [end, ec] = std::from_chars(first, text.data() + n, v);
+        if (ec == std::errc()) consumed = static_cast<size_t>(end - first);
+      }
     }
     if (consumed == 0) consumed = StrtofElement(text, i, &v);
     if (consumed == 0) {

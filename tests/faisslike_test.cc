@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstring>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "datasets/ground_truth.h"
 #include "datasets/synthetic.h"
@@ -153,6 +155,105 @@ TEST(IvfFlatTest, ParallelSearchMatchesSerial) {
   }
   EXPECT_EQ(acct.worker_busy_nanos.size(), 4u);
   EXPECT_GT(acct.TotalWorkSeconds(), 0.0);
+}
+
+// What a built IVF index holds, bit for bit: the codebook, every bucket's
+// ids (and IVF_PQ codes), and search results with their distance bits.
+template <class Index>
+void ExpectSameIndex(const Index& want, const Index& got, const Dataset& ds,
+                     const std::string& what) {
+  ASSERT_EQ(want.num_clusters(), got.num_clusters()) << what;
+  ASSERT_EQ(std::memcmp(want.centroids(), got.centroids(),
+                        static_cast<size_t>(want.num_clusters()) * ds.dim *
+                            sizeof(float)),
+            0)
+      << what;
+  for (uint32_t b = 0; b < want.num_clusters(); ++b) {
+    ASSERT_EQ(want.bucket_ids(b), got.bucket_ids(b)) << what << " bucket " << b;
+    if constexpr (requires { want.bucket_codes(b); }) {
+      ASSERT_EQ(want.bucket_codes(b), got.bucket_codes(b))
+          << what << " bucket " << b;
+    }
+  }
+  SearchParams params;
+  params.k = 10;
+  params.nprobe = 4;
+  for (size_t q = 0; q < ds.num_queries; ++q) {
+    const auto a = want.Search(ds.query_vector(q), params).ValueOrDie();
+    const auto b = got.Search(ds.query_vector(q), params).ValueOrDie();
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id, b[i].id) << what << " query " << q;
+      EXPECT_EQ(std::bit_cast<uint32_t>(a[i].dist),
+                std::bit_cast<uint32_t>(b[i].dist))
+          << what << " query " << q;
+    }
+  }
+}
+
+IvfFlatOptions FlatBuildOptions(int threads) {
+  IvfFlatOptions o;
+  o.num_clusters = 16;
+  o.num_threads = threads;
+  return o;
+}
+
+IvfPqOptions PqBuildOptions(int threads) {
+  IvfPqOptions o;
+  o.num_clusters = 16;
+  o.pq_m = 8;
+  o.pq_codes = 64;
+  o.refine_factor = 4;
+  o.num_threads = threads;
+  return o;
+}
+
+// SQL builds encode on every hardware thread; the index must not depend on
+// how many: one thread and two and four give the same index.
+TEST(IvfBuildThreadsTest, FlatBuildIsTheSameAtEveryThreadCount) {
+  const auto ds = TestData();
+  IvfFlatIndex one(ds.dim, FlatBuildOptions(1));
+  ASSERT_TRUE(one.Build(ds.base.data(), ds.num_base).ok());
+  for (int threads : {2, 4}) {
+    IvfFlatIndex many(ds.dim, FlatBuildOptions(threads));
+    ASSERT_TRUE(many.Build(ds.base.data(), ds.num_base).ok());
+    ExpectSameIndex(one, many, ds, "threads " + std::to_string(threads));
+  }
+}
+
+TEST(IvfBuildThreadsTest, PqBuildIsTheSameAtEveryThreadCount) {
+  const auto ds = TestData();
+  IvfPqIndex one(ds.dim, PqBuildOptions(1));
+  ASSERT_TRUE(one.Build(ds.base.data(), ds.num_base).ok());
+  for (int threads : {2, 4}) {
+    IvfPqIndex many(ds.dim, PqBuildOptions(threads));
+    ASSERT_TRUE(many.Build(ds.base.data(), ds.num_base).ok());
+    ExpectSameIndex(one, many, ds, "threads " + std::to_string(threads));
+  }
+}
+
+// A row's SGEMM assignment does not depend on the batch it arrives in: rows
+// inserted one at a time after the same training land in the buckets, with
+// the codes, that one batch build gives them.
+TEST(IvfBuildThreadsTest, OneRowInsertsMatchTheBatchBuild) {
+  const auto ds = TestData();
+  for (int threads : {1, 4}) {
+    const std::string what = "threads " + std::to_string(threads);
+    IvfFlatIndex flat_batch(ds.dim, FlatBuildOptions(threads));
+    IvfFlatIndex flat_rows(ds.dim, FlatBuildOptions(threads));
+    ASSERT_TRUE(flat_batch.Build(ds.base.data(), ds.num_base).ok());
+    ASSERT_TRUE(flat_rows.Train(ds.base.data(), ds.num_base).ok());
+    IvfPqIndex pq_batch(ds.dim, PqBuildOptions(threads));
+    IvfPqIndex pq_rows(ds.dim, PqBuildOptions(threads));
+    ASSERT_TRUE(pq_batch.Build(ds.base.data(), ds.num_base).ok());
+    ASSERT_TRUE(pq_rows.Train(ds.base.data(), ds.num_base).ok());
+    for (size_t i = 0; i < ds.num_base; ++i) {
+      ASSERT_TRUE(flat_rows.Insert(ds.base_vector(i)).ok());
+      ASSERT_TRUE(pq_rows.Insert(ds.base_vector(i)).ok());
+    }
+    ExpectSameIndex(flat_batch, flat_rows, ds, "flat " + what);
+    ExpectSameIndex(pq_batch, pq_rows, ds, "pq " + what);
+  }
 }
 
 TEST(IvfFlatTest, ErrorPaths) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -376,6 +377,101 @@ TEST(VectorLiteralTest, MatchesStrtofParserBitForBit) {
   // The corpus exercises both sides of the accept/reject line.
   EXPECT_GT(accepted, 2000u);
   EXPECT_LT(accepted, 18000u);
+}
+
+// ParseFloatFast against from_chars<float> on one input: when the fast
+// path accepts, the same bits and the same length. Returns whether it
+// accepted.
+bool FastPathAgrees(const std::string& text) {
+  float fast = 0.f;
+  const size_t consumed = ParseFloatFast(text, &fast);
+  if (consumed == 0) return false;
+  float want = 0.f;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), want);
+  EXPECT_EQ(ec, std::errc()) << '"' << text << '"';
+  EXPECT_EQ(consumed, static_cast<size_t>(end - text.data()))
+      << '"' << text << '"';
+  EXPECT_EQ(std::memcmp(&fast, &want, sizeof(float)), 0)
+      << '"' << text << "\" fast " << fast << " from_chars " << want;
+  return true;
+}
+
+TEST(VectorLiteralTest, FastPathMatchesFromCharsOnRandomFloats) {
+  std::mt19937_64 rng(20261019);
+  size_t accepted = 0;
+  constexpr int kInputs = 1'000'000;
+  for (int trial = 0; trial < kInputs; ++trial) {
+    uint32_t bits = static_cast<uint32_t>(rng());
+    if (trial % 2 == 0) {  // ordinary magnitudes, like embeddings
+      bits = (bits & 0x807fffffu) | ((100u + rng() % 40) << 23);
+    } else if ((bits & 0x7f800000u) == 0x7f800000u) {
+      bits &= 0xbfffffffu;  // any finite bit pattern
+    }
+    float f;
+    std::memcpy(&f, &bits, sizeof(f));
+    char buf[96];
+    const int form = trial % 3;
+    if (form == 0) {
+      const auto res = std::to_chars(buf, buf + sizeof(buf), f);
+      *res.ptr = '\0';
+    } else if (form == 1) {
+      std::snprintf(buf, sizeof(buf), "%.*g", 1 + static_cast<int>(rng() % 12),
+                    static_cast<double>(f));
+    } else {
+      std::snprintf(buf, sizeof(buf), "%.*f", static_cast<int>(rng() % 10),
+                    static_cast<double>(f));
+    }
+    accepted += FastPathAgrees(buf) ? 1 : 0;
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Most embedding-like inputs take the fast path.
+  EXPECT_GT(accepted, static_cast<size_t>(kInputs) / 3);
+}
+
+TEST(VectorLiteralTest, FastPathHandPickedCases) {
+  struct Case {
+    const char* text;
+    size_t consumed;  // 0: the fast path must decline
+  };
+  const Case kCases[] = {
+      {"0.5", 3}, {".5", 2}, {"5.", 2}, {"-.5", 3}, {"-0", 2}, {"0", 1},
+      {"-0.0e5", 6}, {"0e999999999999", 14}, {"1e", 1}, {"1e+", 1},
+      {"1e-", 1}, {"1E5", 3}, {"1.e5", 4}, {"2.5e-3,", 6}, {"7]", 1},
+      {"00012", 5}, {"1.2.3", 3}, {"1e5e3", 3}, {"1e22", 4},
+      {"0.1234567", 9}, {"-123.456e-7", 11},
+      // Exact float midpoints, where rounding twice could err: declined.
+      {"16777217", 0}, {"16777219", 0}, {"-16777217", 0},
+      {"33554434", 0}, {"1.6777217e7", 0},
+      // Outside the normal float range: FLT_MAX's neighborhood rounds
+      // through from_chars, FLT_MIN and subnormals have |q| > 22.
+      {"3.4028236e38", 0}, {"3.4028235e38", 0}, {"1e39", 0},
+      {"1.17549435e-38", 0}, {"1e-45", 0}, {"1.4e-45", 0},
+      // Beyond the exact operands: 20+ significant digits, w > 2^53, or
+      // |q| > 22.
+      {"12345678901234567890", 0}, {"1.2345678901234567890", 0},
+      {"9007199254740993", 0}, {"1e23", 0},
+      {"0.00000000000000000000001", 0},
+      // Not this grammar: no digit at all, or a form only strtof reads.
+      {".", 0}, {"-", 0}, {"-.", 0}, {"e5", 0}, {"+1", 0}, {"inf", 0},
+      {"nan", 0}, {"", 0},
+  };
+  for (const Case& c : kCases) {
+    float v = 0.f;
+    EXPECT_EQ(ParseFloatFast(c.text, &v), c.consumed) << '"' << c.text << '"';
+    if (c.consumed > 0) {
+      EXPECT_TRUE(FastPathAgrees(c.text)) << c.text;
+    }
+  }
+  float v = 1.f;
+  ASSERT_EQ(ParseFloatFast("-0", &v), 2u);
+  EXPECT_TRUE(std::signbit(v));
+  // "0x1p3" is hex to strtof; the literal parser never offers it to the
+  // fast path, which would read only the "0".
+  EXPECT_EQ(ParseVectorLiteral("[0x1p3]").ValueOrDie(),
+            std::vector<float>({8.f}));
+  // 2^53 itself is exact; the next integer is not.
+  EXPECT_TRUE(FastPathAgrees("9007199254740992"));
 }
 
 TEST(ParserTest, IntegerPositionsAreExact) {
