@@ -6,6 +6,9 @@
 #                       CheckInvariants() audits are active
 #   TSan                RelWithDebInfo; concurrency_test/thread_pool_test
 #                       run under the race detector
+#   profiler readers    the Table III/V, Fig 8/9/18 benches at a tiny scale
+#                       under ASan, and a profiled parallel bridged search
+#                       under TSan
 #   recovery            crash-recovery fault injection under ASan and the
 #                       concurrent logging+checkpoint smoke under TSan
 #   sessions            the multi-session front end: full session_test
@@ -70,6 +73,16 @@ echo "=== build-asan: batched-search smoke (micro_kernels) ==="
 # a bucket or result buffer.
 echo "=== build-asan: filtered-search smoke (ext_filtered_search) ==="
 ./build-asan/bench/ext_filtered_search --scale=0.002 --max-queries=5
+
+# Profiler-reader smoke: the benches that print the Profiler phase tables
+# (Table III, Table V, Fig 8) and the ParallelAccounting makespans (Fig 9,
+# Fig 18) at a tiny scale under ASan/UBSan, so a label or accounting path
+# they read is executed in CI and not only compiled.
+for reader in tab03_hnsw_build_breakdown tab05_ivfflat_search_breakdown \
+    fig08_searchnbtoadd_breakdown fig09_parallel_build fig18_parallel_search; do
+  echo "=== build-asan: profiler-reader smoke (${reader}) ==="
+  ./build-asan/bench/"${reader}" --scale=0.001 --max-queries=5
+done
 
 # Recovery stage, part 1: the full fault-injection harness under
 # ASan/UBSan. Every sampled crash offset exercises torn-write handling,
@@ -182,6 +195,14 @@ echo "=== build-tsan: scans beside concurrent writers smoke (visibility_test) ==
 # detector, where the workers' shared inputs and per-row code slots are.
 echo "=== build-tsan: faisslike build-thread invariance (faisslike_test) ==="
 ./build-tsan/tests/faisslike_test --gtest_filter='IvfBuildThreadsTest.*'
+
+# A Profiler is single-threaded: a parallel bridged IVF_FLAT search with a
+# profiler and ParallelAccounting attached must record from its workers
+# only into the accounting. Sized so a profiler shared with the workers
+# shows up here as a race.
+echo "=== build-tsan: profiled parallel bridged search (bridge_test) ==="
+./build-tsan/tests/bridge_test \
+  --gtest_filter='BridgeTest.ProfiledParallelSearchMatchesSerial'
 
 # Session stress under the race detector: lock-free snapshot readers
 # overlap RCU-style snapshot publication and epoch reclamation, plus the

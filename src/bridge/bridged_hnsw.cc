@@ -22,8 +22,8 @@ BridgedHnswIndex::BridgedHnswIndex(pase::PaseEnv env, uint32_t dim,
     : env_(env),
       dim_(dim),
       options_(options),
-      graph_(dim, faisslike::HnswOptions{options.bnn, options.efb,
-                                         options.seed, options.profiler}) {}
+      graph_(dim,
+             faisslike::HnswOptions{options.bnn, options.efb, options.seed}) {}
 
 Status BridgedHnswIndex::PersistImage(const float* data, size_t n) {
   VECDB_ASSIGN_OR_RETURN(

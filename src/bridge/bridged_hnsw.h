@@ -21,7 +21,6 @@ struct BridgedHnswOptions {
   uint32_t efb = 40;
   uint64_t seed = 42;
   std::string rel_prefix = "bridged_hnsw";
-  Profiler* profiler = nullptr;
 
   /// Pack many adjacency lists per page instead of PASE's page-per-vertex.
   bool pack_pages = true;

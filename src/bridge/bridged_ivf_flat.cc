@@ -84,7 +84,6 @@ Status BridgedIvfFlatIndex::Build(const float* data, size_t n) {
                                    : KMeansStyle::kPaseStyle;
   km.use_sgemm = options_.use_sgemm && options_.faiss_kmeans;
   km.seed = options_.seed;
-  km.profiler = options_.profiler;
   VECDB_ASSIGN_OR_RETURN(KMeansModel model, TrainKMeans(data, n, dim_, km));
   num_clusters_ = model.num_clusters;
   centroids_.Resize(0);
@@ -100,8 +99,7 @@ Status BridgedIvfFlatIndex::Build(const float* data, size_t n) {
   chains_.assign(num_clusters_, {});
   std::vector<uint32_t> assign(n);
   AssignToNearest(data, n, dim_, centroids_.data(), num_clusters_,
-                  options_.use_sgemm, assign.data(), nullptr, nullptr,
-                  options_.profiler);
+                  options_.use_sgemm, assign.data(), nullptr);
   for (size_t i = 0; i < n; ++i) {
     VECDB_RETURN_NOT_OK(AppendToBucket(assign[i], static_cast<int64_t>(i),
                                        data + i * dim_));
@@ -195,6 +193,8 @@ Result<std::vector<Neighbor>> BridgedIvfFlatIndex::Search(
     }
   };
 
+  // Profiler is single-threaded: only an inline scan records into it.
+  Profiler* profiler = params.num_threads <= 1 ? ctx.profiler : nullptr;
   auto scan_bucket = [&](uint32_t b,
                          const std::function<void(float, int64_t)>& sink,
                          obs::SearchCounters* counters) -> Status {
@@ -209,13 +209,13 @@ Result<std::vector<Neighbor>> BridgedIvfFlatIndex::Search(
         ++counters->buckets_probed;
         counters->tuples_visited += ids.size();
       }
-      ProfScope scope(ctx.profiler, "fvec_L2sqr");
+      ProfScope scope(profiler, "fvec_L2sqr");
       for (size_t i = 0; i < ids.size(); ++i) {
         sink(L2Sqr(query, vecs + i * dim_, dim_), ids[i]);
       }
       return Status::OK();
     }
-    return ScanBucketPages(b, query, sink, ctx.profiler, counters);
+    return ScanBucketPages(b, query, sink, profiler, counters);
   };
   auto flush_counters = [metrics, &ctx](const obs::SearchCounters& sc) {
     ctx.CountTuples(sc.tuples_visited);

@@ -31,7 +31,6 @@ struct BridgedIvfFlatOptions {
   int train_iterations = 10;
   uint64_t seed = 42;
   std::string rel_prefix = "bridged_ivfflat";
-  Profiler* profiler = nullptr;
 
   bool memory_table = true;  ///< Step#1 (RC#2)
   bool use_sgemm = true;     ///< Step#2 (RC#1)

@@ -17,35 +17,23 @@ namespace {
 // rows so the distance matrix stays cache-resident.
 constexpr size_t kAssignTile = 1024;
 
-void AssignRangeSgemm(const float* data, size_t begin, size_t end,
-                      const PackedCodebook& codebook, uint32_t* out_assign,
-                      float* out_dist) {
-  if (begin >= end) return;
-  const size_t d = codebook.dim();
-  const size_t c = codebook.rows();
-  const size_t tile = std::min(kAssignTile, end - begin);
-  std::vector<float> dots(tile * c);
-  std::vector<float> x_norms(tile);
-  for (size_t t0 = begin; t0 < end; t0 += tile) {
-    const size_t nb = std::min(tile, end - t0);
-    RowNormsSqr(data + t0 * d, nb, d, x_norms.data());
-    SgemmTransB(nb, data + t0 * d, codebook, dots.data());
-    ActiveKernels().nearest_from_dots(
-        dots.data(), nb, c, x_norms.data(), codebook.norms(),
-        out_assign + t0, out_dist != nullptr ? out_dist + t0 : nullptr);
-  }
-}
+}  // namespace
 
-void AssignRangeNaive(const float* data, size_t begin, size_t end, size_t d,
-                      const float* centroids, uint32_t c, uint32_t* out_assign,
-                      float* out_dist) {
+void AssignToNearest(const float* data, size_t n, size_t d,
+                     const float* centroids, uint32_t num_clusters,
+                     bool use_sgemm, uint32_t* out_assign, float* out_dist) {
+  if (use_sgemm) {
+    AssignToNearest(data, n, PackedCodebook(centroids, num_clusters, d),
+                    out_assign, out_dist);
+    return;
+  }
   // The PASE adding path: one reference scalar kernel call per
   // (vector, centroid) pair — the fvec_L2sqr_ref bottleneck of Fig 3.
-  for (size_t i = begin; i < end; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const float* x = data + i * d;
     uint32_t best = 0;
     float best_d = std::numeric_limits<float>::infinity();
-    for (uint32_t j = 0; j < c; ++j) {
+    for (uint32_t j = 0; j < num_clusters; ++j) {
       const float dist = L2SqrRef(x, centroids + j * d, d);
       if (dist < best_d) {
         best_d = dist;
@@ -57,42 +45,23 @@ void AssignRangeNaive(const float* data, size_t begin, size_t end, size_t d,
   }
 }
 
-// Runs fn(begin, end) over [0, n): one chunk per worker when `pool` has
-// more than one, else inline.
-template <class Fn>
-void ForRanges(size_t n, ThreadPool* pool, Fn&& fn) {
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->ParallelFor(n, [&](int, size_t b, size_t e) { fn(b, e); });
-  } else {
-    fn(0, n);
-  }
-}
-
-}  // namespace
-
-void AssignToNearest(const float* data, size_t n, size_t d,
-                     const float* centroids, uint32_t num_clusters,
-                     bool use_sgemm, uint32_t* out_assign, float* out_dist,
-                     ThreadPool* pool, Profiler* profiler) {
-  if (use_sgemm) {
-    AssignToNearest(data, n, PackedCodebook(centroids, num_clusters, d),
-                    out_assign, out_dist, pool, profiler);
-    return;
-  }
-  ProfScope scope(profiler, "assign_naive");
-  ForRanges(n, pool, [&](size_t begin, size_t end) {
-    AssignRangeNaive(data, begin, end, d, centroids, num_clusters, out_assign,
-                     out_dist);
-  });
-}
-
 void AssignToNearest(const float* data, size_t n,
                      const PackedCodebook& codebook, uint32_t* out_assign,
-                     float* out_dist, ThreadPool* pool, Profiler* profiler) {
-  ProfScope scope(profiler, "assign_sgemm");
-  ForRanges(n, pool, [&](size_t begin, size_t end) {
-    AssignRangeSgemm(data, begin, end, codebook, out_assign, out_dist);
-  });
+                     float* out_dist) {
+  if (n == 0) return;
+  const size_t d = codebook.dim();
+  const size_t c = codebook.rows();
+  const size_t tile = std::min(kAssignTile, n);
+  std::vector<float> dots(tile * c);
+  std::vector<float> x_norms(tile);
+  for (size_t t0 = 0; t0 < n; t0 += tile) {
+    const size_t nb = std::min(tile, n - t0);
+    RowNormsSqr(data + t0 * d, nb, d, x_norms.data());
+    SgemmTransB(nb, data + t0 * d, codebook, dots.data());
+    ActiveKernels().nearest_from_dots(
+        dots.data(), nb, c, x_norms.data(), codebook.norms(),
+        out_assign + t0, out_dist != nullptr ? out_dist + t0 : nullptr);
+  }
 }
 
 Result<KMeansModel> TrainKMeans(const float* data, size_t n, size_t d,
@@ -119,7 +88,6 @@ Result<KMeansModel> TrainKMeans(const float* data, size_t n, size_t d,
   sample_n = std::min(sample_n, n);
   AlignedFloats sample(sample_n * d);
   {
-    ProfScope scope(options.profiler, "kmeans_sample");
     auto picks = rng.SampleWithoutReplacement(static_cast<uint32_t>(n),
                                               static_cast<uint32_t>(sample_n));
     if (options.style == KMeansStyle::kPaseStyle) {
@@ -137,22 +105,19 @@ Result<KMeansModel> TrainKMeans(const float* data, size_t n, size_t d,
   model.dim = static_cast<uint32_t>(d);
   model.centroids.Resize(static_cast<size_t>(c) * d);
 
-  {
-    ProfScope scope(options.profiler, "kmeans_seed");
-    if (options.style == KMeansStyle::kFaissStyle) {
-      // Random-permutation seeding from the sample (as Faiss does).
-      auto seeds = rng.SampleWithoutReplacement(
-          static_cast<uint32_t>(sample_n), c);
-      for (uint32_t j = 0; j < c; ++j) {
-        std::memcpy(model.centroids.data() + static_cast<size_t>(j) * d,
-                    sample.data() + static_cast<size_t>(seeds[j]) * d,
-                    d * sizeof(float));
-      }
-    } else {
-      // PASE-style: first k sampled vectors seed the codebook.
-      std::memcpy(model.centroids.data(), sample.data(),
-                  static_cast<size_t>(c) * d * sizeof(float));
+  if (options.style == KMeansStyle::kFaissStyle) {
+    // Random-permutation seeding from the sample (as Faiss does).
+    auto seeds =
+        rng.SampleWithoutReplacement(static_cast<uint32_t>(sample_n), c);
+    for (uint32_t j = 0; j < c; ++j) {
+      std::memcpy(model.centroids.data() + static_cast<size_t>(j) * d,
+                  sample.data() + static_cast<size_t>(seeds[j]) * d,
+                  d * sizeof(float));
     }
+  } else {
+    // PASE-style: first k sampled vectors seed the codebook.
+    std::memcpy(model.centroids.data(), sample.data(),
+                static_cast<size_t>(c) * d * sizeof(float));
   }
 
   std::vector<uint32_t> assign(sample_n);
@@ -163,19 +128,14 @@ Result<KMeansModel> TrainKMeans(const float* data, size_t n, size_t d,
       options.style == KMeansStyle::kFaissStyle && options.use_sgemm;
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    {
-      ProfScope scope(options.profiler, "kmeans_assign");
-      AssignToNearest(sample.data(), sample_n, d, model.centroids.data(), c,
-                      sgemm, assign.data(), dist.data(), options.pool,
-                      options.profiler);
-    }
+    AssignToNearest(sample.data(), sample_n, d, model.centroids.data(), c,
+                    sgemm, assign.data(), dist.data());
     double inertia = 0.0;
     for (size_t i = 0; i < sample_n; ++i) inertia += dist[i];
     model.inertia = inertia;
     model.iterations = iter + 1;
 
     // --- Update phase.
-    ProfScope scope(options.profiler, "kmeans_update");
     std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(counts.begin(), counts.end(), 0u);
     for (size_t i = 0; i < sample_n; ++i) {

@@ -9,9 +9,7 @@
 #include <vector>
 
 #include "common/aligned_buffer.h"
-#include "common/profiler.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "distance/sgemm.h"
 
 namespace vecdb {
@@ -34,8 +32,6 @@ struct KMeansOptions {
   KMeansStyle style = KMeansStyle::kFaissStyle;
   bool use_sgemm = true;         ///< Faiss-style only: batched assignment
   uint64_t seed = 42;            ///< PRNG seed for sampling/seeding
-  ThreadPool* pool = nullptr;    ///< optional parallel assignment
-  Profiler* profiler = nullptr;  ///< optional phase accounting
 };
 
 /// Trained codebook plus convergence diagnostics.
@@ -61,14 +57,11 @@ Result<KMeansModel> TrainKMeans(const float* data, size_t n, size_t d,
 ///
 /// `use_sgemm` selects the batched decomposition (Faiss add phase, RC#1)
 /// versus the per-pair loop (PASE add phase). `out_assign` receives `n`
-/// cluster ids; `out_dist` (optional) the squared distances. `pool`
-/// (optional) parallelizes over vectors. The SGEMM path packs the
-/// centroids once per call and then runs the overload below.
+/// cluster ids; `out_dist` (optional) the squared distances. The SGEMM
+/// path packs the centroids once per call and then runs the overload below.
 void AssignToNearest(const float* data, size_t n, size_t d,
                      const float* centroids, uint32_t num_clusters,
-                     bool use_sgemm, uint32_t* out_assign, float* out_dist,
-                     ThreadPool* pool = nullptr,
-                     Profiler* profiler = nullptr);
+                     bool use_sgemm, uint32_t* out_assign, float* out_dist);
 
 /// The SGEMM path against a codebook packed where it was set (the
 /// faisslike IVF indexes): no per-call repack or centroid-norm pass, and
@@ -77,7 +70,6 @@ void AssignToNearest(const float* data, size_t n, size_t d,
 /// bit-identical to the per-call SGEMM path.
 void AssignToNearest(const float* data, size_t n,
                      const PackedCodebook& codebook, uint32_t* out_assign,
-                     float* out_dist, ThreadPool* pool = nullptr,
-                     Profiler* profiler = nullptr);
+                     float* out_dist);
 
 }  // namespace vecdb

@@ -16,9 +16,10 @@ namespace vecdb {
 
 /// Accumulates elapsed nanoseconds and hit counts under string labels.
 ///
-/// Not thread-safe by design: each worker thread profiles into its own
-/// Profiler and the harness merges them (see Merge()). Engines accept a
-/// nullable `Profiler*`; a null profiler costs one branch per scope.
+/// Not thread-safe by design: one thread records into a Profiler. Engines
+/// attach it only to work that runs on a single worker (a parallel search
+/// or build records nothing), and accept a nullable `Profiler*`; a null
+/// profiler costs one branch per scope.
 class Profiler {
  public:
   /// Adds `nanos` (and one hit) to the counter named `label`.
@@ -43,26 +44,11 @@ class Profiler {
   /// Seconds recorded under `label`.
   double Seconds(std::string_view label) const { return Nanos(label) * 1e-9; }
 
-  /// Folds another profiler's counters into this one.
-  void Merge(const Profiler& other) {
-    for (const auto& [label, e] : other.entries_) {
-      auto& mine = entries_[label];
-      mine.nanos += e.nanos;
-      mine.hits += e.hits;
-    }
-  }
-
-  /// Drops all counters.
-  void Reset() { entries_.clear(); }
-
-  /// All labels in lexicographic order with their totals.
+ private:
   struct Entry {
     int64_t nanos = 0;
     int64_t hits = 0;
   };
-  const std::map<std::string, Entry>& entries() const { return entries_; }
-
- private:
   std::map<std::string, Entry> entries_;
 };
 

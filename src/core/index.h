@@ -31,8 +31,8 @@ struct SearchParams {
 };
 
 /// A filtered query's predicate side: the selection bitmap (indexed by
-/// index position), the strategy to run (kAuto lets the planner pick), an
-/// optional sampled selectivity estimate, and the planner's thresholds.
+/// index position), the strategy to run (kAuto lets the planner pick), and
+/// an optional sampled selectivity estimate.
 struct FilterRequest {
   /// Required. Position `i` selected means vector `i` may appear in
   /// results. Built by the SQL layer from the WHERE predicate and the
@@ -45,8 +45,6 @@ struct FilterRequest {
   /// in which case the exact bitmap fraction is used. The estimate (not
   /// the exact count) feeds the planner, mirroring a real optimizer.
   double est_selectivity = -1.0;
-
-  filter::PlannerConfig planner;
 };
 
 /// What a Search() implementation consumes of SearchParams, for uniform
@@ -284,7 +282,7 @@ inline Result<std::vector<Neighbor>> VectorIndex::FilteredSearch(
   filter::FilterStrategy strategy = filter.strategy;
   const bool planned = strategy == filter::FilterStrategy::kAuto;
   if (planned) {
-    strategy = filter::ChooseStrategy(est, params.k, n, filter.planner);
+    strategy = filter::ChooseStrategy(est, params.k, n);
   }
   obs::MetricsRegistry* metrics = params.ctx.live_metrics();
   if (metrics != nullptr) {

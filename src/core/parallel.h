@@ -1,9 +1,10 @@
 // Work accounting for the parallel-scaling experiments (paper Fig 9 and
-// Fig 18). The reproduction container has a single core, so wall-clock time
-// cannot demonstrate multi-thread scaling; instead, engines record how much
-// busy time each worker accumulated and how much time was inherently
-// serialized (global-lock critical sections, result merging, or
-// BLAS-delegated kernels). The modeled makespan
+// Fig 18). On a shared or oversubscribed host, wall-clock time includes
+// time a worker spent descheduled, so it cannot demonstrate multi-thread
+// scaling; instead, engines record how much per-thread CPU time each
+// worker accumulated and how much time was inherently serialized
+// (global-lock critical sections, result merging, or BLAS-delegated
+// kernels). The modeled makespan
 //     max(worker busy) + serialized
 // is what a machine with one core per worker would observe, and it exposes
 // exactly the contrast the paper measures: Faiss's local-heap reduction has

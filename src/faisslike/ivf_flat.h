@@ -21,7 +21,6 @@ struct IvfFlatOptions {
   bool use_sgemm = true;        ///< RC#1 toggle (Fig 4 disables this)
   uint64_t seed = 42;
   int num_threads = 1;          ///< build parallelism (RC#3)
-  Profiler* profiler = nullptr;
 };
 
 /// In-memory inverted-file index with exact in-bucket distances.
@@ -70,7 +69,6 @@ class IvfFlatIndex final : public IvfScanIndex<IvfFlatIndex> {
   Status LoadPayload(BinaryReader& reader);
 
   /// A bucket stores the float row itself: nothing to train or encode.
-  static constexpr const char* kEncodeLabel = "";
   Status TrainPayload(const float* /*data*/, size_t /*n*/) {
     return Status::OK();
   }

@@ -12,7 +12,6 @@ Status IvfPqIndex::TrainPayload(const float* data, size_t n) {
   pq_opt.style = KMeansStyle::kFaissStyle;
   pq_opt.use_sgemm = options_.use_sgemm;
   pq_opt.seed = options_.seed;
-  pq_opt.profiler = options_.profiler;
   VECDB_ASSIGN_OR_RETURN(ProductQuantizer pq,
                          ProductQuantizer::TrainOnSample(
                              data, n, dim_, options_.sample_ratio, pq_opt));

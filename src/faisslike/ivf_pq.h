@@ -31,7 +31,6 @@ struct IvfPqOptions {
   uint32_t refine_factor = 0;
   uint64_t seed = 42;
   int num_threads = 1;
-  Profiler* profiler = nullptr;
 };
 
 /// Inverted file with product-quantized residual-free codes.
@@ -77,7 +76,6 @@ class IvfPqIndex final : public IvfScanIndex<IvfPqIndex> {
 
   /// The PQ trains on its own sample (same sr) of the base data.
   Status TrainPayload(const float* data, size_t n);
-  static constexpr const char* kEncodeLabel = "pq_encode";
   size_t code_size() const { return pq_->code_size(); }
   void Encode(const float* vec, uint8_t* code) const {
     pq_->Encode(vec, code);

@@ -28,11 +28,10 @@
 //   static constexpr const char* kName;           // "IvfFlat", ...
 //   static constexpr uint32_t kMagic;             // its snapshot magic
 //   Options options_;  // num_clusters, sample_ratio, train_iterations,
-//                      // use_sgemm, seed, profiler[, num_threads]
+//                      // use_sgemm, seed[, num_threads]
 //   Status TrainPayload(const float* data, size_t n);
 //   void ResetBuckets(uint32_t num_clusters);     // empty buckets
 //   size_t code_size() const;                     // 0: stores the row
-//   static constexpr const char* kEncodeLabel;    // "" when unprofiled
 //   void Encode(const float* vec, uint8_t* code) const;
 //   void Append(uint32_t b, int64_t id, const float* vec,
 //               const uint8_t* code);
@@ -291,7 +290,6 @@ Status IvfScanIndex<Derived>::Train(const float* data, size_t n) {
   km.style = KMeansStyle::kFaissStyle;
   km.use_sgemm = options.use_sgemm;
   km.seed = options.seed;
-  km.profiler = options.profiler;
   VECDB_ASSIGN_OR_RETURN(KMeansModel model, TrainKMeans(data, n, dim_, km));
   VECDB_RETURN_NOT_OK(derived().TrainPayload(data, n));
   SetCodebook(model.centroids.data(), model.num_clusters);
@@ -318,21 +316,19 @@ Status IvfScanIndex<Derived>::AddBatch(const float* data, size_t n,
   ParallelAccounting* worker_acct =
       acct.worker_busy_nanos.size() == static_cast<size_t>(workers) ? &acct
                                                                     : nullptr;
-  Profiler* profiler = workers == 1 ? options.profiler : nullptr;
 
   std::vector<uint32_t> assign(n);
   if (options.use_sgemm) {
     // Faiss delegates assignment to one big SGEMM-decomposed batch; model
     // it as a serial (BLAS-internal) section for the scaling accounting.
     CpuTimer timer;
-    AssignToNearest(data, n, codebook_, assign.data(), nullptr, nullptr,
-                    options.profiler);
+    AssignToNearest(data, n, codebook_, assign.data(), nullptr);
     acct.serial_nanos += timer.ElapsedNanos();
   } else {
     RunWorkers(workers, n, worker_acct, [&](int, size_t begin, size_t end) {
       AssignToNearest(data + begin * dim_, end - begin, dim_,
                       centroids_.data(), num_clusters_, /*use_sgemm=*/false,
-                      assign.data() + begin, nullptr, nullptr, profiler);
+                      assign.data() + begin, nullptr);
     });
   }
 
@@ -342,8 +338,6 @@ Status IvfScanIndex<Derived>::AddBatch(const float* data, size_t n,
   std::vector<uint8_t> codes(n * code_size);
   if (code_size > 0) {
     RunWorkers(workers, n, worker_acct, [&](int, size_t begin, size_t end) {
-      ProfScope scope(*Derived::kEncodeLabel != '\0' ? profiler : nullptr,
-                      Derived::kEncodeLabel);
       for (size_t i = begin; i < end; ++i) {
         derived().Encode(data + i * dim_, codes.data() + i * code_size);
       }
@@ -425,10 +419,9 @@ Status IvfScanIndex<Derived>::Load(const std::string& path) {
   uint64_t num_vectors = 0;
   VECDB_RETURN_NOT_OK(reader.Fields(dim, clusters, num_vectors));
   // Options a v1 file lacks keep their defaults, and its cluster count is
-  // the geometry's; the profiler is a runtime handle, never saved.
+  // the geometry's.
   decltype(Derived::options_) options;
   options.num_clusters = clusters;
-  options.profiler = derived().options_.profiler;
   VECDB_RETURN_NOT_OK(Derived::OptionFields(reader, options, version));
   if (dim != dim_) {
     return Status::Corruption(who + "file dim " + std::to_string(dim) +

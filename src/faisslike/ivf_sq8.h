@@ -21,7 +21,6 @@ struct IvfSq8Options {
   int train_iterations = 10;
   bool use_sgemm = true;
   uint64_t seed = 42;
-  Profiler* profiler = nullptr;
 };
 
 /// Inverted file over SQ8-coded vectors. Buckets hold their codes in the
@@ -59,7 +58,6 @@ class IvfSq8Index final : public IvfScanIndex<IvfSq8Index> {
 
   /// The per-dimension scalar ranges, trained on every row.
   Status TrainPayload(const float* data, size_t n);
-  static constexpr const char* kEncodeLabel = "";
   size_t code_size() const { return sq_->code_size(); }
   void Encode(const float* vec, uint8_t* code) const {
     sq_->Encode(vec, code);

@@ -56,29 +56,26 @@ inline Result<FilterStrategy> ParseStrategy(const std::string& name) {
       "' (expected auto, prefilter, postfilter, or infilter)");
 }
 
-/// Planner knobs. The thresholds are the selectivity crossovers from the
-/// filter-agnostic study's cost curves; sample_rows bounds the selectivity
-/// probe the SQL layer runs over the heap.
-struct PlannerConfig {
-  double prefilter_threshold = 0.05;  ///< sel <= this -> pre-filter
-  double infilter_threshold = 0.50;   ///< sel <= this -> in-filter
-  size_t sample_rows = 256;           ///< rows sampled to estimate sel
-};
+/// Planner constants. The thresholds are the selectivity crossovers from
+/// the filter-agnostic study's cost curves; kPlannerSampleRows bounds the
+/// selectivity probe the SQL layer runs over the heap.
+inline constexpr double kPrefilterThreshold = 0.05;  ///< sel <= this: pre
+inline constexpr double kInfilterThreshold = 0.50;   ///< sel <= this: in
+inline constexpr size_t kPlannerSampleRows = 256;    ///< rows sampled
 
 /// Picks a strategy for an estimated selectivity. Also routes to
 /// pre-filter whenever the estimated match count is within the requested
 /// k: the brute-force survivor scan then visits no more tuples than the
 /// result itself needs.
 inline FilterStrategy ChooseStrategy(double est_selectivity, size_t k,
-                                     size_t num_rows,
-                                     const PlannerConfig& config = {}) {
+                                     size_t num_rows) {
   const double est_matches =
       est_selectivity * static_cast<double>(num_rows);
-  if (est_selectivity <= config.prefilter_threshold ||
+  if (est_selectivity <= kPrefilterThreshold ||
       est_matches <= static_cast<double>(k)) {
     return FilterStrategy::kPreFilter;
   }
-  if (est_selectivity <= config.infilter_threshold) {
+  if (est_selectivity <= kInfilterThreshold) {
     return FilterStrategy::kInFilter;
   }
   return FilterStrategy::kPostFilter;

@@ -23,7 +23,6 @@ struct PaseIvfFlatOptions {
   int train_iterations = 10;
   uint64_t seed = 42;
   std::string rel_prefix = "pase_ivfflat";  ///< relation name prefix
-  Profiler* profiler = nullptr;
   /// Fig 2 comparison point: emulate pgvector's slower executor — distance
   /// evaluated through per-tuple operator dispatch and results fully sorted
   /// instead of heap-selected.
@@ -45,7 +44,6 @@ class PaseIvfFlatIndex final : public PaseIvfScanIndex<PaseIvfFlatIndex> {
   friend class PaseIvfScanIndex<PaseIvfFlatIndex>;
 
   /// A tuple stores the float row itself: nothing to train or encode.
-  static constexpr const char* kEncodeLabel = "";
   Status TrainPayload(const float* /*data*/, size_t /*n*/) {
     return Status::OK();
   }

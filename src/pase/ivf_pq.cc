@@ -28,7 +28,6 @@ Status PaseIvfPqIndex::TrainPayload(const float* data, size_t n) {
   pq_opt.style = KMeansStyle::kPaseStyle;
   pq_opt.use_sgemm = false;
   pq_opt.seed = options_.seed;
-  pq_opt.profiler = options_.profiler;
   VECDB_ASSIGN_OR_RETURN(ProductQuantizer pq,
                          ProductQuantizer::TrainOnSample(
                              data, n, dim_, options_.sample_ratio, pq_opt));

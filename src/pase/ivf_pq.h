@@ -23,7 +23,6 @@ struct PaseIvfPqOptions {
   int train_iterations = 10;
   uint64_t seed = 42;
   std::string rel_prefix = "pase_ivfpq";
-  Profiler* profiler = nullptr;
 };
 
 /// Page-resident IVF_PQ index.
@@ -44,7 +43,6 @@ class PaseIvfPqIndex final : public PaseIvfScanIndex<PaseIvfPqIndex> {
 
   /// The PQ trains on its own sample (same sr) of the base data.
   Status TrainPayload(const float* data, size_t n);
-  static constexpr const char* kEncodeLabel = "pq_encode";
   size_t payload_bytes() const { return pq_->code_size(); }
   const void* Payload(const float* vec, uint8_t* scratch) const {
     pq_->Encode(vec, scratch);

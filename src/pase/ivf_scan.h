@@ -23,9 +23,8 @@
 // `D final : public PaseIvfScanIndex<D>` provides
 //   static constexpr const char* kName;         // "PaseIvfFlat", ...
 //   static constexpr size_t kHeaderBytes;       // tuple bytes before payload
-//   static constexpr const char* kEncodeLabel;  // "" when unprofiled
 //   Options options_;  // num_clusters, sample_ratio, train_iterations,
-//                      // seed, rel_prefix, profiler
+//                      // seed, rel_prefix
 //   Status TrainPayload(const float* data, size_t n);
 //   size_t payload_bytes() const;
 //   const void* Payload(const float* vec, uint8_t* scratch) const;
@@ -205,16 +204,11 @@ class PaseIvfScanIndex : public VectorIndex {
   Derived& derived() { return static_cast<Derived&>(*this); }
 
   /// Appends one row's tuple to a bucket chain: the row itself, or its
-  /// code encoded into `scratch` under the payload's profiler label.
+  /// code encoded into `scratch`.
   Status AppendRow(uint32_t bucket, int64_t row_id, const float* vec,
-                   uint8_t* scratch, Profiler* profiler) {
-    const void* payload;
-    {
-      ProfScope scope(*Derived::kEncodeLabel != '\0' ? profiler : nullptr,
-                      Derived::kEncodeLabel);
-      payload = derived().Payload(vec, scratch);
-    }
-    return AppendToBucket(bucket, row_id, payload, derived().payload_bytes());
+                   uint8_t* scratch) {
+    return AppendToBucket(bucket, row_id, derived().Payload(vec, scratch),
+                          derived().payload_bytes());
   }
 
   Status CheckSearchable(const SearchParams& params, IndexKind kind) const {
@@ -314,7 +308,6 @@ Status PaseIvfScanIndex<Derived>::Build(const float* data, size_t n) {
   km.style = KMeansStyle::kPaseStyle;
   km.use_sgemm = false;  // RC#1: PASE has no SGEMM path
   km.seed = options.seed;
-  km.profiler = options.profiler;
   VECDB_ASSIGN_OR_RETURN(KMeansModel model, TrainKMeans(data, n, dim_, km));
   VECDB_RETURN_NOT_OK(derived().TrainPayload(data, n));
   num_clusters_ = model.num_clusters;
@@ -332,13 +325,11 @@ Status PaseIvfScanIndex<Derived>::Build(const float* data, size_t n) {
   chains_.assign(num_clusters_, {});
   std::vector<uint32_t> assign(n);
   AssignToNearest(data, n, dim_, centroids_.data(), num_clusters_,
-                  /*use_sgemm=*/false, assign.data(), nullptr, nullptr,
-                  options.profiler);
+                  /*use_sgemm=*/false, assign.data(), nullptr);
   std::vector<uint8_t> scratch(derived().payload_bytes());
   for (size_t i = 0; i < n; ++i) {
     VECDB_RETURN_NOT_OK(AppendRow(assign[i], static_cast<int64_t>(i),
-                                  data + i * dim_, scratch.data(),
-                                  options.profiler));
+                                  data + i * dim_, scratch.data()));
   }
   VECDB_RETURN_NOT_OK(WriteCentroidPages());
   num_vectors_ = n;
@@ -368,9 +359,8 @@ Status PaseIvfScanIndex<Derived>::Insert(const float* vec) {
                   /*use_sgemm=*/false, &bucket, nullptr);
   std::vector<uint8_t> scratch(derived().payload_bytes());
   WriterMutexLock latch(latch_);
-  VECDB_RETURN_NOT_OK(
-      AppendRow(bucket, static_cast<int64_t>(num_vectors_), vec,
-                scratch.data(), nullptr));
+  VECDB_RETURN_NOT_OK(AppendRow(bucket, static_cast<int64_t>(num_vectors_),
+                                vec, scratch.data()));
   ++num_vectors_;
   return Status::OK();
 }

@@ -20,7 +20,6 @@ struct PaseIvfSq8Options {
   int train_iterations = 10;
   uint64_t seed = 42;
   std::string rel_prefix = "pase_ivfsq8";
-  Profiler* profiler = nullptr;
 };
 
 /// Page-resident IVF_SQ8 index. Like its siblings it selects buckets by a
@@ -40,7 +39,6 @@ class PaseIvfSq8Index final : public PaseIvfScanIndex<PaseIvfSq8Index> {
 
   /// The per-dimension scalar ranges, trained on every row.
   Status TrainPayload(const float* data, size_t n);
-  static constexpr const char* kEncodeLabel = "";
   size_t payload_bytes() const { return sq_->code_size(); }
   const void* Payload(const float* vec, uint8_t* scratch) const {
     sq_->Encode(vec, scratch);

@@ -44,7 +44,6 @@ Result<ProductQuantizer> ProductQuantizer::Train(const float* data, size_t n,
   // Train one K-means per subspace on the sliced training set.
   AlignedFloats slice(n * pq.sub_dim_);
   for (uint32_t sub = 0; sub < pq.m_; ++sub) {
-    ProfScope scope(options.profiler, "pq_train_subspace");
     for (size_t i = 0; i < n; ++i) {
       std::memcpy(slice.data() + i * pq.sub_dim_,
                   data + i * d + static_cast<size_t>(sub) * pq.sub_dim_,
@@ -57,8 +56,6 @@ Result<ProductQuantizer> ProductQuantizer::Train(const float* data, size_t n,
     km.style = options.style;
     km.use_sgemm = options.use_sgemm;
     km.seed = options.seed + sub;
-    km.pool = options.pool;
-    km.profiler = options.profiler;
     VECDB_ASSIGN_OR_RETURN(KMeansModel model,
                            TrainKMeans(slice.data(), n, pq.sub_dim_, km));
     std::memcpy(pq.codebooks_.data() +

@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "common/aligned_buffer.h"
-#include "common/profiler.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "clustering/kmeans.h"
 #include "distance/dispatch.h"
 
@@ -30,8 +28,6 @@ struct PqOptions {
   /// code as in PASE" configuration (Fig 6).
   bool use_sgemm = true;
   uint64_t seed = 42;
-  ThreadPool* pool = nullptr;
-  Profiler* profiler = nullptr;
 };
 
 /// A trained product quantizer: m per-subspace codebooks of c_pq codewords.

@@ -790,7 +790,7 @@ Result<QueryResult> MiniDatabase::SeqScanSelect(
 
 MiniDatabase::FilterPlan MiniDatabase::BuildFilterPlan(
     const TableEntry& table, const TableSnapshot& snap,
-    const filter::BoundPredicate* bound, size_t sample_rows) {
+    const filter::BoundPredicate* bound) {
   const std::vector<std::vector<int64_t>>& columns = table.state->columns;
   const size_t n = snap.visible_rows;
   VECDB_DCHECK_EQ(columns[0].size(), n);
@@ -801,8 +801,8 @@ MiniDatabase::FilterPlan MiniDatabase::BuildFilterPlan(
   if (dead != nullptr) plan.selection.AndNot(*dead);
   // The planner's estimate reads the exact bitmap at strided sample
   // positions (what an attribute-store EstimateSelectivity would see).
-  const size_t stride =
-      n <= sample_rows ? 1 : (n + sample_rows - 1) / sample_rows;
+  constexpr size_t kSample = filter::kPlannerSampleRows;
+  const size_t stride = n <= kSample ? 1 : (n + kSample - 1) / kSample;
   size_t sampled = 0;
   size_t sampled_matches = 0;
   for (size_t pos = 0; pos < n; pos += stride) {
@@ -925,7 +925,6 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
   // engine scan runs after the lock is released, bounded by that snapshot
   // (the selection's size, or AmScanOptions::visible_rows), while writers
   // append beside it under the engine's own latches.
-  const filter::PlannerConfig planner;
   FilterPlan plan;
   uint64_t visible = 0;
   bool filtered = false;
@@ -946,8 +945,7 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
       // null bitmap and the scan takes the engine's unfiltered Search.
       filtered = has_predicate || snap.dead != nullptr;
       if (filtered) {
-        plan = BuildFilterPlan(table, snap, has_predicate ? &bound : nullptr,
-                               planner.sample_rows);
+        plan = BuildFilterPlan(table, snap, has_predicate ? &bound : nullptr);
       }
     }
   }
@@ -971,8 +969,7 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
     if (filtered) {
       const filter::FilterStrategy effective =
           strategy == filter::FilterStrategy::kAuto
-              ? filter::ChooseStrategy(plan.est_selectivity, k, visible,
-                                       planner)
+              ? filter::ChooseStrategy(plan.est_selectivity, k, visible)
               : strategy;
       out.message += " strategy=" +
                      std::string(filter::StrategyName(effective)) +
@@ -1007,7 +1004,6 @@ Result<QueryResult> MiniDatabase::ExecSelect(const SelectStmt& stmt,
     scan.filter.selection = &plan.selection;
     scan.filter.strategy = strategy;
     scan.filter.est_selectivity = plan.est_selectivity;
-    scan.filter.planner = planner;
   }
   std::atomic<uint64_t> visited{0};
   scan.ctx.tuples_visited = &visited;

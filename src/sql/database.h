@@ -342,8 +342,7 @@ class MiniDatabase {
   };
   static FilterPlan BuildFilterPlan(const TableEntry& table,
                                     const TableSnapshot& snap,
-                                    const filter::BoundPredicate* bound,
-                                    size_t sample_rows)
+                                    const filter::BoundPredicate* bound)
       VECDB_REQUIRES_SHARED(table.state->mu);
 
   DatabaseOptions options_;

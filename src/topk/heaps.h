@@ -9,7 +9,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/thread_annotations.h"
 #include "topk/neighbor.h"
 
 namespace vecdb {
@@ -112,31 +111,6 @@ class NHeap {
 
  private:
   std::vector<Neighbor> items_;
-};
-
-/// Mutex-guarded shared top-k heap (PASE's intra-query parallel search,
-/// paper RC#3): every worker contends on one lock per insertion. The
-/// guarded heap is statically lock-checked under VECDB_TSA.
-class LockedGlobalHeap {
- public:
-  explicit LockedGlobalHeap(size_t k) : heap_(k) {}
-
-  /// Thread-safe push; serializes all callers.
-  void Push(float dist, int64_t id) VECDB_EXCLUDES(mu_) {
-    MutexLock guard(mu_);
-    heap_.Push(dist, id);
-  }
-
-  /// Nanoseconds spent inside the critical section across all threads.
-  /// (Accounted by the callers via LockTimedPush in benchmarks.)
-  std::vector<Neighbor> TakeSorted() VECDB_EXCLUDES(mu_) {
-    MutexLock guard(mu_);
-    return heap_.TakeSorted();
-  }
-
- private:
-  Mutex mu_;
-  KMaxHeap heap_ VECDB_GUARDED_BY(mu_);
 };
 
 /// Merges per-thread local top-k lists into one global top-k

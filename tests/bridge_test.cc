@@ -117,6 +117,39 @@ TEST_F(BridgeTest, ParallelLocalAndGlobalHeapsAgree) {
   EXPECT_GT(acct_global.serial_nanos, acct_local.serial_nanos);
 }
 
+TEST_F(BridgeTest, ProfiledParallelSearchMatchesSerial) {
+  // A Profiler is single-threaded, so a 4-worker search must not record
+  // into it from its workers. Sized so a shared profiler shows up as a
+  // race under TSan; the results must equal the serial search's.
+  SyntheticOptions big;
+  big.dim = 32;
+  big.num_base = 40000;
+  big.num_queries = 20;
+  const Dataset ds = GenerateClustered(big);
+  for (const bool memory_table : {true, false}) {
+    SCOPED_TRACE(memory_table ? "memory table" : "page path");
+    BridgedIvfFlatOptions opt;
+    opt.num_clusters = 16;
+    opt.memory_table = memory_table;
+    opt.rel_prefix = memory_table ? "prof_mem" : "prof_page";
+    BridgedIvfFlatIndex index(Env(), ds.dim, opt);
+    ASSERT_TRUE(index.Build(ds.base.data(), ds.num_base).ok());
+    Profiler profiler;
+    ParallelAccounting accounting;
+    SearchParams serial, parallel;
+    serial.k = parallel.k = 10;
+    serial.nprobe = parallel.nprobe = 16;
+    parallel.num_threads = 4;
+    parallel.ctx.profiler = &profiler;
+    parallel.ctx.accounting = &accounting;
+    for (size_t q = 0; q < ds.num_queries; ++q) {
+      EXPECT_EQ(index.Search(ds.query_vector(q), parallel).ValueOrDie(),
+                index.Search(ds.query_vector(q), serial).ValueOrDie());
+    }
+    EXPECT_EQ(accounting.worker_busy_nanos.size(), 4u);
+  }
+}
+
 TEST_F(BridgeTest, BridgedHnswMatchesRecallOfPaseHnsw) {
   BridgedHnswOptions bopt;
   bopt.bnn = 16;

@@ -2,6 +2,9 @@
 
 #include <bit>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -483,6 +486,31 @@ TEST(HnswTest, EfsImprovesRecall) {
   hi.efs = 200;
   EXPECT_GE(MeasureRecall(index, ds, hi) + 1e-9,
             MeasureRecall(index, ds, lo));
+}
+
+TEST(HnswTest, ProfiledBuildSavesTheSameBytes) {
+  // The build profiler only observes: the same input saves to the same
+  // file with and without it.
+  auto ds = TestData(16, 600, 1);
+  Profiler profiler;
+  std::string bytes[2];
+  for (int run = 0; run < 2; ++run) {
+    HnswOptions opt;
+    opt.bnn = 8;
+    opt.efb = 20;
+    if (run == 1) opt.profiler = &profiler;
+    HnswIndex index(ds.dim, opt);
+    ASSERT_TRUE(index.Build(ds.base.data(), ds.num_base).ok());
+    const std::string path =
+        ::testing::TempDir() + "/hnsw_profiled_" + std::to_string(run);
+    ASSERT_TRUE(index.Save(path).ok());
+    std::ifstream in(path, std::ios::binary);
+    bytes[run].assign(std::istreambuf_iterator<char>(in), {});
+    std::filesystem::remove(path);
+  }
+  EXPECT_GT(profiler.Nanos("SearchNbToAdd"), 0);
+  ASSERT_FALSE(bytes[0].empty());
+  EXPECT_TRUE(bytes[0] == bytes[1]) << "profiled build saved other bytes";
 }
 
 TEST(HnswTest, SingleVectorIndex) {

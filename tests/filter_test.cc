@@ -269,26 +269,21 @@ TEST(ColumnarEvalTest, EvaluatesOnlyTheRequestedPrefix) {
 // Planner
 
 TEST(PlannerTest, ChoosesByCrossoverThresholds) {
-  const filter::PlannerConfig cfg;  // pre <= 0.05, in <= 0.50
   const size_t n = 100000;
-  EXPECT_EQ(filter::ChooseStrategy(0.01, 10, n, cfg),
+  EXPECT_EQ(filter::ChooseStrategy(0.01, 10, n), FilterStrategy::kPreFilter);
+  EXPECT_EQ(filter::ChooseStrategy(filter::kPrefilterThreshold, 10, n),
             FilterStrategy::kPreFilter);
-  EXPECT_EQ(filter::ChooseStrategy(0.05, 10, n, cfg),
-            FilterStrategy::kPreFilter);
-  EXPECT_EQ(filter::ChooseStrategy(0.2, 10, n, cfg),
+  EXPECT_EQ(filter::ChooseStrategy(0.2, 10, n), FilterStrategy::kInFilter);
+  EXPECT_EQ(filter::ChooseStrategy(filter::kInfilterThreshold, 10, n),
             FilterStrategy::kInFilter);
-  EXPECT_EQ(filter::ChooseStrategy(0.50, 10, n, cfg),
-            FilterStrategy::kInFilter);
-  EXPECT_EQ(filter::ChooseStrategy(0.9, 10, n, cfg),
-            FilterStrategy::kPostFilter);
-  EXPECT_EQ(filter::ChooseStrategy(1.0, 10, n, cfg),
-            FilterStrategy::kPostFilter);
+  EXPECT_EQ(filter::ChooseStrategy(0.9, 10, n), FilterStrategy::kPostFilter);
+  EXPECT_EQ(filter::ChooseStrategy(1.0, 10, n), FilterStrategy::kPostFilter);
 }
 
 TEST(PlannerTest, TinyMatchCountRoutesToPreFilter) {
   // est_matches <= k: brute-forcing the survivors is never worse than the
   // result set itself, regardless of selectivity thresholds.
-  EXPECT_EQ(filter::ChooseStrategy(0.9, 10, 10, {}),
+  EXPECT_EQ(filter::ChooseStrategy(0.9, 10, 10),
             FilterStrategy::kPreFilter);
 }
 
@@ -797,7 +792,7 @@ TEST_F(SqlFilterTest, FilteredSelectSkipsDeletedRows) {
 
 class SqlPlanOracleTest : public SqlFilterTest {
  protected:
-  static constexpr int kRows = 1000;  // > PlannerConfig::sample_rows
+  static constexpr int kRows = 1000;  // > filter::kPlannerSampleRows
   static constexpr size_t kLimit = 10;
   static constexpr const char* kLineQuery = "'-1,0,0,0,0,0,0,0'";
 
@@ -850,13 +845,12 @@ class SqlPlanOracleTest : public SqlFilterTest {
   /// result ids so callers can also compare runs with each other.
   std::vector<std::string> CheckPlans() {
     std::vector<std::string> observed;
-    const filter::PlannerConfig planner;
+    constexpr size_t kSample = filter::kPlannerSampleRows;
     for (const auto& pred : Predicates()) {
       const std::vector<bool> match = ModelMatches(*pred);
       // The per-row heap pass's estimate: the live matches among the
       // positions pos % stride == 0.
-      const size_t stride =
-          (kRows + planner.sample_rows - 1) / planner.sample_rows;
+      const size_t stride = (kRows + kSample - 1) / kSample;
       size_t sampled = 0;
       size_t hits = 0;
       for (size_t pos = 0; pos < kRows; pos += stride) {
@@ -881,7 +875,7 @@ class SqlPlanOracleTest : public SqlFilterTest {
                                     std::to_string(kLimit);
         const FilterStrategy effective =
             std::string(strategy) == "auto"
-                ? filter::ChooseStrategy(est, kLimit, live_rows, planner)
+                ? filter::ChooseStrategy(est, kLimit, live_rows)
                 : filter::ParseStrategy(strategy).ValueOrDie();
         auto plan = Must("EXPLAIN SELECT id" + where + options);
         EXPECT_NE(plan.message.find(

@@ -6,7 +6,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -203,25 +202,6 @@ TEST(NHeapTest, TieBreakById) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].id, 3);
   EXPECT_EQ(out[1].id, 5);
-}
-
-TEST(LockedGlobalHeapTest, ConcurrentPushesKeepTopK) {
-  LockedGlobalHeap heap(50);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&heap, t] {
-      Rng rng(100 + t);
-      for (int i = 0; i < 2500; ++i) {
-        heap.Push(rng.UniformFloat(), t * 2500 + i);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  auto sorted = heap.TakeSorted();
-  ASSERT_EQ(sorted.size(), 50u);
-  for (size_t i = 1; i < sorted.size(); ++i) {
-    EXPECT_LE(sorted[i - 1].dist, sorted[i].dist);
-  }
 }
 
 TEST(MergeTopKTest, MergesLocalsCorrectly) {

@@ -164,23 +164,6 @@ TEST(AssignTest, AssignmentIsActuallyNearest) {
   }
 }
 
-TEST(AssignTest, ParallelAssignmentMatchesSerial) {
-  auto ds = SmallClustered(16, 500, 11);
-  KMeansOptions opt;
-  opt.num_clusters = 10;
-  opt.sample_ratio = 1.0;
-  auto model =
-      TrainKMeans(ds.base.data(), ds.num_base, ds.dim, opt).ValueOrDie();
-  std::vector<uint32_t> serial(ds.num_base), parallel(ds.num_base);
-  AssignToNearest(ds.base.data(), ds.num_base, ds.dim,
-                  model.centroids.data(), 10, false, serial.data(), nullptr);
-  ThreadPool pool(4);
-  AssignToNearest(ds.base.data(), ds.num_base, ds.dim,
-                  model.centroids.data(), 10, false, parallel.data(), nullptr,
-                  &pool);
-  EXPECT_EQ(serial, parallel);
-}
-
 // The SGEMM assignment spelled out with one per-call SgemmTransB: norms,
 // dot products, ‖x‖² + ‖c‖² − 2x·c clamped at 0, first minimum wins.
 void ReferenceSgemmAssign(const float* x, size_t n, size_t d,
@@ -220,7 +203,6 @@ TEST(AssignTest, PackedCodebookMatchesPerCallSgemmBitForBit) {
   centroids[172 * kDim + 3] = std::nextafter(
       centroids[172 * kDim + 3], std::numeric_limits<float>::infinity());
   const PackedCodebook codebook(centroids.data(), kClusters, kDim);
-  ThreadPool pool(3);
 
   for (size_t n : {1, 2, 7, 19, 20, 1023, 1024, 1500}) {
     std::vector<float> x(n * kDim);
@@ -237,25 +219,23 @@ TEST(AssignTest, PackedCodebookMatchesPerCallSgemmBitForBit) {
     std::vector<float> want_dist;
     ReferenceSgemmAssign(x.data(), n, kDim, centroids.data(), kClusters,
                          &want_assign, &want_dist);
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      std::vector<uint32_t> packed_assign(n), per_call_assign(n);
-      std::vector<float> packed_dist(n), per_call_dist(n);
-      AssignToNearest(x.data(), n, codebook, packed_assign.data(),
-                      packed_dist.data(), p);
-      AssignToNearest(x.data(), n, kDim, centroids.data(), kClusters,
-                      /*use_sgemm=*/true, per_call_assign.data(),
-                      per_call_dist.data(), p);
-      EXPECT_EQ(packed_assign, want_assign) << "n=" << n;
-      EXPECT_EQ(per_call_assign, want_assign) << "n=" << n;
-      EXPECT_EQ(std::memcmp(packed_dist.data(), want_dist.data(),
-                            n * sizeof(float)),
-                0)
-          << "n=" << n;
-      EXPECT_EQ(std::memcmp(per_call_dist.data(), want_dist.data(),
-                            n * sizeof(float)),
-                0)
-          << "n=" << n;
-    }
+    std::vector<uint32_t> packed_assign(n), per_call_assign(n);
+    std::vector<float> packed_dist(n), per_call_dist(n);
+    AssignToNearest(x.data(), n, codebook, packed_assign.data(),
+                    packed_dist.data());
+    AssignToNearest(x.data(), n, kDim, centroids.data(), kClusters,
+                    /*use_sgemm=*/true, per_call_assign.data(),
+                    per_call_dist.data());
+    EXPECT_EQ(packed_assign, want_assign) << "n=" << n;
+    EXPECT_EQ(per_call_assign, want_assign) << "n=" << n;
+    EXPECT_EQ(std::memcmp(packed_dist.data(), want_dist.data(),
+                          n * sizeof(float)),
+              0)
+        << "n=" << n;
+    EXPECT_EQ(std::memcmp(per_call_dist.data(), want_dist.data(),
+                          n * sizeof(float)),
+              0)
+        << "n=" << n;
     // The duplicated centroid never wins over its lower-id twin.
     EXPECT_EQ(want_assign[0], 5u);
   }

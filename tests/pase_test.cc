@@ -172,11 +172,13 @@ TEST(PaseHnswBytesTest, TwoBuildsWriteIdenticalNeighborPages) {
   // Neighbor lists are written field by field into zeroed slots, so no
   // stray byte lands in a tuple's padding or past a list's count: the
   // same input builds a byte-identical neighbor relation (and WAL images).
+  // The second run profiles its build, which must only observe.
   SyntheticOptions opt;
   opt.dim = 16;
   opt.num_base = 400;
   opt.num_queries = 1;
   const Dataset ds = GenerateClustered(opt);
+  Profiler profiler;
   std::string bytes[2];
   for (int run = 0; run < 2; ++run) {
     const std::string dir =
@@ -188,6 +190,7 @@ TEST(PaseHnswBytesTest, TwoBuildsWriteIdenticalNeighborPages) {
       PaseHnswOptions hopt;
       hopt.bnn = 8;
       hopt.rel_prefix = "bytes";
+      if (run == 1) hopt.profiler = &profiler;
       PaseHnswIndex index({&smgr, &bufmgr}, ds.dim, hopt);
       ASSERT_TRUE(index.Build(ds.base.data(), ds.num_base).ok());
       ASSERT_TRUE(bufmgr.FlushAll().ok());
@@ -197,6 +200,7 @@ TEST(PaseHnswBytesTest, TwoBuildsWriteIdenticalNeighborPages) {
     bytes[run].assign(std::istreambuf_iterator<char>(in), {});
     std::filesystem::remove_all(dir);
   }
+  EXPECT_GT(profiler.Nanos("SearchNbToAdd"), 0);
   ASSERT_FALSE(bytes[0].empty());
   EXPECT_TRUE(bytes[0] == bytes[1]) << "neighbor relations differ";
 }

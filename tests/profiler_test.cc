@@ -20,25 +20,6 @@ TEST(ProfilerTest, UnknownLabelIsZero) {
   EXPECT_EQ(p.Hits("nothing"), 0);
 }
 
-TEST(ProfilerTest, MergeFoldsCounters) {
-  Profiler a, b;
-  a.Add("x", 10);
-  b.Add("x", 5);
-  b.Add("y", 7);
-  a.Merge(b);
-  EXPECT_EQ(a.Nanos("x"), 15);
-  EXPECT_EQ(a.Hits("x"), 2);
-  EXPECT_EQ(a.Nanos("y"), 7);
-}
-
-TEST(ProfilerTest, ResetClears) {
-  Profiler p;
-  p.Add("x", 1);
-  p.Reset();
-  EXPECT_EQ(p.Nanos("x"), 0);
-  EXPECT_TRUE(p.entries().empty());
-}
-
 volatile double benchmark_dont_optimize_ = 0;
 
 TEST(ProfScopeTest, ChargesElapsedTime) {

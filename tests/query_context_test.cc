@@ -237,6 +237,30 @@ TEST_F(AllIndexesTest, ParallelSearchCountsMatchSerial) {
   }
 }
 
+TEST_F(AllIndexesTest, ProfilingChangesNoResult) {
+  for (const auto& combo : kAllCombos) {
+    SCOPED_TRACE(std::string(combo.method) + "/" + combo.engine);
+    auto index = MakeBuilt(combo.method, combo.engine);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    SearchParams plain;
+    plain.k = 5;
+    plain.nprobe = 4;
+    plain.efs = 32;
+    Profiler profiler;
+    ParallelAccounting accounting;
+    SearchParams profiled = plain;
+    profiled.ctx.profiler = &profiler;
+    profiled.ctx.accounting = &accounting;
+    for (size_t q = 0; q < ds_.num_queries; ++q) {
+      auto want = (*index)->Search(ds_.query_vector(q), plain);
+      auto got = (*index)->Search(ds_.query_vector(q), profiled);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, *want);
+    }
+  }
+}
+
 TEST_F(AllIndexesTest, PageEnginesDriveBufmgrCounters) {
   auto& global = obs::MetricsRegistry::Global();
   const bool was_enabled = global.enabled();

@@ -22,8 +22,9 @@ Rules (suppress one occurrence with a trailing `// lint-allow:<rule>`):
                     Profiler / ParallelAccounting / MetricsRegistry through
                     SearchParams::ctx. The compiler catches this in built
                     configs; the lint catches code behind #ifdefs and docs
-                    snippets. (Options structs' own profiler fields are
-                    unaffected: the rule is scoped to SearchParams objects.)
+                    snippets. (The HNSW options structs' own profiler
+                    fields are unaffected: the rule is scoped to
+                    SearchParams objects.)
   raw-mutex         a raw std:: mutex type (std::mutex, std::shared_mutex,
                     recursive/timed variants) anywhere outside
                     common/thread_annotations.h -- declare vecdb::Mutex /
@@ -31,7 +32,7 @@ Rules (suppress one occurrence with a trailing `// lint-allow:<rule>`):
                     VECDB_GUARDED_BY and the Clang Thread Safety Analysis
                     gate (VECDB_TSA) can prove the lock discipline.
   database-execute  Execute() called on a MiniDatabase object -- the
-                    single-session wrapper is deprecated; create a Session
+                    single-session wrapper was removed; create a Session
                     with MiniDatabase::CreateSession() and call
                     Session::Execute so statements go through admission
                     control and session accounting. (Scoped to variables
@@ -108,7 +109,7 @@ RAW_MUTEX_RE = re.compile(
     r"recursive_timed_mutex|shared_timed_mutex)\b"
 )
 # `SearchParams p;` / `SearchParams p = other;` -- harvested per file so the
-# removed-field rule only fires on SearchParams objects, not on the many
+# removed-field rule only fires on SearchParams objects, not on the HNSW
 # options structs that legitimately carry a profiler field.
 SEARCHPARAMS_DECL_RE = re.compile(r"\bSearchParams\s+(\w+)\s*[;={]")
 # Designated init naming a removed field: `SearchParams{.profiler = ...}`.
@@ -238,7 +239,7 @@ def lint_file(root, path, status_stmt_re, errors):
         report(1, "pragma-once", "header is missing #pragma once")
 
     # First pass: names of SearchParams-typed locals, so the removed-field
-    # rule can tell `params.profiler` (banned) from `kmeans_opt.profiler`
+    # rule can tell `params.profiler` (banned) from `hnsw_opt.profiler`
     # (a different struct, fine). Any access -- read or write -- is banned:
     # the fields no longer exist.
     searchparams_vars = set()
@@ -313,7 +314,7 @@ def lint_file(root, path, status_stmt_re, errors):
             report(i, "std-endl", "std::endl flushes; use '\\n'")
         if database_execute_re and database_execute_re.search(line):
             report(i, "database-execute",
-                   "MiniDatabase::Execute is deprecated; CreateSession() "
+                   "MiniDatabase::Execute was removed; CreateSession() "
                    "and call Session::Execute (admission + accounting)")
         if (status_stmt_re.match(line)
                 and not CONSUMED_RE.search(line)
